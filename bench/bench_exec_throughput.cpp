@@ -36,7 +36,6 @@
 
 #include "analysis/Candidates.h"
 #include "exec/CodeImage.h"
-#include "interp/EventBlock.h"
 #include "interp/ExecContext.h"
 #include "interp/Heap.h"
 #include "jit/Annotator.h"
@@ -418,11 +417,6 @@ RunStat runOne(Layout L, const ir::Module &M, const sim::HydraConfig &Cfg,
     interp::ExecContext Ctx(M, Cfg);
     Ctx.start(M.EntryFunction, {});
     Clock = Ctx.run(Port, Sink, 0, ~0ull);
-    // Direct ExecContext drivers must flush the sink's event block at end
-    // of run (Machine::run does this on the product path): the final
-    // call-return marker is still pending.
-    if (Sink)
-      interp::drainPending(*Sink, Sink->eventBlock());
     S.Instructions = Ctx.instructionsExecuted();
     S.ReturnValue = Ctx.returnValue();
   }

@@ -63,8 +63,7 @@ expect_usage "run: list with junk"    "${RUN_BIN}" list extra
 expect_usage "run: missing workload"  "${RUN_BIN}" run
 expect_usage "run: unknown option"    "${RUN_BIN}" run BitOps --bogus
 expect_usage "run: missing value"     "${RUN_BIN}" run BitOps --banks
-expect_usage "run: batch no value"    "${RUN_BIN}" run BitOps --trace-batch
-expect_usage "run: batch zero"        "${RUN_BIN}" run BitOps --trace-batch=0
+expect_usage "run: removed batch knob" "${RUN_BIN}" run BitOps --trace-batch=4
 expect_usage "run: dump-ir with junk" "${RUN_BIN}" dump-ir BitOps extra
 expect_usage "run: trace bad option"  "${RUN_BIN}" trace BitOps --nope
 

@@ -1,29 +1,29 @@
 #!/usr/bin/env bash
-# Throughput smoke gates.
+# Throughput and bit-exactness smoke.
 #
 # Runs bench_exec_throughput and bench_tracer_throughput in --quick mode
-# (first 8 registry workloads, soft 1.2x gates):
+# (first 8 registry workloads):
 #
 #   - bench_exec_throughput gates the flat CodeImage interpreter's
-#     instructions/sec over the embedded seed nested-layout interpreter,
-#     verifying every leg bit-exact on the spot (cycles, instruction
-#     counts, return values, selection digests).
-#   - bench_tracer_throughput gates the block-drained SoA tracer core's
-#     events/sec over the embedded seed per-event engine, verifying
-#     StlStats/parents/peaks vs the seed engine and selection digests +
-#     tracer.* metrics vs the live profiled run on every stream.
+#     instructions/sec over the embedded seed nested-layout interpreter
+#     (soft 1.2x gate), verifying every leg bit-exact on the spot (cycles,
+#     instruction counts, return values, selection digests).
+#   - bench_tracer_throughput verifies the SoA tracer core against the
+#     embedded seed per-event engine (StlStats/parents/peaks) and against
+#     the live profiled run (selection digests + tracer.* metrics) on every
+#     stream. It prints events/sec for information only; tracer throughput
+#     is measured by perfbench's tracer-sweep workload.
 #
-# Both catch semantic regressions and gross throughput regressions without
-# the runtime of the full-registry runs.
+# Both catch semantic regressions without the runtime of the
+# full-registry runs.
 #
-# The gates are soft against machine noise: when the two measured passes
-# differ by more than 10%, a bench reports the measurement as unresolved
-# and exits 0 rather than failing on runner jitter. For a publishable
-# number, run the full benches on a quiet host, preferably under the
-# release-native preset:
+# The interpreter gate is soft against machine noise: when its two
+# measured passes differ by more than 10%, the bench reports the
+# measurement as unresolved and exits 0 rather than failing on runner
+# jitter. For a publishable number, run the full bench on a quiet host,
+# preferably under the release-native preset:
 #   cmake --preset release-native && cmake --build --preset release-native
 #   build-native/bench/bench_exec_throughput
-#   build-native/bench/bench_tracer_throughput
 #
 # Usage:
 #   scripts/ci_perf_smoke.sh                  # configure+build, then run
@@ -59,14 +59,5 @@ fi
 
 "${BIN}" --quick
 if [[ -n "${TRACER_BIN}" ]]; then
-  # Soft throughput gate: exit 3 means every stream was bit-identical but
-  # the events/sec multiplier fell short on this host — warn without
-  # failing CI. Any other nonzero exit is a semantic divergence and fails.
-  rc=0
-  "${TRACER_BIN}" --quick || rc=$?
-  if [[ "${rc}" -eq 3 ]]; then
-    echo "WARN: tracer throughput below the quick gate (soft); see output above"
-  elif [[ "${rc}" -ne 0 ]]; then
-    exit "${rc}"
-  fi
+  "${TRACER_BIN}" --quick
 fi

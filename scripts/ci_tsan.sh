@@ -10,8 +10,8 @@
 # fuzz harness that dispatches generated programs across the pool, the
 # Corpus* suites (template corpus sweeps on the pool, 1-vs-N thread report
 # identity), the Serve* suites (daemon single-flight dedup, saturation,
-# drain), and the Tracer* suites (block-drained engine vs per-event
-# reference, batch-capacity sweeps). TSan reports are fatal
+# drain), and the Tracer*/TraceEngine suites (pinned engine streams,
+# interleaved engines, live-vs-replay tracer metrics). TSan reports are fatal
 # (-fno-sanitize-recover=all), so any data race fails the suite.
 
 set -euo pipefail

@@ -8,8 +8,8 @@
 // an absolute flat program counter, branch and call targets are resolved
 // to flat PCs at build time, and per-block / per-function metadata moves
 // into dense side tables consulted only at control-flow boundaries. The
-// hot loop of ExecContext is then a single indexed load plus a switch on
-// the opcode tag.
+// hot loop of ExecContext is then a single indexed load plus an indirect
+// jump on the opcode tag.
 //
 // Flattening is purely a layout change: instruction order, operand fields
 // and the tracer's module-global Pc values are preserved exactly, so every

@@ -1,258 +1,28 @@
-//===- interp/EventBlock.h - Batched trace-event transport -----------------==//
+//===- interp/EventBlock.h - perfbench compatibility shim ------------------==//
 //
-// The hot path between the interpreter and the TEST hardware model is a
-// stream of memory events whose cycle charge is always zero (the comparator
-// banks listen passively; only annotation instructions interact with the
-// coprocessor). That makes the stream batchable: instead of one virtual
-// TraceSink call per event, producers append plain tagged structs to a
-// fixed-capacity EventBlock owned by the sink and drain it in blocks.
-//
-// Drain discipline (the contract that keeps batching bit-identical to the
-// per-event path):
-//   - Only zero-cost event kinds are ever appended: heap/local loads and
-//     stores plus the call-boundary markers. A sink that exposes a block
-//     guarantees these kinds return 0 cycles on its virtual interface.
-//   - Control events (`sloop`/`eloop`/`eoi`/`readstats`/return) force a
-//     drain of any pending events *before* they are delivered virtually,
-//     so the comparator-bank stack observes the exact event order of the
-//     unbatched path and the state-dependent annotation costs are computed
-//     against fully caught-up state.
-//   - Exception: a sink whose `eoi` charge is state-independent may opt in
-//     to deferred `eoi` by publishing that fixed charge on its block
-//     (setDeferredEoiCost). `eoi` events are then appended like memory
-//     events — the drain sweep processes them at the same stream position,
-//     so every statistic is unchanged — and the producer charges the
-//     published cost itself. `eoi` is the most frequent control event by
-//     far, so this multiplies the achievable block length.
-//   - A full block drains immediately, bounding the deferral window.
-//
-// Both producers — live execution (interp::ExecContext) and .jtrace replay
-// (trace::dispatchEventBatched) — go through the emit helpers below, so
-// record/replay event orderings agree by construction.
+// Shim for perfbench/Workloads.cpp only, which still names EventBlock,
+// TraceEngine::eventBlock(), trace::dispatchEventBatched and
+// interp::drainPending. Events reach a sink only through its per-event
+// methods, so all four are inert. Delete them with runOraclesTraced.
 //
 //===----------------------------------------------------------------------===//
 
 #ifndef JRPM_INTERP_EVENTBLOCK_H
 #define JRPM_INTERP_EVENTBLOCK_H
 
-#include "interp/TraceSink.h"
-
-#include <cassert>
-#include <cstdint>
-#include <vector>
+#include "trace/Reader.h"
 
 namespace jrpm {
 namespace interp {
-
-/// Kinds that may be deferred in an EventBlock. Control events are never
-/// enqueued — they drain the block and travel on the virtual interface —
-/// except `eoi` (LoopIter), which a sink may opt in to defer by publishing
-/// a fixed cycle charge for it (EventBlock::setDeferredEoiCost).
-enum class EventTag : std::uint8_t {
-  HeapLoad,
-  HeapStore,
-  LocalLoad,
-  LocalStore,
-  CallSite,
-  CallReturn,
-  LoopIter,
-};
-
-/// One deferred event: a tag plus the union of operands the TraceSink
-/// callbacks take. Plain data, no indirection — a drained block is a
-/// contiguous array the consumer sweeps with a tag switch.
-struct BatchedEvent {
-  std::uint64_t Cycle = 0;
-  std::uint64_t Activation = 0; ///< local-variable events only
-  std::uint32_t Addr = 0;       ///< heap events: word address; eoi: loop id
-  std::int32_t Pc = -1;
-  std::uint16_t Reg = 0; ///< local-variable events only
-  EventTag Tag = EventTag::HeapLoad;
-};
-
-/// Fixed-capacity append buffer of BatchedEvents. Owned by the consuming
-/// sink (or by a recording tee when there is no downstream consumer) and
-/// exposed to producers via TraceSink::eventBlock().
-class EventBlock {
-public:
-  static constexpr std::uint32_t DefaultCapacity = 256;
-
-  explicit EventBlock(std::uint32_t Capacity = DefaultCapacity)
-      : Buf(Capacity ? Capacity : 1) {}
-
-  bool empty() const { return Count == 0; }
-  bool full() const { return Count == Buf.size(); }
-  std::uint32_t size() const { return Count; }
-  std::uint32_t capacity() const {
-    return static_cast<std::uint32_t>(Buf.size());
-  }
-  const BatchedEvent *data() const { return Buf.data(); }
-  void clear() { Count = 0; }
-
-  /// Resizes the block. Only legal while empty (between drains); capacity
-  /// is clamped to at least one event.
-  void setCapacity(std::uint32_t Capacity) {
-    assert(empty() && "resizing a non-empty event block");
-    Buf.assign(Capacity ? Capacity : 1, BatchedEvent{});
-    Count = 0;
-  }
-
-  void pushHeapLoad(std::uint32_t Addr, std::uint64_t Cycle,
-                    std::int32_t Pc) {
-    BatchedEvent &E = append();
-    E.Tag = EventTag::HeapLoad;
-    E.Addr = Addr;
-    E.Cycle = Cycle;
-    E.Pc = Pc;
-  }
-  void pushHeapStore(std::uint32_t Addr, std::uint64_t Cycle,
-                     std::int32_t Pc) {
-    BatchedEvent &E = append();
-    E.Tag = EventTag::HeapStore;
-    E.Addr = Addr;
-    E.Cycle = Cycle;
-    E.Pc = Pc;
-  }
-  void pushLocalLoad(std::uint64_t Activation, std::uint16_t Reg,
-                     std::uint64_t Cycle, std::int32_t Pc) {
-    BatchedEvent &E = append();
-    E.Tag = EventTag::LocalLoad;
-    E.Activation = Activation;
-    E.Reg = Reg;
-    E.Cycle = Cycle;
-    E.Pc = Pc;
-  }
-  void pushLocalStore(std::uint64_t Activation, std::uint16_t Reg,
-                      std::uint64_t Cycle, std::int32_t Pc) {
-    BatchedEvent &E = append();
-    E.Tag = EventTag::LocalStore;
-    E.Activation = Activation;
-    E.Reg = Reg;
-    E.Cycle = Cycle;
-    E.Pc = Pc;
-  }
-  /// Owning-sink opt-in for deferred `eoi`: the fixed cycle charge the
-  /// sink's onLoopIter would return, or -1 (the default) when `eoi` must
-  /// stay on the synchronous drain-then-dispatch path (e.g. because the
-  /// charge depends on sink state). Producers read this through
-  /// emitLoopIter.
-  void setDeferredEoiCost(std::int32_t Cost) { DeferredEoiCost = Cost; }
-  std::int32_t deferredEoiCost() const { return DeferredEoiCost; }
-
-  void pushLoopIter(std::uint32_t LoopId, std::uint64_t Cycle) {
-    BatchedEvent &E = append();
-    E.Tag = EventTag::LoopIter;
-    E.Addr = LoopId;
-    E.Cycle = Cycle;
-  }
-  void pushCallSite(std::int32_t CallPc, std::uint64_t Cycle) {
-    BatchedEvent &E = append();
-    E.Tag = EventTag::CallSite;
-    E.Pc = CallPc;
-    E.Cycle = Cycle;
-  }
-  void pushCallReturn(std::uint64_t Cycle) {
-    BatchedEvent &E = append();
-    E.Tag = EventTag::CallReturn;
-    E.Cycle = Cycle;
-  }
-
-private:
-  BatchedEvent &append() {
-    assert(!full() && "appending to a full event block");
-    return Buf[Count++];
-  }
-
-  std::vector<BatchedEvent> Buf;
-  std::uint32_t Count = 0;
-  std::int32_t DeferredEoiCost = -1;
-};
-
-/// Drains any deferred events so the sink is fully caught up. Producers
-/// call this before every control event and once after the final event.
-inline void drainPending(TraceSink &Sink, EventBlock *Blk) {
-  if (Blk && !Blk->empty())
-    Sink.drainBlock();
-}
-
-// Emit helpers: append when the sink is batch-capable, fall back to the
-// per-event virtual call otherwise. The returned cycle charge is zero on
-// the batched path by the block contract above.
-inline std::uint32_t emitHeapLoad(TraceSink &Sink, EventBlock *Blk,
-                                  std::uint32_t Addr, std::uint64_t Cycle,
-                                  std::int32_t Pc) {
-  if (!Blk)
-    return Sink.onHeapLoad(Addr, Cycle, Pc);
-  Blk->pushHeapLoad(Addr, Cycle, Pc);
-  if (Blk->full())
-    Sink.drainBlock();
-  return 0;
-}
-inline std::uint32_t emitHeapStore(TraceSink &Sink, EventBlock *Blk,
-                                   std::uint32_t Addr, std::uint64_t Cycle,
-                                   std::int32_t Pc) {
-  if (!Blk)
-    return Sink.onHeapStore(Addr, Cycle, Pc);
-  Blk->pushHeapStore(Addr, Cycle, Pc);
-  if (Blk->full())
-    Sink.drainBlock();
-  return 0;
-}
-inline std::uint32_t emitLocalLoad(TraceSink &Sink, EventBlock *Blk,
-                                   std::uint64_t Activation, std::uint16_t Reg,
-                                   std::uint64_t Cycle, std::int32_t Pc) {
-  if (!Blk)
-    return Sink.onLocalLoad(Activation, Reg, Cycle, Pc);
-  Blk->pushLocalLoad(Activation, Reg, Cycle, Pc);
-  if (Blk->full())
-    Sink.drainBlock();
-  return 0;
-}
-inline std::uint32_t emitLocalStore(TraceSink &Sink, EventBlock *Blk,
-                                    std::uint64_t Activation,
-                                    std::uint16_t Reg, std::uint64_t Cycle,
-                                    std::int32_t Pc) {
-  if (!Blk)
-    return Sink.onLocalStore(Activation, Reg, Cycle, Pc);
-  Blk->pushLocalStore(Activation, Reg, Cycle, Pc);
-  if (Blk->full())
-    Sink.drainBlock();
-  return 0;
-}
-inline std::uint32_t emitLoopIter(TraceSink &Sink, EventBlock *Blk,
-                                  std::uint32_t LoopId, std::uint64_t Cycle) {
-  if (!Blk || Blk->deferredEoiCost() < 0) {
-    drainPending(Sink, Blk);
-    return Sink.onLoopIter(LoopId, Cycle);
-  }
-  Blk->pushLoopIter(LoopId, Cycle);
-  std::uint32_t Cost = static_cast<std::uint32_t>(Blk->deferredEoiCost());
-  if (Blk->full())
-    Sink.drainBlock();
-  return Cost;
-}
-inline void emitCallSite(TraceSink &Sink, EventBlock *Blk, std::int32_t CallPc,
-                         std::uint64_t Cycle) {
-  if (!Blk) {
-    Sink.onCallSite(CallPc, Cycle);
-    return;
-  }
-  Blk->pushCallSite(CallPc, Cycle);
-  if (Blk->full())
-    Sink.drainBlock();
-}
-inline void emitCallReturn(TraceSink &Sink, EventBlock *Blk,
-                           std::uint64_t Cycle) {
-  if (!Blk) {
-    Sink.onCallReturn(Cycle);
-    return;
-  }
-  Blk->pushCallReturn(Cycle);
-  if (Blk->full())
-    Sink.drainBlock();
-}
-
+class EventBlock;
+inline void drainPending(TraceSink &, EventBlock *) {}
 } // namespace interp
+namespace trace {
+inline void dispatchEventBatched(const Event &E, interp::TraceSink &Sink,
+                                 interp::EventBlock *) {
+  dispatchEvent(E, Sink);
+}
+} // namespace trace
 } // namespace jrpm
 
 #endif // JRPM_INTERP_EVENTBLOCK_H

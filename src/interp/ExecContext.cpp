@@ -2,7 +2,6 @@
 
 #include "interp/ExecContext.h"
 
-#include "interp/EventBlock.h"
 #include "interp/Trap.h"
 #include "support/Bits.h"
 #include "support/Compiler.h"
@@ -88,12 +87,6 @@ std::uint64_t ExecContext::stepImpl(MemoryPort &Mem, TraceSink *Sink,
   Frame *F = &Frames.back();
   exec::FlatPc Pc = F->Pc;
   std::uint64_t *Regs = F->Regs.data();
-  // Batched sinks expose an EventBlock; zero-cost events are appended to it
-  // and drained in blocks, control events drain-then-dispatch (see
-  // EventBlock.h for the discipline that keeps this bit-identical).
-  EventBlock *Blk = Sink ? Sink->eventBlock() : nullptr;
-
-#if defined(__GNUC__) || defined(__clang__)
   std::uint64_t Exec = Executed;
   const exec::DecodedInst *I = nullptr;
   std::uint32_t Cost = 0;
@@ -306,7 +299,7 @@ Op_Load: {
   Regs[I->Dst] = Mem.load(Addr, Extra);
   Cost += Extra;
   if (Sink)
-    Cost += emitHeapLoad(*Sink, Blk, Addr, Now, I->Pc);
+    Cost += Sink->onHeapLoad(Addr, Now, I->Pc);
   ++Pc;
   JRPM_NEXT();
 }
@@ -321,7 +314,7 @@ Op_Store: {
   Mem.store(Addr, Regs[I->Dst], Extra);
   Cost += Extra;
   if (Sink)
-    Cost += emitHeapStore(*Sink, Blk, Addr, Now, I->Pc);
+    Cost += Sink->onHeapStore(Addr, Now, I->Pc);
   ++Pc;
   JRPM_NEXT();
 }
@@ -359,7 +352,7 @@ Op_Call: {
   F->Pc = Pc + 1; // resume point after the call
   Cost = Costs.CallOverhead;
   if (Sink)
-    emitCallSite(*Sink, Blk, I->Pc, Now);
+    Sink->onCallSite(I->Pc, Now);
   Frames.push_back(std::move(NewF)); // invalidates F
   F = &Frames.back();
   Pc = F->Pc;
@@ -379,9 +372,8 @@ Op_Call: {
 Op_Ret: {
   std::uint64_t Value = I->A != ir::NoReg ? Regs[I->A] : 0;
   if (Sink) {
-    drainPending(*Sink, Blk);
     Sink->onReturn(F->Activation);
-    emitCallReturn(*Sink, Blk, Now);
+    Sink->onCallReturn(Now);
   }
   std::uint16_t RetDst = F->RetDst;
   Frames.pop_back();
@@ -411,42 +403,36 @@ Op_Ret: {
 // degrade to when the runtime disables a loop's tracing); the tracer
 // charges the coprocessor interaction on top while it is listening.
 Op_SLoop:
-  if (Sink) {
-    drainPending(*Sink, Blk);
+  if (Sink)
     Cost += Sink->onLoopStart(static_cast<std::uint32_t>(I->Imm),
                               F->Activation, Now);
-  }
   ++Pc;
   JRPM_NEXT();
 Op_Eoi:
   if (Sink)
-    Cost += emitLoopIter(*Sink, Blk, static_cast<std::uint32_t>(I->Imm), Now);
+    Cost += Sink->onLoopIter(static_cast<std::uint32_t>(I->Imm), Now);
   ++Pc;
   JRPM_NEXT();
 Op_ELoop:
-  if (Sink) {
-    drainPending(*Sink, Blk);
+  if (Sink)
     Cost += Sink->onLoopEnd(static_cast<std::uint32_t>(I->Imm), Now);
-  }
   ++Pc;
   JRPM_NEXT();
 Op_LwlAnno:
   Cost = Cfg.LocalAnnoCost;
   if (Sink)
-    Cost += emitLocalLoad(*Sink, Blk, F->Activation, I->A, Now, I->Pc);
+    Cost += Sink->onLocalLoad(F->Activation, I->A, Now, I->Pc);
   ++Pc;
   JRPM_NEXT();
 Op_SwlAnno:
   Cost = Cfg.LocalAnnoCost;
   if (Sink)
-    Cost += emitLocalStore(*Sink, Blk, F->Activation, I->A, Now, I->Pc);
+    Cost += Sink->onLocalStore(F->Activation, I->A, Now, I->Pc);
   ++Pc;
   JRPM_NEXT();
 Op_ReadStats:
-  if (Sink) {
-    drainPending(*Sink, Blk);
+  if (Sink)
     Cost += Sink->onReadStats(static_cast<std::uint32_t>(I->Imm), Now);
-  }
   ++Pc;
   JRPM_NEXT();
 Op_Nop:
@@ -456,312 +442,6 @@ Op_Nop:
 #undef JRPM_NEXT
 #undef JRPM_FETCH
 #undef JRPM_RETURN
-
-#else // portable fallback: shared-dispatch switch loop
-
-  bool FrameChanged = false;
-  for (;;) {
-    const exec::DecodedInst &I = Insts[Pc];
-    ++Executed;
-    std::uint32_t Cost = Costs.Basic;
-    auto R = [&](std::uint16_t Reg) -> std::uint64_t & { return Regs[Reg]; };
-
-    switch (I.Op) {
-    case ir::Opcode::Add:
-      R(I.Dst) = R(I.A) + R(I.B);
-      ++Pc;
-      break;
-    case ir::Opcode::Sub:
-      R(I.Dst) = R(I.A) - R(I.B);
-      ++Pc;
-      break;
-    case ir::Opcode::Mul:
-      R(I.Dst) = R(I.A) * R(I.B);
-      ++Pc;
-      break;
-    case ir::Opcode::Div: {
-      std::int64_t D = asI(R(I.B));
-      if (D == 0) {
-        F->Pc = Pc;
-        throw TrapError(TrapKind::DivideByZero, I.Pc);
-      }
-      R(I.Dst) = static_cast<std::uint64_t>(asI(R(I.A)) / D);
-      Cost = Costs.IntDiv;
-      ++Pc;
-      break;
-    }
-    case ir::Opcode::Rem: {
-      std::int64_t D = asI(R(I.B));
-      if (D == 0) {
-        F->Pc = Pc;
-        throw TrapError(TrapKind::RemainderByZero, I.Pc);
-      }
-      R(I.Dst) = static_cast<std::uint64_t>(asI(R(I.A)) % D);
-      Cost = Costs.IntDiv;
-      ++Pc;
-      break;
-    }
-    case ir::Opcode::And:
-      R(I.Dst) = R(I.A) & R(I.B);
-      ++Pc;
-      break;
-    case ir::Opcode::Or:
-      R(I.Dst) = R(I.A) | R(I.B);
-      ++Pc;
-      break;
-    case ir::Opcode::Xor:
-      R(I.Dst) = R(I.A) ^ R(I.B);
-      ++Pc;
-      break;
-    case ir::Opcode::Shl:
-      R(I.Dst) = R(I.A) << (R(I.B) & 63);
-      ++Pc;
-      break;
-    case ir::Opcode::Shr:
-      R(I.Dst) = static_cast<std::uint64_t>(asI(R(I.A)) >> (R(I.B) & 63));
-      ++Pc;
-      break;
-    case ir::Opcode::AddImm:
-      R(I.Dst) = R(I.A) + static_cast<std::uint64_t>(I.Imm);
-      ++Pc;
-      break;
-    case ir::Opcode::FAdd:
-      R(I.Dst) = asU(asF(R(I.A)) + asF(R(I.B)));
-      ++Pc;
-      break;
-    case ir::Opcode::FSub:
-      R(I.Dst) = asU(asF(R(I.A)) - asF(R(I.B)));
-      ++Pc;
-      break;
-    case ir::Opcode::FMul:
-      R(I.Dst) = asU(asF(R(I.A)) * asF(R(I.B)));
-      ++Pc;
-      break;
-    case ir::Opcode::FDiv:
-      R(I.Dst) = asU(asF(R(I.A)) / asF(R(I.B)));
-      Cost = Costs.FloatDiv;
-      ++Pc;
-      break;
-    case ir::Opcode::FNeg:
-      R(I.Dst) = asU(-asF(R(I.A)));
-      ++Pc;
-      break;
-    case ir::Opcode::FSqrt:
-      R(I.Dst) = asU(std::sqrt(asF(R(I.A))));
-      Cost = Costs.FloatSqrt;
-      ++Pc;
-      break;
-    case ir::Opcode::IToF:
-      R(I.Dst) = asU(static_cast<double>(asI(R(I.A))));
-      ++Pc;
-      break;
-    case ir::Opcode::FToI:
-      R(I.Dst) = static_cast<std::uint64_t>(
-          static_cast<std::int64_t>(asF(R(I.A))));
-      ++Pc;
-      break;
-    case ir::Opcode::CmpEQ:
-      R(I.Dst) = R(I.A) == R(I.B);
-      ++Pc;
-      break;
-    case ir::Opcode::CmpNE:
-      R(I.Dst) = R(I.A) != R(I.B);
-      ++Pc;
-      break;
-    case ir::Opcode::CmpLT:
-      R(I.Dst) = asI(R(I.A)) < asI(R(I.B));
-      ++Pc;
-      break;
-    case ir::Opcode::CmpLE:
-      R(I.Dst) = asI(R(I.A)) <= asI(R(I.B));
-      ++Pc;
-      break;
-    case ir::Opcode::CmpGT:
-      R(I.Dst) = asI(R(I.A)) > asI(R(I.B));
-      ++Pc;
-      break;
-    case ir::Opcode::CmpGE:
-      R(I.Dst) = asI(R(I.A)) >= asI(R(I.B));
-      ++Pc;
-      break;
-    case ir::Opcode::FCmpEQ:
-      R(I.Dst) = asF(R(I.A)) == asF(R(I.B));
-      ++Pc;
-      break;
-    case ir::Opcode::FCmpLT:
-      R(I.Dst) = asF(R(I.A)) < asF(R(I.B));
-      ++Pc;
-      break;
-    case ir::Opcode::FCmpLE:
-      R(I.Dst) = asF(R(I.A)) <= asF(R(I.B));
-      ++Pc;
-      break;
-    case ir::Opcode::ConstI:
-    case ir::Opcode::ConstF:
-      R(I.Dst) = static_cast<std::uint64_t>(I.Imm);
-      ++Pc;
-      break;
-    case ir::Opcode::Mov:
-      R(I.Dst) = R(I.A);
-      ++Pc;
-      break;
-    case ir::Opcode::Load: {
-      std::uint64_t Ea = static_cast<std::uint64_t>(I.Imm);
-      if (I.A != ir::NoReg)
-        Ea += R(I.A);
-      if (I.B != ir::NoReg)
-        Ea += R(I.B);
-      std::uint32_t Addr = static_cast<std::uint32_t>(Ea);
-      std::uint32_t Extra = 0;
-      R(I.Dst) = Mem.load(Addr, Extra);
-      Cost += Extra;
-      if (Sink)
-        Cost += emitHeapLoad(*Sink, Blk, Addr, Now, I.Pc);
-      ++Pc;
-      break;
-    }
-    case ir::Opcode::Store: {
-      std::uint64_t Ea = static_cast<std::uint64_t>(I.Imm);
-      if (I.A != ir::NoReg)
-        Ea += R(I.A);
-      if (I.B != ir::NoReg)
-        Ea += R(I.B);
-      std::uint32_t Addr = static_cast<std::uint32_t>(Ea);
-      std::uint32_t Extra = 0;
-      Mem.store(Addr, R(I.Dst), Extra);
-      Cost += Extra;
-      if (Sink)
-        Cost += emitHeapStore(*Sink, Blk, Addr, Now, I.Pc);
-      ++Pc;
-      break;
-    }
-    case ir::Opcode::Alloc: {
-      std::uint32_t Count = I.A != ir::NoReg
-                                ? static_cast<std::uint32_t>(R(I.A))
-                                : static_cast<std::uint32_t>(I.Imm);
-      R(I.Dst) = Mem.allocWords(Count);
-      ++Pc;
-      break;
-    }
-    case ir::Opcode::Br:
-      Pc = static_cast<exec::FlatPc>(I.Imm); // pre-resolved target
-      break;
-    case ir::Opcode::CondBr:
-      Pc = R(I.A) != 0 ? static_cast<exec::FlatPc>(I.Imm)
-                       : static_cast<exec::FlatPc>(I.Imm2);
-      break;
-    case ir::Opcode::Arg:
-      F->StagedArgs.push_back(R(I.A));
-      ++Pc;
-      break;
-    case ir::Opcode::Call: {
-      std::uint32_t Callee = static_cast<std::uint32_t>(I.Imm);
-      const exec::FuncDesc &CF = Image.func(Callee);
-      assert(F->StagedArgs.size() == CF.NumParams && "bad call arity");
-      Frame NewF;
-      NewF.Pc = CF.EntryPc;
-      NewF.Activation = NextActivation++;
-      NewF.RetDst = I.Dst;
-      NewF.Regs.assign(CF.NumRegs, 0);
-      for (std::uint32_t A = 0; A < F->StagedArgs.size(); ++A)
-        NewF.Regs[A] = F->StagedArgs[A];
-      F->StagedArgs.clear();
-      F->Pc = Pc + 1; // resume point after the call
-      Cost = Costs.CallOverhead;
-      if (Sink)
-        emitCallSite(*Sink, Blk, I.Pc, Now);
-      Frames.push_back(std::move(NewF)); // invalidates F; reloaded below
-      FrameChanged = true;
-      break;
-    }
-    case ir::Opcode::Ret: {
-      std::uint64_t Value = I.A != ir::NoReg ? R(I.A) : 0;
-      if (Sink) {
-        drainPending(*Sink, Blk);
-        Sink->onReturn(F->Activation);
-        emitCallReturn(*Sink, Blk, Now);
-      }
-      std::uint16_t RetDst = F->RetDst;
-      Frames.pop_back();
-      if (Frames.empty())
-        RetVal = Value;
-      else if (RetDst != ir::NoReg)
-        Frames.back().Regs[RetDst] = Value;
-      Cost = Costs.CallOverhead;
-      FrameChanged = true;
-      break;
-    }
-    case ir::Opcode::SLoop:
-      if (Sink) {
-        drainPending(*Sink, Blk);
-        Cost += Sink->onLoopStart(static_cast<std::uint32_t>(I.Imm),
-                                  F->Activation, Now);
-      }
-      ++Pc;
-      break;
-    case ir::Opcode::Eoi:
-      if (Sink)
-        Cost +=
-            emitLoopIter(*Sink, Blk, static_cast<std::uint32_t>(I.Imm), Now);
-      ++Pc;
-      break;
-    case ir::Opcode::ELoop:
-      if (Sink) {
-        drainPending(*Sink, Blk);
-        Cost += Sink->onLoopEnd(static_cast<std::uint32_t>(I.Imm), Now);
-      }
-      ++Pc;
-      break;
-    case ir::Opcode::LwlAnno:
-      Cost = Cfg.LocalAnnoCost;
-      if (Sink)
-        Cost += emitLocalLoad(*Sink, Blk, F->Activation, I.A, Now, I.Pc);
-      ++Pc;
-      break;
-    case ir::Opcode::SwlAnno:
-      Cost = Cfg.LocalAnnoCost;
-      if (Sink)
-        Cost += emitLocalStore(*Sink, Blk, F->Activation, I.A, Now, I.Pc);
-      ++Pc;
-      break;
-    case ir::Opcode::ReadStats:
-      if (Sink) {
-        drainPending(*Sink, Blk);
-        Cost += Sink->onReadStats(static_cast<std::uint32_t>(I.Imm), Now);
-      }
-      ++Pc;
-      break;
-    case ir::Opcode::Nop:
-      ++Pc;
-      break;
-    }
-
-    Total += Cost;
-    if (FrameChanged) {
-      if (Frames.empty())
-        return Total;
-      F = &Frames.back();
-      Pc = F->Pc;
-      Regs = F->Regs.data();
-      FrameChanged = false;
-    }
-    if constexpr (Mode == StepMode::Single) {
-      F->Pc = Pc;
-      return Total;
-    }
-    Now += Cost;
-    if (Insts[Pc].Flags & exec::DecodedInst::BlockStartFlag) {
-      if constexpr (Mode == StepMode::Block) {
-        F->Pc = Pc;
-        return Total;
-      } else if (Now > MaxCycles) { // budget test once per block
-        F->Pc = Pc;
-        return Total;
-      }
-    }
-  }
-
-#endif
 }
 
 std::uint32_t ExecContext::step(MemoryPort &Mem, TraceSink *Sink,

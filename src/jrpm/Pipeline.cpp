@@ -93,8 +93,6 @@ Jrpm::profileAndSelect(const std::vector<std::uint64_t> &Args) {
       Cfg.Hw, Annotated->LoopInfos, Cfg.ExtendedPcBinning);
   if (Cfg.DisableLoopAfterThreads)
     Tracer->setDisableLoopAfterThreads(Cfg.DisableLoopAfterThreads);
-  if (Cfg.TraceBatchEvents)
-    Tracer->setBatchCapacity(Cfg.TraceBatchEvents);
 
   // Optional capture: tee the event stream to disk while profiling.
   std::unique_ptr<trace::Writer> Recorder;

@@ -42,12 +42,6 @@ struct PipelineConfig {
   /// affine dependence tests produce per-loop verdicts and provably-serial
   /// loops are rejected before annotation. Strictly widens StaticPrefilter.
   bool AffineOracle = false;
-  /// Event-block capacity of the profiling tracer (0 = the built-in
-  /// default). Every capacity yields bit-identical results — this is a
-  /// conformance/throughput knob, not simulated configuration, so it is
-  /// deliberately not part of sim::HydraConfig (which is serialized into
-  /// trace headers and canonicalized into serve requests).
-  std::uint32_t TraceBatchEvents = 0;
 
   // --- Trace capture & replay (src/trace) ---------------------------------
   /// When non-empty, profileAndSelect tees the annotated run's event

@@ -23,9 +23,6 @@ TraceEngine::TraceEngine(const sim::HydraConfig &Cfg,
       PcBinAcc(Loops.size()), ParentVotes(Loops.size()) {
   Traced.init(Cfg.ComparatorBanks);
   RegStack.reserve(Cfg.LocalVarSlots);
-  // Publish the deferred-eoi opt-in for the default (no dynamic disabling)
-  // configuration.
-  setDisableLoopAfterThreads(0);
 }
 
 void TraceEngine::TracedBanks::init(std::size_t Capacity) {
@@ -64,7 +61,6 @@ void TraceEngine::TracedBanks::resetThread(std::size_t Idx) {
 }
 
 void TraceEngine::exportMetrics(metrics::Registry &R) const {
-  assert(Block.empty() && "exporting metrics with undrained batched events");
   R.counter("tracer.events.heap_load").inc(Events.HeapLoads);
   R.counter("tracer.events.heap_store").inc(Events.HeapStores);
   R.counter("tracer.events.local_load").inc(Events.LocalLoads);
@@ -145,12 +141,12 @@ void TraceEngine::checkLoadArcSweep(std::uint64_t StoreTs, std::uint64_t Cycle,
   }
 }
 
-void TraceEngine::handleHeapLoad(std::uint32_t Addr, std::uint64_t Cycle,
-                                 std::int32_t Pc) {
+std::uint32_t TraceEngine::onHeapLoad(std::uint32_t Addr, std::uint64_t Cycle,
+                                      std::int32_t Pc) {
   ++Events.HeapLoads;
   LastEventTime = Cycle;
   if (Active.empty())
-    return;
+    return 0;
   // Dependency arc identification against the store timestamp history.
   checkLoadArc(HeapTs.lookup(Addr), Cycle, Pc);
   // Overflow analysis: was this line already part of some thread's
@@ -159,35 +155,40 @@ void TraceEngine::handleHeapLoad(std::uint32_t Addr, std::uint64_t Cycle,
   std::uint64_t OldLineTs = LoadLineTs.exchange(Addr, Cycle);
   const bool NoTs = OldLineTs == NoTimestamp;
   if (!NoTs && OldLineTs >= MaxCurStart)
-    return;
+    return 0;
   const std::size_t N = Traced.size();
   const std::uint64_t *Cur = Traced.CurStart.data();
   std::uint64_t *NewLines = Traced.NewLoadLines.data();
   for (std::size_t I = 0; I < N; ++I)
     NewLines[I] += NoTs || OldLineTs < Cur[I];
+  return 0;
 }
 
-void TraceEngine::handleHeapStore(std::uint32_t Addr, std::uint64_t Cycle) {
+std::uint32_t TraceEngine::onHeapStore(std::uint32_t Addr, std::uint64_t Cycle,
+                                       std::int32_t Pc) {
+  (void)Pc;
   ++Events.HeapStores;
   LastEventTime = Cycle;
   // Record history even outside loops: a loop entered shortly after can
   // see stores that preceded it (they are filtered by EntryTime anyway).
   HeapTs.recordStore(Addr, Cycle);
   if (Active.empty())
-    return;
+    return 0;
   std::uint64_t OldLineTs = StoreLineTs.exchange(Addr, Cycle);
   const bool NoTs = OldLineTs == NoTimestamp;
   if (!NoTs && OldLineTs >= MaxCurStart)
-    return;
+    return 0;
   const std::size_t N = Traced.size();
   const std::uint64_t *Cur = Traced.CurStart.data();
   std::uint64_t *NewLines = Traced.NewStoreLines.data();
   for (std::size_t I = 0; I < N; ++I)
     NewLines[I] += NoTs || OldLineTs < Cur[I];
+  return 0;
 }
 
-void TraceEngine::handleLocalLoad(std::uint64_t Activation, std::uint16_t Reg,
-                                  std::uint64_t Cycle, std::int32_t Pc) {
+std::uint32_t TraceEngine::onLocalLoad(std::uint64_t Activation,
+                                       std::uint16_t Reg, std::uint64_t Cycle,
+                                       std::int32_t Pc) {
   ++Events.LocalLoads;
   LastEventTime = Cycle;
   // Resolve (activation, register) to the owning reservation — unique
@@ -195,409 +196,6 @@ void TraceEngine::handleLocalLoad(std::uint64_t Activation, std::uint16_t Reg,
   const std::int32_t Slot = SlotIndex.find(Activation, Reg);
   if (Slot >= 0)
     checkLoadArc(LocalTs.read(static_cast<std::uint32_t>(Slot)), Cycle, Pc);
-}
-
-void TraceEngine::handleLocalStore(std::uint64_t Activation, std::uint16_t Reg,
-                                   std::uint64_t Cycle) {
-  ++Events.LocalStores;
-  LastEventTime = Cycle;
-  const std::int32_t Slot = SlotIndex.find(Activation, Reg);
-  if (Slot >= 0)
-    LocalTs.write(static_cast<std::uint32_t>(Slot), Cycle);
-}
-
-void TraceEngine::drainBlock() {
-  const interp::BatchedEvent *E = Block.data();
-  const std::uint32_t N = Block.size();
-  if (N == 0)
-    return;
-  // Stack-shaping control events are never enqueued, so the bank stack,
-  // the traced SoA stack, and every slot reservation are invariants of one
-  // drain. Deferred eois only restart a thread window on an existing bank
-  // — they never change the population — so the sweep can still specialize
-  // on it once per block instead of re-deriving it per event; every
-  // specialization is observably identical to feeding the events through
-  // the per-event handlers.
-  if (Active.empty())
-    drainNoBanks(E, N);
-  else if (Traced.size() == 1)
-    drainOneBank(E, N);
-  else if (Traced.size() > 1)
-    drainManyBanks(E, N);
-  else
-    drainGeneric(E, N);
-  Block.clear();
-}
-
-void TraceEngine::drainNoBanks(const interp::BatchedEvent *E,
-                               std::uint32_t N) {
-  // No comparator banks: memory events only tick counters and feed the
-  // heap store history (a loop entered shortly after can still see these
-  // stores; they are filtered by EntryTime anyway). Deferred eois cannot
-  // match a traced bank — there are none — so they too are pure counter
-  // ticks here.
-  std::uint64_t HL = 0, HS = 0, LL = 0, LS = 0, LI = 0;
-  std::uint64_t Last = LastEventTime;
-  for (std::uint32_t I = 0; I < N; ++I) {
-    switch (E[I].Tag) {
-    case interp::EventTag::HeapLoad:
-      ++HL;
-      Last = E[I].Cycle;
-      break;
-    case interp::EventTag::HeapStore:
-      ++HS;
-      HeapTs.recordStore(E[I].Addr, E[I].Cycle);
-      Last = E[I].Cycle;
-      break;
-    case interp::EventTag::LocalLoad:
-      ++LL;
-      Last = E[I].Cycle;
-      break;
-    case interp::EventTag::LocalStore:
-      ++LS;
-      Last = E[I].Cycle;
-      break;
-    case interp::EventTag::LoopIter:
-      ++LI;
-      Last = E[I].Cycle;
-      break;
-    case interp::EventTag::CallSite:
-    case interp::EventTag::CallReturn:
-      // Call boundaries are ignored by the bank model (the MLS coverage
-      // sink consumes them on the per-event path).
-      break;
-    }
-  }
-  Events.HeapLoads += HL;
-  Events.HeapStores += HS;
-  Events.LocalLoads += LL;
-  Events.LocalStores += LS;
-  Events.LoopIters += LI;
-  LastEventTime = Last;
-}
-
-void TraceEngine::drainOneBank(const interp::BatchedEvent *E,
-                               std::uint32_t N) {
-  // Exactly one traced bank. Its comparator state lives in registers for
-  // the whole sweep; local events resolve through the flat slot index
-  // (only traced banks own slots, so every live reservation is this
-  // bank's).
-  const std::uint64_t Entry0 = Traced.EntryTime[0];
-  std::uint64_t Cur0 = Traced.CurStart[0];
-  std::uint64_t Prev0 = Traced.PrevStart[0];
-  std::uint64_t MinPrev0 = Traced.MinArcPrev[0];
-  std::uint64_t MinEarlier0 = Traced.MinArcEarlier[0];
-  std::int32_t PrevPc0 = Traced.MinArcPrevPc[0];
-  std::int32_t EarlierPc0 = Traced.MinArcEarlierPc[0];
-  std::uint64_t NewLoad0 = Traced.NewLoadLines[0];
-  std::uint64_t NewStore0 = Traced.NewStoreLines[0];
-  std::uint64_t HL = 0, HS = 0, LL = 0, LS = 0, LI = 0;
-  std::uint64_t Last = LastEventTime;
-
-  for (std::uint32_t I = 0; I < N; ++I) {
-    const interp::BatchedEvent &Ev = E[I];
-    switch (Ev.Tag) {
-    case interp::EventTag::HeapLoad: {
-      ++HL;
-      Last = Ev.Cycle;
-      const std::uint64_t StoreTs = HeapTs.lookup(Ev.Addr);
-      if (StoreTs != NoTimestamp && StoreTs < Cur0 && StoreTs >= Entry0) {
-        const std::uint64_t Len = Ev.Cycle - StoreTs;
-        if (StoreTs >= Prev0) {
-          if (Len < MinPrev0) {
-            MinPrev0 = Len;
-            PrevPc0 = Ev.Pc;
-          }
-        } else if (Len < MinEarlier0) {
-          MinEarlier0 = Len;
-          EarlierPc0 = Ev.Pc;
-        }
-      }
-      const std::uint64_t OldLineTs = LoadLineTs.exchange(Ev.Addr, Ev.Cycle);
-      NewLoad0 += OldLineTs == NoTimestamp || OldLineTs < Cur0;
-      break;
-    }
-    case interp::EventTag::HeapStore: {
-      ++HS;
-      Last = Ev.Cycle;
-      HeapTs.recordStore(Ev.Addr, Ev.Cycle);
-      const std::uint64_t OldLineTs = StoreLineTs.exchange(Ev.Addr, Ev.Cycle);
-      NewStore0 += OldLineTs == NoTimestamp || OldLineTs < Cur0;
-      break;
-    }
-    case interp::EventTag::LocalLoad: {
-      ++LL;
-      Last = Ev.Cycle;
-      const std::int32_t Slot = SlotIndex.find(Ev.Activation, Ev.Reg);
-      if (Slot < 0)
-        break;
-      const std::uint64_t StoreTs =
-          LocalTs.read(static_cast<std::uint32_t>(Slot));
-      if (StoreTs != NoTimestamp && StoreTs < Cur0 && StoreTs >= Entry0) {
-        const std::uint64_t Len = Ev.Cycle - StoreTs;
-        if (StoreTs >= Prev0) {
-          if (Len < MinPrev0) {
-            MinPrev0 = Len;
-            PrevPc0 = Ev.Pc;
-          }
-        } else if (Len < MinEarlier0) {
-          MinEarlier0 = Len;
-          EarlierPc0 = Ev.Pc;
-        }
-      }
-      break;
-    }
-    case interp::EventTag::LocalStore: {
-      ++LS;
-      Last = Ev.Cycle;
-      const std::int32_t Slot = SlotIndex.find(Ev.Activation, Ev.Reg);
-      if (Slot >= 0)
-        LocalTs.write(static_cast<std::uint32_t>(Slot), Ev.Cycle);
-      break;
-    }
-    case interp::EventTag::LoopIter: {
-      ++LI;
-      Last = Ev.Cycle;
-      // findTraced semantics: topmost frame with this loop id decides; an
-      // untraced match means no bank iterates.
-      const BankFrame *F = nullptr;
-      for (auto It = Active.rbegin(); It != Active.rend(); ++It) {
-        if (It->LoopId == Ev.Addr) {
-          F = &*It;
-          break;
-        }
-      }
-      if (F && F->Traced) {
-        // F is necessarily Owner: there is exactly one traced bank. The
-        // thread boundary folds the hoisted comparator state into the
-        // per-loop stats and restarts the window in registers.
-        ThreadSizeCycles.record(Ev.Cycle - Cur0);
-        foldThread(F->LoopId, MinPrev0, MinEarlier0, PrevPc0, EarlierPc0,
-                   NewLoad0, NewStore0);
-        MinPrev0 = NoArc;
-        MinEarlier0 = NoArc;
-        PrevPc0 = -1;
-        EarlierPc0 = -1;
-        NewLoad0 = 0;
-        NewStore0 = 0;
-        Prev0 = Cur0;
-        Cur0 = Ev.Cycle;
-      }
-      break;
-    }
-    case interp::EventTag::CallSite:
-    case interp::EventTag::CallReturn:
-      break;
-    }
-  }
-
-  Traced.CurStart[0] = Cur0;
-  Traced.PrevStart[0] = Prev0;
-  Traced.MinArcPrev[0] = MinPrev0;
-  Traced.MinArcEarlier[0] = MinEarlier0;
-  Traced.MinArcPrevPc[0] = PrevPc0;
-  Traced.MinArcEarlierPc[0] = EarlierPc0;
-  Traced.NewLoadLines[0] = NewLoad0;
-  Traced.NewStoreLines[0] = NewStore0;
-  Events.HeapLoads += HL;
-  Events.HeapStores += HS;
-  Events.LocalLoads += LL;
-  Events.LocalStores += LS;
-  Events.LoopIters += LI;
-  LastEventTime = Last;
-  recomputeWindow();
-}
-
-void TraceEngine::drainManyBanks(const interp::BatchedEvent *E,
-                                 std::uint32_t N) {
-  // Two or more traced banks — nested speculative loops, the bulk of the
-  // registry streams. All comparator state stays behind hoisted SoA
-  // pointers; the comparison-window aggregates live in locals and are only
-  // refreshed at the (rarer) deferred-eoi thread boundaries, so the
-  // per-load gate is two register compares. The bank sweeps themselves are
-  // the same branch-light conditional-move passes as checkLoadArcSweep.
-  const std::size_t NB = Traced.size();
-  const std::uint64_t *Entry = Traced.EntryTime.data();
-  std::uint64_t *Cur = Traced.CurStart.data();
-  std::uint64_t *Prev = Traced.PrevStart.data();
-  std::uint64_t *MinPrev = Traced.MinArcPrev.data();
-  std::uint64_t *MinEarlier = Traced.MinArcEarlier.data();
-  std::int32_t *PrevPc = Traced.MinArcPrevPc.data();
-  std::int32_t *EarlierPc = Traced.MinArcEarlierPc.data();
-  std::uint64_t *NewLoad = Traced.NewLoadLines.data();
-  std::uint64_t *NewStore = Traced.NewStoreLines.data();
-  std::uint64_t MaxCur = MaxCurStart;
-  std::uint64_t MinEntry = MinEntryTime;
-  std::uint64_t HL = 0, HS = 0, LL = 0, LS = 0, LI = 0;
-  std::uint64_t Last = LastEventTime;
-
-  for (std::uint32_t I = 0; I < N; ++I) {
-    const interp::BatchedEvent &Ev = E[I];
-    switch (Ev.Tag) {
-    case interp::EventTag::HeapLoad: {
-      ++HL;
-      Last = Ev.Cycle;
-      const std::uint64_t StoreTs = HeapTs.lookup(Ev.Addr);
-      if (StoreTs != NoTimestamp && StoreTs < MaxCur && StoreTs >= MinEntry) {
-        const std::uint64_t Len = Ev.Cycle - StoreTs;
-        for (std::size_t B = 0; B < NB; ++B) {
-          bool InWindow = StoreTs < Cur[B] && StoreTs >= Entry[B];
-          bool IsPrev = StoreTs >= Prev[B];
-          bool TakePrev = InWindow && IsPrev && Len < MinPrev[B];
-          bool TakeEarlier = InWindow && !IsPrev && Len < MinEarlier[B];
-          MinPrev[B] = TakePrev ? Len : MinPrev[B];
-          PrevPc[B] = TakePrev ? Ev.Pc : PrevPc[B];
-          MinEarlier[B] = TakeEarlier ? Len : MinEarlier[B];
-          EarlierPc[B] = TakeEarlier ? Ev.Pc : EarlierPc[B];
-        }
-      }
-      const std::uint64_t OldLineTs = LoadLineTs.exchange(Ev.Addr, Ev.Cycle);
-      const bool NoTs = OldLineTs == NoTimestamp;
-      if (NoTs || OldLineTs < MaxCur)
-        for (std::size_t B = 0; B < NB; ++B)
-          NewLoad[B] += NoTs || OldLineTs < Cur[B];
-      break;
-    }
-    case interp::EventTag::HeapStore: {
-      ++HS;
-      Last = Ev.Cycle;
-      HeapTs.recordStore(Ev.Addr, Ev.Cycle);
-      const std::uint64_t OldLineTs = StoreLineTs.exchange(Ev.Addr, Ev.Cycle);
-      const bool NoTs = OldLineTs == NoTimestamp;
-      if (NoTs || OldLineTs < MaxCur)
-        for (std::size_t B = 0; B < NB; ++B)
-          NewStore[B] += NoTs || OldLineTs < Cur[B];
-      break;
-    }
-    case interp::EventTag::LocalLoad: {
-      ++LL;
-      Last = Ev.Cycle;
-      const std::int32_t Slot = SlotIndex.find(Ev.Activation, Ev.Reg);
-      if (Slot < 0)
-        break;
-      const std::uint64_t StoreTs =
-          LocalTs.read(static_cast<std::uint32_t>(Slot));
-      if (StoreTs != NoTimestamp && StoreTs < MaxCur && StoreTs >= MinEntry) {
-        const std::uint64_t Len = Ev.Cycle - StoreTs;
-        for (std::size_t B = 0; B < NB; ++B) {
-          bool InWindow = StoreTs < Cur[B] && StoreTs >= Entry[B];
-          bool IsPrev = StoreTs >= Prev[B];
-          bool TakePrev = InWindow && IsPrev && Len < MinPrev[B];
-          bool TakeEarlier = InWindow && !IsPrev && Len < MinEarlier[B];
-          MinPrev[B] = TakePrev ? Len : MinPrev[B];
-          PrevPc[B] = TakePrev ? Ev.Pc : PrevPc[B];
-          MinEarlier[B] = TakeEarlier ? Len : MinEarlier[B];
-          EarlierPc[B] = TakeEarlier ? Ev.Pc : EarlierPc[B];
-        }
-      }
-      break;
-    }
-    case interp::EventTag::LocalStore: {
-      ++LS;
-      Last = Ev.Cycle;
-      const std::int32_t Slot = SlotIndex.find(Ev.Activation, Ev.Reg);
-      if (Slot >= 0)
-        LocalTs.write(static_cast<std::uint32_t>(Slot), Ev.Cycle);
-      break;
-    }
-    case interp::EventTag::LoopIter: {
-      ++LI;
-      Last = Ev.Cycle;
-      // findTraced semantics: topmost frame with this loop id decides.
-      const BankFrame *F = nullptr;
-      for (auto It = Active.rbegin(); It != Active.rend(); ++It) {
-        if (It->LoopId == Ev.Addr) {
-          F = &*It;
-          break;
-        }
-      }
-      if (F && F->Traced) {
-        const std::size_t Idx = static_cast<std::size_t>(F->TracedIdx);
-        ThreadSizeCycles.record(Ev.Cycle - Cur[Idx]);
-        foldThread(F->LoopId, MinPrev[Idx], MinEarlier[Idx], PrevPc[Idx],
-                   EarlierPc[Idx], NewLoad[Idx], NewStore[Idx]);
-        MinPrev[Idx] = NoArc;
-        MinEarlier[Idx] = NoArc;
-        PrevPc[Idx] = -1;
-        EarlierPc[Idx] = -1;
-        NewLoad[Idx] = 0;
-        NewStore[Idx] = 0;
-        Prev[Idx] = Cur[Idx];
-        Cur[Idx] = Ev.Cycle;
-        MaxCur = 0;
-        MinEntry = ~std::uint64_t(0);
-        for (std::size_t B = 0; B < NB; ++B) {
-          MaxCur = std::max(MaxCur, Cur[B]);
-          MinEntry = std::min(MinEntry, Entry[B]);
-        }
-      }
-      break;
-    }
-    case interp::EventTag::CallSite:
-    case interp::EventTag::CallReturn:
-      break;
-    }
-  }
-
-  Events.HeapLoads += HL;
-  Events.HeapStores += HS;
-  Events.LocalLoads += LL;
-  Events.LocalStores += LS;
-  Events.LoopIters += LI;
-  LastEventTime = Last;
-  MaxCurStart = MaxCur;
-  MinEntryTime = MinEntry;
-}
-
-void TraceEngine::drainGeneric(const interp::BatchedEvent *E,
-                               std::uint32_t N) {
-  for (std::uint32_t I = 0; I < N; ++I) {
-    switch (E[I].Tag) {
-    case interp::EventTag::HeapLoad:
-      handleHeapLoad(E[I].Addr, E[I].Cycle, E[I].Pc);
-      break;
-    case interp::EventTag::HeapStore:
-      handleHeapStore(E[I].Addr, E[I].Cycle);
-      break;
-    case interp::EventTag::LocalLoad:
-      handleLocalLoad(E[I].Activation, E[I].Reg, E[I].Cycle, E[I].Pc);
-      break;
-    case interp::EventTag::LocalStore:
-      handleLocalStore(E[I].Activation, E[I].Reg, E[I].Cycle);
-      break;
-    case interp::EventTag::LoopIter:
-      handleLoopIter(E[I].Addr, E[I].Cycle);
-      break;
-    case interp::EventTag::CallSite:
-    case interp::EventTag::CallReturn:
-      break;
-    }
-  }
-}
-
-std::uint32_t TraceEngine::onHeapLoad(std::uint32_t Addr, std::uint64_t Cycle,
-                                      std::int32_t Pc) {
-  if (!Block.empty())
-    drainBlock();
-  handleHeapLoad(Addr, Cycle, Pc);
-  return 0;
-}
-
-std::uint32_t TraceEngine::onHeapStore(std::uint32_t Addr, std::uint64_t Cycle,
-                                       std::int32_t Pc) {
-  (void)Pc;
-  if (!Block.empty())
-    drainBlock();
-  handleHeapStore(Addr, Cycle);
-  return 0;
-}
-
-std::uint32_t TraceEngine::onLocalLoad(std::uint64_t Activation,
-                                       std::uint16_t Reg, std::uint64_t Cycle,
-                                       std::int32_t Pc) {
-  if (!Block.empty())
-    drainBlock();
-  handleLocalLoad(Activation, Reg, Cycle, Pc);
   return 0;
 }
 
@@ -605,17 +203,17 @@ std::uint32_t TraceEngine::onLocalStore(std::uint64_t Activation,
                                         std::uint16_t Reg, std::uint64_t Cycle,
                                         std::int32_t Pc) {
   (void)Pc;
-  if (!Block.empty())
-    drainBlock();
-  handleLocalStore(Activation, Reg, Cycle);
+  ++Events.LocalStores;
+  LastEventTime = Cycle;
+  const std::int32_t Slot = SlotIndex.find(Activation, Reg);
+  if (Slot >= 0)
+    LocalTs.write(static_cast<std::uint32_t>(Slot), Cycle);
   return 0;
 }
 
 std::uint32_t TraceEngine::onLoopStart(std::uint32_t LoopId,
                                        std::uint64_t Activation,
                                        std::uint64_t Cycle) {
-  if (!Block.empty())
-    drainBlock();
   ++Events.LoopStarts;
   LastEventTime = Cycle;
   assert(LoopId < Loops.size() && "unknown loop id");
@@ -699,16 +297,17 @@ void TraceEngine::flushPcBins() const {
   }
 }
 
-void TraceEngine::foldThread(std::uint32_t LoopId, std::uint64_t MinPrev,
-                             std::uint64_t MinEarlier, std::int32_t PrevPc,
-                             std::int32_t EarlierPc, std::uint64_t NewLoad,
-                             std::uint64_t NewStore) {
+void TraceEngine::finalizeThread(std::uint32_t LoopId, std::size_t Idx) {
   StlStats &S = Stats[LoopId];
+  const std::uint64_t MinPrev = Traced.MinArcPrev[Idx];
+  const std::uint64_t MinEarlier = Traced.MinArcEarlier[Idx];
+  const std::uint64_t NewLoad = Traced.NewLoadLines[Idx];
+  const std::uint64_t NewStore = Traced.NewStoreLines[Idx];
   if (MinPrev != NoArc) {
     ++S.CritArcsPrev;
     S.CritLenPrev += MinPrev;
     if (ExtendedPcBinning) {
-      PcBinStats &Bin = pcBin(LoopId, PrevPc);
+      PcBinStats &Bin = pcBin(LoopId, Traced.MinArcPrevPc[Idx]);
       ++Bin.CriticalArcs;
       Bin.AccumulatedLength += MinPrev;
     }
@@ -717,7 +316,7 @@ void TraceEngine::foldThread(std::uint32_t LoopId, std::uint64_t MinPrev,
     ++S.CritArcsEarlier;
     S.CritLenEarlier += MinEarlier;
     if (ExtendedPcBinning) {
-      PcBinStats &Bin = pcBin(LoopId, EarlierPc);
+      PcBinStats &Bin = pcBin(LoopId, Traced.MinArcEarlierPc[Idx]);
       ++Bin.CriticalArcs;
       Bin.AccumulatedLength += MinEarlier;
     }
@@ -730,42 +329,23 @@ void TraceEngine::foldThread(std::uint32_t LoopId, std::uint64_t MinPrev,
   // values decide it and the hot sweeps carry no sticky flag.
   if (NewLoad > Cfg.SpecLoadLines || NewStore > Cfg.SpecStoreLines)
     ++S.OverflowThreads;
-}
-
-void TraceEngine::finalizeThread(std::uint32_t LoopId, std::size_t Idx) {
-  foldThread(LoopId, Traced.MinArcPrev[Idx], Traced.MinArcEarlier[Idx],
-             Traced.MinArcPrevPc[Idx], Traced.MinArcEarlierPc[Idx],
-             Traced.NewLoadLines[Idx], Traced.NewStoreLines[Idx]);
   Traced.resetThread(Idx);
-}
-
-void TraceEngine::iterateBank(std::uint32_t LoopId, std::size_t Idx,
-                              std::uint64_t Cycle) {
-  ThreadSizeCycles.record(Cycle - Traced.CurStart[Idx]);
-  finalizeThread(LoopId, Idx);
-  Traced.PrevStart[Idx] = Traced.CurStart[Idx];
-  Traced.CurStart[Idx] = Cycle;
-  recomputeWindow();
-}
-
-void TraceEngine::handleLoopIter(std::uint32_t LoopId, std::uint64_t Cycle) {
-  ++Events.LoopIters;
-  LastEventTime = Cycle;
-  BankFrame *Bank = findTraced(LoopId);
-  if (Bank)
-    iterateBank(LoopId, static_cast<std::size_t>(Bank->TracedIdx), Cycle);
 }
 
 std::uint32_t TraceEngine::onLoopIter(std::uint32_t LoopId,
                                       std::uint64_t Cycle) {
-  if (!Block.empty())
-    drainBlock();
   ++Events.LoopIters;
   LastEventTime = Cycle;
   BankFrame *Bank = findTraced(LoopId);
   if (!Bank)
     return isDisabled(LoopId) ? 0 : extraCost(Cfg.EoiCost);
-  iterateBank(LoopId, static_cast<std::size_t>(Bank->TracedIdx), Cycle);
+  // Thread boundary: record the finished thread and start the next one.
+  const std::size_t Idx = static_cast<std::size_t>(Bank->TracedIdx);
+  ThreadSizeCycles.record(Cycle - Traced.CurStart[Idx]);
+  finalizeThread(LoopId, Idx);
+  Traced.PrevStart[Idx] = Traced.CurStart[Idx];
+  Traced.CurStart[Idx] = Cycle;
+  recomputeWindow();
   return extraCost(Cfg.EoiCost);
 }
 
@@ -799,8 +379,6 @@ void TraceEngine::closeBank(BankFrame &Bank, std::uint64_t Cycle) {
 
 std::uint32_t TraceEngine::onLoopEnd(std::uint32_t LoopId,
                                      std::uint64_t Cycle) {
-  if (!Block.empty())
-    drainBlock();
   ++Events.LoopEnds;
   LastEventTime = Cycle;
   // A matching sloop may never have fired (e.g. the loop was entered before
@@ -824,8 +402,6 @@ std::uint32_t TraceEngine::onLoopEnd(std::uint32_t LoopId,
 }
 
 void TraceEngine::onReturn(std::uint64_t Activation) {
-  if (!Block.empty())
-    drainBlock();
   ++Events.Returns;
   while (!Active.empty() && Active.back().Activation == Activation) {
     BankFrame Bank = std::move(Active.back());
@@ -836,15 +412,12 @@ void TraceEngine::onReturn(std::uint64_t Activation) {
 
 std::uint32_t TraceEngine::onReadStats(std::uint32_t LoopId,
                                        std::uint64_t Cycle) {
-  if (!Block.empty())
-    drainBlock();
   ++Events.ReadStats;
   LastEventTime = Cycle;
   return isDisabled(LoopId) ? 0 : extraCost(Cfg.ReadStatsCost);
 }
 
 std::vector<int> TraceEngine::dynamicParents() const {
-  assert(Block.empty() && "reading results with undrained batched events");
   std::vector<int> Parents(Stats.size(), -1);
   for (std::uint32_t L = 0; L < ParentVotes.size(); ++L) {
     const std::vector<std::uint64_t> &Votes = ParentVotes[L];

@@ -8,11 +8,7 @@
 // speculation store buffers, and per-thread critical-arc folding at each
 // `eoi`.
 //
-// The engine consumes events in blocks (interp/EventBlock.h): producers
-// append the zero-cost memory events to the engine's EventBlock and drain
-// it on overflow and before every control event, so the per-event virtual
-// dispatch disappears from the hot path while the observed event order —
-// and therefore every statistic — is bit-identical to per-event delivery.
+// Every event arrives through its own TraceSink method, in stream order.
 // Per-bank comparator state is kept as structure-of-arrays over the traced
 // banks only, making the load-arc comparison and the overflow tally
 // branch-light sweeps over contiguous timestamp arrays.
@@ -22,7 +18,6 @@
 #ifndef JRPM_TRACER_TRACEENGINE_H
 #define JRPM_TRACER_TRACEENGINE_H
 
-#include "interp/EventBlock.h"
 #include "interp/TraceSink.h"
 #include "metrics/Metrics.h"
 #include "metrics/Timeline.h"
@@ -34,6 +29,10 @@
 #include <vector>
 
 namespace jrpm {
+namespace interp {
+class EventBlock;
+} // namespace interp
+
 namespace tracer {
 
 /// Static per-loop information the tracer needs: which named locals carry
@@ -54,28 +53,11 @@ public:
   /// Dynamically stop tracing a loop once this many threads have been
   /// observed for it, freeing its bank for deeper loops (Section 5.2's
   /// annotation-disabling mechanism). 0 disables the feature.
-  ///
-  /// With the feature off (the default) every `eoi` charges the fixed
-  /// extraCost(Cfg.EoiCost), so the engine opts in to deferred `eoi`
-  /// batching; with it on, a disabled loop's `eoi` charges 0 and the
-  /// charge becomes state-dependent, so `eoi` reverts to the synchronous
-  /// drain-then-dispatch path.
   void setDisableLoopAfterThreads(std::uint64_t Threshold) {
     DisableAfterThreads = Threshold;
-    Block.setDeferredEoiCost(
-        Threshold == 0 ? static_cast<std::int32_t>(extraCost(Cfg.EoiCost))
-                       : -1);
   }
 
-  /// Resizes the event block (the batching window between forced drains).
-  /// Any batch size produces bit-identical results; this knob exists for
-  /// conformance tests and throughput tuning. Legal only between drains.
-  void setBatchCapacity(std::uint32_t Events) { Block.setCapacity(Events); }
-
   // --- TraceSink interface -------------------------------------------------
-  // The per-event virtual methods remain fully supported (tests and
-  // non-batching producers use them); each drains pending block events
-  // first so mixed use keeps stream order.
   std::uint32_t onHeapLoad(std::uint32_t Addr, std::uint64_t Cycle,
                            std::int32_t Pc) override;
   std::uint32_t onHeapStore(std::uint32_t Addr, std::uint64_t Cycle,
@@ -92,8 +74,8 @@ public:
   std::uint32_t onReadStats(std::uint32_t LoopId,
                             std::uint64_t Cycle) override;
 
-  interp::EventBlock *eventBlock() override { return &Block; }
-  void drainBlock() override;
+  /// perfbench shim, see interp/EventBlock.h.
+  interp::EventBlock *eventBlock() const { return nullptr; }
 
   // --- Results -------------------------------------------------------------
   const StlStats &stats(std::uint32_t LoopId) const {
@@ -194,39 +176,15 @@ private:
     return Total > 0 ? Total - 1 : 0;
   }
 
-  // Specialized drain sweeps; drainBlock picks one per block based on the
-  // bank population, which control events cannot change mid-block.
-  void drainNoBanks(const interp::BatchedEvent *E, std::uint32_t N);
-  void drainOneBank(const interp::BatchedEvent *E, std::uint32_t N);
-  void drainManyBanks(const interp::BatchedEvent *E, std::uint32_t N);
-  void drainGeneric(const interp::BatchedEvent *E, std::uint32_t N);
-
-  // Batched handlers for the deferred event kinds.
-  void handleHeapLoad(std::uint32_t Addr, std::uint64_t Cycle,
-                      std::int32_t Pc);
-  void handleHeapStore(std::uint32_t Addr, std::uint64_t Cycle);
-  void handleLocalLoad(std::uint64_t Activation, std::uint16_t Reg,
-                       std::uint64_t Cycle, std::int32_t Pc);
-  void handleLocalStore(std::uint64_t Activation, std::uint16_t Reg,
-                        std::uint64_t Cycle);
-  void handleLoopIter(std::uint32_t LoopId, std::uint64_t Cycle);
-
   BankFrame *findTraced(std::uint32_t LoopId);
-  /// The eoi thread boundary of traced bank \p Idx: records the thread
-  /// size, folds its accumulators, and starts the next thread at \p Cycle.
-  void iterateBank(std::uint32_t LoopId, std::size_t Idx, std::uint64_t Cycle);
-  /// Folds one finished thread's accumulator values into \p LoopId's
-  /// StlStats (shared by the SoA path and the register-hoisted drain).
-  void foldThread(std::uint32_t LoopId, std::uint64_t MinPrev,
-                  std::uint64_t MinEarlier, std::int32_t PrevPc,
-                  std::int32_t EarlierPc, std::uint64_t NewLoad,
-                  std::uint64_t NewStore);
   /// Flat PC-bin accumulator lookup for \p LoopId (grows on first touch).
   PcBinStats &pcBin(std::uint32_t LoopId, std::int32_t Pc);
   /// Folds the flat per-loop PC-bin accumulators into the observable
   /// ordered StlStats::PcBins maps. Lazy: called on every result read,
   /// cheap no-op when nothing accumulated since the last flush.
   void flushPcBins() const;
+  /// Folds traced bank \p Idx's finished thread into \p LoopId's StlStats
+  /// and resets its per-thread accumulators.
   void finalizeThread(std::uint32_t LoopId, std::size_t Idx);
   void closeBank(BankFrame &Bank, std::uint64_t Cycle);
   /// Load dependency check: the inline front gate decides via the cached
@@ -271,8 +229,6 @@ private:
   /// reservation, erase on release), so local-variable events skip the
   /// bank-stack walk entirely.
   LocalSlotIndex SlotIndex;
-
-  interp::EventBlock Block;
 
   std::vector<BankFrame> Active; // stack, bottom = outermost
   TracedBanks Traced;            // SoA state of the traced subsequence

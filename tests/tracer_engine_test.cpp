@@ -1,16 +1,20 @@
 //===- tests/tracer_engine_test.cpp - Comparator-bank analysis tests -------==//
 //
 // Drives the TraceEngine with synthetic event streams that mirror the
-// paper's Figure 3 and Figure 4 walk-throughs.
+// paper's Figure 3 and Figure 4 walk-throughs, plus two streams whose full
+// observable surface (StlStats, dynamic parents, peaks, metrics JSON) is
+// pinned to values recorded from the seed per-event engine.
 //
 //===----------------------------------------------------------------------===//
 
+#include "metrics/Metrics.h"
 #include "sim/Config.h"
 #include "tracer/TraceEngine.h"
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <utility>
 
 using namespace jrpm;
@@ -31,6 +35,66 @@ std::vector<LoopTraceInfo> loops(std::size_t N,
   for (auto &Info : L)
     Info.AnnotatedLocals = Locals;
   return L;
+}
+
+/// A stream that exercises every engine path: events outside any loop (no
+/// banks), a single traced loop (one bank), a nested traced pair (many
+/// banks), a third nest over the bank budget (untraced frame), local
+/// variables with shadowing reservations across two activations, an
+/// unbalanced exit via return, and a readstats probe.
+void driveMixedStream(TraceEngine &E) {
+  std::uint64_t C = 0;
+  // Outside any loop: heap traffic only feeds the store history.
+  E.onHeapStore(100, ++C, 1);
+  E.onHeapLoad(100, ++C, 2);
+  E.onLocalStore(7, 3, ++C, 3); // no reservation: ignored
+  // One traced bank.
+  E.onLoopStart(0, /*activation*/ 7, ++C);
+  E.onLocalStore(7, 3, ++C, 4);
+  E.onHeapStore(104, ++C, 5);
+  E.onLoopIter(0, ++C);
+  E.onHeapLoad(104, ++C, 6);   // prev-thread arc
+  E.onLocalLoad(7, 3, ++C, 7); // prev-thread local arc
+  E.onLoopIter(0, ++C);
+  E.onHeapLoad(104, ++C, 19); // store predates the previous thread: earlier
+  // Nested traced bank with a shadowed register: reg 3 is already
+  // reserved by loop 0's frame of the same activation.
+  E.onLoopStart(1, 7, ++C);
+  E.onLocalStore(7, 3, ++C, 8); // resolves to loop 0's slot
+  E.onLocalStore(7, 4, ++C, 9); // loop 1's own slot
+  E.onCallSite(41, ++C);
+  E.onCallReturn(++C);
+  // Third nest: over the two-bank budget, so the frame is untraced.
+  E.onLoopStart(2, 9, ++C);
+  E.onLocalLoad(9, 5, ++C, 10); // activation 9 has no reservations
+  E.onLoopIter(2, ++C);         // untraced frame: no bank iterates
+  E.onLoopIter(1, ++C);
+  E.onLocalLoad(7, 4, ++C, 11); // prev-thread arc in the nested bank
+  E.onHeapStore(108, ++C, 12);
+  E.onLoopIter(1, ++C);
+  E.onHeapLoad(108, ++C, 13); // prev-thread arc
+  E.onHeapLoad(104, ++C, 14); // earlier-thread arc
+  E.onLoopEnd(2, ++C);
+  E.onReadStats(1, ++C);
+  E.onLoopIter(0, ++C);
+  E.onLoopEnd(1, ++C); // closes the nested bank
+  // Unbalanced exit: return pops activation 7's remaining frame.
+  E.onReturn(7);
+  // Re-enter with a fresh activation to recycle released slots.
+  E.onLoopStart(0, 11, ++C);
+  E.onLocalStore(11, 3, ++C, 15);
+  E.onLoopIter(0, ++C);
+  E.onLocalLoad(11, 3, ++C, 16);
+  E.onHeapStore(112, ++C, 17);
+  E.onLoopIter(0, ++C);
+  E.onHeapLoad(112, ++C, 18);
+  E.onLoopEnd(0, ++C);
+}
+
+std::string metricsJson(const TraceEngine &E) {
+  metrics::Registry R;
+  E.exportMetrics(R);
+  return R.toJson().dump();
 }
 
 } // namespace
@@ -401,4 +465,164 @@ TEST(TraceEngine, OutOfOrderELoopClosesInnerBanks) {
   E.onLoopEnd(0, 120);
   EXPECT_EQ(E.stats(0).Entries, 2u);
   EXPECT_EQ(E.stats(1).Entries, 2u);
+}
+
+TEST(TraceEngine, MixedStreamMatchesPinnedResults) {
+  TraceEngine E(smallConfig(), loops(3, {3, 4}), /*ExtendedPcBinning=*/true);
+  driveMixedStream(E);
+
+  EXPECT_EQ(E.stats(0),
+            (StlStats{.Cycles = 32,
+                      .Threads = 7,
+                      .Entries = 2,
+                      .CritArcsPrev = 3,
+                      .CritLenPrev = 6,
+                      .CritArcsEarlier = 1,
+                      .CritLenEarlier = 5,
+                      .MaxLoadLines = 2,
+                      .MaxStoreLines = 1,
+                      .PcBins = {{6, {1, 2}},
+                                 {16, {1, 2}},
+                                 {18, {1, 2}},
+                                 {19, {1, 5}}}}));
+  EXPECT_EQ(E.stats(1), (StlStats{.Cycles = 17,
+                                  .Threads = 3,
+                                  .Entries = 1,
+                                  .CritArcsPrev = 2,
+                                  .CritLenPrev = 9,
+                                  .MaxLoadLines = 2,
+                                  .MaxStoreLines = 1,
+                                  .PcBins = {{11, {1, 7}}, {13, {1, 2}}}}));
+  EXPECT_EQ(E.stats(2), (StlStats{.UntracedEntries = 1, .PcBins = {}}));
+  EXPECT_EQ(E.dynamicParents(), (std::vector<int>{-1, 0, 1}));
+  EXPECT_EQ(E.peakBanksInUse(), 2u);
+  EXPECT_EQ(E.peakLocalSlots(), 2u);
+  EXPECT_EQ(E.peakDynamicNest(), 3u);
+  EXPECT_EQ(metricsJson(E), R"({
+  "counters": {
+    "tracer.crit_arcs_earlier": 1,
+    "tracer.crit_arcs_prev": 5,
+    "tracer.crit_len_earlier": 5,
+    "tracer.crit_len_prev": 15,
+    "tracer.entries": 3,
+    "tracer.events.heap_load": 6,
+    "tracer.events.heap_store": 4,
+    "tracer.events.local_load": 4,
+    "tracer.events.local_store": 5,
+    "tracer.events.loop_end": 3,
+    "tracer.events.loop_iter": 8,
+    "tracer.events.loop_start": 4,
+    "tracer.events.read_stats": 1,
+    "tracer.events.return": 1,
+    "tracer.heap_ts.evictions": 0,
+    "tracer.line_table.evictions": 0,
+    "tracer.local_ts.release_errors": 0,
+    "tracer.overflow_threads": 0,
+    "tracer.threads": 10,
+    "tracer.untraced_entries": 1
+  },
+  "gauges": {
+    "tracer.heap_ts.peak_occupancy": 4,
+    "tracer.line_table.peak_occupancy": 6,
+    "tracer.peak_banks": 2,
+    "tracer.peak_local_slots": 2,
+    "tracer.peak_nest": 3
+  },
+  "histograms": {
+    "tracer.thread_size_cycles": {
+      "count": 10,
+      "max": 18,
+      "mean": 4.9000000000000004,
+      "min": 1,
+      "p50": 3,
+      "p95": 18,
+      "p99": 18,
+      "sum": 49
+    }
+  },
+  "schema": "jrpm-metrics-v1"
+}
+)");
+}
+
+TEST(TraceEngine, DisabledLoopMatchesPinnedResultsAndEoiCharges) {
+  // Two entries of a loop whose tracing is disabled after three threads:
+  // the first entry stays traced to its end, the second is untraced.
+  sim::HydraConfig Cfg = smallConfig();
+  Cfg.EoiCost = 3;
+  TraceEngine E(Cfg, loops(1), /*ExtendedPcBinning=*/true);
+  E.setDisableLoopAfterThreads(3);
+  std::uint64_t C = 0;
+  for (int Entry = 0; Entry < 2; ++Entry) {
+    const bool Traced = Entry == 0;
+    EXPECT_EQ(E.onLoopStart(0, 7, ++C), Traced ? Cfg.SLoopCost - 1 : 0);
+    for (int I = 0; I < 6; ++I) {
+      E.onHeapStore(100, ++C, 1);
+      // A traced loop's eoi pays the coprocessor interaction; a disabled
+      // one is a nop.
+      EXPECT_EQ(E.onLoopIter(0, ++C), Traced ? Cfg.EoiCost - 1 : 0)
+          << "entry " << Entry << " iteration " << I;
+      E.onHeapLoad(100, ++C, 2);
+    }
+    EXPECT_EQ(E.onLoopEnd(0, ++C), 0u); // disabled by the time it closes
+  }
+
+  EXPECT_EQ(E.stats(0), (StlStats{.Cycles = 19,
+                                  .Threads = 7,
+                                  .Entries = 1,
+                                  .UntracedEntries = 1,
+                                  .CritArcsPrev = 6,
+                                  .CritLenPrev = 12,
+                                  .MaxLoadLines = 1,
+                                  .MaxStoreLines = 1,
+                                  .PcBins = {{2, {6, 12}}}}));
+  EXPECT_EQ(E.dynamicParents(), (std::vector<int>{-1}));
+  EXPECT_EQ(E.peakBanksInUse(), 1u);
+  EXPECT_EQ(E.peakLocalSlots(), 0u);
+  EXPECT_EQ(E.peakDynamicNest(), 1u);
+  EXPECT_EQ(metricsJson(E), R"({
+  "counters": {
+    "tracer.crit_arcs_earlier": 0,
+    "tracer.crit_arcs_prev": 6,
+    "tracer.crit_len_earlier": 0,
+    "tracer.crit_len_prev": 12,
+    "tracer.entries": 1,
+    "tracer.events.heap_load": 12,
+    "tracer.events.heap_store": 12,
+    "tracer.events.local_load": 0,
+    "tracer.events.local_store": 0,
+    "tracer.events.loop_end": 2,
+    "tracer.events.loop_iter": 12,
+    "tracer.events.loop_start": 2,
+    "tracer.events.read_stats": 0,
+    "tracer.events.return": 0,
+    "tracer.heap_ts.evictions": 0,
+    "tracer.line_table.evictions": 0,
+    "tracer.local_ts.release_errors": 0,
+    "tracer.overflow_threads": 0,
+    "tracer.threads": 7,
+    "tracer.untraced_entries": 1
+  },
+  "gauges": {
+    "tracer.heap_ts.peak_occupancy": 1,
+    "tracer.line_table.peak_occupancy": 2,
+    "tracer.peak_banks": 1,
+    "tracer.peak_local_slots": 0,
+    "tracer.peak_nest": 1
+  },
+  "histograms": {
+    "tracer.thread_size_cycles": {
+      "count": 7,
+      "max": 3,
+      "mean": 2.7142857142857144,
+      "min": 2,
+      "p50": 3,
+      "p95": 3,
+      "p99": 3,
+      "sum": 19
+    }
+  },
+  "schema": "jrpm-metrics-v1"
+}
+)");
 }

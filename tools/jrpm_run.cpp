@@ -23,8 +23,6 @@
 //   --banks <n>        number of comparator banks (default 8)
 //   --history <n>      heap store-timestamp FIFO lines (default 192)
 //   --disable-after <n> stop tracing a loop after n threads (default off)
-//   --trace-batch <n>  tracer event-block capacity, n >= 1 (results are
-//                      bit-identical for every capacity)
 //
 //===----------------------------------------------------------------------===//
 
@@ -61,8 +59,7 @@ int usage() {
                "       jrpm-run trace <workload> [--events <n>]\n"
                "options: --base --sync --line-grain --banks <n> "
                "--history <n> --disable-after <n>\n"
-               "         --trace-batch <n> --metrics <file.json> "
-               "--timeline <file.json>\n");
+               "         --metrics <file.json> --timeline <file.json>\n");
   return 2;
 }
 
@@ -117,19 +114,6 @@ Options parseOptions(int Argc, char **Argv, int First) {
       std::uint32_t N = 0;
       NextInt(N);
       O.Cfg.DisableLoopAfterThreads = N;
-    } else if (A == "--trace-batch" || A.rfind("--trace-batch=", 0) == 0) {
-      std::uint32_t N = 0;
-      if (A == "--trace-batch")
-        NextInt(N);
-      else
-        N = static_cast<std::uint32_t>(
-            std::atoi(A.c_str() + std::strlen("--trace-batch=")));
-      if (O.Ok && N == 0) {
-        std::fprintf(stderr, "--trace-batch requires a positive event "
-                             "count\n");
-        O.Ok = false;
-      }
-      O.Cfg.TraceBatchEvents = N;
     } else if (A == "--metrics")
       NextStr(O.MetricsPath);
     else if (A.rfind("--metrics=", 0) == 0)
