@@ -6,12 +6,11 @@
 # Usage (how the tier-1 ctest invokes it — see tools/CMakeLists.txt):
 #   scripts/ci_cli_usage.sh --run-bin <jrpm-run> --trace-bin <jrpm-trace> \
 #     --sweep-bin <jrpm-sweep> --lint-bin <jrpm-lint> \
-#     --metrics-bin <jrpm-metrics> --serve-bin <jrpm-serve> \
-#     --corpus-bin <jrpm-corpus>
+#     --metrics-bin <jrpm-metrics> --corpus-bin <jrpm-corpus>
 
 set -uo pipefail
 
-RUN_BIN=""; TRACE_BIN=""; SWEEP_BIN=""; LINT_BIN=""; METRICS_BIN=""; SERVE_BIN=""; CORPUS_BIN=""
+RUN_BIN=""; TRACE_BIN=""; SWEEP_BIN=""; LINT_BIN=""; METRICS_BIN=""; CORPUS_BIN=""
 while [[ $# -gt 0 ]]; do
   case "$1" in
     --run-bin) RUN_BIN="$2"; shift 2 ;;
@@ -19,13 +18,12 @@ while [[ $# -gt 0 ]]; do
     --sweep-bin) SWEEP_BIN="$2"; shift 2 ;;
     --lint-bin) LINT_BIN="$2"; shift 2 ;;
     --metrics-bin) METRICS_BIN="$2"; shift 2 ;;
-    --serve-bin) SERVE_BIN="$2"; shift 2 ;;
     --corpus-bin) CORPUS_BIN="$2"; shift 2 ;;
     *) echo "unknown argument: $1" >&2; exit 2 ;;
   esac
 done
 
-for V in RUN_BIN TRACE_BIN SWEEP_BIN LINT_BIN METRICS_BIN SERVE_BIN CORPUS_BIN; do
+for V in RUN_BIN TRACE_BIN SWEEP_BIN LINT_BIN METRICS_BIN CORPUS_BIN; do
   if [[ -z "${!V}" ]]; then
     echo "missing --$(echo "${V%_BIN}" | tr 'A-Z' 'a-z')-bin" >&2
     exit 2
@@ -98,19 +96,6 @@ expect_usage "metrics: bad subcmd"    "${METRICS_BIN}" munge a.json
 expect_usage "metrics: show no file"  "${METRICS_BIN}" show
 expect_usage "metrics: show junk"     "${METRICS_BIN}" show a.json extra
 expect_usage "metrics: diff one file" "${METRICS_BIN}" diff a.json
-
-# jrpm-serve
-expect_usage "serve: no args"          "${SERVE_BIN}"
-expect_usage "serve: bad subcommand"   "${SERVE_BIN}" destroy
-expect_usage "serve: serve no socket"  "${SERVE_BIN}" serve --store /tmp/s
-expect_usage "serve: serve no store"   "${SERVE_BIN}" serve --socket /tmp/a.sock
-expect_usage "serve: unknown option"   "${SERVE_BIN}" serve --socket a --store b --bogus
-expect_usage "serve: submit no socket" "${SERVE_BIN}" submit --workloads BitOps
-expect_usage "serve: submit mixed kinds" \
-  "${SERVE_BIN}" submit --socket a.sock --kind sweep --workload BitOps
-expect_usage "serve: status no socket" "${SERVE_BIN}" status
-expect_usage "serve: status with junk" "${SERVE_BIN}" status --socket a.sock extra
-expect_usage "serve: stats bad option" "${SERVE_BIN}" stats --socket a.sock -x
 
 # jrpm-corpus
 expect_usage "corpus: no args"          "${CORPUS_BIN}"

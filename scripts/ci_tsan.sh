@@ -9,8 +9,7 @@
 # Sweep* suites (thread pool, plan runner, determinism), the concurrent
 # fuzz harness that dispatches generated programs across the pool, the
 # Corpus* suites (template corpus sweeps on the pool, 1-vs-N thread report
-# identity), the Serve* suites (daemon single-flight dedup, saturation,
-# drain), and the Tracer*/TraceEngine suites (pinned engine streams,
+# identity), and the Tracer*/TraceEngine suites (pinned engine streams,
 # interleaved engines, live-vs-replay tracer metrics). TSan reports are fatal
 # (-fno-sanitize-recover=all), so any data race fails the suite.
 
@@ -23,4 +22,4 @@ JOBS="$(nproc 2>/dev/null || echo 4)"
 cmake -B "${BUILD}" -S "${ROOT}" -DJRPM_TSAN=ON "$@"
 cmake --build "${BUILD}" -j"${JOBS}"
 ctest --test-dir "${BUILD}" --output-on-failure -j"${JOBS}" \
-  -R 'Sweep|Concurrent|Interleaved|Serve|Corpus|Tracer|TraceEngine'
+  -R 'Sweep|Concurrent|Interleaved|Corpus|Tracer|TraceEngine'

@@ -2,7 +2,6 @@
 
 #include "exec/CodeImage.h"
 
-#include "metrics/Metrics.h"
 #include "support/Compiler.h"
 
 #include <list>
@@ -175,11 +174,10 @@ struct ImageCache {
   std::mutex Mu;
   std::unordered_map<std::uint64_t, Entry> Map;
   std::list<std::uint64_t> Lru; ///< front = most recently used
-  std::size_t Capacity = CodeImage::DefaultCacheCapacity;
   ImageCacheStats Stats;
 
   void evictOverCapacity() {
-    while (Map.size() > Capacity) {
+    while (Map.size() > CodeImage::CacheCapacity) {
       Map.erase(Lru.back());
       Lru.pop_back();
       ++Stats.Evictions;
@@ -229,17 +227,7 @@ ImageCacheStats CodeImage::cacheStats() {
   std::lock_guard<std::mutex> Lock(C.Mu);
   ImageCacheStats S = C.Stats;
   S.Entries = C.Map.size();
-  S.Capacity = C.Capacity;
   return S;
-}
-
-std::size_t CodeImage::setCacheCapacity(std::size_t Capacity) {
-  ImageCache &C = cache();
-  std::lock_guard<std::mutex> Lock(C.Mu);
-  std::size_t Prev = C.Capacity;
-  C.Capacity = Capacity ? Capacity : 1;
-  C.evictOverCapacity();
-  return Prev;
 }
 
 void CodeImage::clearCache() {
@@ -247,15 +235,5 @@ void CodeImage::clearCache() {
   std::lock_guard<std::mutex> Lock(C.Mu);
   C.Map.clear();
   C.Lru.clear();
-  C.Capacity = DefaultCacheCapacity;
   C.Stats = ImageCacheStats();
-}
-
-void exec::exportImageCacheMetrics(metrics::Registry &R) {
-  ImageCacheStats S = CodeImage::cacheStats();
-  R.gauge("exec.image_cache.hits").peak(S.Hits);
-  R.gauge("exec.image_cache.misses").peak(S.Misses);
-  R.gauge("exec.image_cache.evictions").peak(S.Evictions);
-  R.gauge("exec.image_cache.entries").set(S.Entries);
-  R.gauge("exec.image_cache.capacity").set(S.Capacity);
 }

@@ -33,12 +33,6 @@
 #include <vector>
 
 namespace jrpm {
-namespace metrics {
-class Registry;
-} // namespace metrics
-} // namespace jrpm
-
-namespace jrpm {
 namespace exec {
 
 /// Absolute instruction index into a CodeImage. For a finalized module the
@@ -104,15 +98,13 @@ struct FuncDesc {
   std::uint32_t NumBlocks = 0;
 };
 
-/// Image-cache counters (diagnostics for benches and the serve daemon's
-/// stats endpoint; not exported as run metrics to keep the golden exports
-/// stable).
+/// Image-cache counters (diagnostics for benches and sweep timing blocks;
+/// not exported as run metrics to keep the golden exports stable).
 struct ImageCacheStats {
   std::uint64_t Hits = 0;
   std::uint64_t Misses = 0;
   std::uint64_t Evictions = 0;
-  std::uint64_t Entries = 0;  ///< images currently resident
-  std::uint64_t Capacity = 0; ///< LRU bound
+  std::uint64_t Entries = 0; ///< images currently resident
 };
 
 class CodeImage {
@@ -175,20 +167,16 @@ public:
   // --- Shared image cache -------------------------------------------------
   /// Returns the memoized image for \p M, building it on first use. Keyed
   /// by moduleDigest(M); thread-safe (sweep jobs race on it by design).
-  /// The cache is LRU-bounded (see setCacheCapacity): a long-lived process
-  /// serving thousands of distinct modules evicts the coldest image
-  /// instead of growing without limit. Evicted images stay alive for as
-  /// long as a consumer still holds the shared_ptr.
+  /// The cache keeps at most CacheCapacity images and evicts the least
+  /// recently used one, so a corpus run over thousands of distinct variants
+  /// does not grow without limit. Evicted images stay alive for as long as
+  /// a consumer still holds the shared_ptr.
   static std::shared_ptr<const CodeImage> getShared(const ir::Module &M);
   static ImageCacheStats cacheStats();
-  /// Default LRU bound: generous for every sweep matrix we run (52
-  /// workload x level combinations) while capping a daemon's residency.
-  static constexpr std::size_t DefaultCacheCapacity = 256;
-  /// Rebounds the LRU (minimum 1), evicting oldest entries immediately if
-  /// the cache is over the new capacity. Returns the previous capacity.
-  static std::size_t setCacheCapacity(std::size_t Capacity);
-  /// Drops every memoized image and resets stats and capacity
-  /// (test/bench isolation).
+  /// LRU bound: generous for every sweep matrix we run (52 workload x
+  /// level combinations).
+  static constexpr std::size_t CacheCapacity = 256;
+  /// Drops every memoized image and resets stats (test isolation).
   static void clearCache();
 
 private:
@@ -204,13 +192,6 @@ private:
 /// Pc). Structurally identical modules — e.g. the same workload annotated
 /// at the same level by two sweep jobs — digest equal and share an image.
 std::uint64_t moduleDigest(const ir::Module &M);
-
-/// Snapshots the shared image cache's counters into \p R as gauges
-/// ("exec.image_cache.hits" / ".misses" / ".evictions" / ".entries" /
-/// ".capacity") — the daemon-hygiene view of the cache. Gauges, not
-/// counters: the snapshot is cumulative process state, not a per-run
-/// delta, and gauge merge (max) keeps repeated snapshots monotone.
-void exportImageCacheMetrics(metrics::Registry &R);
 
 } // namespace exec
 } // namespace jrpm

@@ -73,15 +73,6 @@ void Registry::merge(const Registry &O) {
     Histograms[Name].merge(H);
 }
 
-void Registry::mergePrefixed(const Registry &O, const std::string &Prefix) {
-  for (const auto &[Name, C] : O.Counters)
-    Counters[Prefix + Name].inc(C.value());
-  for (const auto &[Name, G] : O.Gauges)
-    Gauges[Prefix + Name].peak(G.value());
-  for (const auto &[Name, H] : O.Histograms)
-    Histograms[Prefix + Name].merge(H);
-}
-
 Json Registry::toJson() const {
   Json Root = Json::object();
   Root["schema"] = "jrpm-metrics-v1";

@@ -137,12 +137,6 @@ public:
   /// histograms merge bucket-wise.
   void merge(const Registry &O);
 
-  /// merge() with every incoming name rewritten to \p Prefix + name. The
-  /// serve daemon uses this to fold each request's private registry into
-  /// its long-lived "serve." namespace without name collisions against the
-  /// daemon's own counters.
-  void mergePrefixed(const Registry &O, const std::string &Prefix);
-
   /// Deterministic export: {"counters": {...}, "gauges": {...},
   /// "histograms": {name: {count,sum,min,max,mean,p50,p95,p99}}}.
   Json toJson() const;

@@ -3,10 +3,8 @@
 // The one way any Jrpm component persists bytes: write to a sibling
 // temporary file, fsync it, then rename over the target. A reader that
 // races the writer sees either the old file or the complete new one, and a
-// crash (or power loss) between any two steps leaves the target untouched —
-// the property the sweep report writer has always relied on and the serve
-// daemon's content-addressed artifact store now requires of every write
-// (a half-written artifact would be served as a cache hit forever).
+// crash (or power loss) between any two steps leaves the target untouched,
+// so a sweep or corpus report on disk is always a complete document.
 //
 //===----------------------------------------------------------------------===//
 

@@ -72,8 +72,9 @@ public:
 
   /// Maximum container nesting depth parse() accepts. Deeper documents are
   /// rejected with a typed error instead of recursing toward a stack
-  /// overflow — a requirement now that the serve daemon parses frames from
-  /// untrusted sockets (depth bombs are a classic protocol attack).
+  /// overflow: the tools parse files named on their command line
+  /// (`jrpm-metrics` documents, `jrpm-corpus` repros), and a depth bomb in
+  /// one of them must fail the command, not crash it.
   static constexpr int MaxParseDepth = 96;
 
   /// Parses \p Text (the subset this class emits: null, bool, numbers,

@@ -167,71 +167,45 @@ SweepResult sweep::runJob(const SweepJob &Job) {
   return R;
 }
 
-namespace {
-
-/// Per-call completion latch: lets concurrent runSweepOn() callers share
-/// one pool without stealing each other's ThreadPool::wait() wakeups.
-struct JobLatch {
-  std::mutex M;
-  std::condition_variable Cv;
-  std::size_t Left;
-
-  explicit JobLatch(std::size_t N) : Left(N) {}
-  void done() {
-    std::lock_guard<std::mutex> Lock(M);
-    if (--Left == 0)
-      Cv.notify_all();
-  }
-  void wait() {
-    std::unique_lock<std::mutex> Lock(M);
-    Cv.wait(Lock, [this] { return Left == 0; });
-  }
-};
-
-} // namespace
-
-SweepReport sweep::runSweepOn(ThreadPool &Pool,
-                              const std::vector<SweepJob> &Jobs,
-                              metrics::Timeline *Timeline) {
+SweepReport sweep::runSweep(const std::vector<SweepJob> &Jobs,
+                            unsigned Threads,
+                            metrics::Timeline *Timeline) {
   SweepReport Report;
   Report.Results.resize(Jobs.size());
+  // Declared before the pool so the jobs' references outlive its workers.
+  std::vector<metrics::TrackId> WorkerTracks;
+  ThreadPool Pool(Threads);
   Report.Threads = Pool.threadCount();
   Clock::time_point T0 = Clock::now();
-  {
-    // Worker tracks are registered before any job runs, in index order, so
-    // the timeline's pid/tid assignment never depends on scheduling.
-    std::vector<metrics::TrackId> WorkerTracks;
-    if (Timeline)
-      for (unsigned W = 0; W < Pool.threadCount(); ++W)
-        WorkerTracks.push_back(
-            Timeline->track("sweep", W, "worker" + std::to_string(W)));
-    JobLatch Latch(Jobs.size());
-    for (const SweepJob &Job : Jobs)
-      // Each job writes its preassigned slot; completion order is free.
-      Pool.submit([&Job, &Report, &Latch, Timeline, &WorkerTracks, T0] {
-        int W = ThreadPool::currentWorker();
-        bool Spanned = Timeline && W >= 0 &&
-                       static_cast<std::size_t>(W) < WorkerTracks.size();
-        if (Spanned)
-          Timeline->begin(WorkerTracks[static_cast<std::size_t>(W)],
-                          "job#" + std::to_string(Job.Index) + " " +
-                              Job.Workload,
-                          static_cast<std::uint64_t>(
-                              std::chrono::duration_cast<
-                                  std::chrono::microseconds>(Clock::now() -
-                                                             T0)
-                                  .count()));
-        Report.Results[Job.Index] = runJob(Job);
-        if (Spanned)
-          Timeline->end(WorkerTracks[static_cast<std::size_t>(W)],
+  // Worker tracks are registered before any job runs, in index order, so
+  // the timeline's pid/tid assignment never depends on scheduling.
+  if (Timeline)
+    for (unsigned W = 0; W < Pool.threadCount(); ++W)
+      WorkerTracks.push_back(
+          Timeline->track("sweep", W, "worker" + std::to_string(W)));
+  for (const SweepJob &Job : Jobs)
+    // Each job writes its preassigned slot; completion order is free.
+    Pool.submit([&Job, &Report, Timeline, &WorkerTracks, T0] {
+      int W = ThreadPool::currentWorker();
+      bool Spanned = Timeline && W >= 0 &&
+                     static_cast<std::size_t>(W) < WorkerTracks.size();
+      if (Spanned)
+        Timeline->begin(WorkerTracks[static_cast<std::size_t>(W)],
+                        "job#" + std::to_string(Job.Index) + " " +
+                            Job.Workload,
                         static_cast<std::uint64_t>(
                             std::chrono::duration_cast<
                                 std::chrono::microseconds>(Clock::now() - T0)
                                 .count()));
-        Latch.done();
-      });
-    Latch.wait();
-  }
+      Report.Results[Job.Index] = runJob(Job);
+      if (Spanned)
+        Timeline->end(WorkerTracks[static_cast<std::size_t>(W)],
+                      static_cast<std::uint64_t>(
+                          std::chrono::duration_cast<
+                              std::chrono::microseconds>(Clock::now() - T0)
+                              .count()));
+    });
+  Pool.wait();
   Report.WallMs = msSince(T0);
   for (const SweepResult &R : Report.Results) {
     switch (R.Status) {
@@ -247,13 +221,6 @@ SweepReport sweep::runSweepOn(ThreadPool &Pool,
     }
   }
   return Report;
-}
-
-SweepReport sweep::runSweep(const std::vector<SweepJob> &Jobs,
-                            unsigned Threads,
-                            metrics::Timeline *Timeline) {
-  ThreadPool Pool(Threads);
-  return runSweepOn(Pool, Jobs, Timeline);
 }
 
 metrics::Registry sweep::mergedMetrics(const SweepReport &R) {

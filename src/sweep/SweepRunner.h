@@ -94,13 +94,6 @@ SweepResult runJob(const SweepJob &Job);
 SweepReport runSweep(const std::vector<SweepJob> &Jobs, unsigned Threads,
                      metrics::Timeline *Timeline = nullptr);
 
-/// Same execution model on a caller-owned pool. Completion is tracked by a
-/// per-call latch rather than ThreadPool::wait(), so any number of callers
-/// (the serve daemon's concurrent requests) can share one long-lived pool:
-/// each returns as soon as *its* jobs finish, whatever else is queued.
-SweepReport runSweepOn(ThreadPool &Pool, const std::vector<SweepJob> &Jobs,
-                       metrics::Timeline *Timeline = nullptr);
-
 /// Folds the per-job registries together in plan order and adds the
 /// "sweep.jobs*" summary counters. Merging is order-deterministic, so a
 /// 1-thread and an N-thread sweep of the same plan produce byte-identical

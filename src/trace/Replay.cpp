@@ -2,10 +2,6 @@
 
 #include "trace/Replay.h"
 
-#include <list>
-#include <mutex>
-#include <unordered_map>
-
 using namespace jrpm;
 using namespace jrpm::trace;
 
@@ -89,94 +85,4 @@ ReplayOutcome trace::selectFromTrace(const CachedTrace &T,
     Engine.setDisableLoopAfterThreads(Cfg.DisableLoopAfterThreads);
   std::uint64_t N = T.replay(Engine);
   return finishOutcome(Engine, Cfg, T.footer().Run, N);
-}
-
-//===----------------------------------------------------------------------===//
-// Shared decoded-trace cache
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-struct TraceCache {
-  struct Entry {
-    std::shared_ptr<const CachedTrace> Trace;
-    std::list<std::uint64_t>::iterator LruPos;
-  };
-
-  std::mutex Mu;
-  std::unordered_map<std::uint64_t, Entry> Map;
-  std::list<std::uint64_t> Lru; ///< front = most recently used
-  std::size_t Capacity = DefaultTraceCacheCapacity;
-  TraceCacheStats Stats;
-
-  void evictOverCapacity() {
-    while (Map.size() > Capacity) {
-      Map.erase(Lru.back());
-      Lru.pop_back();
-      ++Stats.Evictions;
-    }
-  }
-};
-
-TraceCache &traceCache() {
-  static TraceCache C; // leaked-by-design process-lifetime cache
-  return C;
-}
-
-} // namespace
-
-std::shared_ptr<const CachedTrace>
-trace::getSharedTrace(const std::string &Path, std::uint64_t Key) {
-  TraceCache &C = traceCache();
-  {
-    std::lock_guard<std::mutex> Lock(C.Mu);
-    auto It = C.Map.find(Key);
-    if (It != C.Map.end()) {
-      ++C.Stats.Hits;
-      C.Lru.splice(C.Lru.begin(), C.Lru, It->second.LruPos);
-      return It->second.Trace;
-    }
-  }
-  // Decode outside the lock (it can be hundreds of milliseconds); a racing
-  // duplicate decode of the same trace is harmless and the loser adopts
-  // the incumbent. Corruption throws here and caches nothing.
-  auto Decoded = std::make_shared<const CachedTrace>(Path);
-  std::lock_guard<std::mutex> Lock(C.Mu);
-  ++C.Stats.Misses;
-  auto It = C.Map.find(Key);
-  if (It != C.Map.end()) {
-    C.Lru.splice(C.Lru.begin(), C.Lru, It->second.LruPos);
-    return It->second.Trace;
-  }
-  C.Lru.push_front(Key);
-  C.Map[Key] = TraceCache::Entry{Decoded, C.Lru.begin()};
-  C.evictOverCapacity();
-  return Decoded;
-}
-
-TraceCacheStats trace::traceCacheStats() {
-  TraceCache &C = traceCache();
-  std::lock_guard<std::mutex> Lock(C.Mu);
-  TraceCacheStats S = C.Stats;
-  S.Entries = C.Map.size();
-  S.Capacity = C.Capacity;
-  return S;
-}
-
-std::size_t trace::setTraceCacheCapacity(std::size_t Capacity) {
-  TraceCache &C = traceCache();
-  std::lock_guard<std::mutex> Lock(C.Mu);
-  std::size_t Prev = C.Capacity;
-  C.Capacity = Capacity ? Capacity : 1;
-  C.evictOverCapacity();
-  return Prev;
-}
-
-void trace::clearTraceCache() {
-  TraceCache &C = traceCache();
-  std::lock_guard<std::mutex> Lock(C.Mu);
-  C.Map.clear();
-  C.Lru.clear();
-  C.Capacity = DefaultTraceCacheCapacity;
-  C.Stats = TraceCacheStats();
 }

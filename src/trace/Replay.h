@@ -16,9 +16,6 @@
 #include "tracer/Selector.h"
 #include "trace/Reader.h"
 
-#include <cstddef>
-#include <memory>
-
 namespace jrpm {
 namespace metrics {
 class Registry;
@@ -89,40 +86,6 @@ private:
 /// Engine construction + replay + selection from an in-memory trace: the
 /// per-configuration cost of a record-once/analyze-many sweep.
 ReplayOutcome selectFromTrace(const CachedTrace &T, const ReplayConfig &Cfg);
-
-// --- Shared decoded-trace cache -------------------------------------------
-//
-// A long-lived process (the serve daemon) replays the same recorded trace
-// under many analysis configurations: distinct requests share one capture.
-// getSharedTrace memoizes the decoded CachedTrace by a caller-chosen
-// content key (the artifact store's trace digest), so the disk read,
-// checksum pass, and varint decode are paid once per resident trace, not
-// once per request. LRU-bounded like exec::CodeImage::getShared; evicted
-// traces stay alive while a consumer holds the shared_ptr.
-
-struct TraceCacheStats {
-  std::uint64_t Hits = 0;
-  std::uint64_t Misses = 0;
-  std::uint64_t Evictions = 0;
-  std::uint64_t Entries = 0;
-  std::uint64_t Capacity = 0;
-};
-
-/// Decoded traces are an order of magnitude heavier than code images
-/// (millions of events), so the default residency bound is much tighter.
-constexpr std::size_t DefaultTraceCacheCapacity = 16;
-
-/// Returns the memoized decode of the trace at \p Path, keyed by \p Key
-/// (NOT by path — the artifact store addresses content, and a re-recorded
-/// byte-identical trace must hit). Builds (and validates) on first use;
-/// throws Error on corruption without caching the failure. Thread-safe.
-std::shared_ptr<const CachedTrace> getSharedTrace(const std::string &Path,
-                                                  std::uint64_t Key);
-TraceCacheStats traceCacheStats();
-/// Rebounds the LRU (minimum 1); returns the previous capacity.
-std::size_t setTraceCacheCapacity(std::size_t Capacity);
-/// Drops every memoized trace and resets stats/capacity (test isolation).
-void clearTraceCache();
 
 inline ReplayOutcome selectFromTrace(const CachedTrace &T) {
   ReplayConfig Cfg;

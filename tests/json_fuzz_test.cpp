@@ -1,17 +1,15 @@
 //===- tests/json_fuzz_test.cpp - Json::parse robustness fuzzing -----------==//
 //
-// The serve daemon feeds Json::parse bytes straight off untrusted sockets,
-// so the parser must reject every malformed input with a typed error —
-// never crash, hang, or recurse to stack overflow. This suite fuzzes the
-// classic protocol attack surfaces deterministically (fixed xorshift
-// seeds): truncation at every byte offset, single- and double-bit flips,
-// random garbage, container depth bombs, and length-prefixed frame
-// decoding over adversarial buffers. Run it under the JRPM_SANITIZE
+// The tools feed Json::parse whole files named on their command line
+// (metrics documents, corpus repros), so the parser must reject every
+// malformed input with a typed error — never crash, hang, or recurse to
+// stack overflow. This suite fuzzes it deterministically (fixed xorshift
+// seeds): truncation at every byte offset, single-bit flips, random
+// garbage, and container depth bombs. Run it under the JRPM_SANITIZE
 // (ASan+UBSan) preset to turn latent memory errors into failures.
 //
 //===----------------------------------------------------------------------===//
 
-#include "serve/Protocol.h"
 #include "support/Json.h"
 
 #include <cstdint>
@@ -147,62 +145,6 @@ TEST(JsonFuzz, DepthBombIsRejectedNotOverflowed) {
   ObjBomb.append(Json::MaxParseDepth + 1, '}');
   EXPECT_FALSE(Json::parse(ObjBomb, Out, &Err));
   EXPECT_NE(Err.find("nesting"), std::string::npos) << Err;
-}
-
-//===----------------------------------------------------------------------===//
-// Protocol frames over adversarial buffers
-//===----------------------------------------------------------------------===//
-
-TEST(JsonFuzz, FrameDecodeNeverReadsPastBuffer) {
-  Rng R(0xabcdef12);
-  for (int Round = 0; Round < 4000; ++Round) {
-    std::uint8_t Buf[64];
-    std::size_t Len = R.below(sizeof(Buf) + 1);
-    for (std::size_t I = 0; I < Len; ++I)
-      Buf[I] = static_cast<std::uint8_t>(R.next());
-
-    std::string Payload;
-    std::size_t Consumed = 0;
-    serve::FrameStatus S =
-        serve::decodeFrame(Buf, Len, Consumed, Payload, /*MaxBytes=*/48);
-    switch (S) {
-    case serve::FrameStatus::Ok:
-      EXPECT_LE(Consumed, Len);
-      EXPECT_EQ(Consumed, 4 + Payload.size());
-      break;
-    case serve::FrameStatus::NeedMore:
-    case serve::FrameStatus::Malformed:
-    case serve::FrameStatus::Oversize:
-      EXPECT_EQ(Consumed, 0u);
-      break;
-    }
-  }
-}
-
-TEST(JsonFuzz, FrameThenParsePipeline) {
-  // The daemon's actual input path: decode a frame, parse its payload.
-  // Feed it corrupted frames of a real request document.
-  Json Req = Json::object();
-  Req["kind"] = "sweep";
-  Json W = Json::array();
-  W.push("BitOps");
-  Req["workloads"] = W;
-  std::string Frame = serve::encodeFrame(Req.dump());
-
-  Rng R(0x0ddba11);
-  for (int Round = 0; Round < 2000; ++Round) {
-    std::string Mutated = Frame;
-    Mutated[R.below(static_cast<std::uint32_t>(Mutated.size()))] =
-        static_cast<char>(R.next());
-
-    std::string Payload;
-    std::size_t Consumed = 0;
-    serve::FrameStatus S = serve::decodeFrame(
-        reinterpret_cast<const std::uint8_t *>(Mutated.data()),
-        Mutated.size(), Consumed, Payload);
-    if (S == serve::FrameStatus::Ok)
-      parseSurvives(Payload);
-  }
 }
 
 } // namespace
