@@ -76,9 +76,7 @@ int main() {
       trace::CachedTrace Trace(Path);
       for (std::size_t Ci = 0; Ci < std::size(BankCounts); ++Ci) {
         std::uint32_t Banks = BankCounts[Ci];
-        trace::ReplayConfig Cfg;
-        Cfg.Hw = Trace.header().Hw;
-        Cfg.ExtendedPcBinning = Trace.header().ExtendedPcBinning;
+        trace::ReplayConfig Cfg = trace::recordedConfig(Trace.header());
         Cfg.Hw.ComparatorBanks = Banks;
         // Deep analysis relies on converged loops being disabled.
         Cfg.DisableLoopAfterThreads = Banks < 8 ? 2000 : 0;

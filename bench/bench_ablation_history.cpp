@@ -74,9 +74,7 @@ int main() {
       trace::CachedTrace Trace(Path);
       for (std::size_t Di = 0; Di < std::size(Depths); ++Di) {
         std::uint32_t Depth = Depths[Di];
-        trace::ReplayConfig Cfg;
-        Cfg.Hw = Trace.header().Hw;
-        Cfg.ExtendedPcBinning = Trace.header().ExtendedPcBinning;
+        trace::ReplayConfig Cfg = trace::recordedConfig(Trace.header());
         Cfg.Hw.HeapTimestampFifoLines = Depth;
         trace::ReplayOutcome R = trace::selectFromTrace(Trace, Cfg);
         std::uint64_t ArcsPrev = 0, ArcsEarlier = 0;

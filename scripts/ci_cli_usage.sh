@@ -60,10 +60,14 @@ expect_usage "run: bad subcommand"    "${RUN_BIN}" frobnicate
 expect_usage "run: list with junk"    "${RUN_BIN}" list extra
 expect_usage "run: missing workload"  "${RUN_BIN}" run
 expect_usage "run: unknown option"    "${RUN_BIN}" run BitOps --bogus
-expect_usage "run: missing value"     "${RUN_BIN}" run BitOps --banks
+expect_usage "run: missing value"     "${RUN_BIN}" run BitOps --config
+expect_usage "run: non-numeric knob"  "${RUN_BIN}" run BitOps --config banks=eight
+expect_usage "run: unknown knob"      "${RUN_BIN}" run BitOps --config warp-drive=1
+expect_usage "run: bad table geometry" "${RUN_BIN}" run BitOps --config assoc=0
+expect_usage "run: removed knob flag" "${RUN_BIN}" run BitOps --banks 2
 expect_usage "run: removed batch knob" "${RUN_BIN}" run BitOps --trace-batch=4
 expect_usage "run: dump-ir with junk" "${RUN_BIN}" dump-ir BitOps extra
-expect_usage "run: trace bad option"  "${RUN_BIN}" trace BitOps --nope
+expect_usage "run: removed trace cmd" "${RUN_BIN}" trace BitOps
 
 # jrpm-trace
 expect_usage "trace: no args"         "${TRACE_BIN}"
@@ -74,6 +78,9 @@ expect_usage "trace: info with junk"  "${TRACE_BIN}" info a.jtrace extra
 expect_usage "trace: diff one path"   "${TRACE_BIN}" diff a.jtrace
 expect_usage "trace: diff with junk"  "${TRACE_BIN}" diff a b c
 expect_usage "trace: unknown option"  "${TRACE_BIN}" record BitOps --bogus
+expect_usage "trace: replay no --base" "${TRACE_BIN}" replay x.jtrace --base
+expect_usage "trace: replay prefilter" "${TRACE_BIN}" replay x.jtrace --config prefilter=1
+expect_usage "trace: dump no --config" "${TRACE_BIN}" dump x.jtrace --config banks=2
 
 # jrpm-sweep
 expect_usage "sweep: no args"         "${SWEEP_BIN}"
@@ -81,6 +88,7 @@ expect_usage "sweep: bad subcommand"  "${SWEEP_BIN}" launch
 expect_usage "sweep: unknown option"  "${SWEEP_BIN}" run --bogus
 expect_usage "sweep: missing value"   "${SWEEP_BIN}" run --workloads
 expect_usage "sweep: bad level"       "${SWEEP_BIN}" run --levels sideways
+expect_usage "sweep: knob overflow"   "${SWEEP_BIN}" plan --config banks=99999999999999999999
 
 # jrpm-lint
 expect_usage "lint: no args"          "${LINT_BIN}"

@@ -4,7 +4,9 @@
 # Records .jtrace captures for three small workloads twice each and runs
 # `jrpm-trace diff` between the two recordings: any nondeterminism in the
 # interpreter, the annotator, or the trace encoder fails the check. Also
-# exercises `jrpm-trace info` and a capture-config replay on every trace.
+# exercises `jrpm-trace info` and a capture-config replay on every trace,
+# and requires `replay --config banks=8,history=192` (the recorded values)
+# to print the same selection as the plain replay.
 #
 # Usage:
 #   scripts/ci_trace_golden.sh                  # configure+build, then check
@@ -44,7 +46,18 @@ for W in "${WORKLOADS[@]}"; do
     STATUS=1
   fi
   "${BIN}" info "${TMP}/${W}.a.jtrace" > /dev/null
-  "${BIN}" replay "${TMP}/${W}.a.jtrace" > /dev/null
+  "${BIN}" replay "${TMP}/${W}.a.jtrace" > "${TMP}/${W}.replay"
+  # The recorded banks/history values, applied through the knob table,
+  # must leave the replay unchanged.
+  "${BIN}" replay "${TMP}/${W}.a.jtrace" --config banks=8,history=192 \
+    > "${TMP}/${W}.replay-config"
+  if cmp -s "${TMP}/${W}.replay" "${TMP}/${W}.replay-config"; then
+    echo "golden-trace: ${W} --config replay identical"
+  else
+    echo "golden-trace: ${W} --config replay DIVERGES" >&2
+    diff "${TMP}/${W}.replay" "${TMP}/${W}.replay-config" >&2 || true
+    STATUS=1
+  fi
 done
 
 exit "${STATUS}"

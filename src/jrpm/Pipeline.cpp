@@ -102,9 +102,7 @@ Jrpm::profileAndSelect(const std::vector<std::uint64_t> &Args) {
     trace::TraceHeader H;
     H.WorkloadName = Cfg.WorkloadName;
     H.AnnotationLevel = Cfg.Level == jit::AnnotationLevel::Base ? 0 : 1;
-    H.ExtendedPcBinning = Cfg.ExtendedPcBinning;
-    H.DisableLoopAfterThreads = Cfg.DisableLoopAfterThreads;
-    H.Hw = Cfg.Hw;
+    trace::copyTracerConfig(Cfg, H);
     H.LoopLocals.reserve(Annotated->LoopInfos.size());
     for (const tracer::LoopTraceInfo &Info : Annotated->LoopInfos)
       H.LoopLocals.push_back(Info.AnnotatedLocals);
@@ -162,9 +160,7 @@ Jrpm::ProfileOutcome pipeline::selectFromTrace(const std::string &Path,
                                                const PipelineConfig &Cfg) {
   trace::Reader R(Path);
   trace::ReplayConfig RC;
-  RC.Hw = Cfg.Hw;
-  RC.ExtendedPcBinning = Cfg.ExtendedPcBinning;
-  RC.DisableLoopAfterThreads = Cfg.DisableLoopAfterThreads;
+  trace::copyTracerConfig(Cfg, RC);
   RC.Metrics = Cfg.Metrics;
   trace::ReplayOutcome Replayed = trace::selectFromTrace(R, RC);
 

@@ -97,6 +97,19 @@ struct HydraConfig {
   CostModel Costs;
 };
 
+/// True when both overflow-analysis timestamp tables can be built: at
+/// least one way, and each table a non-zero whole number of sets.
+/// tracer::CacheLineTimestampTable divides by the associativity, so a
+/// config failing this must be rejected before an engine is constructed.
+inline bool hasValidOverflowTables(const HydraConfig &Hw) {
+  auto Fits = [&](std::uint32_t Entries) {
+    return Entries >= Hw.OverflowTableAssoc &&
+           Entries % Hw.OverflowTableAssoc == 0;
+  };
+  return Hw.OverflowTableAssoc >= 1 && Fits(Hw.LoadTimestampEntries) &&
+         Fits(Hw.StoreTimestampEntries);
+}
+
 } // namespace sim
 } // namespace jrpm
 

@@ -2,6 +2,7 @@
 
 #include "sweep/SweepPlan.h"
 
+#include "support/Format.h"
 #include "workloads/Workload.h"
 
 #include <algorithm>
@@ -119,11 +120,25 @@ bool ConfigPoint::apply(pipeline::PipelineConfig &Cfg,
     }
     K->Set(Cfg, Value);
   }
+  if (!sim::hasValidOverflowTables(Cfg.Hw)) {
+    if (Err)
+      *Err = formatString("assoc=%u must be >= 1 and divide the %u/%u-entry "
+                          "load/store timestamp tables",
+                          Cfg.Hw.OverflowTableAssoc,
+                          Cfg.Hw.LoadTimestampEntries,
+                          Cfg.Hw.StoreTimestampEntries);
+    return false;
+  }
   return true;
 }
 
 bool sweep::parseConfigPoint(const std::string &Spec, ConfigPoint &Out,
                              std::string *Err) {
+  auto Fail = [&](std::string Msg) {
+    if (Err)
+      *Err = std::move(Msg);
+    return false;
+  };
   Out.Knobs.clear();
   if (Spec.empty() || Spec == "default")
     return true;
@@ -134,20 +149,23 @@ bool sweep::parseConfigPoint(const std::string &Spec, ConfigPoint &Out,
       Comma = Spec.size();
     std::string Item = Spec.substr(Pos, Comma - Pos);
     std::size_t Eq = Item.find('=');
-    if (Eq == std::string::npos || Eq == 0 || Eq + 1 == Item.size()) {
-      if (Err)
-        *Err = "malformed knob '" + Item + "' (expected key=value)";
-      return false;
-    }
+    if (Eq == std::string::npos || Eq == 0 || Eq + 1 == Item.size())
+      return Fail("malformed knob '" + Item + "' (expected key=value)");
     std::string Key = Item.substr(0, Eq);
     std::string ValStr = Item.substr(Eq + 1);
-    if (ValStr.find_first_not_of("0123456789") != std::string::npos) {
-      if (Err)
-        *Err = "non-numeric value in knob '" + Item + "'";
-      return false;
+    if (ValStr.find_first_not_of("0123456789") != std::string::npos)
+      return Fail("non-numeric value in knob '" + Item + "'");
+    std::uint64_t Value = 0;
+    for (char C : ValStr) {
+      Value = Value * 10 + static_cast<std::uint64_t>(C - '0');
+      if (Value > UINT32_MAX)
+        return Fail("value out of range in knob '" + Item + "' (max " +
+                    std::to_string(UINT32_MAX) + ")");
     }
-    Out.Knobs.emplace_back(
-        Key, static_cast<std::uint32_t>(std::stoul(ValStr)));
+    for (const auto &Prev : Out.Knobs)
+      if (Prev.first == Key)
+        return Fail("duplicate knob '" + Key + "'");
+    Out.Knobs.emplace_back(Key, static_cast<std::uint32_t>(Value));
     Pos = Comma + 1;
   }
   return true;

@@ -31,13 +31,16 @@ struct ConfigPoint {
 
   std::string name() const;
   /// Applies every knob to \p Cfg. Returns false (and sets *Err) on an
-  /// unknown knob name.
+  /// unknown knob name or when the result fails
+  /// sim::hasValidOverflowTables.
   bool apply(pipeline::PipelineConfig &Cfg, std::string *Err = nullptr) const;
 };
 
 /// Parses "key=value[,key=value...]" (or "default" / "" for the empty
-/// point). Returns false and sets *Err on malformed input; unknown keys are
-/// caught later by apply() so plans can be listed before being validated.
+/// point). Returns false and sets *Err on malformed input: a missing key or
+/// value, a value that is not a decimal number up to UINT32_MAX, or a key
+/// given twice. Unknown keys are caught later by apply() so plans can be
+/// listed before being validated.
 bool parseConfigPoint(const std::string &Spec, ConfigPoint &Out,
                       std::string *Err);
 

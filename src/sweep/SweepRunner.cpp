@@ -114,10 +114,8 @@ void runConformanceJob(const workloads::Workload &W, const SweepJob &Job,
   // the live selection bit-for-bit under the capture configuration.
   trace::CachedTrace Trace(TracePath);
   std::remove(TracePath.c_str());
-  trace::ReplayConfig RC;
-  RC.Hw = Job.Cfg.Hw;
-  RC.ExtendedPcBinning = Job.Cfg.ExtendedPcBinning;
-  RC.DisableLoopAfterThreads = Job.Cfg.DisableLoopAfterThreads;
+  trace::ReplayConfig RC; // Metrics unset: tracer.* is exported live only
+  trace::copyTracerConfig(Job.Cfg, RC);
   trace::ReplayOutcome Replayed = trace::selectFromTrace(Trace, RC);
   R.ReplayDigest = tracer::selectionDigest(Replayed.Selection);
   if (R.ReplayDigest != R.SelectionDigest)

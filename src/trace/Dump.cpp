@@ -56,3 +56,35 @@ std::uint64_t trace::dumpTrace(Reader &R, std::FILE *Out,
   }
   return N;
 }
+
+void trace::printInfo(Reader &R, std::FILE *Out) {
+  const TraceHeader &H = R.header();
+  const TraceFooter &F = R.footer();
+  auto Count = [](std::uint64_t N) {
+    return withCommas(static_cast<std::int64_t>(N));
+  };
+  std::fprintf(Out, "trace        : %s\n", R.path().c_str());
+  std::fprintf(Out, "workload     : %s\n",
+               H.WorkloadName.empty() ? "(unnamed)" : H.WorkloadName.c_str());
+  std::fprintf(Out, "annotations  : %s\n",
+               H.AnnotationLevel == 0 ? "base" : "optimized");
+  std::fprintf(Out, "pc binning   : %s\n",
+               H.ExtendedPcBinning ? "extended" : "off");
+  std::fprintf(Out, "loops        : %zu\n", H.LoopLocals.size());
+  std::fprintf(Out, "hw           : %u banks, %u history lines, %s grain%s\n",
+               H.Hw.ComparatorBanks, H.Hw.HeapTimestampFifoLines,
+               H.Hw.ViolationGrain == sim::ViolationGranularity::Word
+                   ? "word"
+                   : "line",
+               H.Hw.SyncCarriedLocals ? ", synced locals" : "");
+  std::fprintf(Out, "events       : %s\n", Count(F.TotalEvents).c_str());
+  for (std::uint32_t K = 0; K < NumEventKinds; ++K)
+    if (F.EventCounts[K])
+      std::fprintf(Out, "  %-5s      : %s\n",
+                   eventKindName(static_cast<EventKind>(K)),
+                   Count(F.EventCounts[K]).c_str());
+  std::fprintf(Out, "last cycle   : %s\n", Count(F.LastCycle).c_str());
+  std::fprintf(Out, "run cycles   : %s (checksum %llu)\n",
+               Count(F.Run.Cycles).c_str(),
+               static_cast<unsigned long long>(F.Run.ReturnValue));
+}

@@ -1,8 +1,9 @@
 //===- trace/Dump.h - The one human-readable event formatter ---------------==//
 //
-// Every tool that pretty-prints trace events (`jrpm-run trace`,
-// `jrpm-trace dump`, `jrpm-trace diff`) goes through formatEvent(), so the
-// textual form of the event stream has exactly one implementation.
+// Every tool that pretty-prints trace events (`jrpm-trace dump`,
+// `jrpm-trace diff`) goes through formatEvent(), so the textual form of the
+// event stream has exactly one implementation. printInfo() is the
+// `jrpm-trace info` summary of a trace's header and footer.
 //
 //===----------------------------------------------------------------------===//
 
@@ -23,6 +24,9 @@ std::string formatEvent(const Event &E);
 /// Pretty-prints up to \p MaxEvents events from \p R to \p Out. Returns
 /// the number of events printed. Throws Error on corruption.
 std::uint64_t dumpTrace(Reader &R, std::FILE *Out, std::uint64_t MaxEvents);
+
+/// Prints the header and footer of \p R (O(1): no event decoding).
+void printInfo(Reader &R, std::FILE *Out);
 
 } // namespace trace
 } // namespace jrpm

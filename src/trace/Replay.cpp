@@ -5,14 +5,6 @@
 using namespace jrpm;
 using namespace jrpm::trace;
 
-ReplayConfig trace::recordedConfig(const Reader &R) {
-  ReplayConfig Cfg;
-  Cfg.Hw = R.header().Hw;
-  Cfg.ExtendedPcBinning = R.header().ExtendedPcBinning;
-  Cfg.DisableLoopAfterThreads = R.header().DisableLoopAfterThreads;
-  return Cfg;
-}
-
 namespace {
 
 /// Builds the engine's loop tables for \p Header. (The engine copies its

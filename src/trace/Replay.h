@@ -44,8 +44,23 @@ struct ReplayOutcome {
   std::uint64_t EventsReplayed = 0;
 };
 
-/// The replay config a trace was captured under.
-ReplayConfig recordedConfig(const Reader &R);
+/// Copies the tracer-side fields (Hw, ExtendedPcBinning,
+/// DisableLoopAfterThreads) between any two of TraceHeader, ReplayConfig
+/// and pipeline::PipelineConfig, which spell them alike. Nothing else is
+/// copied: callers decide where a replay exports its metrics.
+template <typename From, typename To>
+void copyTracerConfig(const From &F, To &T) {
+  T.Hw = F.Hw;
+  T.ExtendedPcBinning = F.ExtendedPcBinning;
+  T.DisableLoopAfterThreads = F.DisableLoopAfterThreads;
+}
+
+/// The replay config a trace with header \p H was captured under.
+inline ReplayConfig recordedConfig(const TraceHeader &H) {
+  ReplayConfig Cfg;
+  copyTracerConfig(H, Cfg);
+  return Cfg;
+}
 
 /// Replays \p R into a fresh TraceEngine under \p Cfg and runs STL
 /// selection against the recorded program cycles. Throws Error on any
@@ -55,7 +70,7 @@ ReplayOutcome selectFromTrace(Reader &R, const ReplayConfig &Cfg);
 /// Replay under the exact capture-time configuration: bit-identical to the
 /// live profiled run's selection.
 inline ReplayOutcome selectFromTrace(Reader &R) {
-  return selectFromTrace(R, recordedConfig(R));
+  return selectFromTrace(R, recordedConfig(R.header()));
 }
 
 /// A fully decoded in-memory trace for sweep-style consumers: pays the
@@ -88,11 +103,7 @@ private:
 ReplayOutcome selectFromTrace(const CachedTrace &T, const ReplayConfig &Cfg);
 
 inline ReplayOutcome selectFromTrace(const CachedTrace &T) {
-  ReplayConfig Cfg;
-  Cfg.Hw = T.header().Hw;
-  Cfg.ExtendedPcBinning = T.header().ExtendedPcBinning;
-  Cfg.DisableLoopAfterThreads = T.header().DisableLoopAfterThreads;
-  return selectFromTrace(T, Cfg);
+  return selectFromTrace(T, recordedConfig(T.header()));
 }
 
 } // namespace trace

@@ -104,6 +104,11 @@ sim::HydraConfig parseHw(const std::uint8_t *&P, const std::uint8_t *End) {
   Hw.Costs.FloatDiv = U32();
   Hw.Costs.FloatSqrt = U32();
   Hw.Costs.CallOverhead = U32();
+  if (!sim::hasValidOverflowTables(Hw))
+    throw Error(ErrorKind::BadRecord,
+                "overflow table associativity " +
+                    std::to_string(Hw.OverflowTableAssoc) +
+                    " does not fit the timestamp tables");
   return Hw;
 }
 

@@ -110,6 +110,14 @@ TEST(SweepPlanTest, ConfigPointRejectsMalformedSpecs) {
   EXPECT_FALSE(parseConfigPoint("banks=", P, &Err));
   EXPECT_FALSE(parseConfigPoint("banks=eight", P, &Err));
   EXPECT_FALSE(parseConfigPoint("=2", P, &Err));
+  // Values beyond UINT32_MAX are rejected, not thrown or truncated.
+  EXPECT_FALSE(parseConfigPoint("banks=99999999999999999999", P, &Err));
+  EXPECT_NE(Err.find("out of range"), std::string::npos);
+  EXPECT_FALSE(parseConfigPoint("banks=4294967298", P, &Err));
+  EXPECT_TRUE(parseConfigPoint("banks=4294967295", P, &Err)) << Err;
+  // A repeated key would make the canonical name ambiguous.
+  EXPECT_FALSE(parseConfigPoint("banks=4,banks=2", P, &Err));
+  EXPECT_NE(Err.find("duplicate"), std::string::npos);
 }
 
 TEST(SweepPlanTest, ConfigPointAppliesKnobs) {
@@ -140,6 +148,16 @@ TEST(SweepPlanTest, UnknownKnobFailsExpansion) {
   std::string Err;
   EXPECT_FALSE(Plan.expand(Jobs, &Err));
   EXPECT_NE(Err.find("warp-drive"), std::string::npos);
+
+  // An overflow-table geometry the tracer cannot build fails expansion
+  // instead of killing the process when the job constructs its engine.
+  for (const char *Spec : {"assoc=0", "assoc=3"}) {
+    ConfigPoint Bad;
+    ASSERT_TRUE(parseConfigPoint(Spec, Bad, &Err)) << Err;
+    Plan.Configs = {Bad};
+    EXPECT_FALSE(Plan.expand(Jobs, &Err)) << Spec;
+    EXPECT_NE(Err.find("assoc="), std::string::npos) << Err;
+  }
 }
 
 TEST(SweepPlanTest, CartesianExpansionOrderAndIndices) {

@@ -10,6 +10,7 @@
 #include "jrpm/Pipeline.h"
 #include "support/Prng.h"
 #include "trace/Replay.h"
+#include "trace/Writer.h"
 #include "workloads/Workload.h"
 
 #include <gtest/gtest.h>
@@ -277,5 +278,21 @@ TEST_F(TraceFuzz, ErrorsCarryKindAndMessage) {
     EXPECT_EQ(E.kind(), trace::ErrorKind::Io);
     EXPECT_NE(std::string(E.what()).find("no.jtrace"), std::string::npos);
   }
+  std::remove(Mutant.c_str());
+}
+
+TEST_F(TraceFuzz, ImpossibleOverflowGeometryIsBadRecord) {
+  // A well-formed file whose header asks for a zero-way overflow table:
+  // the decoder must reject it before any engine divides by the ways.
+  std::string Mutant = tmpPath("assoc0");
+  {
+    trace::TraceHeader H;
+    H.Hw.OverflowTableAssoc = 0;
+    trace::Writer W(Mutant, H);
+    W.finish(trace::RunInfo{});
+  }
+  std::optional<trace::ErrorKind> Err = strictRead(Mutant);
+  ASSERT_TRUE(Err.has_value());
+  EXPECT_EQ(*Err, trace::ErrorKind::BadRecord);
   std::remove(Mutant.c_str());
 }

@@ -169,7 +169,7 @@ TEST(TraceReplay, ConfigOverrideReplaysUnderNewHardware) {
 
   // One trace, several analysis configurations.
   trace::Reader R1(Tmp.path());
-  trace::ReplayConfig Narrow = trace::recordedConfig(R1);
+  trace::ReplayConfig Narrow = trace::recordedConfig(R1.header());
   Narrow.Hw.ComparatorBanks = 1;
   trace::ReplayOutcome NarrowOut = trace::selectFromTrace(R1, Narrow);
 

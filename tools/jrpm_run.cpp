@@ -11,18 +11,14 @@
 //       estimates, PC-binned dependency sites, and TLS engine counters.
 //   jrpm-run dump-ir <workload>
 //       Print the lowered IR of the workload.
-//   jrpm-run trace <workload> [--events <n>]
-//       Record the annotated run to a temporary .jtrace and pretty-print
-//       the first n events (default 40). Thin wrapper over the trace
-//       subsystem — `jrpm-trace` is the full record/replay tool.
 //
 // Options:
-//   --base             use base (unoptimized) annotations
-//   --sync             synchronize globalized loop locals (Section 3.2)
-//   --line-grain       per-line violation detection instead of per-word
-//   --banks <n>        number of comparator banks (default 8)
-//   --history <n>      heap store-timestamp FIFO lines (default 192)
-//   --disable-after <n> stop tracing a loop after n threads (default off)
+//   --base               use base (unoptimized) annotations
+//   --config k=v[,k=v]   set jrpm-sweep's knobs (repeatable), e.g.
+//                        --config banks=2,history=48, on top of the
+//                        jrpm-run default of extended PC binning
+//   --metrics <file>     write the instrumentation registry (JSON)
+//   --timeline <file>    write a Chrome trace_event timeline (JSON)
 //
 //===----------------------------------------------------------------------===//
 
@@ -32,19 +28,16 @@
 #include "support/AtomicFile.h"
 #include "support/Format.h"
 #include "support/Table.h"
-#include "trace/Dump.h"
+#include "sweep/SweepPlan.h"
 #include "workloads/Workload.h"
 
 #include "analysis/Candidates.h"
 #include "jit/Annotator.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
-
-#include <unistd.h>
 
 using namespace jrpm;
 
@@ -56,10 +49,12 @@ int usage() {
                "       jrpm-run run <workload> [options]\n"
                "       jrpm-run report <workload> [options]\n"
                "       jrpm-run dump-ir <workload>\n"
-               "       jrpm-run trace <workload> [--events <n>]\n"
-               "options: --base --sync --line-grain --banks <n> "
-               "--history <n> --disable-after <n>\n"
-               "         --metrics <file.json> --timeline <file.json>\n");
+               "options: --base --config k=v[,k=v] (repeatable)\n"
+               "         --metrics <file.json> --timeline <file.json>\n"
+               "knobs:");
+  for (const std::string &K : sweep::knownKnobs())
+    std::fprintf(stderr, " %s", K.c_str());
+  std::fprintf(stderr, "\n");
   return 2;
 }
 
@@ -82,16 +77,9 @@ struct Options {
 Options parseOptions(int Argc, char **Argv, int First) {
   Options O;
   O.Cfg.ExtendedPcBinning = true;
+  std::string Spec; // every --config value, joined by commas
   for (int I = First; I < Argc; ++I) {
     std::string A = Argv[I];
-    auto NextInt = [&](std::uint32_t &Out) {
-      if (I + 1 >= Argc) {
-        std::fprintf(stderr, "missing value for %s\n", A.c_str());
-        O.Ok = false;
-        return;
-      }
-      Out = static_cast<std::uint32_t>(std::atoi(Argv[++I]));
-    };
     auto NextStr = [&](std::string &Out) {
       if (I + 1 >= Argc) {
         std::fprintf(stderr, "missing value for %s\n", A.c_str());
@@ -102,18 +90,10 @@ Options parseOptions(int Argc, char **Argv, int First) {
     };
     if (A == "--base")
       O.Cfg.Level = jit::AnnotationLevel::Base;
-    else if (A == "--sync")
-      O.Cfg.Hw.SyncCarriedLocals = true;
-    else if (A == "--line-grain")
-      O.Cfg.Hw.ViolationGrain = sim::ViolationGranularity::Line;
-    else if (A == "--banks")
-      NextInt(O.Cfg.Hw.ComparatorBanks);
-    else if (A == "--history")
-      NextInt(O.Cfg.Hw.HeapTimestampFifoLines);
-    else if (A == "--disable-after") {
-      std::uint32_t N = 0;
-      NextInt(N);
-      O.Cfg.DisableLoopAfterThreads = N;
+    else if (A == "--config") {
+      std::string V;
+      NextStr(V);
+      Spec += (Spec.empty() ? "" : ",") + V;
     } else if (A == "--metrics")
       NextStr(O.MetricsPath);
     else if (A.rfind("--metrics=", 0) == 0)
@@ -126,6 +106,13 @@ Options parseOptions(int Argc, char **Argv, int First) {
       std::fprintf(stderr, "unknown option: %s\n", A.c_str());
       O.Ok = false;
     }
+  }
+  sweep::ConfigPoint Point;
+  std::string Err;
+  if (O.Ok && !(sweep::parseConfigPoint(Spec, Point, &Err) &&
+                Point.apply(O.Cfg, &Err))) {
+    std::fprintf(stderr, "jrpm-run: %s\n", Err.c_str());
+    O.Ok = false;
   }
   return O;
 }
@@ -219,7 +206,7 @@ int main(int Argc, char **Argv) {
       return usage();
     return listWorkloads();
   }
-  if (Cmd != "run" && Cmd != "report" && Cmd != "dump-ir" && Cmd != "trace")
+  if (Cmd != "run" && Cmd != "report" && Cmd != "dump-ir")
     return usage();
   if (Argc < 3)
     return usage();
@@ -237,47 +224,6 @@ int main(int Argc, char **Argv) {
     std::string Text = W->Build().dump();
     std::fputs(Text.c_str(), stdout);
     return 0;
-  }
-
-  if (Cmd == "trace") {
-    std::uint64_t Events = 40;
-    for (int I = 3; I < Argc; ++I) {
-      std::string A = Argv[I];
-      if (A == "--events") {
-        if (I + 1 >= Argc) {
-          std::fprintf(stderr, "missing value for --events\n");
-          return usage();
-        }
-        Events = static_cast<std::uint64_t>(std::atoll(Argv[++I]));
-      } else if (A.rfind("--events=", 0) == 0) {
-        Events = static_cast<std::uint64_t>(
-            std::atoll(A.c_str() + std::strlen("--events=")));
-      } else {
-        std::fprintf(stderr, "unknown option: %s\n", A.c_str());
-        return usage();
-      }
-    }
-    // Thin wrapper over the trace subsystem: record the annotated run to a
-    // temporary .jtrace, then pretty-print it with the one shared event
-    // formatter (trace::dumpTrace).
-    std::string TmpPath = "/tmp/jrpm-run-trace-" +
-                          std::to_string(static_cast<long>(getpid())) +
-                          ".jtrace";
-    pipeline::PipelineConfig Cfg;
-    Cfg.WorkloadName = W->Name;
-    Cfg.RecordTracePath = TmpPath;
-    int Ret = 0;
-    try {
-      pipeline::Jrpm J(W->Build(), Cfg);
-      J.profileAndSelect();
-      trace::Reader R(TmpPath);
-      trace::dumpTrace(R, stdout, Events);
-    } catch (const trace::Error &E) {
-      std::fprintf(stderr, "jrpm-run trace: %s\n", E.what());
-      Ret = 1;
-    }
-    std::remove(TmpPath.c_str());
-    return Ret;
   }
 
   Options O = parseOptions(Argc, Argv, 3);

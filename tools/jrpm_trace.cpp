@@ -1,116 +1,115 @@
 //===- tools/jrpm_trace.cpp - Record/inspect/replay .jtrace files ----------==//
 //
 // Usage:
-//   jrpm-trace record <workload> [-o <path>] [capture options]
+//   jrpm-trace record <workload> [-o <path>] [--base] [--config k=v[,k=v]]
 //       Run the annotated profiling interpretation once, streaming the
 //       event stream to disk, and print the capture summary.
 //   jrpm-trace info <path>
 //       Print the trace header and footer (O(1) — no event decoding).
 //   jrpm-trace dump <path> [--events <n>]
 //       Pretty-print the first n events (default 40).
-//   jrpm-trace replay <path> [analysis options]
+//   jrpm-trace replay <path> [--config k=v[,k=v]]
 //       Re-drive the TEST analysis from the trace (no interpretation) and
 //       print the resulting STL selection. Defaults to the capture-time
-//       configuration; any option overrides it, so one recorded trace
+//       configuration; --config overrides it, so one recorded trace
 //       feeds arbitrarily many analysis configurations.
 //   jrpm-trace diff <a> <b>
 //       Event-by-event comparison for golden-trace regression. Exit 1 and
 //       print the first divergence when the traces differ.
 //
-// Capture options: --base --sync --line-grain --banks <n> --history <n>
-//                  --disable-after <n>
-// Analysis options: --sync --line-grain --banks <n> --history <n>
-//                   --disable-after <n>
+// Options: -o and --base (record), --events (dump), and --config k=v[,k=v]
+// (record, replay; repeatable). --config sets the jrpm-sweep knobs on top of
+// the jrpm-run defaults (record) or the recorded configuration (replay);
+// replay rejects prefilter and oracle, which pick the candidate loops at
+// record time. A subcommand rejects every option it does not list.
 //
 //===----------------------------------------------------------------------===//
 
 #include "jrpm/Pipeline.h"
 #include "support/Format.h"
 #include "support/Table.h"
+#include "sweep/SweepPlan.h"
 #include "trace/Dump.h"
 #include "trace/Replay.h"
 #include "workloads/Workload.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
+#include <string_view>
 
 using namespace jrpm;
 
 namespace {
 
 int usage() {
-  std::fprintf(
-      stderr,
-      "usage: jrpm-trace record <workload> [-o <path>] [options]\n"
-      "       jrpm-trace info <path>\n"
-      "       jrpm-trace dump <path> [--events <n>]\n"
-      "       jrpm-trace replay <path> [options]\n"
-      "       jrpm-trace diff <a> <b>\n"
-      "options: --base --sync --line-grain --banks <n> --history <n> "
-      "--disable-after <n>\n");
+  std::fprintf(stderr,
+               "usage: jrpm-trace record <workload> [-o <path>] [--base] "
+               "[--config k=v[,k=v]]\n"
+               "       jrpm-trace info <path>\n"
+               "       jrpm-trace dump <path> [--events <n>]\n"
+               "       jrpm-trace replay <path> [--config k=v[,k=v]]\n"
+               "       jrpm-trace diff <a> <b>\n"
+               "knobs:");
+  for (const std::string &K : sweep::knownKnobs())
+    std::fprintf(stderr, " %s", K.c_str());
+  std::fprintf(stderr, " (replay: not prefilter, oracle)\n");
   return 2;
 }
 
-struct OptionOverrides {
+struct Options {
   bool Ok = true;
   bool Base = false;
-  bool Sync = false;
-  bool LineGrain = false;
-  std::uint32_t Banks = 0;
-  std::uint32_t History = 0;
-  std::uint64_t DisableAfter = 0;
-  bool HasDisableAfter = false;
   std::string OutPath;
   std::uint64_t Events = 40;
+  sweep::ConfigPoint Point; ///< every --config value, joined by commas
 };
 
-OptionOverrides parseOptions(int Argc, char **Argv, int First) {
-  OptionOverrides O;
-  for (int I = First; I < Argc; ++I) {
+/// Parses the options after `jrpm-trace <cmd> <operand>`; any option not
+/// in \p Allowed is rejected.
+Options parseOptions(int Argc, char **Argv,
+                     std::initializer_list<std::string_view> Allowed) {
+  Options O;
+  std::string Spec;
+  for (int I = 3; I < Argc && O.Ok; ++I) {
     std::string A = Argv[I];
-    auto Next = [&]() -> const char * {
+    auto Next = [&]() -> std::string {
       if (I + 1 >= Argc) {
+        std::fprintf(stderr, "missing value for %s\n", A.c_str());
         O.Ok = false;
-        return "0";
+        return "";
       }
       return Argv[++I];
     };
-    if (A == "--base")
-      O.Base = true;
-    else if (A == "--sync")
-      O.Sync = true;
-    else if (A == "--line-grain")
-      O.LineGrain = true;
-    else if (A == "--banks")
-      O.Banks = static_cast<std::uint32_t>(std::atoi(Next()));
-    else if (A == "--history")
-      O.History = static_cast<std::uint32_t>(std::atoi(Next()));
-    else if (A == "--disable-after") {
-      O.DisableAfter = static_cast<std::uint64_t>(std::atoll(Next()));
-      O.HasDisableAfter = true;
+    if (std::find(Allowed.begin(), Allowed.end(), A) == Allowed.end()) {
+      std::fprintf(stderr, "jrpm-trace %s: unsupported option %s\n",
+                   Argv[1], A.c_str());
+      O.Ok = false;
     } else if (A == "-o")
       O.OutPath = Next();
-    else if (A == "--events")
-      O.Events = static_cast<std::uint64_t>(std::atoll(Next()));
-    else {
-      std::fprintf(stderr, "unknown option: %s\n", A.c_str());
-      O.Ok = false;
-    }
+    else if (A == "--base")
+      O.Base = true;
+    else if (A == "--config")
+      Spec += (Spec.empty() ? "" : ",") + Next();
+    else
+      O.Events = static_cast<std::uint64_t>(std::atoll(Next().c_str()));
+  }
+  std::string Err;
+  if (O.Ok && !sweep::parseConfigPoint(Spec, O.Point, &Err)) {
+    std::fprintf(stderr, "jrpm-trace: %s\n", Err.c_str());
+    O.Ok = false;
   }
   return O;
 }
 
-void applyTracerOverrides(const OptionOverrides &O, sim::HydraConfig &Hw) {
-  if (O.Sync)
-    Hw.SyncCarriedLocals = true;
-  if (O.LineGrain)
-    Hw.ViolationGrain = sim::ViolationGranularity::Line;
-  if (O.Banks)
-    Hw.ComparatorBanks = O.Banks;
-  if (O.History)
-    Hw.HeapTimestampFifoLines = O.History;
+/// Applies \p O's knobs to \p Cfg; reports and returns false on failure.
+bool applyPoint(const Options &O, pipeline::PipelineConfig &Cfg) {
+  std::string Err;
+  if (O.Point.apply(Cfg, &Err))
+    return true;
+  std::fprintf(stderr, "jrpm-trace: %s\n", Err.c_str());
+  return false;
 }
 
 void printSelection(const tracer::SelectionResult &Selection) {
@@ -148,20 +147,19 @@ int cmdRecord(int Argc, char **Argv) {
                  Argv[2]);
     return 2;
   }
-  OptionOverrides O = parseOptions(Argc, Argv, 3);
+  Options O = parseOptions(Argc, Argv, {"-o", "--base", "--config"});
   if (!O.Ok)
     return usage();
 
   pipeline::PipelineConfig Cfg;
   Cfg.ExtendedPcBinning = true;
+  if (O.Base)
+    Cfg.Level = jit::AnnotationLevel::Base;
+  if (!applyPoint(O, Cfg))
+    return usage();
   Cfg.WorkloadName = W->Name;
   Cfg.RecordTracePath =
       O.OutPath.empty() ? W->Name + ".jtrace" : O.OutPath;
-  if (O.Base)
-    Cfg.Level = jit::AnnotationLevel::Base;
-  if (O.HasDisableAfter)
-    Cfg.DisableLoopAfterThreads = O.DisableAfter;
-  applyTracerOverrides(O, Cfg.Hw);
 
   pipeline::Jrpm J(W->Build(), Cfg);
   auto P = J.profileAndSelect();
@@ -180,41 +178,8 @@ int cmdRecord(int Argc, char **Argv) {
   return 0;
 }
 
-int cmdInfo(const std::string &Path) {
-  trace::Reader R(Path);
-  const trace::TraceHeader &H = R.header();
-  const trace::TraceFooter &F = R.footer();
-  std::printf("trace        : %s\n", Path.c_str());
-  std::printf("workload     : %s\n",
-              H.WorkloadName.empty() ? "(unnamed)" : H.WorkloadName.c_str());
-  std::printf("annotations  : %s\n",
-              H.AnnotationLevel == 0 ? "base" : "optimized");
-  std::printf("pc binning   : %s\n", H.ExtendedPcBinning ? "extended" : "off");
-  std::printf("loops        : %zu\n", H.LoopLocals.size());
-  std::printf("hw           : %u banks, %u history lines, %s grain%s\n",
-              H.Hw.ComparatorBanks, H.Hw.HeapTimestampFifoLines,
-              H.Hw.ViolationGrain == sim::ViolationGranularity::Word
-                  ? "word"
-                  : "line",
-              H.Hw.SyncCarriedLocals ? ", synced locals" : "");
-  std::printf("events       : %s\n",
-              withCommas(static_cast<std::int64_t>(F.TotalEvents)).c_str());
-  for (std::uint32_t K = 0; K < trace::NumEventKinds; ++K)
-    if (F.EventCounts[K])
-      std::printf("  %-5s      : %s\n",
-                  trace::eventKindName(static_cast<trace::EventKind>(K)),
-                  withCommas(static_cast<std::int64_t>(F.EventCounts[K]))
-                      .c_str());
-  std::printf("last cycle   : %s\n",
-              withCommas(static_cast<std::int64_t>(F.LastCycle)).c_str());
-  std::printf("run cycles   : %s (checksum %llu)\n",
-              withCommas(static_cast<std::int64_t>(F.Run.Cycles)).c_str(),
-              static_cast<unsigned long long>(F.Run.ReturnValue));
-  return 0;
-}
-
 int cmdDump(int Argc, char **Argv) {
-  OptionOverrides O = parseOptions(Argc, Argv, 3);
+  Options O = parseOptions(Argc, Argv, {"--events"});
   if (!O.Ok)
     return usage();
   trace::Reader R(Argv[2]);
@@ -223,16 +188,26 @@ int cmdDump(int Argc, char **Argv) {
 }
 
 int cmdReplay(int Argc, char **Argv) {
-  OptionOverrides O = parseOptions(Argc, Argv, 3);
+  Options O = parseOptions(Argc, Argv, {"--config"});
   if (!O.Ok)
     return usage();
+  for (const auto &Knob : O.Point.Knobs)
+    if (Knob.first == "prefilter" || Knob.first == "oracle") {
+      std::fprintf(stderr,
+                   "jrpm-trace replay: knob '%s' chooses the candidate loops "
+                   "at record time; pass it to `jrpm-trace record`\n",
+                   Knob.first.c_str());
+      return usage();
+    }
   trace::Reader R(Argv[2]);
-  trace::ReplayConfig Cfg = trace::recordedConfig(R);
-  applyTracerOverrides(O, Cfg.Hw);
-  if (O.HasDisableAfter)
-    Cfg.DisableLoopAfterThreads = O.DisableAfter;
+  pipeline::PipelineConfig Cfg;
+  trace::copyTracerConfig(R.header(), Cfg);
+  if (!applyPoint(O, Cfg))
+    return usage();
+  trace::ReplayConfig RC;
+  trace::copyTracerConfig(Cfg, RC);
 
-  trace::ReplayOutcome Out = trace::selectFromTrace(R, Cfg);
+  trace::ReplayOutcome Out = trace::selectFromTrace(R, RC);
   std::printf("replayed %s events of %s (%s)\n",
               withCommas(static_cast<std::int64_t>(Out.EventsReplayed))
                   .c_str(),
@@ -269,8 +244,11 @@ int main(int Argc, char **Argv) {
   try {
     if (Cmd == "record")
       return cmdRecord(Argc, Argv);
-    if (Cmd == "info" && Argc == 3)
-      return cmdInfo(Argv[2]);
+    if (Cmd == "info" && Argc == 3) {
+      trace::Reader R(Argv[2]);
+      trace::printInfo(R, stdout);
+      return 0;
+    }
     if (Cmd == "dump" && Argc >= 3)
       return cmdDump(Argc, Argv);
     if (Cmd == "replay" && Argc >= 3)
