@@ -7,20 +7,43 @@
 #include "support/Compiler.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
+#include <stdexcept>
 
 using namespace jrpm;
 using namespace jrpm::hydra;
 
+using RunStop = interp::ExecContext::RunStop;
+
+namespace {
+
+/// Longest private run-ahead, in cycles, before a core yields to the global
+/// event order. It bounds the host work a misspeculated thread spinning in
+/// registers burns before its squash arrives; simulated results do not
+/// depend on it.
+constexpr std::uint64_t RunAheadBound = 1024;
+
+/// Sentinel "no cycle" for the event loop.
+constexpr std::uint64_t Never = ~std::uint64_t(0);
+
+std::uint32_t coreBit(std::uint32_t Core) { return 1u << Core; }
+
+} // namespace
+
 TlsEngine::TlsEngine(const ir::Module &M, const sim::HydraConfig &Cfg,
                      std::vector<jit::TlsLoopPlan> Plans)
-    : Cfg(Cfg), EngineModule(M), EngineImage(EngineModule) {
+    : Cfg(Cfg), EngineModule(M), EngineImage(EngineModule),
+      WordTags(Cfg.NumCores) {
+  if (Cfg.NumCores == 0 || Cfg.NumCores > SpecTagTable::MaxCores)
+    throw std::invalid_argument("TlsEngine models 1 to 32 cores");
+  LoopAtPc.assign(EngineImage.numInsts(), 0);
   Loops.reserve(Plans.size());
   for (jit::TlsLoopPlan &Plan : Plans) {
+    LoopAtPc[EngineImage.blockStart(Plan.Func, Plan.Header)] =
+        static_cast<std::uint32_t>(Loops.size() + 1);
     PreparedLoop PL;
     PL.Plan = std::move(Plan);
-    HeaderPcIndex[EngineImage.blockStart(PL.Plan.Func, PL.Plan.Header)] =
-        static_cast<std::uint32_t>(Loops.size());
     Loops.push_back(std::move(PL));
   }
   Threads.resize(Cfg.NumCores);
@@ -162,23 +185,46 @@ void TlsEngine::prepareLoop(PreparedLoop &PL, interp::Machine &M) {
   // and previously prepared loops stay consistent.
   EngineImage = exec::CodeImage(EngineModule);
   PL.HeaderPcTls = EngineImage.blockStart(PL.TlsFunc, PL.Plan.Header);
+  const exec::FuncDesc &F = EngineImage.func(PL.TlsFunc);
+  exec::FlatPc Lo = ~exec::FlatPc(0), Hi = 0;
+  for (std::uint32_t B = 0; B < F.NumBlocks; ++B) {
+    const exec::BlockDesc &D = EngineImage.blockDesc(F.FirstBlock + B);
+    Lo = std::min(Lo, D.StartPc);
+    Hi = std::max(Hi, D.StartPc + D.NumInsts);
+  }
+  PL.Boundaries.Base = Lo;
+  PL.Boundaries.Flags.assign(Hi - Lo, 0);
+  for (std::uint32_t B = 0; B < F.NumBlocks; ++B)
+    if (B == PL.Plan.Header || !PL.Plan.containsBlock(B))
+      PL.Boundaries.Flags[EngineImage.blockStart(PL.TlsFunc, B) - Lo] = 1;
   PL.Ready = true;
 }
 
 bool TlsEngine::onBlockStart(interp::ExecContext &Ctx, interp::Machine &M) {
-  auto It = HeaderPcIndex.find(Ctx.pc());
-  if (It == HeaderPcIndex.end())
+  exec::FlatPc Pc = Ctx.pc();
+  std::uint32_t Loop = Pc < LoopAtPc.size() ? LoopAtPc[Pc] : 0;
+  if (!Loop)
     return false;
-  PreparedLoop &PL = Loops[It->second];
+  PreparedLoop &PL = Loops[Loop - 1];
   prepareLoop(PL, M);
   runLoop(PL, Ctx, M);
   return true;
 }
 
-std::uint32_t TlsEngine::violationKey(std::uint32_t Addr) const {
-  return Cfg.ViolationGrain == sim::ViolationGranularity::Word
-             ? Addr
-             : Addr / Cfg.WordsPerLine;
+std::uint32_t TlsEngine::coresBefore(std::uint64_t Iter) const {
+  std::uint32_t Mask = 0;
+  for (std::uint32_t C = 0; C < Threads.size(); ++C)
+    if (Threads[C].Active && Threads[C].Iter < Iter)
+      Mask |= coreBit(C);
+  return Mask;
+}
+
+std::uint32_t TlsEngine::coresAfter(std::uint64_t Iter) const {
+  std::uint32_t Mask = 0;
+  for (std::uint32_t C = 0; C < Threads.size(); ++C)
+    if (Threads[C].Active && Threads[C].Iter > Iter)
+      Mask |= coreBit(C);
+  return Mask;
 }
 
 void TlsEngine::fillSpawnRegs(std::vector<std::uint64_t> &Regs,
@@ -193,20 +239,17 @@ void TlsEngine::fillSpawnRegs(std::vector<std::uint64_t> &Regs,
   }
 }
 
-void TlsEngine::spawnThread(std::uint32_t Core, std::uint64_t Iter) {
+void TlsEngine::spawnThread(std::uint32_t Core, std::uint64_t Iter,
+                            std::uint64_t Penalty) {
   SpecThread &T = Threads[Core];
+  dropTags(Core, /*Stores=*/true);
   T.Active = true;
   T.State = SpecThread::St::Running;
   T.Iter = Iter;
-  T.StoreBuf.clear();
-  T.StoreLines.clear();
-  T.ReadSet.clear();
-  T.ReadLines.clear();
   ++CurStats->ThreadsStarted;
   T.StartAt = Cycle;
-  // Callers that charge a spawn penalty (restart, end-of-iteration) raise
-  // this together with ReadyAt right after the call.
-  T.SpawnOverheadUntil = Cycle;
+  T.ReadyAt = Cycle + Penalty;
+  T.SpawnOverheadUntil = T.ReadyAt;
   T.StallKind = SpecThread::Stall::None;
   T.BufStallAcc = 0;
   T.SyncStallAcc = 0;
@@ -222,6 +265,12 @@ void TlsEngine::spawnThread(std::uint32_t Core, std::uint64_t Iter) {
       T.Ctx->resetAtPc(Cur->HeaderPcTls, std::move(Regs));
   if (!Displaced.empty())
     RegPool.push_back(std::move(Displaced));
+  // A core whose turn at this cycle's shared events has already passed
+  // issues its first instruction next cycle at the earliest.
+  std::uint64_t From = T.ReadyAt;
+  if (From == Cycle && Core < CoresDoneAtCycle)
+    ++From;
+  runAhead(Core, From);
 }
 
 void TlsEngine::squashThread(std::uint32_t Core) {
@@ -230,17 +279,49 @@ void TlsEngine::squashThread(std::uint32_t Core) {
   if (TL && Core < CoreTracks.size())
     TL->instant(CoreTracks[Core], "violation", ClockBase + Cycle);
   resolveLifetime(Core, Outcome::Squash);
-  std::uint64_t Iter = T.Iter;
-  spawnThread(Core, Iter);
-  T.ReadyAt = Cycle + Cfg.ViolationRestartCycles + Cur->Plan.NumInvariants;
-  T.SpawnOverheadUntil = T.ReadyAt;
+  spawnThread(Core, T.Iter,
+              Cfg.ViolationRestartCycles + Cur->Plan.NumInvariants);
 }
 
-void TlsEngine::flushStoreBuffer(SpecThread &T) {
-  for (const auto &[Addr, Value] : T.StoreBuf)
-    CurHeap->store(Addr, Value);
-  T.StoreBuf.clear();
-  T.StoreLines.clear();
+void TlsEngine::resumeThread(std::uint32_t Core) {
+  SpecThread &T = Threads[Core];
+  closeStall(Core);
+  T.State = SpecThread::St::Running;
+  T.ReadyAt = std::max(T.ReadyAt, Cycle);
+  runAhead(Core, T.ReadyAt);
+}
+
+void TlsEngine::flushStores(std::uint32_t Core) {
+  SpecThread &T = Threads[Core];
+  for (std::uint32_t Addr : T.StoredWords) {
+    SpecTagTable::Entry &E = *WordTags.find(Addr);
+    CurHeap->store(Addr, WordTags.value(E, Core));
+    WordTags.clear(E, 0, coreBit(Core));
+  }
+  for (std::uint32_t Line : T.StoredLines)
+    LineTags.clear(Line, 0, coreBit(Core));
+  T.StoredWords.clear();
+  T.StoredLines.clear();
+}
+
+void TlsEngine::dropTags(std::uint32_t Core, bool Stores) {
+  SpecThread &T = Threads[Core];
+  std::uint32_t Me = coreBit(Core);
+  for (std::uint32_t Addr : T.ReadWords)
+    WordTags.clear(Addr, Me, 0);
+  for (std::uint32_t Line : T.ReadLines)
+    LineTags.clear(Line, Me, 0);
+  T.ReadWords.clear();
+  T.ReadLines.clear();
+  T.LastReadLine = NoLine;
+  if (!Stores)
+    return;
+  for (std::uint32_t Addr : T.StoredWords)
+    WordTags.clear(Addr, 0, Me);
+  for (std::uint32_t Line : T.StoredLines)
+    LineTags.clear(Line, 0, Me);
+  T.StoredWords.clear();
+  T.StoredLines.clear();
 }
 
 void TlsEngine::accumulateReductions(SpecThread &T) {
@@ -257,22 +338,25 @@ void TlsEngine::accumulateReductions(SpecThread &T) {
 }
 
 void TlsEngine::resumeSyncWaiters() {
+  if (!Cfg.SyncCarriedLocals)
+    return; // nothing ever waits
   for (std::uint32_t C = 0; C < Threads.size(); ++C) {
     SpecThread &T = Threads[C];
     if (!T.Active || T.State != SpecThread::St::WaitSync)
       continue;
-    SpecThread *Pred = nullptr;
-    for (SpecThread &U : Threads)
-      if (U.Active && U.Iter + 1 == T.Iter)
-        Pred = &U;
-    bool Ready = !Pred || Pred->State == SpecThread::St::IterDone ||
-                 Pred->State == SpecThread::St::Exited ||
-                 Pred->StoreBuf.count(T.SyncAddr);
-    if (Ready) {
-      closeStall(C);
-      T.State = SpecThread::St::Running;
-      T.ReadyAt = std::max(T.ReadyAt, Cycle);
+    bool Ready = true;
+    for (std::uint32_t P = 0; P < Threads.size(); ++P) {
+      const SpecThread &Pred = Threads[P];
+      if (!Pred.Active || Pred.Iter + 1 != T.Iter)
+        continue;
+      const SpecTagTable::Entry *Word = WordTags.find(T.SyncAddr);
+      Ready = Pred.State == SpecThread::St::IterDone ||
+              Pred.State == SpecThread::St::Exited ||
+              (Word && (Word->Written & coreBit(P)));
+      break;
     }
+    if (Ready)
+      resumeThread(C);
   }
 }
 
@@ -285,19 +369,16 @@ void TlsEngine::recomputeExitCap() {
 
 void TlsEngine::commitThread(std::uint32_t Core) {
   SpecThread &T = Threads[Core];
-  flushStoreBuffer(T);
+  flushStores(Core);
   accumulateReductions(T);
-  T.ReadSet.clear();
-  T.ReadLines.clear();
+  dropTags(Core, /*Stores=*/false);
   ++CurStats->CommittedThreads;
   resolveLifetime(Core, Outcome::Commit);
   ++HeadIter;
   // The core picks up the next iteration after the end-of-iteration
   // handling overhead.
   if (!ExitCap || NextIter < *ExitCap) {
-    spawnThread(Core, NextIter++);
-    T.ReadyAt = Cycle + Cfg.EndOfIterationCycles;
-    T.SpawnOverheadUntil = T.ReadyAt;
+    spawnThread(Core, NextIter++, Cfg.EndOfIterationCycles);
   } else {
     T.Active = false;
     T.State = SpecThread::St::Idle;
@@ -307,20 +388,23 @@ void TlsEngine::commitThread(std::uint32_t Core) {
 std::uint64_t TlsEngine::specLoad(std::uint32_t Core, std::uint32_t Addr,
                                   std::uint32_t &Extra) {
   SpecThread &T = Threads[Core];
+  std::uint32_t Me = coreBit(Core);
+  SpecTagTable::Entry *Word = WordTags.find(Addr);
+  std::uint32_t Writers = Word ? Word->Written : 0;
   // Own speculative store buffer first.
-  auto Own = T.StoreBuf.find(Addr);
-  if (Own != T.StoreBuf.end())
-    return Own->second;
+  if (Writers & Me)
+    return WordTags.value(*Word, Core);
 
   // Synchronized carried locals (Section 3.2): spin until the predecessor
   // thread has produced the value instead of speculating through it.
   if (Cfg.SyncCarriedLocals && T.Iter != HeadIter && Cur->isSpillAddr(Addr)) {
-    for (SpecThread &Pred : Threads) {
+    for (std::uint32_t P = 0; P < Threads.size(); ++P) {
+      const SpecThread &Pred = Threads[P];
       if (!Pred.Active || Pred.Iter + 1 != T.Iter)
         continue;
       bool Produced = Pred.State == SpecThread::St::IterDone ||
                       Pred.State == SpecThread::St::Exited ||
-                      Pred.StoreBuf.count(Addr);
+                      (Writers & coreBit(P));
       if (!Produced) {
         T.State = SpecThread::St::WaitSync;
         T.SyncAddr = Addr;
@@ -334,29 +418,42 @@ std::uint64_t TlsEngine::specLoad(std::uint32_t Core, std::uint32_t Addr,
   }
 
   // Forward from the nearest earlier uncommitted thread holding the word.
-  const SpecThread *Source = nullptr;
-  for (const SpecThread &U : Threads) {
-    if (!U.Active || &U == &T || U.Iter >= T.Iter)
-      continue;
-    if (!U.StoreBuf.count(Addr))
-      continue;
-    if (!Source || U.Iter > Source->Iter)
-      Source = &U;
-  }
-
   std::uint64_t Value;
-  if (Source) {
+  std::uint32_t Sources = Writers ? Writers & coresBefore(T.Iter) : 0;
+  if (Sources) {
+    std::uint32_t Nearest = std::countr_zero(Sources);
+    for (; Sources; Sources &= Sources - 1) {
+      std::uint32_t C = std::countr_zero(Sources);
+      if (Threads[C].Iter > Threads[Nearest].Iter)
+        Nearest = C;
+    }
     Extra += Cfg.StoreLoadCommCycles;
-    Value = Source->StoreBuf.at(Addr);
+    Value = WordTags.value(*Word, Nearest);
   } else {
     if (!T.L1->access(Addr))
       Extra += Cfg.L2HitExtraCycles;
     Value = CurHeap->load(Addr);
   }
 
-  // Track speculative read state for violation detection and overflow.
-  T.ReadSet.insert(violationKey(Addr));
-  T.ReadLines.insert(Addr / Cfg.WordsPerLine);
+  // Set the read bits: the word's under word-grain violation detection,
+  // the line's always (the SpecLoadLines budget, and the violation key
+  // under line grain).
+  if (Cfg.ViolationGrain == sim::ViolationGranularity::Word) {
+    SpecTagTable::Entry &E = Word ? *Word : WordTags.insert(Addr);
+    if (!(E.Read & Me)) {
+      E.Read |= Me;
+      T.ReadWords.push_back(Addr);
+    }
+  }
+  std::uint32_t Line = Addr / Cfg.WordsPerLine;
+  if (Line != T.LastReadLine) {
+    SpecTagTable::Entry &L = LineTags.insert(Line);
+    if (!(L.Read & Me)) {
+      L.Read |= Me;
+      T.ReadLines.push_back(Line);
+    }
+    T.LastReadLine = Line;
+  }
   if (T.ReadLines.size() > Cfg.SpecLoadLines && T.Iter != HeadIter) {
     T.State = SpecThread::St::WaitHead;
     ++CurStats->OverflowStalls;
@@ -369,12 +466,24 @@ void TlsEngine::specStore(std::uint32_t Core, std::uint32_t Addr,
                           std::uint64_t Value, std::uint32_t &Extra) {
   (void)Extra;
   SpecThread &T = Threads[Core];
-  T.StoreBuf[Addr] = Value;
-  T.StoreLines.insert(Addr / Cfg.WordsPerLine);
-  if (T.StoreLines.size() > Cfg.SpecStoreLines) {
+  std::uint32_t Me = coreBit(Core);
+  SpecTagTable::Entry &Word = WordTags.insert(Addr);
+  if (!(Word.Written & Me))
+    T.StoredWords.push_back(Addr);
+  WordTags.write(Word, Core) = Value;
+  std::uint32_t Readers = Word.Read;
+  std::uint32_t Line = Addr / Cfg.WordsPerLine;
+  SpecTagTable::Entry &L = LineTags.insert(Line);
+  if (!(L.Written & Me)) {
+    L.Written |= Me;
+    T.StoredLines.push_back(Line);
+  }
+  if (Cfg.ViolationGrain == sim::ViolationGranularity::Line)
+    Readers = L.Read;
+  if (T.StoredLines.size() > Cfg.SpecStoreLines) {
     if (T.Iter == HeadIter) {
       // The head thread can always drain its buffer safely.
-      flushStoreBuffer(T);
+      flushStores(Core);
     } else {
       T.State = SpecThread::St::WaitHead;
       ++CurStats->OverflowStalls;
@@ -383,24 +492,116 @@ void TlsEngine::specStore(std::uint32_t Core, std::uint32_t Addr,
   }
 
   // RAW violation detection: any later thread that already consumed this
-  // word restarts, together with everything more speculative than it.
-  std::uint32_t Key = violationKey(Addr);
-  std::optional<std::uint64_t> MinViolated;
-  for (const SpecThread &U : Threads) {
-    if (!U.Active || U.Iter <= T.Iter)
-      continue;
-    if (U.ReadSet.count(Key))
-      MinViolated = MinViolated ? std::min(*MinViolated, U.Iter) : U.Iter;
-  }
-  if (!MinViolated)
+  // word (line) restarts, together with everything more speculative.
+  Readers &= ~Me;
+  if (Readers)
+    Readers &= coresAfter(T.Iter);
+  if (!Readers)
     return;
+  std::uint64_t MinViolated = Never;
+  for (; Readers; Readers &= Readers - 1)
+    MinViolated =
+        std::min(MinViolated, Threads[std::countr_zero(Readers)].Iter);
   ++CurStats->Violations;
   bool HadExit = ExitCap.has_value();
   for (std::uint32_t C = 0; C < Threads.size(); ++C)
-    if (Threads[C].Active && Threads[C].Iter >= *MinViolated)
+    if (Threads[C].Active && Threads[C].Iter >= MinViolated)
       squashThread(C);
   if (HadExit)
     recomputeExitCap();
+}
+
+void TlsEngine::runAhead(std::uint32_t Core, std::uint64_t From) {
+  SpecThread &T = Threads[Core];
+  NextEvent[Core] =
+      From + T.Ctx->runAhead(RunAheadBound, Cur->Boundaries, T.Pending);
+}
+
+bool TlsEngine::runEvent(std::uint32_t Core) {
+  SpecThread &T = Threads[Core];
+  NextEvent[Core] = Never; // re-armed by runAhead while the thread runs
+  switch (T.Pending) {
+  case RunStop::Horizon:
+    runAhead(Core, Cycle);
+    return false;
+  case RunStop::Boundary: {
+    // The depth-1 branch issued this cycle and landed on the header (the
+    // iteration is done) or outside the loop (a speculative exit).
+    exec::FlatPc Pc = T.Ctx->pc();
+    if (Pc == Cur->HeaderPcTls) {
+      T.State = SpecThread::St::IterDone;
+    } else {
+      T.State = SpecThread::St::Exited;
+      T.ExitBlock = EngineImage.blockOf(Pc);
+      recomputeExitCap();
+    }
+    return true;
+  }
+  case RunStop::Shared:
+    break;
+  }
+  ir::Opcode Op = EngineImage.inst(T.Ctx->pc()).Op;
+  if ((Op == ir::Opcode::Div || Op == ir::Opcode::Rem) &&
+      T.Iter != HeadIter) {
+    // The run-ahead stopped here because the divisor is zero. A
+    // speculative thread may have computed it from stale data, so the
+    // instruction waits unexecuted until the thread is the head (and then
+    // traps for real) or is squashed. No stall is charged.
+    T.State = SpecThread::St::WaitHead;
+    T.ReadyAt = Cycle;
+    return true;
+  }
+  std::uint32_t Cost = T.Ctx->step(*Ports[Core], nullptr, Cycle);
+  T.ReadyAt = Cycle + std::max<std::uint32_t>(Cost, 1);
+  if (SyncRewindPending) {
+    // The load could not be satisfied yet: undo it; it re-issues when
+    // resumeSyncWaiters() releases the thread.
+    SyncRewindPending = false;
+    T.Ctx->rewindTop();
+    return true;
+  }
+  if (T.Ctx->finished())
+    JRPM_FATAL("speculative thread returned out of the STL's function");
+  // specLoad/specStore may have stalled the thread.
+  bool Running = T.State == SpecThread::St::Running;
+  if (Running)
+    runAhead(Core, T.ReadyAt);
+  return Op != ir::Opcode::Load || !Running;
+}
+
+TlsEngine::SpecThread *TlsEngine::runTransitions() {
+  CoresDoneAtCycle = 0;
+  // Head-state transitions first: resume, commit, or finish.
+  for (bool Committed = true; Committed;) {
+    Committed = false;
+    for (std::uint32_t C = 0; C < Threads.size(); ++C) {
+      SpecThread &T = Threads[C];
+      if (!T.Active || T.Iter != HeadIter)
+        continue;
+      if (T.State == SpecThread::St::WaitHead) {
+        resumeThread(C);
+      } else if (T.State == SpecThread::St::IterDone) {
+        commitThread(C);
+        Committed = true;
+      } else if (T.State == SpecThread::St::Exited) {
+        return &T;
+      }
+      break; // exactly one head thread exists
+    }
+  }
+
+  resumeSyncWaiters();
+
+  // Refill idle cores when iterations are available (iterations past a
+  // speculatively-exited thread would only be squashed).
+  for (std::uint32_t C = 0; C < Threads.size(); ++C) {
+    if (Threads[C].Active)
+      continue;
+    if (ExitCap && NextIter >= *ExitCap)
+      continue;
+    spawnThread(C, NextIter++, 0);
+  }
+  return nullptr;
 }
 
 void TlsEngine::runLoop(PreparedLoop &PL, interp::ExecContext &Ctx,
@@ -431,117 +632,54 @@ void TlsEngine::runLoop(PreparedLoop &PL, interp::ExecContext &Ctx,
   }
 
   Cycle = Cfg.LoopStartupCycles;
+  CoresDoneAtCycle = 0;
+  NextEvent.assign(Cfg.NumCores, Never);
   HeadIter = 0;
   NextIter = 0;
   ExitCap.reset();
-  for (std::uint32_t C = 0; C < Cfg.NumCores; ++C) {
-    spawnThread(C, NextIter++);
-    Threads[C].ReadyAt = Cycle;
-  }
+  for (std::uint32_t C = 0; C < Cfg.NumCores; ++C)
+    spawnThread(C, NextIter++, 0);
 
+  // Event loop. Shared events run in (cycle, core) order; the transition
+  // phase runs one cycle after any event that changed state, before that
+  // cycle's events. Cycles in between only advance private run-aheads.
   SpecThread *ExitThread = nullptr;
+  std::uint64_t TransitionAt = Never;
   // Guards against engine bugs; generous for the largest loops.
   constexpr std::uint64_t MaxLoopCycles = 20ull * 1000 * 1000 * 1000;
   while (true) {
-    // Head-state transitions first: resume, commit, or finish.
-    bool HeadHandled = false;
-    for (std::uint32_t C = 0; C < Threads.size(); ++C) {
-      SpecThread &T = Threads[C];
-      if (!T.Active || T.Iter != HeadIter)
-        continue;
-      if (T.State == SpecThread::St::WaitHead) {
-        closeStall(C);
-        T.State = SpecThread::St::Running;
-        T.ReadyAt = std::max(T.ReadyAt, Cycle);
-      } else if (T.State == SpecThread::St::IterDone) {
-        commitThread(C);
-        HeadHandled = true;
-      } else if (T.State == SpecThread::St::Exited) {
-        ExitThread = &T;
-      }
-      break; // exactly one head thread exists
-    }
-    if (ExitThread)
-      break;
-    if (HeadHandled)
+    std::uint32_t Next = 0; // earliest event, lowest core on ties
+    for (std::uint32_t C = 1; C < Cfg.NumCores; ++C)
+      if (NextEvent[C] < NextEvent[Next])
+        Next = C;
+    std::uint64_t EventAt = NextEvent[Next];
+    if (TransitionAt != Never && TransitionAt <= EventAt) {
+      Cycle = TransitionAt;
+      TransitionAt = Never;
+      if ((ExitThread = runTransitions()))
+        break;
       continue;
-
-    resumeSyncWaiters();
-
-    // Refill idle cores when iterations are available (iterations past a
-    // speculatively-exited thread would only be squashed).
-    for (std::uint32_t C = 0; C < Threads.size(); ++C) {
-      if (Threads[C].Active)
-        continue;
-      if (ExitCap && NextIter >= *ExitCap)
-        continue;
-      spawnThread(C, NextIter++);
-      Threads[C].ReadyAt = Cycle;
     }
-
-    // Step every running thread whose core is free this cycle.
-    bool AnyStep = false;
-    for (std::uint32_t C = 0; C < Threads.size(); ++C) {
-      SpecThread &T = Threads[C];
-      if (!T.Active || T.State != SpecThread::St::Running ||
-          T.ReadyAt > Cycle)
-        continue;
-      AnyStep = true;
-      std::uint32_t Cost = T.Ctx->step(*Ports[C], nullptr, Cycle);
-      T.ReadyAt = Cycle + Cost;
-      if (SyncRewindPending) {
-        // The load could not be satisfied yet: undo it; it re-issues when
-        // resumeSyncWaiters() releases the thread.
-        SyncRewindPending = false;
-        T.Ctx->rewindTop();
-        continue;
-      }
-      if (T.Ctx->finished())
-        JRPM_FATAL("speculative thread returned out of the STL's function");
-      // specLoad/specStore may have stalled the thread; control transfers
-      // are inspected only at the loop's own call depth.
-      if (T.State == SpecThread::St::Running && T.Ctx->callDepth() == 1 &&
-          T.Ctx->atBlockStart()) {
-        exec::FlatPc Pc = T.Ctx->pc();
-        if (Pc == PL.HeaderPcTls) {
-          T.State = SpecThread::St::IterDone;
-        } else {
-          std::uint32_t B = EngineImage.blockOf(Pc);
-          if (!PL.Plan.containsBlock(B)) {
-            T.State = SpecThread::St::Exited;
-            T.ExitBlock = B;
-            recomputeExitCap();
-          }
-        }
-      }
-    }
-
-    if (AnyStep) {
-      ++Cycle;
-    } else {
-      // Jump to the next time a core becomes ready.
-      std::uint64_t Next = ~std::uint64_t(0);
-      for (const SpecThread &T : Threads)
-        if (T.Active && T.State == SpecThread::St::Running)
-          Next = std::min(Next, T.ReadyAt);
-      if (Next == ~std::uint64_t(0))
-        ++Cycle; // everyone is waiting on the head; transitions above apply
-      else
-        Cycle = std::max(Cycle + 1, Next);
-    }
+    if (EventAt == Never)
+      JRPM_FATAL("TLS loop has no runnable thread (engine invariant)");
+    Cycle = EventAt;
     if (Cycle > MaxLoopCycles)
       JRPM_FATAL("TLS loop exceeded the cycle watchdog (engine livelock?)");
+    CoresDoneAtCycle = Next + 1;
+    if (runEvent(Next))
+      TransitionAt = Cycle + 1;
   }
 
   // Close every live lifetime at the loop's end cycle, then charge the
   // invocation-level overheads. Per core, resolved lifetimes tile
   // [LoopStartupCycles, Cycle] without overlap, so the remainder is idle
   // time and the six buckets sum to exactly NumCores * final SpecCycles.
+  std::uint32_t ExitCore =
+      static_cast<std::uint32_t>(ExitThread - Threads.data());
   for (std::uint32_t C = 0; C < Threads.size(); ++C) {
     if (!Threads[C].Active)
       continue;
-    resolveLifetime(C, &Threads[C] == ExitThread ? Outcome::Exit
-                                                 : Outcome::Discard);
+    resolveLifetime(C, C == ExitCore ? Outcome::Exit : Outcome::Discard);
   }
   CurStats->ForkCommitCycles +=
       std::uint64_t(Cfg.NumCores) *
@@ -552,7 +690,7 @@ void TlsEngine::runLoop(PreparedLoop &PL, interp::ExecContext &Ctx,
   // Loop shutdown: adopt the exiting thread's state into the sequential
   // context, complete reductions, and reload carried locals from memory.
   SpecThread &T = *ExitThread;
-  flushStoreBuffer(T);
+  flushStores(ExitCore);
   accumulateReductions(T);
   std::vector<std::uint64_t> FinalRegs = T.Ctx->topRegs();
   for (std::size_t K = 0; K < PL.Plan.CarriedLocals.size(); ++K)
@@ -561,13 +699,10 @@ void TlsEngine::runLoop(PreparedLoop &PL, interp::ExecContext &Ctx,
     FinalRegs[PL.Plan.Reductions[K].first] = ReductionAcc[K];
 
   std::uint32_t ExitBlock = T.ExitBlock;
-  for (SpecThread &U : Threads) {
-    U.Active = false;
-    U.State = SpecThread::St::Idle;
-    U.StoreBuf.clear();
-    U.StoreLines.clear();
-    U.ReadSet.clear();
-    U.ReadLines.clear();
+  for (std::uint32_t C = 0; C < Threads.size(); ++C) {
+    Threads[C].Active = false;
+    Threads[C].State = SpecThread::St::Idle;
+    dropTags(C, /*Stores=*/true);
   }
 
   Cycle += Cfg.LoopShutdownCycles;

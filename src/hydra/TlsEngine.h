@@ -10,12 +10,19 @@
 // becomes the head, and the head thread committing the loop-exit path ends
 // the STL. Fixed overheads follow Table 2.
 //
+// The simulation is event-driven (DESIGN.md §4): each core runs ahead on
+// its own clock through instructions that touch only its registers, and
+// only shared events (loads, stores, loop boundaries, traps) are executed
+// in global (cycle, core) order, with the head-commit/refill transitions
+// run one cycle after any event that changed speculative state.
+//
 //===----------------------------------------------------------------------===//
 
 #ifndef JRPM_HYDRA_TLSENGINE_H
 #define JRPM_HYDRA_TLSENGINE_H
 
 #include "exec/CodeImage.h"
+#include "hydra/SpecTags.h"
 #include "interp/ExecContext.h"
 #include "interp/Machine.h"
 #include "jit/TlsPlan.h"
@@ -28,8 +35,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 namespace jrpm {
@@ -106,6 +111,9 @@ private:
     /// Flat PC of the clone's header block in EngineImage: spec threads
     /// spawn here and an iteration is done when control returns here.
     exec::FlatPc HeaderPcTls = 0;
+    /// The clone's header and every block outside the loop: a thread's
+    /// run-ahead ends after a depth-1 transfer onto one of them.
+    interp::ExecContext::BoundaryMap Boundaries;
     std::vector<std::uint32_t> SpillAddrs; // sorted for membership checks
     bool Ready = false;
 
@@ -114,8 +122,13 @@ private:
     }
   };
 
+  static constexpr std::uint32_t NoLine = ~std::uint32_t(0);
+
   /// One core's speculative thread state.
   struct SpecThread {
+    /// WaitHead covers both an overflow stall and a parked trap: a non-head
+    /// thread about to divide by zero waits, unexecuted, until it is the
+    /// head (and then traps for real) or is squashed.
     enum class St { Idle, Running, WaitHead, WaitSync, IterDone, Exited };
     enum class Stall { None, Buffer, Sync };
     St State = St::Idle;
@@ -134,12 +147,25 @@ private:
     Stall StallKind = Stall::None;
     std::uint64_t BufStallAcc = 0;
     std::uint64_t SyncStallAcc = 0;
+    /// While Running: what the next shared event is (Shared: the
+    /// instruction the context is parked on; Boundary: the depth-1 branch
+    /// it just executed; Horizon: resume the run-ahead). Its cycle is in
+    /// TlsEngine::NextEvent.
+    interp::ExecContext::RunStop Pending =
+        interp::ExecContext::RunStop::Shared;
+    /// The line this core's last load tagged, while the tag lasts: repeated
+    /// loads from one line skip the line-table lookup.
+    std::uint32_t LastReadLine = NoLine;
     std::unique_ptr<interp::ExecContext> Ctx;
     std::unique_ptr<sim::L1CacheModel> L1;
-    std::unordered_map<std::uint32_t, std::uint64_t> StoreBuf;
-    std::unordered_set<std::uint32_t> StoreLines;
-    std::unordered_set<std::uint32_t> ReadSet;
-    std::unordered_set<std::uint32_t> ReadLines;
+    /// Keys this core holds tag bits on, in first-tag order: the store
+    /// buffer's words and lines, the words it read (word-grain violation
+    /// detection only), and the lines it read (the SpecLoadLines state, and
+    /// the violation keys under line grain).
+    std::vector<std::uint32_t> StoredWords;
+    std::vector<std::uint32_t> StoredLines;
+    std::vector<std::uint32_t> ReadWords;
+    std::vector<std::uint32_t> ReadLines;
   };
 
   /// MemoryPort adapter binding a core index to the engine.
@@ -184,15 +210,35 @@ private:
   /// register file for iteration \p Iter.
   void fillSpawnRegs(std::vector<std::uint64_t> &Regs,
                      std::uint64_t Iter) const;
-  void spawnThread(std::uint32_t Core, std::uint64_t Iter);
+  /// Starts iteration \p Iter on \p Core; its first instruction issues
+  /// \p Penalty cycles from now (restart or end-of-iteration overhead).
+  void spawnThread(std::uint32_t Core, std::uint64_t Iter,
+                   std::uint64_t Penalty);
   void squashThread(std::uint32_t Core);
+  /// Makes a stalled thread Running again at max(ReadyAt, Cycle).
+  void resumeThread(std::uint32_t Core);
   /// Resumes WaitSync threads whose producer has delivered (or finished).
   void resumeSyncWaiters();
   void commitThread(std::uint32_t Core);
-  void flushStoreBuffer(SpecThread &T);
+  /// Runs \p Core ahead from its first instruction's issue cycle \p From
+  /// to its next shared event.
+  void runAhead(std::uint32_t Core, std::uint64_t From);
+  /// Executes \p Core's pending event at Cycle; returns whether it changed
+  /// state the transition phase reads.
+  bool runEvent(std::uint32_t Core);
+  /// Head commit/resume/exit, sync resumption and refill at Cycle; returns
+  /// the thread whose loop exit ends the invocation, or null.
+  SpecThread *runTransitions();
+  /// Drains \p Core's store buffer to the heap and drops its written bits.
+  void flushStores(std::uint32_t Core);
+  /// Drops \p Core's read bits (and, with \p Stores, its buffered stores
+  /// unflushed).
+  void dropTags(std::uint32_t Core, bool Stores);
   void accumulateReductions(SpecThread &T);
   void recomputeExitCap();
-  std::uint32_t violationKey(std::uint32_t Addr) const;
+  /// Active cores running iterations before / after \p Iter.
+  std::uint32_t coresBefore(std::uint64_t Iter) const;
+  std::uint32_t coresAfter(std::uint64_t Iter) const;
 
   /// Held by value (reentrancy audit): sweep jobs build engines from
   /// per-job configs in temporaries; a reference member would dangle.
@@ -205,11 +251,11 @@ private:
   /// contexts reference this member by address across rebuilds.
   exec::CodeImage EngineImage;
   std::vector<PreparedLoop> Loops;
-  /// Sequential-image flat PC of each selected loop's header block start.
-  /// The sequential machine's context and EngineImage are compiled from
-  /// content-identical modules, so their flat PCs agree and onBlockStart
-  /// dispatches on a single integer lookup.
-  std::unordered_map<exec::FlatPc, std::uint32_t> HeaderPcIndex;
+  /// Per flat PC of the plain module: 1 + the index of the selected loop
+  /// whose header block starts there, or 0. The sequential machine's
+  /// context and EngineImage are compiled from content-identical modules,
+  /// so their flat PCs agree and onBlockStart dispatches on one load.
+  std::vector<std::uint32_t> LoopAtPc;
   std::map<std::uint32_t, TlsLoopRunStats> Stats;
 
   // Live state of the current runLoop invocation.
@@ -218,7 +264,18 @@ private:
   TlsLoopRunStats *CurStats = nullptr;
   std::vector<SpecThread> Threads; // one per core
   std::vector<std::unique_ptr<SpecPort>> Ports;
+  /// Speculative tag bits of every core: per word (read bits under word
+  /// grain, written bits and buffered values) and per line (read and
+  /// written bits). Empty between invocations.
+  SpecTagTable WordTags;
+  SpecTagTable LineTags;
+  /// Per core: the cycle of its Running thread's next shared event, or
+  /// ~0 when the core has none (not Running, or the event is executing).
+  std::vector<std::uint64_t> NextEvent;
   std::uint64_t Cycle = 0;
+  /// Cores below this index have had their turn at Cycle's shared events
+  /// (0 during the transition phase).
+  std::uint32_t CoresDoneAtCycle = 0;
   std::uint64_t HeadIter = 0;
   std::uint64_t NextIter = 0;
   std::optional<std::uint64_t> ExitCap;

@@ -8,12 +8,18 @@
 // Frames hold a single flat program counter into the image instead of the
 // historical (function, block, instruction) triple; block and function
 // identity are recovered from the image's side tables only at control-flow
-// boundaries. step() executes exactly one instruction (the TLS engine
-// schedules cores cycle by cycle); stepBlock() runs to the next block
-// start, which is what the sequential machine wants between dispatcher
-// checks; run() executes to completion (or a cycle budget) without ever
-// leaving the dispatch loop, for sequential runs with no dispatcher
-// attached.
+// boundaries. Four granularities share one dispatch loop:
+//   - step() executes exactly one instruction (the TLS engine uses it for
+//     the loads, stores and other shared-state instructions it orders
+//     across cores);
+//   - runAhead() runs a speculative core through instructions that touch
+//     only its own frames, up to the next shared-state instruction, loop
+//     boundary or cycle budget, advancing the core's private clock;
+//   - stepBlock() runs to the next block start, which is what the
+//     sequential machine wants between dispatcher checks;
+//   - run() executes to completion (or a cycle budget) without ever
+//     leaving the dispatch loop, for sequential runs with no dispatcher
+//     attached.
 //
 //===----------------------------------------------------------------------===//
 
@@ -132,6 +138,40 @@ public:
   std::uint64_t run(MemoryPort &Mem, TraceSink *Sink, std::uint64_t Now,
                     std::uint64_t MaxCycles);
 
+  /// Why runAhead() returned.
+  enum class RunStop : std::uint8_t {
+    /// Parked before a Load, Store, Alloc, a Div/Rem whose divisor is zero,
+    /// or a Ret from the outermost frame; the instruction has not executed.
+    Shared,
+    /// A Br/CondBr in the outermost frame landed on a flagged block start;
+    /// the branch has executed and the context sits on the target.
+    Boundary,
+    /// The cycle budget ran out; the context sits on the next instruction.
+    Horizon,
+  };
+
+  /// Block starts that end a run-ahead when a transfer in the outermost
+  /// frame lands on them: one flag per flat PC of the outermost frame's
+  /// function, starting at Base.
+  struct BoundaryMap {
+    exec::FlatPc Base = 0;
+    std::vector<std::uint8_t> Flags;
+    bool stopsAt(exec::FlatPc Pc) const { return Flags[Pc - Base] != 0; }
+  };
+
+  /// Runs ahead through instructions that touch only this context's own
+  /// registers and frames (arithmetic, moves, calls, returns below the
+  /// outermost frame, branches). Every instruction occupies the core for
+  /// max(cost, 1) cycles, exactly as a step() per cycle would. Stops as
+  /// \p Why reports; returns the cycles from the first instruction's issue
+  /// to the issue of the instruction the context stopped before (Shared,
+  /// Horizon) or of the boundary branch (Boundary). The Horizon stop fires
+  /// once that count reaches \p Budget (> 0). Never touches memory, so
+  /// it takes no MemoryPort; it never traps, since a zero divisor stops
+  /// the run first.
+  std::uint64_t runAhead(std::uint64_t Budget, const BoundaryMap &Stops,
+                         RunStop &Why);
+
   /// Rewinds the innermost frame by one instruction, undoing the program
   /// counter advance of the last step(). Only valid when that step did not
   /// transfer control (loads/stores/arithmetic) — the TLS engine uses this
@@ -144,13 +184,16 @@ public:
   }
 
   /// Execution granularity of stepImpl: one instruction, one basic block,
-  /// or a whole run bounded by a cycle budget.
-  enum class StepMode : std::uint8_t { Single, Block, Run };
+  /// a whole run bounded by a cycle budget, or a private run-ahead.
+  enum class StepMode : std::uint8_t { Single, Block, Run, RunAhead };
 
 private:
+  /// \p Stops and \p Why are used by RunAhead only, where \p MaxCycles is
+  /// the budget on the returned cycle count and \p Mem is null.
   template <StepMode Mode>
-  std::uint64_t stepImpl(MemoryPort &Mem, TraceSink *Sink, std::uint64_t Now,
-                         std::uint64_t MaxCycles);
+  std::uint64_t stepImpl(MemoryPort *Mem, TraceSink *Sink, std::uint64_t Now,
+                         std::uint64_t MaxCycles, const BoundaryMap *Stops,
+                         RunStop *Why);
 
   std::shared_ptr<const exec::CodeImage> OwnedImage; ///< null when external
   const exec::CodeImage &Image;

@@ -17,6 +17,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 using namespace jrpm;
 using namespace jrpm::front;
 using jrpm::testutil::makeMain;
@@ -238,6 +240,85 @@ TEST(ExecContext, StepGranularitiesAgreeOnRandomPrograms) {
     EXPECT_EQ(C2.returnValue(), Machine.ReturnValue) << "seed " << Seed;
     EXPECT_EQ(C3.returnValue(), Machine.ReturnValue) << "seed " << Seed;
   }
+}
+
+TEST(ExecContext, RunAheadAgreesWithSteppingOnRandomPrograms) {
+  // Drive each program as the TLS engine drives a core: run ahead through
+  // private instructions, step() each shared one, continue after boundary
+  // and budget stops. The clock and instruction totals must match the
+  // machine's exactly.
+  using RunStop = interp::ExecContext::RunStop;
+  for (std::uint64_t Seed = 1; Seed <= 6; ++Seed) {
+    testutil::ProgramGenerator Gen(Seed);
+    ir::Module M = Gen.generate();
+    sim::HydraConfig Cfg;
+    interp::RunResult Machine = runModule(M, Cfg);
+
+    interp::Heap H;
+    interp::DirectMemoryPort Port(H, Cfg);
+    interp::ExecContext Ctx(M, Cfg);
+    Ctx.start(M.EntryFunction, {});
+    // Every block start of the entry function is a boundary.
+    const exec::CodeImage &Image = Ctx.image();
+    const exec::FuncDesc &F = Image.func(M.EntryFunction);
+    interp::ExecContext::BoundaryMap Stops;
+    exec::FlatPc Lo = ~exec::FlatPc(0), Hi = 0;
+    for (std::uint32_t B = 0; B < F.NumBlocks; ++B) {
+      const exec::BlockDesc &D = Image.blockDesc(F.FirstBlock + B);
+      Lo = std::min(Lo, D.StartPc);
+      Hi = std::max(Hi, D.StartPc + D.NumInsts);
+    }
+    Stops.Base = Lo;
+    Stops.Flags.assign(Hi - Lo, 0);
+    for (std::uint32_t B = 0; B < F.NumBlocks; ++B)
+      Stops.Flags[Image.blockStart(M.EntryFunction, B) - Lo] = 1;
+
+    std::uint64_t Clock = 0;
+    std::uint64_t Stopped[3] = {0, 0, 0};
+    while (!Ctx.finished()) {
+      RunStop Why;
+      Clock += Ctx.runAhead(/*Budget=*/7, Stops, Why);
+      ++Stopped[static_cast<int>(Why)];
+      if (Why == RunStop::Shared) {
+        ASSERT_TRUE(Image.inst(Ctx.pc()).Op == ir::Opcode::Load ||
+                    Image.inst(Ctx.pc()).Op == ir::Opcode::Store ||
+                    Image.inst(Ctx.pc()).Op == ir::Opcode::Alloc ||
+                    Image.inst(Ctx.pc()).Op == ir::Opcode::Ret)
+            << "seed " << Seed;
+        Clock += Ctx.step(Port, nullptr, Clock);
+      } else if (Why == RunStop::Boundary) {
+        ASSERT_TRUE(Ctx.atBlockStart());
+        Clock += Cfg.Costs.Basic; // the branch itself
+      }
+    }
+    EXPECT_GT(Stopped[static_cast<int>(RunStop::Boundary)], 0u);
+    EXPECT_EQ(Clock, Machine.Cycles) << "seed " << Seed;
+    EXPECT_EQ(Ctx.instructionsExecuted(), Machine.Instructions)
+        << "seed " << Seed;
+    EXPECT_EQ(Ctx.returnValue(), Machine.ReturnValue) << "seed " << Seed;
+  }
+}
+
+TEST(ExecContext, RunAheadParksBeforeZeroDivisor) {
+  ir::Module M = makeMain(seq({
+      assign("x", c(0)),
+      assign("y", sdiv(c(7), v("x"))),
+      ret(v("y")),
+  }));
+  sim::HydraConfig Cfg;
+  interp::ExecContext Ctx(M, Cfg);
+  Ctx.start(M.EntryFunction, {});
+  interp::ExecContext::BoundaryMap None;
+  None.Base = 0;
+  None.Flags.assign(Ctx.image().numInsts(), 0);
+  interp::ExecContext::RunStop Why;
+  std::uint64_t Cycles = Ctx.runAhead(1000, None, Why);
+  EXPECT_EQ(Why, interp::ExecContext::RunStop::Shared);
+  EXPECT_EQ(Ctx.image().inst(Ctx.pc()).Op, ir::Opcode::Div);
+  EXPECT_EQ(Cycles, Ctx.instructionsExecuted()); // one cycle each so far
+  interp::Heap H;
+  interp::DirectMemoryPort Port(H, Cfg);
+  EXPECT_THROW(Ctx.step(Port, nullptr, Cycles), interp::TrapError);
 }
 
 TEST(ExecContext, RewindTopReissuesInstruction) {
