@@ -27,15 +27,13 @@
 //     reported as unresolved rather than failing on runner jitter)
 //
 // Also reported: the end-to-end wall-clock reduction the image buys the
-// sequential registry sweep (sum of all legs), and the image-cache reuse
-// counters.
+// sequential registry sweep (sum of all legs).
 //
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
 
 #include "analysis/Candidates.h"
-#include "exec/CodeImage.h"
 #include "interp/ExecContext.h"
 #include "interp/Heap.h"
 #include "jit/Annotator.h"
@@ -495,7 +493,7 @@ int main(int argc, char **argv) {
   std::printf("registry: %zu workloads x (1 plain + 2 profiled) legs%s\n\n",
               Count, Quick ? "  [--quick]" : "");
 
-  // Warm-up: one flat pass primes code, workload data, and the image cache.
+  // Warm-up: one flat pass primes code and workload data.
   runPass(Layout::Flat, Reg, Cfg);
 
   PassResult Legacy = runPass(Layout::Legacy, Reg, Cfg);
@@ -549,7 +547,6 @@ int main(int argc, char **argv) {
             fmt(FlatProfIps, 1), fmt(ProfSpeedup, 2) + "x"});
   T.print();
 
-  exec::ImageCacheStats IC = exec::CodeImage::cacheStats();
   std::printf("\nall %zu legs bit-identical across layouts "
               "(cycles, instructions, return values, selection digests)\n",
               Legacy.Stats.size());
@@ -560,9 +557,6 @@ int main(int argc, char **argv) {
               "(%.2fx wall-clock reduction)\n",
               Legacy.totalMs(), FlatPlainMs + FlatProfiledMs,
               Legacy.totalMs() / (FlatPlainMs + FlatProfiledMs));
-  std::printf("image cache: %llu hits / %llu misses (images shared across "
-              "runs of the same module)\n",
-              (unsigned long long)IC.Hits, (unsigned long long)IC.Misses);
   std::printf("flat pass-to-pass jitter (plain legs): %.2f%%\n", JitterPct);
 
   double Gate = Quick ? 1.2 : 1.5;

@@ -184,8 +184,10 @@ private:
 
 /// Speculative execution under \p Cfg with the paper's optimistic policy
 /// (every non-rejected candidate gets a plan) — the fuzz suite's contract.
-interp::RunResult runTls(const ir::Module &M, const sim::HydraConfig &Cfg) {
-  analysis::ModuleAnalysis MA(M);
+/// \p MA is the default-options analysis of \p M.
+interp::RunResult runTls(const ir::Module &M,
+                         const analysis::ModuleAnalysis &MA,
+                         const sim::HydraConfig &Cfg) {
   std::vector<jit::TlsLoopPlan> Plans;
   for (const analysis::CandidateStl &C : MA.candidates())
     if (!C.Rejected)
@@ -219,6 +221,9 @@ OracleOutcome corpus::runOracles(const Template &T, const Variant &V,
   Out.SeqReturn = Seq.ReturnValue;
   Out.SeqCycles = Seq.Cycles;
 
+  // One default-options analysis serves the TLS grid and the profiled run.
+  analysis::ModuleAnalysis MA(M);
+
   // Oracle 1: sequential vs speculative bit-identity on the config grid.
   struct GridPoint {
     const char *Name;
@@ -229,7 +234,7 @@ OracleOutcome corpus::runOracles(const Template &T, const Variant &V,
   Grid[1].Hw.SyncCarriedLocals = true;
   Grid[2].Hw.ViolationGrain = sim::ViolationGranularity::Line;
   for (const GridPoint &G : Grid) {
-    interp::RunResult Tls = runTls(M, G.Hw);
+    interp::RunResult Tls = runTls(M, MA, G.Hw);
     if (Tls.ReturnValue != Seq.ReturnValue)
       Fail(OracleKind::Execution,
            formatString("%s mode returned %llu, sequential %llu", G.Name,
@@ -238,7 +243,6 @@ OracleOutcome corpus::runOracles(const Template &T, const Variant &V,
   }
 
   // Profiled run: dynamic TEST ground truth, recorded once into memory.
-  analysis::ModuleAnalysis MA(M);
   jit::AnnotatedModule AM =
       jit::annotateModule(M, MA, jit::AnnotationLevel::Optimized);
   tracer::TraceEngine Live(Cfg.Hw, AM.LoopInfos);

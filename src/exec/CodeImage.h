@@ -16,9 +16,11 @@
 // consumer (sequential machine, Hydra TLS cores, tracer event emission)
 // behaves bit-identically to the nested layout.
 //
-// Images are immutable once built. getShared() memoizes them by a content
-// digest of the source module, so sweep jobs that rebuild the same
-// workload at the same annotation level share one image across threads.
+// Whoever runs a module builds its image: a sequential context compiles
+// its own, and the Hydra TLS engine compiles the plain module once and
+// then appends each globalized loop clone with appendFunction(). An append
+// lays out one function after the existing ones, so every flat PC handed
+// out before it stays valid.
 //
 //===----------------------------------------------------------------------===//
 
@@ -29,7 +31,6 @@
 
 #include <cassert>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 namespace jrpm {
@@ -98,22 +99,18 @@ struct FuncDesc {
   std::uint32_t NumBlocks = 0;
 };
 
-/// Image-cache counters (diagnostics for benches and sweep timing blocks;
-/// not exported as run metrics to keep the golden exports stable).
-struct ImageCacheStats {
-  std::uint64_t Hits = 0;
-  std::uint64_t Misses = 0;
-  std::uint64_t Evictions = 0;
-  std::uint64_t Entries = 0; ///< images currently resident
-};
-
 class CodeImage {
 public:
-  CodeImage() = default;
-
-  /// Compiles \p M into a flat image. Every block must carry a terminator
-  /// (the IR verifier's contract); violations abort.
+  /// Compiles \p M into a flat image: appendFunction() over its functions
+  /// in order.
   explicit CodeImage(const ir::Module &M);
+
+  /// Lays out and decodes \p F after the existing functions and returns
+  /// its function index. Existing flat PCs do not move, but the
+  /// instruction array may reallocate, so insts() pointers go stale. Every
+  /// block must carry a terminator (the IR verifier's contract); violations
+  /// abort.
+  std::uint32_t appendFunction(const ir::Function &F);
 
   // --- Hot-path access ----------------------------------------------------
   const DecodedInst *insts() const { return Insts.data(); }
@@ -161,37 +158,12 @@ public:
   }
   FlatPc entry(std::uint32_t Func) const { return func(Func).EntryPc; }
 
-  /// Content digest of the source module this image was compiled from.
-  std::uint64_t digest() const { return Digest; }
-
-  // --- Shared image cache -------------------------------------------------
-  /// Returns the memoized image for \p M, building it on first use. Keyed
-  /// by moduleDigest(M); thread-safe (sweep jobs race on it by design).
-  /// The cache keeps at most CacheCapacity images and evicts the least
-  /// recently used one, so a corpus run over thousands of distinct variants
-  /// does not grow without limit. Evicted images stay alive for as long as
-  /// a consumer still holds the shared_ptr.
-  static std::shared_ptr<const CodeImage> getShared(const ir::Module &M);
-  static ImageCacheStats cacheStats();
-  /// LRU bound: generous for every sweep matrix we run (52 workload x
-  /// level combinations).
-  static constexpr std::size_t CacheCapacity = 256;
-  /// Drops every memoized image and resets stats (test isolation).
-  static void clearCache();
-
 private:
   std::vector<DecodedInst> Insts;
   std::vector<std::uint32_t> InstBlock; ///< global block ordinal per PC
   std::vector<BlockDesc> Blocks;
   std::vector<FuncDesc> Funcs;
-  std::uint64_t Digest = 0;
 };
-
-/// FNV-1a content digest over everything execution depends on: function
-/// geometry, block sizes and every instruction field (including the tracer
-/// Pc). Structurally identical modules — e.g. the same workload annotated
-/// at the same level by two sweep jobs — digest equal and share an image.
-std::uint64_t moduleDigest(const ir::Module &M);
 
 } // namespace exec
 } // namespace jrpm

@@ -33,8 +33,7 @@ std::uint32_t coreBit(std::uint32_t Core) { return 1u << Core; }
 
 TlsEngine::TlsEngine(const ir::Module &M, const sim::HydraConfig &Cfg,
                      std::vector<jit::TlsLoopPlan> Plans)
-    : Cfg(Cfg), EngineModule(M), EngineImage(EngineModule),
-      WordTags(Cfg.NumCores) {
+    : Cfg(Cfg), Plain(M), EngineImage(M), WordTags(Cfg.NumCores) {
   if (Cfg.NumCores == 0 || Cfg.NumCores > SpecTagTable::MaxCores)
     throw std::invalid_argument("TlsEngine models 1 to 32 cores");
   LoopAtPc.assign(EngineImage.numInsts(), 0);
@@ -175,15 +174,18 @@ void TlsEngine::prepareLoop(PreparedLoop &PL, interp::Machine &M) {
   for (std::size_t K = 0; K < PL.Plan.CarriedLocals.size(); ++K)
     PL.SpillAddrs.push_back(M.heap().allocWords(1));
   std::sort(PL.SpillAddrs.begin(), PL.SpillAddrs.end());
-  ir::Function Clone = globalizeLoopBody(
-      EngineModule.Functions[PL.Plan.Func], PL.Plan, PL.SpillAddrs);
-  EngineModule.Functions.push_back(std::move(Clone));
-  PL.TlsFunc = static_cast<std::uint32_t>(EngineModule.Functions.size() - 1);
-  EngineModule.finalize();
-  // Recompile the image in place: the append leaves every existing flat PC
-  // unchanged, so the spec contexts (which hold a reference to the member)
-  // and previously prepared loops stay consistent.
-  EngineImage = exec::CodeImage(EngineModule);
+  ir::Function Clone =
+      globalizeLoopBody(Plain.Functions[PL.Plan.Func], PL.Plan, PL.SpillAddrs);
+  // Number the clone's tracer PCs after the image's last instruction, as
+  // Module::finalize() would if the clone were pushed onto the module.
+  std::int32_t NextPc = static_cast<std::int32_t>(EngineImage.numInsts());
+  for (ir::BasicBlock &BB : Clone.Blocks)
+    for (ir::Instruction &I : BB.Instructions)
+      I.Pc = NextPc++;
+  // Appending leaves every existing flat PC where it was, so LoopAtPc and
+  // previously prepared loops stay valid. The spec contexts re-read the
+  // instruction array on every step, so its reallocation is invisible.
+  PL.TlsFunc = EngineImage.appendFunction(Clone);
   PL.HeaderPcTls = EngineImage.blockStart(PL.TlsFunc, PL.Plan.Header);
   const exec::FuncDesc &F = EngineImage.func(PL.TlsFunc);
   exec::FlatPc Lo = ~exec::FlatPc(0), Hi = 0;
@@ -617,8 +619,7 @@ void TlsEngine::runLoop(PreparedLoop &PL, interp::ExecContext &Ctx,
               ClockBase);
 
   EntryRegs = Ctx.topRegs();
-  assert(EntryRegs.size() >=
-             EngineModule.Functions[PL.Plan.Func].NumRegs &&
+  assert(EntryRegs.size() >= EngineImage.func(PL.Plan.Func).NumRegs &&
          "entry registers too small");
 
   // Loop startup (Table 2): initialize loop locals in the spill area and

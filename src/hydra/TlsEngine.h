@@ -76,9 +76,11 @@ struct TlsLoopRunStats {
 class TlsEngine : public interp::LoopDispatcher {
 public:
   /// \p M is the plain (unannotated) module the sequential machine runs;
-  /// \p Plans describe the selected STLs.
+  /// it must outlive the engine. \p Plans describe the selected STLs.
   TlsEngine(const ir::Module &M, const sim::HydraConfig &Cfg,
             std::vector<jit::TlsLoopPlan> Plans);
+  TlsEngine(ir::Module &&, const sim::HydraConfig &,
+            std::vector<jit::TlsLoopPlan>) = delete;
 
   bool onBlockStart(interp::ExecContext &Ctx, interp::Machine &M) override;
 
@@ -105,7 +107,7 @@ public:
 private:
   struct PreparedLoop {
     jit::TlsLoopPlan Plan;
-    /// Index of the globalized clone within EngineModule (0 = not yet
+    /// Index of the globalized clone within EngineImage (0 = not yet
     /// prepared).
     std::uint32_t TlsFunc = 0;
     /// Flat PC of the clone's header block in EngineImage: spec threads
@@ -243,18 +245,18 @@ private:
   /// Held by value (reentrancy audit): sweep jobs build engines from
   /// per-job configs in temporaries; a reference member would dangle.
   sim::HydraConfig Cfg;
-  ir::Module EngineModule; // plain module + appended globalized clones
-  /// Image of EngineModule, rebuilt by assignment whenever prepareLoop
-  /// appends a clone. Appending keeps every existing flat PC stable
-  /// (finalize numbers instructions in function order), so PCs cached in
-  /// HeaderPcIndex and in already-prepared loops stay valid, and the spec
-  /// contexts reference this member by address across rebuilds.
+  /// The caller's plain module: the source of each loop's clone.
+  const ir::Module &Plain;
+  /// Image of Plain, to which prepareLoop appends each loop's globalized
+  /// clone. An append moves no existing flat PC, so PCs cached in LoopAtPc
+  /// and in already-prepared loops stay valid, and the spec contexts
+  /// reference this member by address throughout.
   exec::CodeImage EngineImage;
   std::vector<PreparedLoop> Loops;
   /// Per flat PC of the plain module: 1 + the index of the selected loop
   /// whose header block starts there, or 0. The sequential machine's
-  /// context and EngineImage are compiled from content-identical modules,
-  /// so their flat PCs agree and onBlockStart dispatches on one load.
+  /// context and EngineImage are both compiled from Plain, so their flat
+  /// PCs agree and onBlockStart dispatches on one load.
   std::vector<std::uint32_t> LoopAtPc;
   std::map<std::uint32_t, TlsLoopRunStats> Stats;
 

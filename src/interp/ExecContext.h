@@ -52,14 +52,14 @@ struct Frame {
 class ExecContext {
 public:
   /// Runs on an externally owned image (the Hydra engine shares one image
-  /// across its cores and rebuilds it when clones are appended).
+  /// across its cores and appends loop clones to it between runs).
   ExecContext(const exec::CodeImage &Image, const sim::HydraConfig &Cfg)
       : Image(Image), Cfg(Cfg) {}
 
-  /// Convenience: compiles (or reuses the memoized) image for \p M.
+  /// Convenience: compiles a private image of \p M.
   ExecContext(const ir::Module &M, const sim::HydraConfig &Cfg)
-      : OwnedImage(exec::CodeImage::getShared(M)), Image(*OwnedImage),
-        Cfg(Cfg) {}
+      : OwnedImage(std::make_shared<const exec::CodeImage>(M)),
+        Image(*OwnedImage), Cfg(Cfg) {}
 
   const exec::CodeImage &image() const { return Image; }
 

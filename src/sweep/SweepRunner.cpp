@@ -2,7 +2,6 @@
 
 #include "sweep/SweepRunner.h"
 
-#include "exec/CodeImage.h"
 #include "support/AtomicFile.h"
 #include "support/Format.h"
 #include "trace/Replay.h"
@@ -279,12 +278,6 @@ Json sweep::reportToJson(const SweepReport &R, bool IncludeTimings) {
     Json Timing = Json::object();
     Timing["threads"] = R.Threads;
     Timing["wall_ms"] = R.WallMs;
-    // Code-image reuse across jobs: content-identical modules (same
-    // workload at the same annotation level) share one pre-decoded image.
-    // Timing-only diagnostics, kept out of the deterministic golden form.
-    exec::ImageCacheStats IC = exec::CodeImage::cacheStats();
-    Timing["image_cache_hits"] = IC.Hits;
-    Timing["image_cache_misses"] = IC.Misses;
     Root["timing"] = std::move(Timing);
   }
   return Root;

@@ -1,7 +1,7 @@
 //===- tests/exec_test.cpp - CodeImage / flat execution tests --------------==//
 //
 // Covers the pre-decoded execution image (layout, target resolution,
-// digest-keyed sharing), the flat-PC ExecContext surface the TLS engine
+// appending a function), the flat-PC ExecContext surface the TLS engine
 // depends on (startAt with an oversized register file, rewindTop re-issue,
 // repositionTop at a loop exit), deterministic divide-by-zero traps, and
 // step()/stepBlock() equivalence on random programs.
@@ -12,12 +12,15 @@
 #include "TestUtil.h"
 #include "analysis/Candidates.h"
 #include "exec/CodeImage.h"
+#include "hydra/TlsCodegen.h"
 #include "interp/Trap.h"
 #include "jit/TlsPlan.h"
+#include "workloads/Workload.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 using namespace jrpm;
 using namespace jrpm::front;
@@ -126,64 +129,76 @@ TEST(CodeImage, TerminatorClassification) {
   EXPECT_GE(Jumps, 1u); // the loop latch
 }
 
-TEST(CodeImage, DigestSharingAndCache) {
-  exec::CodeImage::clearCache();
-  ir::Module A = makeCallProgram();
-  ir::Module B = makeCallProgram();
-  A.finalize();
-  B.finalize();
-  EXPECT_EQ(exec::moduleDigest(A), exec::moduleDigest(B));
+namespace {
 
-  auto S1 = exec::CodeImage::getShared(A);
-  auto S2 = exec::CodeImage::getShared(B);
-  EXPECT_EQ(S1.get(), S2.get()); // content-identical modules share an image
-  EXPECT_EQ(S1->digest(), exec::moduleDigest(A));
-
-  exec::ImageCacheStats St = exec::CodeImage::cacheStats();
-  EXPECT_GE(St.Hits, 1u);
-  EXPECT_GE(St.Misses, 1u);
-
-  // A different program digests differently and gets its own image.
-  ir::Module C = makeMain(ret(c(7)));
-  C.finalize();
-  EXPECT_NE(exec::moduleDigest(C), exec::moduleDigest(A));
-  EXPECT_NE(exec::CodeImage::getShared(C).get(), S1.get());
+/// Asserts that two images agree field by field.
+void expectSameImage(const exec::CodeImage &X, const exec::CodeImage &Y,
+                     const std::string &What) {
+  SCOPED_TRACE(What);
+  ASSERT_EQ(X.numInsts(), Y.numInsts());
+  ASSERT_EQ(X.numBlocks(), Y.numBlocks());
+  ASSERT_EQ(X.numFuncs(), Y.numFuncs());
+  for (exec::FlatPc Pc = 0; Pc < X.numInsts(); ++Pc) {
+    const exec::DecodedInst &A = X.inst(Pc), &B = Y.inst(Pc);
+    EXPECT_TRUE(A.Op == B.Op && A.Flags == B.Flags && A.Dst == B.Dst &&
+                A.A == B.A && A.B == B.B && A.Imm == B.Imm &&
+                A.Imm2 == B.Imm2 && A.Pc == B.Pc)
+        << "inst " << Pc;
+    EXPECT_EQ(X.blockOrdinalOf(Pc), Y.blockOrdinalOf(Pc)) << "inst " << Pc;
+  }
+  for (std::uint32_t I = 0; I < X.numBlocks(); ++I) {
+    const exec::BlockDesc &A = X.blockDesc(I), &B = Y.blockDesc(I);
+    EXPECT_TRUE(A.StartPc == B.StartPc && A.NumInsts == B.NumInsts &&
+                A.Func == B.Func && A.BlockInFunc == B.BlockInFunc &&
+                A.Term == B.Term && A.Annotations == B.Annotations)
+        << "block " << I;
+  }
+  for (std::uint32_t I = 0; I < X.numFuncs(); ++I) {
+    const exec::FuncDesc &A = X.func(I), &B = Y.func(I);
+    EXPECT_TRUE(A.EntryPc == B.EntryPc && A.NumRegs == B.NumRegs &&
+                A.NumParams == B.NumParams && A.FirstBlock == B.FirstBlock &&
+                A.NumBlocks == B.NumBlocks)
+        << "func " << I;
+  }
 }
 
-TEST(CodeImageCache, LruEvictsLeastRecentlyUsed) {
-  exec::CodeImage::clearCache();
-  constexpr std::size_t Cap = exec::CodeImage::CacheCapacity;
-
-  // Cap + 1 content-distinct programs: exactly one more than fits.
-  std::vector<ir::Module> Mods;
-  for (std::size_t I = 0; I <= Cap; ++I) {
-    Mods.push_back(makeMain(ret(c(static_cast<std::int64_t>(100 + I)))));
-    Mods.back().finalize();
+/// The function the TLS engine would append for \p M: the globalized clone
+/// of its first speculable loop, or a copy of the entry function when it
+/// has none.
+ir::Function extraFunction(const ir::Module &M) {
+  analysis::ModuleAnalysis MA(M);
+  for (const analysis::CandidateStl &C : MA.candidates()) {
+    if (C.Rejected)
+      continue;
+    jit::TlsLoopPlan Plan = jit::buildTlsPlan(MA, C);
+    std::vector<std::uint32_t> Spills(Plan.CarriedLocals.size());
+    for (std::uint32_t K = 0; K < Spills.size(); ++K)
+      Spills[K] = 1000 + K;
+    return hydra::globalizeLoopBody(M.Functions[Plan.Func], Plan, Spills);
   }
-  const ir::Module &A = Mods[0];
-  const ir::Module &B = Mods[1];
+  return M.Functions[M.EntryFunction];
+}
 
-  auto SA = exec::CodeImage::getShared(A);
-  auto SB = exec::CodeImage::getShared(B);
-  for (std::size_t I = 2; I < Cap; ++I)
-    exec::CodeImage::getShared(Mods[I]);
-  // Touch A so B becomes the least recently used entry...
-  EXPECT_EQ(exec::CodeImage::getShared(A).get(), SA.get());
-  // ...and inserting one image past capacity evicts B, not A.
-  exec::CodeImage::getShared(Mods[Cap]);
+void expectAppendMatchesRebuild(ir::Module M, const std::string &What) {
+  M.finalize();
+  ir::Module Whole = M;
+  Whole.Functions.push_back(extraFunction(M));
+  Whole.finalize();
+  exec::CodeImage Appended(M);
+  EXPECT_EQ(Appended.appendFunction(Whole.Functions.back()),
+            M.Functions.size());
+  expectSameImage(Appended, exec::CodeImage(Whole), What);
+}
 
-  exec::ImageCacheStats St = exec::CodeImage::cacheStats();
-  EXPECT_EQ(St.Evictions, 1u);
-  EXPECT_EQ(St.Entries, Cap);
+} // namespace
 
-  // A is still resident; B rebuilds (a fresh image — the old shared_ptr
-  // keeps the evicted one alive independently).
-  EXPECT_EQ(exec::CodeImage::getShared(A).get(), SA.get());
-  auto SB2 = exec::CodeImage::getShared(B);
-  EXPECT_NE(SB2.get(), SB.get());
-  EXPECT_EQ(SB2->digest(), SB->digest());
-
-  exec::CodeImage::clearCache();
+TEST(CodeImage, AppendFunctionMatchesWholeModuleBuild) {
+  for (const workloads::Workload &W : workloads::allWorkloads())
+    expectAppendMatchesRebuild(W.Build(), W.Name);
+  for (std::uint64_t Seed = 1; Seed <= 6; ++Seed)
+    expectAppendMatchesRebuild(testutil::ProgramGenerator(Seed).generate(),
+                               "seed " + std::to_string(Seed));
+  expectAppendMatchesRebuild(makeCallProgram(), "call program");
 }
 
 TEST(ExecContext, StepGranularitiesAgreeOnRandomPrograms) {

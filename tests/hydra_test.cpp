@@ -462,6 +462,49 @@ ir::Module divideByNextSlot(std::int64_t Zero) {
   }));
 }
 
+/// Two selected loops in two helpers, run in the order A, B, A: the second
+/// run of A starts after B's clone has been appended to the engine image.
+/// B carries a local, so its spill word is allocated between A's runs.
+ir::Module twoLoopsABA() {
+  ProgramDef P;
+  FuncDef Fill; // loop A
+  Fill.Name = "fill";
+  Fill.Params = {"a", "n", "bias"};
+  Fill.Body = seq({
+      forLoop("i", c(0), lt(v("i"), v("n")), 1,
+              store(v("a"), v("i"),
+                    band(add(mul(v("i"), v("bias")), c(3)), c(0xFFFF)))),
+      ret(),
+  });
+  FuncDef Mix; // loop B
+  Mix.Name = "mix";
+  Mix.Params = {"a", "b", "n"};
+  Mix.Body = seq({
+      assign("x", c(5)),
+      forLoop("i", c(0), lt(v("i"), v("n")), 1,
+              seq({
+                  assign("x", band(add(mul(v("x"), c(3)), c(1)), c(0xFF))),
+                  store(v("b"), v("i"), add(ld(v("a"), v("i")), v("x"))),
+              })),
+      ret(v("x")),
+  });
+  FuncDef Main;
+  Main.Name = "main";
+  Main.Body = seq({
+      assign("a", allocWords(c(64))),
+      assign("b", allocWords(c(64))),
+      exprStmt(call("fill", {v("a"), c(64), c(7)})),
+      assign("t", call("mix", {v("a"), v("b"), c(64)})),
+      exprStmt(call("fill", {v("a"), c(48), c(11)})),
+      ret(add(add(v("t"), ld(v("a"), c(47))),
+              add(ld(v("a"), c(63)), ld(v("b"), c(63))))),
+  });
+  P.Functions.push_back(std::move(Fill));
+  P.Functions.push_back(std::move(Mix));
+  P.Functions.push_back(std::move(Main));
+  return front::lowerProgram(P);
+}
+
 // --- Configurations ---------------------------------------------------------
 
 sim::HydraConfig hydraDefault() { return sim::HydraConfig(); }
@@ -708,6 +751,16 @@ TEST(TlsEngine, MultipleInvocationsOfSameLoop) {
   EXPECT_EQ(Tls.Result.ReturnValue, Seq.ReturnValue);
 }
 
+TEST(TlsEngine, LoopReinvokedAfterAnotherCloneIsAppended) {
+  ir::Module M = twoLoopsABA();
+  for (sim::HydraConfig Cfg : {hydraDefault(), syncLocals()}) {
+    auto Seq = runModule(M, Cfg);
+    auto Tls = runAllLoopsTls(M, Cfg);
+    EXPECT_EQ(Tls.Result.ReturnValue, Seq.ReturnValue);
+    EXPECT_EQ(Tls.Totals.Invocations, 3u);
+  }
+}
+
 TEST(TlsEngine, SyncLocksReduceRestartsOnCarriedChain) {
   // With plain restarts the consumer speculates through x and restarts;
   // with Section 3.2's synchronization locks it waits for the producer's
@@ -852,6 +905,10 @@ TEST(TlsEngine, PinnedCyclesAndStats) {
       {"carriedLocalOnly/instant-restart", carriedLocalOnly, instantRestart,
        2404,
        {1, 120, 119, 122, 0, 0, 2397, 243, 1, 0, 7640, 200, 1691, 0, 0, 57}},
+      {"twoLoopsABA", twoLoopsABA, hydraDefault, 1668,
+       {3, 176, 78, 218, 0, 0, 1605, 404, 3, 7, 2363, 2969, 1066, 0, 0, 22}},
+      {"twoLoopsABA/sync", twoLoopsABA, syncLocals, 1668,
+       {3, 176, 0, 0, 0, 63, 1605, 185, 3, 6, 3017, 1465, 12, 0, 1878, 48}},
       {"parallelLoop/basic=0", parallelLoop, zeroCostBasic, 16364,
        {2, 512, 0, 0, 0, 0, 16362, 520, 2, 6, 62470, 2960, 18, 0, 0, 0}},
       {"serialChain/basic=0", serialChain, zeroCostBasic, 3418,
