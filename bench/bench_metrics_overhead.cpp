@@ -11,11 +11,11 @@
 // window — it is a once-per-run cost proportional to the output size, not
 // a per-cycle tax on the simulators.
 //
-// Gates:
-//   - metrics registry attached: <= 5% aggregate wall-clock overhead
-//   - two detached passes agree (the baseline is reproducible); if the
-//     runner's own jitter exceeds 5%, the measurement is reported as
-//     unresolved instead of failing spuriously
+// Gate: metrics registry attached costs <= 5% aggregate wall-clock. Exit
+// 0 only when that is measured. When the two detached passes differ by
+// more than 5% and the gate is missed, the runner's own jitter hides the
+// answer: the bench prints UNRESOLVED and exits 2. A measured overhead
+// above 5% on a steady runner exits 1.
 //
 // The timeline row is informational: span recording takes a mutex per
 // speculative-thread lifetime, which is orders of magnitude coarser than
@@ -111,10 +111,10 @@ int main() {
     return 0;
   }
   if (JitterPct > 5.0) {
-    std::printf("PASS (unresolved): runner jitter %.2f%% exceeds the 5%% "
-                "gate; measurement inconclusive\n",
-                JitterPct);
-    return 0;
+    std::printf("UNRESOLVED: runner jitter %.2f%% exceeds the 5%% gate; "
+                "attached metrics measured %.2f%%, inconclusive\n",
+                JitterPct, MetricsPct);
+    return 2;
   }
   std::printf("FAIL: attached metrics cost %.2f%% (> 5%% gate)\n",
               MetricsPct);

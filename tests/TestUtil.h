@@ -6,6 +6,7 @@
 #include "frontend/Ast.h"
 #include "frontend/Lower.h"
 #include "interp/Machine.h"
+#include "metrics/Metrics.h"
 #include "sim/Config.h"
 
 #include <cstdint>
@@ -70,6 +71,30 @@ inline interp::RunResult runModule(const ir::Module &M,
 inline std::uint64_t evalMain(front::St Body) {
   ir::Module M = makeMain(std::move(Body));
   return runModule(M).ReturnValue;
+}
+
+/// Value of counter \p Name in \p R, or 0 when it was never exported.
+inline std::uint64_t counterValue(const metrics::Registry &R,
+                                  const std::string &Name) {
+  auto It = R.counters().find(Name);
+  return It == R.counters().end() ? 0 : It->second.value();
+}
+
+/// Json rendering of only the metrics whose name starts with \p Prefix —
+/// the comparison key for live-vs-replay identity.
+inline std::string dumpWithPrefix(const metrics::Registry &R,
+                                  const std::string &Prefix) {
+  Json Out = Json::object();
+  for (const auto &[Name, C] : R.counters())
+    if (Name.rfind(Prefix, 0) == 0)
+      Out["counters"][Name] = C.value();
+  for (const auto &[Name, G] : R.gauges())
+    if (Name.rfind(Prefix, 0) == 0)
+      Out["gauges"][Name] = G.value();
+  for (const auto &[Name, H] : R.histograms())
+    if (Name.rfind(Prefix, 0) == 0)
+      Out["histograms"][Name] = H.toJson();
+  return Out.dump();
 }
 
 } // namespace testutil

@@ -3,11 +3,12 @@
 // The observability layer's correctness is defined by accounting
 // identities, not golden numbers: every cycle the Hydra engine simulates
 // must land in exactly one overhead bucket, every speculative thread must
-// be resolved exactly once, percentiles must be monotone, counters
-// monotonic across pipeline phases, and a trace replay must reproduce the
-// live tracer's metrics bit-for-bit. These are checked over the entire
+// be resolved exactly once, percentiles must be monotone, and counters
+// monotonic across pipeline phases. These are checked over the entire
 // Table 6 registry at both annotation levels, so any future change to the
-// engine that leaks or double-counts a cycle fails here immediately.
+// engine that leaks or double-counts a cycle fails here immediately. That a
+// trace replay reproduces the live tracer's metrics bit-for-bit is checked
+// on every workload by trace_replay_test.
 //
 //===----------------------------------------------------------------------===//
 
@@ -25,33 +26,7 @@
 #include <vector>
 
 using namespace jrpm;
-
-namespace {
-
-std::uint64_t counterValue(const metrics::Registry &R,
-                           const std::string &Name) {
-  auto It = R.counters().find(Name);
-  return It == R.counters().end() ? 0 : It->second.value();
-}
-
-/// Json rendering of only the metrics whose name starts with \p Prefix —
-/// the comparison key for live-vs-replay identity.
-std::string dumpWithPrefix(const metrics::Registry &R,
-                           const std::string &Prefix) {
-  Json Out = Json::object();
-  for (const auto &[Name, C] : R.counters())
-    if (Name.rfind(Prefix, 0) == 0)
-      Out["counters"][Name] = C.value();
-  for (const auto &[Name, G] : R.gauges())
-    if (Name.rfind(Prefix, 0) == 0)
-      Out["gauges"][Name] = G.value();
-  for (const auto &[Name, H] : R.histograms())
-    if (Name.rfind(Prefix, 0) == 0)
-      Out["histograms"][Name] = H.toJson();
-  return Out.dump();
-}
-
-} // namespace
+using testutil::counterValue;
 
 //===----------------------------------------------------------------------===//
 // Primitive semantics
@@ -224,37 +199,6 @@ TEST(MetricsInvariants, CountersNeverDecreaseAcrossPhases) {
   std::map<std::string, std::uint64_t> S3 = Snapshot();
   ExpectMonotone(S2, S3);
   EXPECT_GT(S3.size(), S1.size()); // each phase adds its namespace
-}
-
-TEST(MetricsInvariants, LiveVsReplayTracerMetricsBitIdentical) {
-  const workloads::Workload *W = workloads::findWorkload("compress");
-  ASSERT_NE(W, nullptr);
-  testutil::ScopedTempDir Dir("jrpm-metrics-test");
-  ASSERT_TRUE(Dir.valid());
-  std::string TracePath = Dir.file("live.jtrace");
-
-  metrics::Registry Live;
-  pipeline::PipelineConfig Cfg;
-  Cfg.ExtendedPcBinning = true;
-  Cfg.WorkloadName = W->Name;
-  Cfg.RecordTracePath = TracePath;
-  Cfg.Metrics = &Live;
-  pipeline::Jrpm J(W->Build(), Cfg);
-  J.profileAndSelect();
-
-  metrics::Registry Replayed;
-  pipeline::PipelineConfig ReplayCfg;
-  ReplayCfg.ExtendedPcBinning = true;
-  ReplayCfg.Metrics = &Replayed;
-  pipeline::selectFromTrace(TracePath, ReplayCfg);
-
-  // The tracer's metrics are a pure function of the event stream, and the
-  // replay re-drives the identical stream: tracer.* must match exactly.
-  // (The replay additionally exports trace.events_replayed, and live adds
-  // interp.profiled.*, so only the tracer namespace is comparable.)
-  EXPECT_EQ(dumpWithPrefix(Live, "tracer."),
-            dumpWithPrefix(Replayed, "tracer."));
-  EXPECT_GT(counterValue(Replayed, "trace.events_replayed"), 0u);
 }
 
 //===----------------------------------------------------------------------===//

@@ -3,8 +3,11 @@
 // The trace subsystem's core contract: recording an annotated profiling
 // run and replaying it into a fresh TraceEngine must reproduce the live
 // run's SelectionResult bit-for-bit — per-loop statistics, Equation 1
-// estimates, chosen STLs, and predicted speedups — for every registry
-// workload at both annotation levels.
+// estimates, chosen STLs, and predicted speedups — and its tracer.*
+// metrics, for every registry workload at both annotation levels. The
+// live run's cycles, selection digest and peaks, and the plain run, are
+// pinned per workload and level (PinnedRuns, the record of the seed
+// interpreter's and seed tracer's output).
 //
 //===----------------------------------------------------------------------===//
 
@@ -12,11 +15,14 @@
 #include "jrpm/Pipeline.h"
 #include "trace/Dump.h"
 #include "trace/Replay.h"
+#include "tracer/Selector.h"
 #include "workloads/Workload.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <iterator>
+#include <vector>
 
 using namespace jrpm;
 
@@ -45,23 +51,155 @@ pipeline::PipelineConfig captureConfig(const workloads::Workload &W,
   return Cfg;
 }
 
+/// One (workload, level) row of the pinned table below.
+struct PinnedRun {
+  const char *Workload;
+  const char *Level;
+  // The live profiled run.
+  std::uint64_t Cycles;
+  std::uint64_t Instructions;
+  std::uint64_t ReturnValue;
+  std::uint64_t Digest; ///< tracer::selectionDigest, extended PC bins
+  std::uint32_t PeakBanks;
+  std::uint32_t PeakSlots;
+  std::uint32_t PeakNest;
+  // The plain sequential run; base rows only, zero on opt rows.
+  std::uint64_t PlainCycles = 0;
+  std::uint64_t PlainInstructions = 0;
+  std::uint64_t PlainReturnValue = 0;
+};
+
+/// The record of the seed engines' output on the whole registry. The
+/// values were taken from the flat CodeImage interpreter and the SoA
+/// TraceEngine on a build where both had just matched, bit for bit,
+/// embedded copies of the seed nested-layout interpreter (cycles,
+/// instructions, return values) and the seed per-event tracer (every
+/// StlStats field with extended PC bins, dynamic parents, the three
+/// peaks). The digest hashes every StlStats field, the PC bins and each
+/// loop's parent and children. The digests without extended binning are
+/// pinned by the "default" rows of tests/golden/conformance_full.json
+/// (selection_digest), so this table does not repeat them.
+const PinnedRun PinnedRuns[] = {
+    {"Assignment", "base", 645503, 550010, 40436, 0xe6c22c47027a4ba5, 3, 2, 3,
+     580401, 498083, 40436},
+    {"Assignment", "opt", 632927, 549486, 40436, 0xa8450b360cb1b98a, 3, 2, 3},
+    {"BitOps", "base", 862031, 505801, 1804887632674309312, 0xb634144a7da47e19,
+     1, 0, 1, 838698, 482593, 1804887632674309312},
+    {"BitOps", "opt", 862031, 505801, 1804887632674309312, 0xb634144a7da47e19,
+     1, 0, 1},
+    {"compress", "base", 873554, 564159, 100191386007537, 0x76429ab4547e306f, 2,
+     6, 2, 615637, 433017, 100191386007537},
+    {"compress", "opt", 742402, 549502, 100191386007537, 0xe3aa30752bc2cbe7, 2,
+     6, 2},
+    {"db", "base", 5567963, 3712652, 4611116, 0x331d0c166298734e, 2, 2, 2,
+     3047171, 2577435, 4611116},
+    {"db", "opt", 4130859, 3549863, 4611116, 0x6db962b77baaf596, 2, 2, 2},
+    {"deltaBlue", "base", 199247, 142452, 40197932, 0x6eb0196f1405fcc5, 2, 2, 2,
+     191388, 135093, 40197932},
+    {"deltaBlue", "opt", 198496, 142023, 40197932, 0x1f4c724ff1b66401, 2, 2, 2},
+    {"EmFloatPnt", "base", 48451, 41580, 248383061367, 0x2f786f6ac2717075, 2, 0,
+     2, 47468, 40747, 248383061367},
+    {"EmFloatPnt", "opt", 48379, 41577, 248383061367, 0x66b72feca586ec6a, 2, 0,
+     2},
+    {"Huffman", "base", 907126, 682537, 5254809795930, 0x1418a29a3bcd2980, 2, 2,
+     2, 626443, 532454, 5254809795930},
+    {"Huffman", "opt", 772516, 667872, 5254809795930, 0xbcf23349d42bcee8, 2, 2,
+     2},
+    {"IDEA", "base", 706720, 475886, 14907476757756, 0x8b80e32695764d0e, 2, 4,
+     2, 611700, 390566, 14907476757756},
+    {"IDEA", "opt", 648352, 426350, 14907476757756, 0x8838d87e3ec72b0d, 2, 4,
+     2},
+    {"jess", "base", 569646, 377757, 558449, 0x0b29b4379da8acbf, 4, 1, 4,
+     535693, 349254, 558449},
+    {"jess", "opt", 564038, 377071, 558449, 0x181576d93812f005, 4, 1, 4},
+    {"jLex", "base", 678031, 608923, 136054416, 0x1335b4bf6fda82eb, 3, 2, 3,
+     554773, 515640, 136054416},
+    {"jLex", "opt", 644817, 603125, 136054416, 0xebbabef1203af950, 3, 2, 3},
+    {"MipsSimulator", "base", 964116, 721797, 107372109865153,
+     0xaf69ab2450a5e47a, 2, 2, 2, 786118, 592399, 107372109865153},
+    {"MipsSimulator", "opt", 869604, 671859, 107372109865153,
+     0x5d6c93ae78f21804, 2, 2, 2},
+    {"monteCarlo", "base", 361604, 266193, 1974693785, 0x4fa27110f95c0f43, 2, 2,
+     2, 303144, 215783, 1974693785},
+    {"monteCarlo", "opt", 346244, 258193, 1974693785, 0xbc5de6aba796ab2e, 2, 2,
+     2},
+    {"NumHeapSort", "base", 885680, 790577, 76602359, 0x7f7de97c9e9bb090, 2, 2,
+     2, 646157, 626154, 76602359},
+    {"NumHeapSort", "opt", 867609, 772506, 76602359, 0x41731aa3f79927a5, 2, 2,
+     2},
+    {"raytrace", "base", 356351, 260098, 96115, 0x7e40e7741e5fa4e3, 3, 2, 3,
+     306744, 243866, 96115},
+    {"raytrace", "opt", 324383, 258766, 96115, 0xf2d3c39f88502670, 3, 2, 3},
+    {"euler", "base", 455740, 417890, 71023187, 0xf7a04e07af047774, 3, 0, 3,
+     404306, 400131, 71023187},
+    {"euler", "opt", 423484, 416546, 71023187, 0xf0193895cefb9044, 3, 0, 3},
+    {"fft", "base", 515356, 437276, 43016729, 0x157c479ecd79f5b2, 2, 2, 2,
+     383683, 356878, 43016729},
+    {"fft", "opt", 480540, 426012, 43016729, 0xff9d85fda6f49e9c, 2, 2, 2},
+    {"FourierTest", "base", 1091981, 723530, 18446744073708904898u,
+     0x88e024e89d350764, 3, 1, 3, 917585, 658384, 18446744073708904898u},
+    {"FourierTest", "opt", 1090829, 723482, 18446744073708904898u,
+     0x6450f507217f93cf, 3, 1, 3},
+    {"LuFactor", "base", 2161446, 1977353, 35067873, 0xa8fd3a7dcd46db5c, 3, 2,
+     3, 2001153, 1870760, 35067873},
+    {"LuFactor", "opt", 2110038, 1975211, 35067873, 0x15f177ec6ec32c56, 3, 2,
+     3},
+    {"moldyn", "base", 177111, 162891, 62315396, 0x2162fdbefed04b3e, 3, 0, 3,
+     165837, 156692, 62315396},
+    {"moldyn", "opt", 172311, 162691, 62315396, 0xda9effb46d7ad1e9, 3, 0, 3},
+    {"NeuralNet", "base", 1507644, 1337410, 18446744073708885771u,
+     0x4f2724f697c9f07f, 4, 0, 4, 1263804, 1239795, 18446744073708885771u},
+    {"NeuralNet", "opt", 1367436, 1331568, 18446744073708885771u,
+     0xf3788fe507f7948b, 4, 0, 4},
+    {"shallow", "base", 2579148, 2066632, 2870433533, 0xb40709a5e44c3443, 3, 0,
+     3, 2524494, 2024653, 2870433533},
+    {"shallow", "opt", 2567052, 2066128, 2870433533, 0xa05a04b4c0c9ebc4, 3, 0,
+     3},
+    {"decJpeg", "base", 807131, 654118, 4904539, 0xdce3b532e3e0ed94, 3, 0, 3,
+     713247, 610334, 4904539},
+    {"decJpeg", "opt", 759131, 652118, 4904539, 0x1d1bcc46b4b2106a, 3, 0, 3},
+    {"encJpeg", "base", 724832, 595250, 24073171241044, 0x2fe662febe5d8a72, 3,
+     2, 3, 593416, 506859, 24073171241044},
+    {"encJpeg", "opt", 675238, 585124, 24073171241044, 0xd6dfef1c3c8ef1a0, 3, 2,
+     3},
+    {"h263dec", "base", 3068667, 2559148, 6168822, 0x3af70dcb733db08e, 4, 0, 4,
+     2889127, 2433358, 6168822},
+    {"h263dec", "opt", 3017163, 2557002, 6168822, 0x9d9a54635c292489, 4, 0, 4},
+    {"mpegVideo", "base", 2025735, 1546350, 7826322, 0xa41542043bbe361e, 4, 0,
+     4, 1843839, 1456954, 7826322},
+    {"mpegVideo", "opt", 1937031, 1542654, 7826322, 0xbd4207d7e56ae6f8, 4, 0,
+     4},
+    {"mp3", "base", 777472, 704754, 83194066026441, 0xfc93b1de81aa9f71, 3, 1, 3,
+     661246, 648953, 83194066026441},
+    {"mp3", "opt", 719584, 702342, 83194066026441, 0xf2b3ea7e199130b6, 3, 1, 3},
+};
+
 } // namespace
 
 TEST(TraceReplay, SelectionBitIdenticalOnAllWorkloads) {
-  for (const workloads::Workload &W : workloads::allWorkloads()) {
+  const std::vector<workloads::Workload> &All = workloads::allWorkloads();
+  ASSERT_EQ(std::size(PinnedRuns), 2 * All.size());
+  const PinnedRun *Row = PinnedRuns;
+  for (const workloads::Workload &W : All) {
     for (jit::AnnotationLevel Level :
          {jit::AnnotationLevel::Base, jit::AnnotationLevel::Optimized}) {
-      const char *LevelName =
-          Level == jit::AnnotationLevel::Base ? "base" : "opt";
+      const bool IsBase = Level == jit::AnnotationLevel::Base;
+      const char *LevelName = IsBase ? "base" : "opt";
       SCOPED_TRACE(W.Name + " (" + LevelName + ")");
+      ASSERT_EQ(W.Name, Row->Workload);
+      ASSERT_STREQ(LevelName, Row->Level);
       TempTrace Tmp(W.Name + "-" + LevelName);
 
+      metrics::Registry LiveMetrics;
       pipeline::PipelineConfig Cfg = captureConfig(W, Level, Tmp.path());
+      Cfg.Metrics = &LiveMetrics;
       pipeline::Jrpm J(W.Build(), Cfg);
       pipeline::Jrpm::ProfileOutcome Live = J.profileAndSelect();
 
+      metrics::Registry ReplayMetrics;
       pipeline::PipelineConfig ReplayCfg = Cfg;
       ReplayCfg.RecordTracePath.clear();
+      ReplayCfg.Metrics = &ReplayMetrics;
       pipeline::Jrpm::ProfileOutcome Replayed =
           pipeline::selectFromTrace(Tmp.path(), ReplayCfg);
 
@@ -78,6 +216,31 @@ TEST(TraceReplay, SelectionBitIdenticalOnAllWorkloads) {
       EXPECT_EQ(Live.PeakBanksInUse, Replayed.PeakBanksInUse);
       EXPECT_EQ(Live.PeakLocalSlots, Replayed.PeakLocalSlots);
       EXPECT_EQ(Live.PeakDynamicNest, Replayed.PeakDynamicNest);
+      // The tracer's metrics are a pure function of the event stream. The
+      // replay also exports trace.events_replayed and the live run
+      // interp.profiled.*, so only the tracer namespace is comparable.
+      const std::string LiveTracer =
+          testutil::dumpWithPrefix(LiveMetrics, "tracer.");
+      EXPECT_NE(LiveTracer, "{}");
+      EXPECT_EQ(LiveTracer, testutil::dumpWithPrefix(ReplayMetrics, "tracer."));
+      EXPECT_GT(testutil::counterValue(ReplayMetrics, "trace.events_replayed"),
+                0u);
+
+      // The pinned row.
+      EXPECT_EQ(Live.Run.Cycles, Row->Cycles);
+      EXPECT_EQ(Live.Run.Instructions, Row->Instructions);
+      EXPECT_EQ(Live.Run.ReturnValue, Row->ReturnValue);
+      EXPECT_EQ(tracer::selectionDigest(Live.Selection), Row->Digest);
+      EXPECT_EQ(Live.PeakBanksInUse, Row->PeakBanks);
+      EXPECT_EQ(Live.PeakLocalSlots, Row->PeakSlots);
+      EXPECT_EQ(Live.PeakDynamicNest, Row->PeakNest);
+      if (IsBase) {
+        interp::RunResult Plain = J.runPlain();
+        EXPECT_EQ(Plain.Cycles, Row->PlainCycles);
+        EXPECT_EQ(Plain.Instructions, Row->PlainInstructions);
+        EXPECT_EQ(Plain.ReturnValue, Row->PlainReturnValue);
+      }
+      ++Row;
     }
   }
 }
