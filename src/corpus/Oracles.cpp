@@ -9,6 +9,7 @@
 #include "jit/TlsPlan.h"
 #include "support/Format.h"
 #include "trace/Reader.h"
+#include "trace/Writer.h"
 #include "tracer/Selector.h"
 #include "tracer/TraceEngine.h"
 
@@ -63,124 +64,6 @@ std::int64_t corpus::tripProduct(const Template &T, const VariantSpec &Spec) {
 }
 
 namespace {
-
-/// In-memory analogue of trace::RecordingSink: captures every event into a
-/// vector while forwarding it (and the downstream engine's cycle charges)
-/// unchanged, so the recorded run is cycle-identical to an unrecorded one.
-class VectorSink : public interp::TraceSink {
-public:
-  explicit VectorSink(interp::TraceSink *Downstream) : Down(Downstream) {}
-
-  const std::vector<trace::Event> &events() const { return Events; }
-
-  std::uint32_t onHeapLoad(std::uint32_t Addr, std::uint64_t Cycle,
-                           std::int32_t Pc) override {
-    trace::Event E;
-    E.Kind = trace::EventKind::HeapLoad;
-    E.Addr = Addr;
-    E.Cycle = Cycle;
-    E.Pc = Pc;
-    Events.push_back(E);
-    return Down ? Down->onHeapLoad(Addr, Cycle, Pc) : 0;
-  }
-  std::uint32_t onHeapStore(std::uint32_t Addr, std::uint64_t Cycle,
-                            std::int32_t Pc) override {
-    trace::Event E;
-    E.Kind = trace::EventKind::HeapStore;
-    E.Addr = Addr;
-    E.Cycle = Cycle;
-    E.Pc = Pc;
-    Events.push_back(E);
-    return Down ? Down->onHeapStore(Addr, Cycle, Pc) : 0;
-  }
-  std::uint32_t onLocalLoad(std::uint64_t Activation, std::uint16_t Reg,
-                            std::uint64_t Cycle, std::int32_t Pc) override {
-    trace::Event E;
-    E.Kind = trace::EventKind::LocalLoad;
-    E.Activation = Activation;
-    E.Reg = Reg;
-    E.Cycle = Cycle;
-    E.Pc = Pc;
-    Events.push_back(E);
-    return Down ? Down->onLocalLoad(Activation, Reg, Cycle, Pc) : 0;
-  }
-  std::uint32_t onLocalStore(std::uint64_t Activation, std::uint16_t Reg,
-                             std::uint64_t Cycle, std::int32_t Pc) override {
-    trace::Event E;
-    E.Kind = trace::EventKind::LocalStore;
-    E.Activation = Activation;
-    E.Reg = Reg;
-    E.Cycle = Cycle;
-    E.Pc = Pc;
-    Events.push_back(E);
-    return Down ? Down->onLocalStore(Activation, Reg, Cycle, Pc) : 0;
-  }
-  std::uint32_t onLoopStart(std::uint32_t LoopId, std::uint64_t Activation,
-                            std::uint64_t Cycle) override {
-    trace::Event E;
-    E.Kind = trace::EventKind::LoopStart;
-    E.LoopId = LoopId;
-    E.Activation = Activation;
-    E.Cycle = Cycle;
-    Events.push_back(E);
-    return Down ? Down->onLoopStart(LoopId, Activation, Cycle) : 0;
-  }
-  std::uint32_t onLoopIter(std::uint32_t LoopId,
-                           std::uint64_t Cycle) override {
-    trace::Event E;
-    E.Kind = trace::EventKind::LoopIter;
-    E.LoopId = LoopId;
-    E.Cycle = Cycle;
-    Events.push_back(E);
-    return Down ? Down->onLoopIter(LoopId, Cycle) : 0;
-  }
-  std::uint32_t onLoopEnd(std::uint32_t LoopId, std::uint64_t Cycle) override {
-    trace::Event E;
-    E.Kind = trace::EventKind::LoopEnd;
-    E.LoopId = LoopId;
-    E.Cycle = Cycle;
-    Events.push_back(E);
-    return Down ? Down->onLoopEnd(LoopId, Cycle) : 0;
-  }
-  void onReturn(std::uint64_t Activation) override {
-    trace::Event E;
-    E.Kind = trace::EventKind::Return;
-    E.Activation = Activation;
-    Events.push_back(E);
-    if (Down)
-      Down->onReturn(Activation);
-  }
-  void onCallSite(std::int32_t CallPc, std::uint64_t Cycle) override {
-    trace::Event E;
-    E.Kind = trace::EventKind::CallSite;
-    E.Pc = CallPc;
-    E.Cycle = Cycle;
-    Events.push_back(E);
-    if (Down)
-      Down->onCallSite(CallPc, Cycle);
-  }
-  void onCallReturn(std::uint64_t Cycle) override {
-    trace::Event E;
-    E.Kind = trace::EventKind::CallReturn;
-    E.Cycle = Cycle;
-    Events.push_back(E);
-    if (Down)
-      Down->onCallReturn(Cycle);
-  }
-  std::uint32_t onReadStats(std::uint32_t LoopId,
-                            std::uint64_t Cycle) override {
-    trace::Event E;
-    E.Kind = trace::EventKind::ReadStats;
-    E.LoopId = LoopId;
-    E.Cycle = Cycle;
-    Events.push_back(E);
-    return Down ? Down->onReadStats(LoopId, Cycle) : 0;
-  }
-
-private:
-  interp::TraceSink *Down;
-  std::vector<trace::Event> Events;
-};
 
 /// Speculative execution under \p Cfg with the paper's optimistic policy
 /// (every non-rejected candidate gets a plan) — the fuzz suite's contract.
@@ -246,7 +129,8 @@ OracleOutcome corpus::runOracles(const Template &T, const Variant &V,
   jit::AnnotatedModule AM =
       jit::annotateModule(M, MA, jit::AnnotationLevel::Optimized);
   tracer::TraceEngine Live(Cfg.Hw, AM.LoopInfos);
-  VectorSink Recorder(&Live);
+  std::vector<trace::Event> Recorded;
+  trace::RecordingSink<std::vector<trace::Event>> Recorder(Recorded, &Live);
   interp::Machine Prof(AM.Module, Cfg.Hw);
   Prof.setTraceSink(&Recorder);
   interp::RunResult ProfRun = Prof.run();
@@ -292,9 +176,9 @@ OracleOutcome corpus::runOracles(const Template &T, const Variant &V,
   // Oracle 3: record-once / replay-many — a fresh engine fed the recorded
   // events must reproduce the live selection digest exactly.
   tracer::TraceEngine Fresh(Cfg.Hw, AM.LoopInfos);
-  for (const trace::Event &E : Recorder.events())
+  for (const trace::Event &E : Recorded)
     trace::dispatchEvent(E, Fresh);
-  Out.EventsReplayed = Recorder.events().size();
+  Out.EventsReplayed = Recorded.size();
   tracer::SelectionResult ReplaySel =
       tracer::selectStls(Fresh, ProfRun.Cycles, Cfg.Hw);
   std::uint64_t ReplayDigest = tracer::selectionDigest(ReplaySel);

@@ -79,6 +79,18 @@ struct DecodedInst {
 };
 static_assert(sizeof(DecodedInst) == 24, "hot struct stays 24 bytes");
 
+/// Word address a Load or Store accesses: Imm plus the optional A and B
+/// registers of \p Regs, truncated to the 32-bit heap address space.
+inline std::uint32_t effectiveAddress(const DecodedInst &I,
+                                      const std::uint64_t *Regs) {
+  std::uint64_t Ea = static_cast<std::uint64_t>(I.Imm);
+  if (I.A != ir::NoReg)
+    Ea += Regs[I.A];
+  if (I.B != ir::NoReg)
+    Ea += Regs[I.B];
+  return static_cast<std::uint32_t>(Ea);
+}
+
 /// Per-block metadata (cold; consulted at control-flow boundaries only).
 struct BlockDesc {
   FlatPc StartPc = 0;

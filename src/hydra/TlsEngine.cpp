@@ -49,14 +49,7 @@ TlsEngine::TlsEngine(const ir::Module &M, const sim::HydraConfig &Cfg,
   for (std::uint32_t C = 0; C < Cfg.NumCores; ++C) {
     Threads[C].Ctx = std::make_unique<interp::ExecContext>(EngineImage, Cfg);
     Threads[C].L1 = std::make_unique<sim::L1CacheModel>(Cfg);
-    Ports.push_back(std::make_unique<SpecPort>(*this, C));
   }
-}
-
-std::uint32_t TlsEngine::SpecPort::allocWords(std::uint32_t Count) {
-  (void)Count;
-  JRPM_FATAL("heap allocation inside a speculative thread (the candidate "
-             "screen should have rejected this loop)");
 }
 
 TlsLoopRunStats TlsEngine::totals() const {
@@ -184,7 +177,7 @@ void TlsEngine::prepareLoop(PreparedLoop &PL, interp::Machine &M) {
       I.Pc = NextPc++;
   // Appending leaves every existing flat PC where it was, so LoopAtPc and
   // previously prepared loops stay valid. The spec contexts re-read the
-  // instruction array on every step, so its reallocation is invisible.
+  // instruction array on every run-ahead, so its reallocation is invisible.
   PL.TlsFunc = EngineImage.appendFunction(Clone);
   PL.HeaderPcTls = EngineImage.blockStart(PL.TlsFunc, PL.Plan.Header);
   const exec::FuncDesc &F = EngineImage.func(PL.TlsFunc);
@@ -203,8 +196,7 @@ void TlsEngine::prepareLoop(PreparedLoop &PL, interp::Machine &M) {
 }
 
 bool TlsEngine::onBlockStart(interp::ExecContext &Ctx, interp::Machine &M) {
-  exec::FlatPc Pc = Ctx.pc();
-  std::uint32_t Loop = Pc < LoopAtPc.size() ? LoopAtPc[Pc] : 0;
+  std::uint32_t Loop = LoopAtPc[Ctx.pc()];
   if (!Loop)
     return false;
   PreparedLoop &PL = Loops[Loop - 1];
@@ -387,15 +379,17 @@ void TlsEngine::commitThread(std::uint32_t Core) {
   }
 }
 
-std::uint64_t TlsEngine::specLoad(std::uint32_t Core, std::uint32_t Addr,
-                                  std::uint32_t &Extra) {
+bool TlsEngine::specLoad(std::uint32_t Core, std::uint32_t Addr,
+                         std::uint64_t &Value, std::uint32_t &Cost) {
   SpecThread &T = Threads[Core];
   std::uint32_t Me = coreBit(Core);
   SpecTagTable::Entry *Word = WordTags.find(Addr);
   std::uint32_t Writers = Word ? Word->Written : 0;
   // Own speculative store buffer first.
-  if (Writers & Me)
-    return WordTags.value(*Word, Core);
+  if (Writers & Me) {
+    Value = WordTags.value(*Word, Core);
+    return true;
+  }
 
   // Synchronized carried locals (Section 3.2): spin until the predecessor
   // thread has produced the value instead of speculating through it.
@@ -410,17 +404,15 @@ std::uint64_t TlsEngine::specLoad(std::uint32_t Core, std::uint32_t Addr,
       if (!Produced) {
         T.State = SpecThread::St::WaitSync;
         T.SyncAddr = Addr;
-        SyncRewindPending = true;
         ++CurStats->SyncStalls;
         openStall(Core, SpecThread::Stall::Sync);
-        return 0; // dummy; the load re-issues after the producer stores
+        return false; // the load re-issues after the producer stores
       }
       break;
     }
   }
 
   // Forward from the nearest earlier uncommitted thread holding the word.
-  std::uint64_t Value;
   std::uint32_t Sources = Writers ? Writers & coresBefore(T.Iter) : 0;
   if (Sources) {
     std::uint32_t Nearest = std::countr_zero(Sources);
@@ -429,11 +421,11 @@ std::uint64_t TlsEngine::specLoad(std::uint32_t Core, std::uint32_t Addr,
       if (Threads[C].Iter > Threads[Nearest].Iter)
         Nearest = C;
     }
-    Extra += Cfg.StoreLoadCommCycles;
+    Cost += Cfg.StoreLoadCommCycles;
     Value = WordTags.value(*Word, Nearest);
   } else {
     if (!T.L1->access(Addr))
-      Extra += Cfg.L2HitExtraCycles;
+      Cost += Cfg.L2HitExtraCycles;
     Value = CurHeap->load(Addr);
   }
 
@@ -461,12 +453,11 @@ std::uint64_t TlsEngine::specLoad(std::uint32_t Core, std::uint32_t Addr,
     ++CurStats->OverflowStalls;
     openStall(Core, SpecThread::Stall::Buffer);
   }
-  return Value;
+  return true;
 }
 
 void TlsEngine::specStore(std::uint32_t Core, std::uint32_t Addr,
-                          std::uint64_t Value, std::uint32_t &Extra) {
-  (void)Extra;
+                          std::uint64_t Value) {
   SpecThread &T = Threads[Core];
   std::uint32_t Me = coreBit(Core);
   SpecTagTable::Entry &Word = WordTags.insert(Addr);
@@ -542,33 +533,48 @@ bool TlsEngine::runEvent(std::uint32_t Core) {
   case RunStop::Shared:
     break;
   }
-  ir::Opcode Op = EngineImage.inst(T.Ctx->pc()).Op;
-  if ((Op == ir::Opcode::Div || Op == ir::Opcode::Rem) &&
-      T.Iter != HeadIter) {
-    // The run-ahead stopped here because the divisor is zero. A
-    // speculative thread may have computed it from stale data, so the
-    // instruction waits unexecuted until the thread is the head (and then
-    // traps for real) or is squashed. No stall is charged.
+  const exec::DecodedInst &I = EngineImage.inst(T.Ctx->pc());
+  switch (I.Op) {
+  case ir::Opcode::Load:
+  case ir::Opcode::Store:
+    break;
+  case ir::Opcode::Div:
+  case ir::Opcode::Rem:
+    // The run-ahead stopped here because the divisor is zero. The head
+    // traps for real. A speculative thread may have computed the divisor
+    // from stale data, so the instruction waits unexecuted until the
+    // thread is the head or is squashed. No stall is charged.
+    if (T.Iter == HeadIter)
+      T.Ctx->trap();
     T.State = SpecThread::St::WaitHead;
     T.ReadyAt = Cycle;
     return true;
-  }
-  std::uint32_t Cost = T.Ctx->step(*Ports[Core], nullptr, Cycle);
-  T.ReadyAt = Cycle + std::max<std::uint32_t>(Cost, 1);
-  if (SyncRewindPending) {
-    // The load could not be satisfied yet: undo it; it re-issues when
-    // resumeSyncWaiters() releases the thread.
-    SyncRewindPending = false;
-    T.Ctx->rewindTop();
-    return true;
-  }
-  if (T.Ctx->finished())
+  case ir::Opcode::Alloc:
+    JRPM_FATAL("heap allocation inside a speculative thread (the candidate "
+               "screen should have rejected this loop)");
+  default: // a Ret from the outermost frame
     JRPM_FATAL("speculative thread returned out of the STL's function");
+  }
+  bool Load = I.Op == ir::Opcode::Load;
+  std::uint64_t *Regs = T.Ctx->topRegs().data();
+  std::uint32_t Addr = exec::effectiveAddress(I, Regs);
+  std::uint32_t Cost = Cfg.Costs.Basic;
+  bool Retired = true;
+  if (Load)
+    Retired = specLoad(Core, Addr, Regs[I.Dst], Cost);
+  else
+    specStore(Core, Addr, Regs[I.Dst]);
+  // A synchronized load that must wait stays parked, unexecuted, and
+  // re-issues when resumeSyncWaiters() releases the thread; it still
+  // occupies the core for this cycle.
+  if (Retired)
+    T.Ctx->retire();
+  T.ReadyAt = Cycle + std::max<std::uint32_t>(Cost, 1);
   // specLoad/specStore may have stalled the thread.
   bool Running = T.State == SpecThread::St::Running;
   if (Running)
     runAhead(Core, T.ReadyAt);
-  return Op != ir::Opcode::Load || !Running;
+  return !Load || !Running;
 }
 
 TlsEngine::SpecThread *TlsEngine::runTransitions() {

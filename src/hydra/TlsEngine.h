@@ -14,7 +14,10 @@
 // its own clock through instructions that touch only its registers, and
 // only shared events (loads, stores, loop boundaries, traps) are executed
 // in global (cycle, core) order, with the head-commit/refill transitions
-// run one cycle after any event that changed speculative state.
+// run one cycle after any event that changed speculative state. The
+// engine executes a core's loads and stores itself, against the store
+// buffers and tag bits; a synchronized load whose value is not produced
+// yet leaves the core parked on it until the producer stores.
 //
 //===----------------------------------------------------------------------===//
 
@@ -82,6 +85,9 @@ public:
   TlsEngine(ir::Module &&, const sim::HydraConfig &,
             std::vector<jit::TlsLoopPlan>) = delete;
 
+  const std::vector<std::uint32_t> &stopMap() const override {
+    return LoopAtPc;
+  }
   bool onBlockStart(interp::ExecContext &Ctx, interp::Machine &M) override;
 
   const std::map<std::uint32_t, TlsLoopRunStats> &loopStats() const {
@@ -170,24 +176,6 @@ private:
     std::vector<std::uint32_t> ReadLines;
   };
 
-  /// MemoryPort adapter binding a core index to the engine.
-  class SpecPort : public interp::MemoryPort {
-  public:
-    SpecPort(TlsEngine &E, std::uint32_t Core) : E(E), Core(Core) {}
-    std::uint64_t load(std::uint32_t Addr, std::uint32_t &Extra) override {
-      return E.specLoad(Core, Addr, Extra);
-    }
-    void store(std::uint32_t Addr, std::uint64_t Value,
-               std::uint32_t &Extra) override {
-      E.specStore(Core, Addr, Value, Extra);
-    }
-    std::uint32_t allocWords(std::uint32_t Count) override;
-
-  private:
-    TlsEngine &E;
-    std::uint32_t Core;
-  };
-
   void prepareLoop(PreparedLoop &PL, interp::Machine &M);
   void runLoop(PreparedLoop &PL, interp::ExecContext &Ctx,
                interp::Machine &M);
@@ -202,10 +190,13 @@ private:
   /// charges the buckets, and accounts the core occupancy.
   void resolveLifetime(std::uint32_t Core, Outcome O);
 
-  std::uint64_t specLoad(std::uint32_t Core, std::uint32_t Addr,
-                         std::uint32_t &Extra);
-  void specStore(std::uint32_t Core, std::uint32_t Addr, std::uint64_t Value,
-                 std::uint32_t &Extra);
+  /// Loads \p Addr for \p Core into \p Value, adding forwarding or L1
+  /// miss latency to \p Cost. Returns false, loading nothing, when a
+  /// synchronized load must wait for its producer (the thread is then
+  /// WaitSync).
+  bool specLoad(std::uint32_t Core, std::uint32_t Addr, std::uint64_t &Value,
+                std::uint32_t &Cost);
+  void specStore(std::uint32_t Core, std::uint32_t Addr, std::uint64_t Value);
 
   // --- runLoop helpers (valid only during runLoop) -------------------------
   /// Fills \p Regs (a recycled buffer; capacity is reused) with the spawn
@@ -256,7 +247,8 @@ private:
   /// Per flat PC of the plain module: 1 + the index of the selected loop
   /// whose header block starts there, or 0. The sequential machine's
   /// context and EngineImage are both compiled from Plain, so their flat
-  /// PCs agree and onBlockStart dispatches on one load.
+  /// PCs agree: this is the machine's stop map, and onBlockStart
+  /// dispatches on one load.
   std::vector<std::uint32_t> LoopAtPc;
   std::map<std::uint32_t, TlsLoopRunStats> Stats;
 
@@ -265,7 +257,6 @@ private:
   const PreparedLoop *Cur = nullptr;
   TlsLoopRunStats *CurStats = nullptr;
   std::vector<SpecThread> Threads; // one per core
-  std::vector<std::unique_ptr<SpecPort>> Ports;
   /// Speculative tag bits of every core: per word (read bits under word
   /// grain, written bits and buffered values) and per line (read and
   /// written bits). Empty between invocations.
@@ -287,9 +278,6 @@ private:
   /// activation's file via ExecContext::resetAtPc and reuses it for the
   /// next spawn instead of allocating per iteration.
   std::vector<std::vector<std::uint64_t>> RegPool;
-  /// Set by specLoad when a synchronized load must be retried; runLoop
-  /// rewinds the context so the load re-issues after the producer stores.
-  bool SyncRewindPending = false;
 
   // Observability state. CoreBusy accumulates resolved lifetime lengths per
   // core within the current invocation; what remains of the invocation's

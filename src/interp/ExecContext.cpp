@@ -30,18 +30,6 @@ void ExecContext::start(std::uint32_t Func,
   Executed = 0;
 }
 
-void ExecContext::startAt(std::uint32_t Func, std::uint32_t Block,
-                          std::vector<std::uint64_t> Regs) {
-  assert(Regs.size() >= Image.func(Func).NumRegs &&
-         "register file too small");
-  Frame Fr;
-  Fr.Pc = Image.blockStart(Func, Block);
-  Fr.Activation = NextActivation++;
-  Fr.Regs = std::move(Regs);
-  Frames.clear();
-  Frames.push_back(std::move(Fr));
-}
-
 std::vector<std::uint64_t>
 ExecContext::resetAtPc(exec::FlatPc Pc, std::vector<std::uint64_t> Regs) {
   assert(Image.isBlockStart(Pc) && "resetAtPc targets a block start");
@@ -71,21 +59,30 @@ ExecContext::resetAtPc(exec::FlatPc Pc, std::vector<std::uint64_t> Regs) {
   return Recycled;
 }
 
+void ExecContext::trap() const {
+  const exec::DecodedInst &I = Image.inst(pc());
+  assert((I.Op == ir::Opcode::Div || I.Op == ir::Opcode::Rem) &&
+         "only a zero divisor traps");
+  throw TrapError(I.Op == ir::Opcode::Div ? TrapKind::DivideByZero
+                                          : TrapKind::RemainderByZero,
+                  I.Pc);
+}
+
 template <ExecContext::StepMode Mode>
-std::uint64_t ExecContext::stepImpl(MemoryPort *Mem, TraceSink *Sink,
+std::uint64_t ExecContext::stepImpl(DirectMemoryPort *Mem, TraceSink *Sink,
                                     std::uint64_t Now,
                                     std::uint64_t MaxCycles,
-                                    const BoundaryMap *Stops,
-                                    RunStop *Why) {
+                                    const std::uint32_t *StopAt,
+                                    const BoundaryMap *Stops, RunStop *Why) {
   assert(!Frames.empty() && "stepping a finished context");
   const exec::DecodedInst *Insts = Image.insts();
   const sim::CostModel &Costs = Cfg.Costs;
   std::uint64_t Total = 0;
   // The program counter, register-file pointer, and retired-instruction
   // counter are carried in locals; Frame::Pc and Executed are written back
-  // only at frame changes, step boundaries, and traps, so the
-  // per-instruction path never touches memory the compiler cannot keep in
-  // registers across the opaque Mem/Sink calls.
+  // only at frame changes, returns, and traps, so the per-instruction path
+  // never touches memory the compiler cannot keep in registers across the
+  // opaque Sink calls.
   Frame *F = &Frames.back();
   exec::FlatPc Pc = F->Pc;
   std::uint64_t *Regs = F->Regs.data();
@@ -150,19 +147,12 @@ std::uint64_t ExecContext::stepImpl(MemoryPort *Mem, TraceSink *Sink,
       JRPM_FETCH();                                                          \
     }                                                                        \
     Total += Cost;                                                           \
-    if constexpr (Mode == StepMode::Single) {                                \
+    Now += Cost;                                                             \
+    /* budget and stop-map tests once per block */                           \
+    if ((Insts[Pc].Flags & exec::DecodedInst::BlockStartFlag) &&             \
+        (Now > MaxCycles || (StopAt && StopAt[Pc]))) {                       \
       F->Pc = Pc;                                                            \
       JRPM_RETURN(Total);                                                    \
-    }                                                                        \
-    Now += Cost;                                                             \
-    if (Insts[Pc].Flags & exec::DecodedInst::BlockStartFlag) {               \
-      if constexpr (Mode == StepMode::Block) {                               \
-        F->Pc = Pc;                                                          \
-        JRPM_RETURN(Total);                                                  \
-      } else if (Now > MaxCycles) { /* budget test once per block */         \
-        F->Pc = Pc;                                                          \
-        JRPM_RETURN(Total);                                                  \
-      }                                                                      \
     }                                                                        \
     JRPM_FETCH();                                                            \
   } while (0)
@@ -188,7 +178,7 @@ Op_Div: {
       JRPM_STOP_BEFORE();
     F->Pc = Pc; // park the context on the faulting instruction
     Executed = Exec;
-    throw TrapError(TrapKind::DivideByZero, I->Pc);
+    trap();
   }
   Regs[I->Dst] = static_cast<std::uint64_t>(asI(Regs[I->A]) / D);
   Cost = Costs.IntDiv;
@@ -202,7 +192,7 @@ Op_Rem: {
       JRPM_STOP_BEFORE();
     F->Pc = Pc;
     Executed = Exec;
-    throw TrapError(TrapKind::RemainderByZero, I->Pc);
+    trap();
   }
   Regs[I->Dst] = static_cast<std::uint64_t>(asI(Regs[I->A]) % D);
   Cost = Costs.IntDiv;
@@ -317,15 +307,8 @@ Op_Mov:
 Op_Load: {
   if constexpr (Mode == StepMode::RunAhead)
     JRPM_STOP_BEFORE();
-  std::uint64_t Ea = static_cast<std::uint64_t>(I->Imm);
-  if (I->A != ir::NoReg)
-    Ea += Regs[I->A];
-  if (I->B != ir::NoReg)
-    Ea += Regs[I->B];
-  std::uint32_t Addr = static_cast<std::uint32_t>(Ea);
-  std::uint32_t Extra = 0;
-  Regs[I->Dst] = Mem->load(Addr, Extra);
-  Cost += Extra;
+  std::uint32_t Addr = exec::effectiveAddress(*I, Regs);
+  Regs[I->Dst] = Mem->load(Addr, Cost);
   if (Sink)
     Cost += Sink->onHeapLoad(Addr, Now, I->Pc);
   ++Pc;
@@ -334,15 +317,8 @@ Op_Load: {
 Op_Store: {
   if constexpr (Mode == StepMode::RunAhead)
     JRPM_STOP_BEFORE();
-  std::uint64_t Ea = static_cast<std::uint64_t>(I->Imm);
-  if (I->A != ir::NoReg)
-    Ea += Regs[I->A];
-  if (I->B != ir::NoReg)
-    Ea += Regs[I->B];
-  std::uint32_t Addr = static_cast<std::uint32_t>(Ea);
-  std::uint32_t Extra = 0;
-  Mem->store(Addr, Regs[I->Dst], Extra);
-  Cost += Extra;
+  std::uint32_t Addr = exec::effectiveAddress(*I, Regs);
+  Mem->store(Addr, Regs[I->Dst]);
   if (Sink)
     Cost += Sink->onHeapStore(Addr, Now, I->Pc);
   ++Pc;
@@ -405,8 +381,8 @@ Op_Call: {
   F = &Frames.back();
   Pc = F->Pc;
   Regs = F->Regs.data();
-  // The callee entry is a function's first block start, so block-granular
-  // stepping stops here just like single stepping does.
+  // The callee entry is a function's first block start, where run()
+  // tests its budget and stop map.
   assert(Insts[Pc].Flags & exec::DecodedInst::BlockStartFlag);
   JRPM_NEXT();
 }
@@ -480,27 +456,16 @@ Op_Nop:
 #undef JRPM_RETURN
 }
 
-std::uint32_t ExecContext::step(MemoryPort &Mem, TraceSink *Sink,
-                                std::uint64_t Now) {
-  return static_cast<std::uint32_t>(
-      stepImpl<StepMode::Single>(&Mem, Sink, Now, 0, nullptr, nullptr));
-}
-
-std::uint32_t ExecContext::stepBlock(MemoryPort &Mem, TraceSink *Sink,
-                                     std::uint64_t Now) {
-  return static_cast<std::uint32_t>(
-      stepImpl<StepMode::Block>(&Mem, Sink, Now, 0, nullptr, nullptr));
-}
-
-std::uint64_t ExecContext::run(MemoryPort &Mem, TraceSink *Sink,
-                               std::uint64_t Now, std::uint64_t MaxCycles) {
-  return stepImpl<StepMode::Run>(&Mem, Sink, Now, MaxCycles, nullptr,
-                                 nullptr);
+std::uint64_t ExecContext::run(DirectMemoryPort &Mem, TraceSink *Sink,
+                               std::uint64_t Now, std::uint64_t MaxCycles,
+                               const std::uint32_t *StopAt) {
+  return stepImpl<StepMode::Run>(&Mem, Sink, Now, MaxCycles, StopAt,
+                                 nullptr, nullptr);
 }
 
 std::uint64_t ExecContext::runAhead(std::uint64_t Budget,
                                     const BoundaryMap &Stops, RunStop &Why) {
   assert(Budget > 0 && "a run-ahead executes at least one instruction");
-  return stepImpl<StepMode::RunAhead>(nullptr, nullptr, 0, Budget, &Stops,
-                                      &Why);
+  return stepImpl<StepMode::RunAhead>(nullptr, nullptr, 0, Budget, nullptr,
+                                      &Stops, &Why);
 }

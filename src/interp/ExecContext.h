@@ -1,25 +1,23 @@
 //===- interp/ExecContext.h - IR instruction stepping ----------------------==//
 //
-// A call stack plus step functions that execute instructions of a
-// pre-decoded exec::CodeImage through a MemoryPort, optionally emitting
-// profiling events to a TraceSink. The sequential machine and every
-// speculative thread of the Hydra TLS engine are instances of this class.
+// A call stack plus the dispatch loop that executes instructions of a
+// pre-decoded exec::CodeImage, optionally emitting profiling events to a
+// TraceSink. The sequential machine and every speculative thread of the
+// Hydra TLS engine are instances of this class.
 //
 // Frames hold a single flat program counter into the image instead of the
 // historical (function, block, instruction) triple; block and function
 // identity are recovered from the image's side tables only at control-flow
-// boundaries. Four granularities share one dispatch loop:
-//   - step() executes exactly one instruction (the TLS engine uses it for
-//     the loads, stores and other shared-state instructions it orders
-//     across cores);
+// boundaries. Two ways of executing share one dispatch loop:
+//   - run() executes against a DirectMemoryPort until the program
+//     finishes, the cycle budget runs out, or control reaches a block
+//     start flagged in the caller's stop map (the sequential machine's
+//     dispatcher checks);
 //   - runAhead() runs a speculative core through instructions that touch
 //     only its own frames, up to the next shared-state instruction, loop
-//     boundary or cycle budget, advancing the core's private clock;
-//   - stepBlock() runs to the next block start, which is what the
-//     sequential machine wants between dispatcher checks;
-//   - run() executes to completion (or a cycle budget) without ever
-//     leaving the dispatch loop, for sequential runs with no dispatcher
-//     attached.
+//     boundary or cycle budget, advancing the core's private clock. The
+//     TLS engine executes the Load or Store it parks on itself and then
+//     calls retire().
 //
 //===----------------------------------------------------------------------===//
 
@@ -32,7 +30,6 @@
 #include "ir/IR.h"
 #include "sim/Config.h"
 
-#include <cassert>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -66,16 +63,11 @@ public:
   /// Begins execution at the entry of function \p Func.
   void start(std::uint32_t Func, const std::vector<std::uint64_t> &Args);
 
-  /// Positions the context at the start of \p Block in \p Func with the
-  /// given register file (used by the TLS engine to spawn iteration
-  /// threads). The file may be larger than the function needs.
-  void startAt(std::uint32_t Func, std::uint32_t Block,
-               std::vector<std::uint64_t> Regs);
-
-  /// startAt by flat PC, recycling the previous activation's register file:
-  /// the old top-frame file is returned so spawn-heavy callers (the TLS
-  /// engine respawning an iteration thread per commit) can reuse its
-  /// buffer instead of allocating a fresh vector per spawn.
+  /// Positions the context, as its only frame, at block start \p Pc with
+  /// register file \p Regs (the TLS engine spawning an iteration thread).
+  /// The file may be larger than the function needs. The previous
+  /// activation's top-frame file is returned so spawn-heavy callers can
+  /// reuse its buffer instead of allocating a fresh vector per spawn.
   std::vector<std::uint64_t> resetAtPc(exec::FlatPc Pc,
                                        std::vector<std::uint64_t> Regs);
 
@@ -85,19 +77,9 @@ public:
 
   std::size_t callDepth() const { return Frames.size(); }
   exec::FlatPc pc() const { return Frames.back().Pc; }
-  std::uint32_t currentFunc() const { return Image.funcOf(pc()); }
   std::uint32_t currentBlock() const { return Image.blockOf(pc()); }
-  std::uint32_t currentInstr() const {
-    return pc() - Image.blockAt(pc()).StartPc;
-  }
   bool atBlockStart() const {
     return !Frames.empty() && Image.isBlockStart(Frames.back().Pc);
-  }
-
-  /// Register file of the outermost frame (frame 0).
-  std::vector<std::uint64_t> &baseRegs() { return Frames.front().Regs; }
-  const std::vector<std::uint64_t> &baseRegs() const {
-    return Frames.front().Regs;
   }
 
   /// Register file of the innermost (current) frame.
@@ -116,32 +98,25 @@ public:
     F.Regs = std::move(Regs);
   }
 
-  /// Executes one instruction; returns the cycles it consumed. Must not be
-  /// called when finished(). Throws TrapError when the program executes an
-  /// undefined operation (divide/remainder by zero).
-  std::uint32_t step(MemoryPort &Mem, TraceSink *Sink, std::uint64_t Now);
-
-  /// Executes instructions until the next block start (or until the
-  /// program finishes), accumulating \p Now per instruction exactly as a
-  /// sequence of step() calls would; returns the total cycles consumed.
-  /// The context is at a block start (or finished) on return, so callers
-  /// need to consult dispatchers only once per block.
-  std::uint32_t stepBlock(MemoryPort &Mem, TraceSink *Sink,
-                          std::uint64_t Now);
-
-  /// Executes until the program finishes or the running clock (starting at
-  /// \p Now, advanced per instruction) exceeds \p MaxCycles — the budget is
-  /// tested at block starts, matching a stepBlock() loop that checks after
-  /// every block. Returns the total cycles consumed. Equivalent to a
-  /// step() loop cycle for cycle, but never leaves the dispatch loop, so
-  /// sequential runs pay no per-block call boundary.
-  std::uint64_t run(MemoryPort &Mem, TraceSink *Sink, std::uint64_t Now,
-                    std::uint64_t MaxCycles);
+  /// Executes until the program finishes, the running clock (starting at
+  /// \p Now, advanced per instruction) exceeds \p MaxCycles, or control
+  /// reaches a block start whose entry in \p StopAt (one per flat PC of the
+  /// image; null = none) is nonzero. Both tests run at block starts after
+  /// at least one instruction, so a run resumed where it stopped makes
+  /// progress, and the context is at a block start (or finished) on
+  /// return. Returns the cycles consumed; resuming after a stop changes no
+  /// total. Must not be called when finished(). Throws TrapError when the
+  /// program divides by zero.
+  std::uint64_t run(DirectMemoryPort &Mem, TraceSink *Sink,
+                    std::uint64_t Now, std::uint64_t MaxCycles,
+                    const std::uint32_t *StopAt = nullptr);
 
   /// Why runAhead() returned.
   enum class RunStop : std::uint8_t {
     /// Parked before a Load, Store, Alloc, a Div/Rem whose divisor is zero,
     /// or a Ret from the outermost frame; the instruction has not executed.
+    /// The caller executes a Load or Store itself and then retire()s it, or
+    /// raises trap() for the Div/Rem.
     Shared,
     /// A Br/CondBr in the outermost frame landed on a flagged block start;
     /// the branch has executed and the context sits on the target.
@@ -162,38 +137,38 @@ public:
   /// Runs ahead through instructions that touch only this context's own
   /// registers and frames (arithmetic, moves, calls, returns below the
   /// outermost frame, branches). Every instruction occupies the core for
-  /// max(cost, 1) cycles, exactly as a step() per cycle would. Stops as
-  /// \p Why reports; returns the cycles from the first instruction's issue
-  /// to the issue of the instruction the context stopped before (Shared,
-  /// Horizon) or of the boundary branch (Boundary). The Horizon stop fires
-  /// once that count reaches \p Budget (> 0). Never touches memory, so
-  /// it takes no MemoryPort; it never traps, since a zero divisor stops
-  /// the run first.
+  /// max(cost, 1) cycles. Stops as \p Why reports; returns the cycles from
+  /// the first instruction's issue to the issue of the instruction the
+  /// context stopped before (Shared, Horizon) or of the boundary branch
+  /// (Boundary). The Horizon stop fires once that count reaches \p Budget
+  /// (> 0). Never touches memory; it never traps, since a zero divisor
+  /// stops the run first.
   std::uint64_t runAhead(std::uint64_t Budget, const BoundaryMap &Stops,
                          RunStop &Why);
 
-  /// Rewinds the innermost frame by one instruction, undoing the program
-  /// counter advance of the last step(). Only valid when that step did not
-  /// transfer control (loads/stores/arithmetic) — the TLS engine uses this
-  /// to re-issue a load whose value is not yet available under
-  /// synchronized local communication.
-  void rewindTop() {
-    Frame &F = Frames.back();
-    assert(!Image.isBlockStart(F.Pc) && "cannot rewind across a block boundary");
-    --F.Pc;
+  /// Completes the Load or Store a Shared stop parked on, after the caller
+  /// has executed it: advances past it and counts it as retired.
+  void retire() {
+    ++Frames.back().Pc;
+    ++Executed;
   }
 
-  /// Execution granularity of stepImpl: one instruction, one basic block,
-  /// a whole run bounded by a cycle budget, or a private run-ahead.
-  enum class StepMode : std::uint8_t { Single, Block, Run, RunAhead };
+  /// Throws the TrapError of the Div or Rem the context is parked on, whose
+  /// divisor is zero.
+  [[noreturn]] void trap() const;
 
 private:
-  /// \p Stops and \p Why are used by RunAhead only, where \p MaxCycles is
-  /// the budget on the returned cycle count and \p Mem is null.
+  /// Execution mode of stepImpl: a sequential run or a private run-ahead.
+  enum class StepMode : std::uint8_t { Run, RunAhead };
+
+  /// Run uses \p Mem, \p Sink, \p Now, \p StopAt and \p MaxCycles as
+  /// run() documents. RunAhead uses \p Stops and \p Why, with \p MaxCycles
+  /// the budget on the returned cycle count.
   template <StepMode Mode>
-  std::uint64_t stepImpl(MemoryPort *Mem, TraceSink *Sink, std::uint64_t Now,
-                         std::uint64_t MaxCycles, const BoundaryMap *Stops,
-                         RunStop *Why);
+  std::uint64_t stepImpl(DirectMemoryPort *Mem, TraceSink *Sink,
+                         std::uint64_t Now, std::uint64_t MaxCycles,
+                         const std::uint32_t *StopAt,
+                         const BoundaryMap *Stops, RunStop *Why);
 
   std::shared_ptr<const exec::CodeImage> OwnedImage; ///< null when external
   const exec::CodeImage &Image;

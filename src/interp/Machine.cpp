@@ -6,6 +6,8 @@
 #include "metrics/Timeline.h"
 #include "support/Compiler.h"
 
+#include <stdexcept>
+
 using namespace jrpm;
 using namespace jrpm::interp;
 
@@ -16,22 +18,21 @@ RunResult Machine::run(const std::vector<std::uint64_t> &Args) {
   Ctx.start(M.EntryFunction, Args);
   // Watchdog against runaway programs: generous for our largest workloads.
   constexpr std::uint64_t MaxCycles = 40ull * 1000 * 1000 * 1000;
-  if (!Dispatcher) {
-    // Nothing to consult between blocks: stay inside the interpreter's
-    // dispatch loop for the whole run. The context tests the watchdog at
-    // block starts, exactly where the stepBlock() loop below would.
-    Clock += Ctx.run(Port, Sink, Clock, MaxCycles);
-    if (Clock > MaxCycles)
-      JRPM_FATAL("simulation exceeded the cycle watchdog");
+  const std::uint32_t *StopAt = nullptr;
+  if (Dispatcher) {
+    const std::vector<std::uint32_t> &Map = Dispatcher->stopMap();
+    if (Map.size() != Ctx.image().numInsts())
+      throw std::invalid_argument(
+          "the dispatcher's stop map does not cover the machine's module");
+    StopAt = Map.data();
   }
-  // Block-granular loop: start(), stepBlock(), and dispatcher repositioning
-  // all leave the context at a block start, so the dispatcher check runs
-  // once per block instead of once per instruction.
+  // start(), run() and a dispatcher's repositioning all leave the context
+  // at a block start (or finished), so each pass consults the dispatcher
+  // only where it asked to be.
   while (!Ctx.finished()) {
-    assert(Ctx.atBlockStart() && "run loop invariant");
-    if (Dispatcher && Dispatcher->onBlockStart(Ctx, *this))
+    if (StopAt && StopAt[Ctx.pc()] && Dispatcher->onBlockStart(Ctx, *this))
       continue;
-    Clock += Ctx.stepBlock(Port, Sink, Clock);
+    Clock += Ctx.run(Port, Sink, Clock, MaxCycles, StopAt);
     if (Clock > MaxCycles)
       JRPM_FATAL("simulation exceeded the cycle watchdog");
   }

@@ -3,7 +3,9 @@
 // Runs a module to completion on one Hydra core: one instruction per cycle
 // plus L1 miss latency, with optional profiling (TraceSink) and optional
 // speculative dispatch of selected STLs (LoopDispatcher, implemented by the
-// Hydra TLS engine).
+// Hydra TLS engine). The run is one loop: offer a block start flagged in
+// the dispatcher's stop map to the dispatcher, otherwise ExecContext::run()
+// to the next flagged block start, then test the cycle watchdog.
 //
 //===----------------------------------------------------------------------===//
 
@@ -19,6 +21,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 namespace jrpm {
 namespace metrics {
@@ -30,57 +33,21 @@ namespace interp {
 
 class Machine;
 
-/// Hook invoked whenever sequential execution reaches the start of a basic
-/// block; the Hydra engine uses it to take over selected loop headers.
+/// Hook invoked when sequential execution reaches a block start the
+/// dispatcher flagged; the Hydra engine uses it to take over selected loop
+/// headers.
 class LoopDispatcher {
 public:
   virtual ~LoopDispatcher() = default;
+
+  /// One entry per flat PC of the machine's module: nonzero at the block
+  /// starts onBlockStart() wants to see. Must not change during a run.
+  virtual const std::vector<std::uint32_t> &stopMap() const = 0;
 
   /// Returns true if the dispatcher executed the loop speculatively: the
   /// context is then positioned at the loop exit and the consumed cycles
   /// were added via Machine::addCycles().
   virtual bool onBlockStart(ExecContext &Ctx, Machine &M) = 0;
-};
-
-/// Direct (non-speculative) memory port: the heap plus one core's L1
-/// timing model.
-class DirectMemoryPort : public MemoryPort {
-public:
-  DirectMemoryPort(Heap &H, const sim::HydraConfig &Cfg)
-      : H(H), L1(Cfg), MissCycles(Cfg.L2HitExtraCycles) {}
-
-  std::uint64_t load(std::uint32_t Addr, std::uint32_t &ExtraCycles) override {
-    ++Loads;
-    if (!L1.access(Addr)) {
-      ++Misses;
-      ExtraCycles += MissCycles;
-    }
-    return H.load(Addr);
-  }
-
-  void store(std::uint32_t Addr, std::uint64_t Value,
-             std::uint32_t &ExtraCycles) override {
-    (void)ExtraCycles; // write-through via the write buffer: 1 cycle
-    ++Stores;
-    L1.access(Addr);
-    H.store(Addr, Value);
-  }
-
-  std::uint32_t allocWords(std::uint32_t Count) override {
-    return H.allocWords(Count);
-  }
-
-  std::uint64_t loads() const { return Loads; }
-  std::uint64_t stores() const { return Stores; }
-  std::uint64_t misses() const { return Misses; }
-
-private:
-  Heap &H;
-  sim::L1CacheModel L1;
-  std::uint32_t MissCycles;
-  std::uint64_t Loads = 0;
-  std::uint64_t Stores = 0;
-  std::uint64_t Misses = 0;
 };
 
 /// Result of a whole-program run.

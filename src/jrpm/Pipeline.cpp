@@ -96,7 +96,7 @@ Jrpm::profileAndSelect(const std::vector<std::uint64_t> &Args) {
 
   // Optional capture: tee the event stream to disk while profiling.
   std::unique_ptr<trace::Writer> Recorder;
-  std::unique_ptr<trace::RecordingSink> Tee;
+  std::unique_ptr<trace::RecordingSink<>> Tee;
   interp::TraceSink *Sink = Tracer.get();
   if (!Cfg.RecordTracePath.empty()) {
     trace::TraceHeader H;
@@ -107,7 +107,7 @@ Jrpm::profileAndSelect(const std::vector<std::uint64_t> &Args) {
     for (const tracer::LoopTraceInfo &Info : Annotated->LoopInfos)
       H.LoopLocals.push_back(Info.AnnotatedLocals);
     Recorder = std::make_unique<trace::Writer>(Cfg.RecordTracePath, H);
-    Tee = std::make_unique<trace::RecordingSink>(*Recorder, Tracer.get());
+    Tee = std::make_unique<trace::RecordingSink<>>(*Recorder, Tracer.get());
     Sink = Tee.get();
   }
 

@@ -82,6 +82,11 @@ void runConformanceJob(const workloads::Workload &W, const SweepJob &Job,
   std::string TracePath = "/tmp/jrpm-sweep-" +
                           std::to_string(static_cast<long>(getpid())) + "-" +
                           std::to_string(Job.Index) + ".jtrace";
+  // Removes the trace on every exit, a throwing pipeline step included.
+  struct RemoveOnExit {
+    const std::string &Path;
+    ~RemoveOnExit() { std::remove(Path.c_str()); }
+  } Cleanup{TracePath};
   pipeline::PipelineConfig Cfg = Job.Cfg;
   Cfg.RecordTracePath = TracePath;
   Cfg.Metrics = &R.Metrics;
@@ -112,7 +117,6 @@ void runConformanceJob(const workloads::Workload &W, const SweepJob &Job,
   // Leg 2b: the recorded trace, re-analyzed from scratch, must reproduce
   // the live selection bit-for-bit under the capture configuration.
   trace::CachedTrace Trace(TracePath);
-  std::remove(TracePath.c_str());
   trace::ReplayConfig RC; // Metrics unset: tracer.* is exported live only
   trace::copyTracerConfig(Job.Cfg, RC);
   trace::ReplayOutcome Replayed = trace::selectFromTrace(Trace, RC);

@@ -1,9 +1,10 @@
 //===- trace/Writer.h - Streaming .jtrace capture --------------------------==//
 //
 // Writer streams TraceSink events to disk in buffered, delta-encoded
-// chunks; RecordingSink is the tee that feeds it from a live annotated run
-// while forwarding every event (and the downstream sink's cycle charges)
-// unchanged, so recording never perturbs the run being recorded.
+// chunks; RecordingSink is the tee that feeds it (or an in-memory event
+// vector) from a live annotated run while forwarding every event (and the
+// downstream sink's cycle charges) unchanged, so recording never perturbs
+// the run being recorded.
 //
 //===----------------------------------------------------------------------===//
 
@@ -14,6 +15,7 @@
 #include "trace/Wire.h"
 
 #include <cstdio>
+#include <type_traits>
 
 namespace jrpm {
 namespace trace {
@@ -52,13 +54,16 @@ private:
   std::uint64_t BytesWritten = 0;
 };
 
-/// TraceSink tee: records every event into \p W and forwards it to the
+/// TraceSink tee: records every event into \p Dest and forwards it to the
 /// optional downstream sink, returning the downstream's cycle charges so
-/// the captured run is cycle-identical to an unrecorded one.
+/// the captured run is cycle-identical to an unrecorded one. \p Dest is a
+/// Writer (a .jtrace file) or a std::vector<Event> (an in-memory capture),
+/// chosen at compile time so recording adds no per-event virtual call.
+template <typename Dest = Writer>
 class RecordingSink : public interp::TraceSink {
 public:
-  explicit RecordingSink(Writer &W, interp::TraceSink *Downstream = nullptr)
-      : W(W), Down(Downstream) {}
+  explicit RecordingSink(Dest &D, interp::TraceSink *Downstream = nullptr)
+      : D(D), Down(Downstream) {}
 
   std::uint32_t onHeapLoad(std::uint32_t Addr, std::uint64_t Cycle,
                            std::int32_t Pc) override {
@@ -67,7 +72,7 @@ public:
     E.Addr = Addr;
     E.Cycle = Cycle;
     E.Pc = Pc;
-    W.append(E);
+    record(E);
     return Down ? Down->onHeapLoad(Addr, Cycle, Pc) : 0;
   }
   std::uint32_t onHeapStore(std::uint32_t Addr, std::uint64_t Cycle,
@@ -77,7 +82,7 @@ public:
     E.Addr = Addr;
     E.Cycle = Cycle;
     E.Pc = Pc;
-    W.append(E);
+    record(E);
     return Down ? Down->onHeapStore(Addr, Cycle, Pc) : 0;
   }
   std::uint32_t onLocalLoad(std::uint64_t Activation, std::uint16_t Reg,
@@ -88,7 +93,7 @@ public:
     E.Reg = Reg;
     E.Cycle = Cycle;
     E.Pc = Pc;
-    W.append(E);
+    record(E);
     return Down ? Down->onLocalLoad(Activation, Reg, Cycle, Pc) : 0;
   }
   std::uint32_t onLocalStore(std::uint64_t Activation, std::uint16_t Reg,
@@ -99,7 +104,7 @@ public:
     E.Reg = Reg;
     E.Cycle = Cycle;
     E.Pc = Pc;
-    W.append(E);
+    record(E);
     return Down ? Down->onLocalStore(Activation, Reg, Cycle, Pc) : 0;
   }
   std::uint32_t onLoopStart(std::uint32_t LoopId, std::uint64_t Activation,
@@ -109,7 +114,7 @@ public:
     E.LoopId = LoopId;
     E.Activation = Activation;
     E.Cycle = Cycle;
-    W.append(E);
+    record(E);
     return Down ? Down->onLoopStart(LoopId, Activation, Cycle) : 0;
   }
   std::uint32_t onLoopIter(std::uint32_t LoopId,
@@ -118,7 +123,7 @@ public:
     E.Kind = EventKind::LoopIter;
     E.LoopId = LoopId;
     E.Cycle = Cycle;
-    W.append(E);
+    record(E);
     return Down ? Down->onLoopIter(LoopId, Cycle) : 0;
   }
   std::uint32_t onLoopEnd(std::uint32_t LoopId, std::uint64_t Cycle) override {
@@ -126,14 +131,14 @@ public:
     E.Kind = EventKind::LoopEnd;
     E.LoopId = LoopId;
     E.Cycle = Cycle;
-    W.append(E);
+    record(E);
     return Down ? Down->onLoopEnd(LoopId, Cycle) : 0;
   }
   void onReturn(std::uint64_t Activation) override {
     Event E;
     E.Kind = EventKind::Return;
     E.Activation = Activation;
-    W.append(E);
+    record(E);
     if (Down)
       Down->onReturn(Activation);
   }
@@ -142,7 +147,7 @@ public:
     E.Kind = EventKind::CallSite;
     E.Pc = CallPc;
     E.Cycle = Cycle;
-    W.append(E);
+    record(E);
     if (Down)
       Down->onCallSite(CallPc, Cycle);
   }
@@ -150,7 +155,7 @@ public:
     Event E;
     E.Kind = EventKind::CallReturn;
     E.Cycle = Cycle;
-    W.append(E);
+    record(E);
     if (Down)
       Down->onCallReturn(Cycle);
   }
@@ -160,12 +165,19 @@ public:
     E.Kind = EventKind::ReadStats;
     E.LoopId = LoopId;
     E.Cycle = Cycle;
-    W.append(E);
+    record(E);
     return Down ? Down->onReadStats(LoopId, Cycle) : 0;
   }
 
 private:
-  Writer &W;
+  void record(const Event &E) {
+    if constexpr (std::is_same_v<Dest, Writer>)
+      D.append(E);
+    else
+      D.push_back(E);
+  }
+
+  Dest &D;
   interp::TraceSink *Down;
 };
 

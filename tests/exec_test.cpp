@@ -2,9 +2,10 @@
 //
 // Covers the pre-decoded execution image (layout, target resolution,
 // appending a function), the flat-PC ExecContext surface the TLS engine
-// depends on (startAt with an oversized register file, rewindTop re-issue,
-// repositionTop at a loop exit), deterministic divide-by-zero traps, and
-// step()/stepBlock() equivalence on random programs.
+// depends on (resetAtPc with an oversized register file, retire() and
+// trap() after a run-ahead parks, repositionTop at a loop exit),
+// deterministic divide-by-zero traps, and run() stop-and-resume
+// equivalence on random programs.
 //
 //===----------------------------------------------------------------------===//
 
@@ -201,67 +202,98 @@ TEST(CodeImage, AppendFunctionMatchesWholeModuleBuild) {
   expectAppendMatchesRebuild(makeCallProgram(), "call program");
 }
 
+namespace {
+
+/// A run() stop map flagging every block start of \p Image, or only those
+/// whose flat PC is a multiple of \p Every.
+std::vector<std::uint32_t> blockStartMap(const exec::CodeImage &Image,
+                                         exec::FlatPc Every = 1) {
+  std::vector<std::uint32_t> Map(Image.numInsts(), 0);
+  for (exec::FlatPc Pc = 0; Pc < Image.numInsts(); ++Pc)
+    Map[Pc] = Image.isBlockStart(Pc) && Pc % Every == 0;
+  return Map;
+}
+
+/// Where a run() stopped: the flat PC, the clock, and the retired count.
+struct RunStopPoint {
+  exec::FlatPc Pc;
+  std::uint64_t Clock;
+  std::uint64_t Instructions;
+  bool operator==(const RunStopPoint &) const = default;
+};
+
+} // namespace
+
 TEST(ExecContext, StepGranularitiesAgreeOnRandomPrograms) {
   for (std::uint64_t Seed = 1; Seed <= 6; ++Seed) {
+    SCOPED_TRACE("seed " + std::to_string(Seed));
     testutil::ProgramGenerator Gen(Seed);
     ir::Module M = Gen.generate();
     sim::HydraConfig Cfg;
-    interp::RunResult Machine = runModule(M, Cfg); // run() fast path
-
-    // One instruction at a time.
-    interp::Heap H1;
-    interp::DirectMemoryPort Port1(H1, Cfg);
-    interp::ExecContext C1(M, Cfg);
-    C1.start(M.EntryFunction, {});
-    std::uint64_t Clock1 = 0;
-    while (!C1.finished())
-      Clock1 += C1.step(Port1, nullptr, Clock1);
-
-    // One block at a time.
-    interp::Heap H2;
-    interp::DirectMemoryPort Port2(H2, Cfg);
-    interp::ExecContext C2(M, Cfg);
-    C2.start(M.EntryFunction, {});
-    std::uint64_t Clock2 = 0;
-    while (!C2.finished()) {
-      ASSERT_TRUE(C2.atBlockStart());
-      Clock2 += C2.stepBlock(Port2, nullptr, Clock2);
-    }
+    interp::RunResult Machine = runModule(M, Cfg); // one unstopped run()
 
     // Whole run under a cycle budget: resuming after a budget return must
     // not change any totals.
-    interp::Heap H3;
-    interp::DirectMemoryPort Port3(H3, Cfg);
-    interp::ExecContext C3(M, Cfg);
-    C3.start(M.EntryFunction, {});
-    std::uint64_t Clock3 = C3.run(Port3, nullptr, 0, Machine.Cycles / 2);
-    if (!C3.finished()) {
-      EXPECT_TRUE(C3.atBlockStart()) << "seed " << Seed;
-      EXPECT_GT(Clock3, Machine.Cycles / 2) << "seed " << Seed;
-      Clock3 += C3.run(Port3, nullptr, Clock3, ~0ull);
+    interp::Heap HB;
+    interp::DirectMemoryPort PortB(HB, Cfg);
+    interp::ExecContext Budgeted(M, Cfg);
+    Budgeted.start(M.EntryFunction, {});
+    std::uint64_t ClockB = Budgeted.run(PortB, nullptr, 0, Machine.Cycles / 2);
+    if (!Budgeted.finished()) {
+      EXPECT_TRUE(Budgeted.atBlockStart());
+      EXPECT_GT(ClockB, Machine.Cycles / 2);
+      ClockB += Budgeted.run(PortB, nullptr, ClockB, ~0ull);
     }
-    EXPECT_TRUE(C3.finished()) << "seed " << Seed;
+    EXPECT_TRUE(Budgeted.finished());
+    EXPECT_EQ(ClockB, Machine.Cycles);
+    EXPECT_EQ(Budgeted.instructionsExecuted(), Machine.Instructions);
+    EXPECT_EQ(Budgeted.returnValue(), Machine.ReturnValue);
 
-    EXPECT_EQ(Clock1, Machine.Cycles) << "seed " << Seed;
-    EXPECT_EQ(Clock2, Machine.Cycles) << "seed " << Seed;
-    EXPECT_EQ(Clock3, Machine.Cycles) << "seed " << Seed;
-    EXPECT_EQ(C1.instructionsExecuted(), Machine.Instructions)
-        << "seed " << Seed;
-    EXPECT_EQ(C2.instructionsExecuted(), Machine.Instructions)
-        << "seed " << Seed;
-    EXPECT_EQ(C3.instructionsExecuted(), Machine.Instructions)
-        << "seed " << Seed;
-    EXPECT_EQ(C1.returnValue(), Machine.ReturnValue) << "seed " << Seed;
-    EXPECT_EQ(C2.returnValue(), Machine.ReturnValue) << "seed " << Seed;
-    EXPECT_EQ(C3.returnValue(), Machine.ReturnValue) << "seed " << Seed;
+    // Runs stopped by a stop map and resumed at once: one flagging every
+    // block start, one flagging a subset. Each stop lands on a flagged
+    // block start, and the subset run stops at exactly the points of the
+    // every-block run whose PC it flags.
+    auto RunStopped = [&](const std::vector<std::uint32_t> &StopAt) {
+      interp::Heap H;
+      interp::DirectMemoryPort Port(H, Cfg);
+      interp::ExecContext Ctx(M, Cfg);
+      Ctx.start(M.EntryFunction, {});
+      std::uint64_t Clock = 0;
+      std::vector<RunStopPoint> Stops;
+      while (true) {
+        Clock += Ctx.run(Port, nullptr, Clock, ~0ull, StopAt.data());
+        if (Ctx.finished())
+          break;
+        EXPECT_TRUE(Ctx.atBlockStart());
+        EXPECT_NE(StopAt[Ctx.pc()], 0u);
+        Stops.push_back({Ctx.pc(), Clock, Ctx.instructionsExecuted()});
+      }
+      EXPECT_EQ(Clock, Machine.Cycles);
+      EXPECT_EQ(Ctx.instructionsExecuted(), Machine.Instructions);
+      EXPECT_EQ(Ctx.returnValue(), Machine.ReturnValue);
+      return Stops;
+    };
+    exec::CodeImage Image(M);
+    std::vector<std::uint32_t> Every = blockStartMap(Image);
+    std::vector<std::uint32_t> Some = blockStartMap(Image, 3);
+    std::vector<RunStopPoint> AtEvery = RunStopped(Every);
+    std::vector<RunStopPoint> Expected;
+    for (const RunStopPoint &P : AtEvery)
+      if (Some[P.Pc])
+        Expected.push_back(P);
+    EXPECT_FALSE(Expected.empty());
+    EXPECT_LT(Expected.size(), AtEvery.size());
+    EXPECT_TRUE(RunStopped(Some) == Expected);
   }
 }
 
 TEST(ExecContext, RunAheadAgreesWithSteppingOnRandomPrograms) {
   // Drive each program as the TLS engine drives a core: run ahead through
-  // private instructions, step() each shared one, continue after boundary
-  // and budget stops. The clock and instruction totals must match the
-  // machine's exactly.
+  // private instructions, execute each parked Load or Store against the
+  // memory and retire() it, continue after boundary and budget stops. The
+  // engine never meets an Alloc or leaves the outermost frame; here run()
+  // executes those to the next block start. The clock and instruction
+  // totals must match the machine's exactly.
   using RunStop = interp::ExecContext::RunStop;
   for (std::uint64_t Seed = 1; Seed <= 6; ++Seed) {
     testutil::ProgramGenerator Gen(Seed);
@@ -287,6 +319,7 @@ TEST(ExecContext, RunAheadAgreesWithSteppingOnRandomPrograms) {
     Stops.Flags.assign(Hi - Lo, 0);
     for (std::uint32_t B = 0; B < F.NumBlocks; ++B)
       Stops.Flags[Image.blockStart(M.EntryFunction, B) - Lo] = 1;
+    std::vector<std::uint32_t> BlockStarts = blockStartMap(Image);
 
     std::uint64_t Clock = 0;
     std::uint64_t Stopped[3] = {0, 0, 0};
@@ -294,17 +327,27 @@ TEST(ExecContext, RunAheadAgreesWithSteppingOnRandomPrograms) {
       RunStop Why;
       Clock += Ctx.runAhead(/*Budget=*/7, Stops, Why);
       ++Stopped[static_cast<int>(Why)];
-      if (Why == RunStop::Shared) {
-        ASSERT_TRUE(Image.inst(Ctx.pc()).Op == ir::Opcode::Load ||
-                    Image.inst(Ctx.pc()).Op == ir::Opcode::Store ||
-                    Image.inst(Ctx.pc()).Op == ir::Opcode::Alloc ||
-                    Image.inst(Ctx.pc()).Op == ir::Opcode::Ret)
-            << "seed " << Seed;
-        Clock += Ctx.step(Port, nullptr, Clock);
-      } else if (Why == RunStop::Boundary) {
+      if (Why == RunStop::Boundary) {
         ASSERT_TRUE(Ctx.atBlockStart());
         Clock += Cfg.Costs.Basic; // the branch itself
       }
+      if (Why != RunStop::Shared)
+        continue;
+      const exec::DecodedInst &I = Image.inst(Ctx.pc());
+      std::uint64_t *Regs = Ctx.topRegs().data();
+      std::uint32_t Cost = Cfg.Costs.Basic;
+      if (I.Op == ir::Opcode::Load) {
+        Regs[I.Dst] = Port.load(exec::effectiveAddress(I, Regs), Cost);
+      } else if (I.Op == ir::Opcode::Store) {
+        Port.store(exec::effectiveAddress(I, Regs), Regs[I.Dst]);
+      } else {
+        ASSERT_TRUE(I.Op == ir::Opcode::Alloc || I.Op == ir::Opcode::Ret)
+            << "seed " << Seed;
+        Clock += Ctx.run(Port, nullptr, Clock, ~0ull, BlockStarts.data());
+        continue;
+      }
+      Ctx.retire();
+      Clock += Cost;
     }
     EXPECT_GT(Stopped[static_cast<int>(RunStop::Boundary)], 0u);
     EXPECT_EQ(Clock, Machine.Cycles) << "seed " << Seed;
@@ -320,6 +363,7 @@ TEST(ExecContext, RunAheadParksBeforeZeroDivisor) {
       assign("y", sdiv(c(7), v("x"))),
       ret(v("y")),
   }));
+  M.finalize();
   sim::HydraConfig Cfg;
   interp::ExecContext Ctx(M, Cfg);
   Ctx.start(M.EntryFunction, {});
@@ -329,42 +373,28 @@ TEST(ExecContext, RunAheadParksBeforeZeroDivisor) {
   interp::ExecContext::RunStop Why;
   std::uint64_t Cycles = Ctx.runAhead(1000, None, Why);
   EXPECT_EQ(Why, interp::ExecContext::RunStop::Shared);
-  EXPECT_EQ(Ctx.image().inst(Ctx.pc()).Op, ir::Opcode::Div);
+  const exec::DecodedInst &Div = Ctx.image().inst(Ctx.pc());
+  EXPECT_EQ(Div.Op, ir::Opcode::Div);
   EXPECT_EQ(Cycles, Ctx.instructionsExecuted()); // one cycle each so far
-  interp::Heap H;
-  interp::DirectMemoryPort Port(H, Cfg);
-  EXPECT_THROW(Ctx.step(Port, nullptr, Cycles), interp::TrapError);
+  // The head's trap, raised the way the TLS engine raises it: the same
+  // kind and PC a sequential run reports.
+  try {
+    Ctx.trap();
+    FAIL() << "expected TrapError";
+  } catch (const interp::TrapError &E) {
+    EXPECT_EQ(E.kind(), interp::TrapKind::DivideByZero);
+    EXPECT_EQ(E.pc(), Div.Pc);
+  }
+  try {
+    interp::Machine(M, Cfg).run();
+    FAIL() << "expected TrapError";
+  } catch (const interp::TrapError &E) {
+    EXPECT_EQ(E.kind(), interp::TrapKind::DivideByZero);
+    EXPECT_EQ(E.pc(), Div.Pc);
+  }
 }
 
-TEST(ExecContext, RewindTopReissuesInstruction) {
-  ir::Module M = makeMain(seq({
-      assign("x", c(4)),
-      assign("y", add(v("x"), c(2))),
-      ret(v("y")),
-  }));
-  sim::HydraConfig Cfg;
-  interp::Heap H;
-  interp::DirectMemoryPort Port(H, Cfg);
-  interp::ExecContext Ctx(M, Cfg);
-  Ctx.start(M.EntryFunction, {});
-
-  Ctx.step(Port, nullptr, 0); // consti: pc now mid-block
-  ASSERT_FALSE(Ctx.atBlockStart());
-  exec::FlatPc Before = Ctx.pc();
-  Ctx.step(Port, nullptr, 0); // the add
-  Ctx.rewindTop();            // undo the PC advance, as the TLS sync path does
-  EXPECT_EQ(Ctx.pc(), Before);
-  Ctx.step(Port, nullptr, 0); // re-issue the add
-  EXPECT_EQ(Ctx.pc(), Before + 1);
-
-  std::uint64_t Clock = 0;
-  while (!Ctx.finished())
-    Clock += Ctx.step(Port, nullptr, Clock);
-  // The re-issued instruction is idempotent: the program still returns 6.
-  EXPECT_EQ(Ctx.returnValue(), 6u);
-}
-
-TEST(ExecContext, StartAtAcceptsOversizedRegisterFile) {
+TEST(ExecContext, ResetAtPcAcceptsOversizedRegisterFile) {
   ir::Module M = makeMain(seq({
       assign("x", c(11)),
       assign("y", mul(v("x"), c(3))),
@@ -382,11 +412,12 @@ TEST(ExecContext, StartAtAcceptsOversizedRegisterFile) {
   // register counts differ).
   std::vector<std::uint64_t> Regs(M.Functions[M.EntryFunction].NumRegs + 16,
                                   0);
-  Ctx.startAt(M.EntryFunction, 0, std::move(Regs));
+  EXPECT_TRUE(
+      Ctx.resetAtPc(Ctx.image().entry(M.EntryFunction), std::move(Regs))
+          .empty());
   EXPECT_TRUE(Ctx.atBlockStart());
-  std::uint64_t Clock = 0;
-  while (!Ctx.finished())
-    Clock += Ctx.stepBlock(Port, nullptr, Clock);
+  Ctx.run(Port, nullptr, 0, ~0ull);
+  EXPECT_TRUE(Ctx.finished());
   EXPECT_EQ(Ctx.returnValue(), Expected);
 }
 
@@ -408,6 +439,7 @@ TEST(ExecContext, RepositionTopAdoptsLoopExitState) {
   interp::Heap H1;
   interp::DirectMemoryPort P1(H1, Cfg);
   interp::ExecContext A(M, Cfg);
+  std::vector<std::uint32_t> BlockStarts = blockStartMap(A.image());
   A.start(M.EntryFunction, {});
   std::uint64_t C1 = 0;
   bool SeenLoop = false;
@@ -423,7 +455,7 @@ TEST(ExecContext, RepositionTopAdoptsLoopExitState) {
         ExitRegs = A.topRegs();
       }
     }
-    C1 += A.stepBlock(P1, nullptr, C1);
+    C1 += A.run(P1, nullptr, C1, ~0ull, BlockStarts.data());
   }
   ASSERT_NE(ExitBlock, ~0u) << "loop exit never reached";
 
@@ -433,12 +465,12 @@ TEST(ExecContext, RepositionTopAdoptsLoopExitState) {
   B.start(M.EntryFunction, {});
   std::uint64_t C2 = 0;
   while (!(B.atBlockStart() && B.currentBlock() == Plan.Header))
-    C2 += B.stepBlock(P2, nullptr, C2);
+    C2 += B.run(P2, nullptr, C2, ~0ull, BlockStarts.data());
   B.repositionTop(ExitBlock, ExitRegs);
   EXPECT_TRUE(B.atBlockStart());
   EXPECT_EQ(B.currentBlock(), ExitBlock);
   while (!B.finished())
-    C2 += B.stepBlock(P2, nullptr, C2);
+    C2 += B.run(P2, nullptr, C2, ~0ull, BlockStarts.data());
   EXPECT_EQ(B.returnValue(), A.returnValue());
 }
 

@@ -22,6 +22,7 @@
 #include <array>
 #include <map>
 #include <random>
+#include <stdexcept>
 
 using namespace jrpm;
 using namespace jrpm::front;
@@ -815,6 +816,14 @@ TEST(TlsEngine, RegisterSpinUntilSquashedStaysCorrect) {
   EXPECT_GT(Tls.Totals.Violations, 0u);
 }
 
+TEST(TlsEngine, MachineRejectsAnotherModulesStopMap) {
+  ir::Module Engine = parallelLoop(), Run = serialChain();
+  hydra::TlsEngine Tls(Engine, sim::HydraConfig(), {});
+  interp::Machine Machine(Run, sim::HydraConfig());
+  Machine.setDispatcher(&Tls);
+  EXPECT_THROW(Machine.run(), std::invalid_argument);
+}
+
 TEST(TlsEngine, MisspeculatedDivideByZeroDoesNotTrap) {
   // Iteration i+1 reads a[i+1] (still 0) before iteration i stores it: the
   // speculative division by zero must be dropped by the squash, not thrown.
@@ -934,5 +943,44 @@ TEST(TlsEngine, PinnedCyclesAndStats) {
         Row += (K ? ", " : "") + std::to_string(Got[K]);
       ADD_FAILURE() << "actual: " << Row << "}";
     }
+  }
+}
+
+TEST(TlsEngine, PinnedSyncWaitReleasedInItsOwnCycle) {
+  // Three cores, so a thread on core 0 waits on its predecessor on core 2.
+  // In these runs the producer stores in the very cycle the waiter's
+  // synchronized load parks, so when the waiter re-issues depends on how
+  // long its parked load occupies the core (max(cost, 1)), not only on the
+  // producer's store; the PinnedCyclesAndStats sync cases never hit this.
+  // Recorded, like that table, from the engine before this path moved out
+  // of the interpreter.
+  auto Sync3 = [](std::uint32_t EndOfIteration, std::uint32_t Forward) {
+    sim::HydraConfig Cfg;
+    Cfg.NumCores = 3;
+    Cfg.SyncCarriedLocals = true;
+    Cfg.EndOfIterationCycles = EndOfIteration;
+    Cfg.StoreLoadCommCycles = Forward;
+    return Cfg;
+  };
+  struct Case {
+    const char *Name;
+    ir::Module (*Build)();
+    sim::HydraConfig Cfg;
+    std::uint64_t Cycles;
+    std::array<std::uint64_t, 16> Stats;
+  };
+  const Case Cases[] = {
+      {"carriedBreak", carriedBreak, Sync3(1, 3), 1233,
+       {2, 171, 0, 0, 0, 3, 1218, 175, 2, 2, 3156, 469, 8, 0, 21, 0}},
+      {"twoLoopsABA", twoLoopsABA, Sync3(0, 1), 1040,
+       {3, 176, 0, 0, 0, 23, 977, 182, 3, 3, 2361, 450, 14, 0, 103, 3}},
+  };
+  for (const Case &C : Cases) {
+    SCOPED_TRACE(C.Name);
+    ir::Module M = C.Build();
+    TlsRun R = runAllLoopsTls(M, C.Cfg);
+    EXPECT_EQ(R.Result.Cycles, C.Cycles);
+    EXPECT_EQ(statFields(R.Totals), C.Stats);
+    EXPECT_EQ(R.Result.ReturnValue, runModule(M).ReturnValue);
   }
 }

@@ -312,6 +312,25 @@ TEST(SweepRunnerTest, ConformanceJobChecksReplayDigest) {
   }
 }
 
+TEST(SweepRunnerTest, FailedConformanceJobRemovesItsTrace) {
+  // The TLS run throws after profiling has recorded the trace: the job
+  // fails, and the trace file is gone all the same.
+  std::vector<SweepJob> Jobs =
+      expandOrDie(conformancePlan(defaultConformanceGrid(), {"fft"}));
+  ASSERT_FALSE(Jobs.empty());
+  SweepJob Job = Jobs[0];
+  Job.Cfg.Hw.NumCores = 0;
+  SweepResult R = runJob(Job);
+  EXPECT_EQ(R.Status, JobStatus::Failed);
+  EXPECT_NE(R.Error.find("TlsEngine models 1 to 32 cores"),
+            std::string::npos);
+  std::string TracePath = "/tmp/jrpm-sweep-" +
+                          std::to_string(static_cast<long>(getpid())) + "-" +
+                          std::to_string(Job.Index) + ".jtrace";
+  EXPECT_FALSE(std::ifstream(TracePath).good()) << TracePath;
+  std::remove(TracePath.c_str());
+}
+
 TEST(SweepRunnerTest, WriteReportIsAtomicAndParsesBack) {
   SweepPlan Plan;
   Plan.Workloads = {"BitOps"};
