@@ -64,6 +64,12 @@ public:
   Entry &insert(std::uint32_t Key) {
     if (Entry *E = find(Key))
       return *E;
+    return insertAbsent(Key);
+  }
+
+  /// insert() of a \p Key that find() just reported absent: one probe, not
+  /// two. (Not asserted: the check would be the probe this saves.)
+  Entry &insertAbsent(std::uint32_t Key) {
     if ((Count + 1) * 2 > Slots.size())
       rehash(static_cast<std::uint32_t>(Slots.size() * 2));
     ++Count;

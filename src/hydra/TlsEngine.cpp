@@ -33,9 +33,11 @@ std::uint32_t coreBit(std::uint32_t Core) { return 1u << Core; }
 
 TlsEngine::TlsEngine(const ir::Module &M, const sim::HydraConfig &Cfg,
                      std::vector<jit::TlsLoopPlan> Plans)
-    : Cfg(Cfg), Plain(M), EngineImage(M), WordTags(Cfg.NumCores) {
+    : Cfg(Cfg), Plain(M), EngineImage(M), WordTags(Cfg.NumCores),
+      LineSplit(Cfg.WordsPerLine) {
   if (Cfg.NumCores == 0 || Cfg.NumCores > SpecTagTable::MaxCores)
     throw std::invalid_argument("TlsEngine models 1 to 32 cores");
+  assert(sim::hasValidCacheGeometry(Cfg) && "invalid cache geometry");
   LoopAtPc.assign(EngineImage.numInsts(), 0);
   Loops.reserve(Plans.size());
   for (jit::TlsLoopPlan &Plan : Plans) {
@@ -46,6 +48,7 @@ TlsEngine::TlsEngine(const ir::Module &M, const sim::HydraConfig &Cfg,
     Loops.push_back(std::move(PL));
   }
   Threads.resize(Cfg.NumCores);
+  IterOf.assign(Cfg.NumCores, NoIter);
   for (std::uint32_t C = 0; C < Cfg.NumCores; ++C) {
     Threads[C].Ctx = std::make_unique<interp::ExecContext>(EngineImage, Cfg);
     Threads[C].L1 = std::make_unique<sim::L1CacheModel>(Cfg);
@@ -207,23 +210,23 @@ bool TlsEngine::onBlockStart(interp::ExecContext &Ctx, interp::Machine &M) {
 
 std::uint32_t TlsEngine::coresBefore(std::uint64_t Iter) const {
   std::uint32_t Mask = 0;
-  for (std::uint32_t C = 0; C < Threads.size(); ++C)
-    if (Threads[C].Active && Threads[C].Iter < Iter)
+  for (std::uint32_t C = 0; C < IterOf.size(); ++C)
+    if (IterOf[C] < Iter) // an idle core's NoIter never is
       Mask |= coreBit(C);
   return Mask;
 }
 
 std::uint32_t TlsEngine::coresAfter(std::uint64_t Iter) const {
   std::uint32_t Mask = 0;
-  for (std::uint32_t C = 0; C < Threads.size(); ++C)
-    if (Threads[C].Active && Threads[C].Iter > Iter)
+  for (std::uint32_t C = 0; C < IterOf.size(); ++C)
+    if (IterOf[C] > Iter && IterOf[C] != NoIter)
       Mask |= coreBit(C);
   return Mask;
 }
 
 void TlsEngine::fillSpawnRegs(std::vector<std::uint64_t> &Regs,
                               std::uint64_t Iter) const {
-  Regs = EntryRegs; // copy-assign reuses the recycled buffer's capacity
+  Regs = EntryRegs; // copy-assign reuses the buffer's capacity
   for (const auto &[Reg, Step] : Cur->Plan.Inductors)
     Regs[Reg] = EntryRegs[Reg] +
                 Iter * static_cast<std::uint64_t>(Step);
@@ -237,9 +240,8 @@ void TlsEngine::spawnThread(std::uint32_t Core, std::uint64_t Iter,
                             std::uint64_t Penalty) {
   SpecThread &T = Threads[Core];
   dropTags(Core, /*Stores=*/true);
-  T.Active = true;
   T.State = SpecThread::St::Running;
-  T.Iter = Iter;
+  IterOf[Core] = Iter;
   ++CurStats->ThreadsStarted;
   T.StartAt = Cycle;
   T.ReadyAt = Cycle + Penalty;
@@ -249,16 +251,7 @@ void TlsEngine::spawnThread(std::uint32_t Core, std::uint64_t Iter,
   T.SyncStallAcc = 0;
   if (TL && Core < CoreTracks.size())
     TL->begin(CoreTracks[Core], "thread", ClockBase + Cycle);
-  std::vector<std::uint64_t> Regs;
-  if (!RegPool.empty()) {
-    Regs = std::move(RegPool.back());
-    RegPool.pop_back();
-  }
-  fillSpawnRegs(Regs, Iter);
-  std::vector<std::uint64_t> Displaced =
-      T.Ctx->resetAtPc(Cur->HeaderPcTls, std::move(Regs));
-  if (!Displaced.empty())
-    RegPool.push_back(std::move(Displaced));
+  fillSpawnRegs(T.Ctx->resetAtPc(Cur->HeaderPcTls), Iter);
   // A core whose turn at this cycle's shared events has already passed
   // issues its first instruction next cycle at the earliest.
   std::uint64_t From = T.ReadyAt;
@@ -268,12 +261,11 @@ void TlsEngine::spawnThread(std::uint32_t Core, std::uint64_t Iter,
 }
 
 void TlsEngine::squashThread(std::uint32_t Core) {
-  SpecThread &T = Threads[Core];
   ++CurStats->Restarts;
   if (TL && Core < CoreTracks.size())
     TL->instant(CoreTracks[Core], "violation", ClockBase + Cycle);
   resolveLifetime(Core, Outcome::Squash);
-  spawnThread(Core, T.Iter,
+  spawnThread(Core, IterOf[Core],
               Cfg.ViolationRestartCycles + Cur->Plan.NumInvariants);
 }
 
@@ -336,12 +328,12 @@ void TlsEngine::resumeSyncWaiters() {
     return; // nothing ever waits
   for (std::uint32_t C = 0; C < Threads.size(); ++C) {
     SpecThread &T = Threads[C];
-    if (!T.Active || T.State != SpecThread::St::WaitSync)
+    if (IterOf[C] == NoIter || T.State != SpecThread::St::WaitSync)
       continue;
     bool Ready = true;
     for (std::uint32_t P = 0; P < Threads.size(); ++P) {
       const SpecThread &Pred = Threads[P];
-      if (!Pred.Active || Pred.Iter + 1 != T.Iter)
+      if (IterOf[P] == NoIter || IterOf[P] + 1 != IterOf[C])
         continue;
       const SpecTagTable::Entry *Word = WordTags.find(T.SyncAddr);
       Ready = Pred.State == SpecThread::St::IterDone ||
@@ -356,9 +348,9 @@ void TlsEngine::resumeSyncWaiters() {
 
 void TlsEngine::recomputeExitCap() {
   ExitCap.reset();
-  for (const SpecThread &T : Threads)
-    if (T.Active && T.State == SpecThread::St::Exited)
-      ExitCap = ExitCap ? std::min(*ExitCap, T.Iter) : T.Iter;
+  for (std::uint32_t C = 0; C < Threads.size(); ++C)
+    if (IterOf[C] != NoIter && Threads[C].State == SpecThread::St::Exited)
+      ExitCap = ExitCap ? std::min(*ExitCap, IterOf[C]) : IterOf[C];
 }
 
 void TlsEngine::commitThread(std::uint32_t Core) {
@@ -374,7 +366,7 @@ void TlsEngine::commitThread(std::uint32_t Core) {
   if (!ExitCap || NextIter < *ExitCap) {
     spawnThread(Core, NextIter++, Cfg.EndOfIterationCycles);
   } else {
-    T.Active = false;
+    IterOf[Core] = NoIter;
     T.State = SpecThread::St::Idle;
   }
 }
@@ -383,6 +375,7 @@ bool TlsEngine::specLoad(std::uint32_t Core, std::uint32_t Addr,
                          std::uint64_t &Value, std::uint32_t &Cost) {
   SpecThread &T = Threads[Core];
   std::uint32_t Me = coreBit(Core);
+  std::uint64_t Iter = IterOf[Core];
   SpecTagTable::Entry *Word = WordTags.find(Addr);
   std::uint32_t Writers = Word ? Word->Written : 0;
   // Own speculative store buffer first.
@@ -393,11 +386,11 @@ bool TlsEngine::specLoad(std::uint32_t Core, std::uint32_t Addr,
 
   // Synchronized carried locals (Section 3.2): spin until the predecessor
   // thread has produced the value instead of speculating through it.
-  if (Cfg.SyncCarriedLocals && T.Iter != HeadIter && Cur->isSpillAddr(Addr)) {
+  if (Cfg.SyncCarriedLocals && Iter != HeadIter && Cur->isSpillAddr(Addr)) {
     for (std::uint32_t P = 0; P < Threads.size(); ++P) {
-      const SpecThread &Pred = Threads[P];
-      if (!Pred.Active || Pred.Iter + 1 != T.Iter)
+      if (IterOf[P] == NoIter || IterOf[P] + 1 != Iter)
         continue;
+      const SpecThread &Pred = Threads[P];
       bool Produced = Pred.State == SpecThread::St::IterDone ||
                       Pred.State == SpecThread::St::Exited ||
                       (Writers & coreBit(P));
@@ -413,12 +406,12 @@ bool TlsEngine::specLoad(std::uint32_t Core, std::uint32_t Addr,
   }
 
   // Forward from the nearest earlier uncommitted thread holding the word.
-  std::uint32_t Sources = Writers ? Writers & coresBefore(T.Iter) : 0;
+  std::uint32_t Sources = Writers ? Writers & coresBefore(Iter) : 0;
   if (Sources) {
     std::uint32_t Nearest = std::countr_zero(Sources);
     for (; Sources; Sources &= Sources - 1) {
       std::uint32_t C = std::countr_zero(Sources);
-      if (Threads[C].Iter > Threads[Nearest].Iter)
+      if (IterOf[C] > IterOf[Nearest])
         Nearest = C;
     }
     Cost += Cfg.StoreLoadCommCycles;
@@ -433,13 +426,13 @@ bool TlsEngine::specLoad(std::uint32_t Core, std::uint32_t Addr,
   // the line's always (the SpecLoadLines budget, and the violation key
   // under line grain).
   if (Cfg.ViolationGrain == sim::ViolationGranularity::Word) {
-    SpecTagTable::Entry &E = Word ? *Word : WordTags.insert(Addr);
+    SpecTagTable::Entry &E = Word ? *Word : WordTags.insertAbsent(Addr);
     if (!(E.Read & Me)) {
       E.Read |= Me;
       T.ReadWords.push_back(Addr);
     }
   }
-  std::uint32_t Line = Addr / Cfg.WordsPerLine;
+  std::uint32_t Line = LineSplit.div(Addr);
   if (Line != T.LastReadLine) {
     SpecTagTable::Entry &L = LineTags.insert(Line);
     if (!(L.Read & Me)) {
@@ -448,7 +441,7 @@ bool TlsEngine::specLoad(std::uint32_t Core, std::uint32_t Addr,
     }
     T.LastReadLine = Line;
   }
-  if (T.ReadLines.size() > Cfg.SpecLoadLines && T.Iter != HeadIter) {
+  if (T.ReadLines.size() > Cfg.SpecLoadLines && Iter != HeadIter) {
     T.State = SpecThread::St::WaitHead;
     ++CurStats->OverflowStalls;
     openStall(Core, SpecThread::Stall::Buffer);
@@ -456,16 +449,19 @@ bool TlsEngine::specLoad(std::uint32_t Core, std::uint32_t Addr,
   return true;
 }
 
-void TlsEngine::specStore(std::uint32_t Core, std::uint32_t Addr,
+bool TlsEngine::specStore(std::uint32_t Core, std::uint32_t Addr,
                           std::uint64_t Value) {
   SpecThread &T = Threads[Core];
   std::uint32_t Me = coreBit(Core);
+  std::uint64_t Iter = IterOf[Core];
+  // A store to a spill address may release a sync waiter spinning on it.
+  bool Changed = Cfg.SyncCarriedLocals && Cur->isSpillAddr(Addr);
   SpecTagTable::Entry &Word = WordTags.insert(Addr);
   if (!(Word.Written & Me))
     T.StoredWords.push_back(Addr);
   WordTags.write(Word, Core) = Value;
   std::uint32_t Readers = Word.Read;
-  std::uint32_t Line = Addr / Cfg.WordsPerLine;
+  std::uint32_t Line = LineSplit.div(Addr);
   SpecTagTable::Entry &L = LineTags.insert(Line);
   if (!(L.Written & Me)) {
     L.Written |= Me;
@@ -474,13 +470,14 @@ void TlsEngine::specStore(std::uint32_t Core, std::uint32_t Addr,
   if (Cfg.ViolationGrain == sim::ViolationGranularity::Line)
     Readers = L.Read;
   if (T.StoredLines.size() > Cfg.SpecStoreLines) {
-    if (T.Iter == HeadIter) {
+    if (Iter == HeadIter) {
       // The head thread can always drain its buffer safely.
       flushStores(Core);
     } else {
       T.State = SpecThread::St::WaitHead;
       ++CurStats->OverflowStalls;
       openStall(Core, SpecThread::Stall::Buffer);
+      Changed = true;
     }
   }
 
@@ -488,20 +485,20 @@ void TlsEngine::specStore(std::uint32_t Core, std::uint32_t Addr,
   // word (line) restarts, together with everything more speculative.
   Readers &= ~Me;
   if (Readers)
-    Readers &= coresAfter(T.Iter);
+    Readers &= coresAfter(Iter);
   if (!Readers)
-    return;
+    return Changed;
   std::uint64_t MinViolated = Never;
   for (; Readers; Readers &= Readers - 1)
-    MinViolated =
-        std::min(MinViolated, Threads[std::countr_zero(Readers)].Iter);
+    MinViolated = std::min(MinViolated, IterOf[std::countr_zero(Readers)]);
   ++CurStats->Violations;
   bool HadExit = ExitCap.has_value();
   for (std::uint32_t C = 0; C < Threads.size(); ++C)
-    if (Threads[C].Active && Threads[C].Iter >= MinViolated)
+    if (IterOf[C] != NoIter && IterOf[C] >= MinViolated)
       squashThread(C);
   if (HadExit)
     recomputeExitCap();
+  return true;
 }
 
 void TlsEngine::runAhead(std::uint32_t Core, std::uint64_t From) {
@@ -544,7 +541,7 @@ bool TlsEngine::runEvent(std::uint32_t Core) {
     // traps for real. A speculative thread may have computed the divisor
     // from stale data, so the instruction waits unexecuted until the
     // thread is the head or is squashed. No stall is charged.
-    if (T.Iter == HeadIter)
+    if (IterOf[Core] == HeadIter)
       T.Ctx->trap();
     T.State = SpecThread::St::WaitHead;
     T.ReadyAt = Cycle;
@@ -555,26 +552,28 @@ bool TlsEngine::runEvent(std::uint32_t Core) {
   default: // a Ret from the outermost frame
     JRPM_FATAL("speculative thread returned out of the STL's function");
   }
-  bool Load = I.Op == ir::Opcode::Load;
   std::uint64_t *Regs = T.Ctx->topRegs().data();
   std::uint32_t Addr = exec::effectiveAddress(I, Regs);
   std::uint32_t Cost = Cfg.Costs.Basic;
-  bool Retired = true;
-  if (Load)
-    Retired = specLoad(Core, Addr, Regs[I.Dst], Cost);
-  else
-    specStore(Core, Addr, Regs[I.Dst]);
-  // A synchronized load that must wait stays parked, unexecuted, and
-  // re-issues when resumeSyncWaiters() releases the thread; it still
-  // occupies the core for this cycle.
-  if (Retired)
+  // A load that leaves its thread running changes nothing the transition
+  // phase reads; a store does only when specStore says so.
+  bool Changed = false;
+  if (I.Op == ir::Opcode::Load) {
+    // A synchronized load that must wait stays parked, unexecuted, and
+    // re-issues when resumeSyncWaiters() releases the thread; it still
+    // occupies the core for this cycle.
+    if (specLoad(Core, Addr, Regs[I.Dst], Cost))
+      T.Ctx->retire();
+  } else {
+    Changed = specStore(Core, Addr, Regs[I.Dst]);
     T.Ctx->retire();
+  }
   T.ReadyAt = Cycle + std::max<std::uint32_t>(Cost, 1);
   // specLoad/specStore may have stalled the thread.
   bool Running = T.State == SpecThread::St::Running;
   if (Running)
     runAhead(Core, T.ReadyAt);
-  return !Load || !Running;
+  return Changed || !Running;
 }
 
 TlsEngine::SpecThread *TlsEngine::runTransitions() {
@@ -583,9 +582,9 @@ TlsEngine::SpecThread *TlsEngine::runTransitions() {
   for (bool Committed = true; Committed;) {
     Committed = false;
     for (std::uint32_t C = 0; C < Threads.size(); ++C) {
-      SpecThread &T = Threads[C];
-      if (!T.Active || T.Iter != HeadIter)
+      if (IterOf[C] != HeadIter)
         continue;
+      SpecThread &T = Threads[C];
       if (T.State == SpecThread::St::WaitHead) {
         resumeThread(C);
       } else if (T.State == SpecThread::St::IterDone) {
@@ -603,7 +602,7 @@ TlsEngine::SpecThread *TlsEngine::runTransitions() {
   // Refill idle cores when iterations are available (iterations past a
   // speculatively-exited thread would only be squashed).
   for (std::uint32_t C = 0; C < Threads.size(); ++C) {
-    if (Threads[C].Active)
+    if (IterOf[C] != NoIter)
       continue;
     if (ExitCap && NextIter >= *ExitCap)
       continue;
@@ -684,7 +683,7 @@ void TlsEngine::runLoop(PreparedLoop &PL, interp::ExecContext &Ctx,
   std::uint32_t ExitCore =
       static_cast<std::uint32_t>(ExitThread - Threads.data());
   for (std::uint32_t C = 0; C < Threads.size(); ++C) {
-    if (!Threads[C].Active)
+    if (IterOf[C] == NoIter)
       continue;
     resolveLifetime(C, C == ExitCore ? Outcome::Exit : Outcome::Discard);
   }
@@ -707,7 +706,7 @@ void TlsEngine::runLoop(PreparedLoop &PL, interp::ExecContext &Ctx,
 
   std::uint32_t ExitBlock = T.ExitBlock;
   for (std::uint32_t C = 0; C < Threads.size(); ++C) {
-    Threads[C].Active = false;
+    IterOf[C] = NoIter;
     Threads[C].State = SpecThread::St::Idle;
     dropTags(C, /*Stores=*/true);
   }

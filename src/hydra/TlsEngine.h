@@ -14,10 +14,13 @@
 // its own clock through instructions that touch only its registers, and
 // only shared events (loads, stores, loop boundaries, traps) are executed
 // in global (cycle, core) order, with the head-commit/refill transitions
-// run one cycle after any event that changed speculative state. The
-// engine executes a core's loads and stores itself, against the store
-// buffers and tag bits; a synchronized load whose value is not produced
-// yet leaves the core parked on it until the producer stores.
+// run one cycle after any event that changed state they read: a boundary,
+// a stall, a sync wait, a parked trap, or a store that squashed, stalled
+// or wrote a synchronized spill address. The engine executes a core's
+// loads and stores itself, against the store buffers and tag bits; a
+// synchronized load whose value is not produced yet leaves the core parked
+// on it until the producer stores. A spawn refills the core's register
+// file in place, and address-to-line splits use precomputed reciprocals.
 //
 //===----------------------------------------------------------------------===//
 
@@ -33,6 +36,7 @@
 #include "metrics/Timeline.h"
 #include "sim/CacheModel.h"
 #include "sim/Config.h"
+#include "support/FastDivMod.h"
 
 #include <cstdint>
 #include <map>
@@ -131,6 +135,8 @@ private:
   };
 
   static constexpr std::uint32_t NoLine = ~std::uint32_t(0);
+  /// IterOf entry of a core with no thread.
+  static constexpr std::uint64_t NoIter = ~std::uint64_t(0);
 
   /// One core's speculative thread state.
   struct SpecThread {
@@ -140,8 +146,6 @@ private:
     enum class St { Idle, Running, WaitHead, WaitSync, IterDone, Exited };
     enum class Stall { None, Buffer, Sync };
     St State = St::Idle;
-    bool Active = false;
-    std::uint64_t Iter = 0;
     std::uint64_t ReadyAt = 0;
     std::uint32_t ExitBlock = 0;
     /// Spill address a WaitSync thread spins on.
@@ -196,11 +200,16 @@ private:
   /// WaitSync).
   bool specLoad(std::uint32_t Core, std::uint32_t Addr, std::uint64_t &Value,
                 std::uint32_t &Cost);
-  void specStore(std::uint32_t Core, std::uint32_t Addr, std::uint64_t Value);
+  /// Buffers \p Core's store of \p Value to \p Addr. Returns whether it
+  /// changed state the transition phase reads: it squashed a thread, it
+  /// stalled \p Core on a buffer overflow, or it wrote a spill address
+  /// under SyncCarriedLocals (which may release a sync waiter). After any
+  /// other store a transition phase finds nothing to do.
+  bool specStore(std::uint32_t Core, std::uint32_t Addr, std::uint64_t Value);
 
   // --- runLoop helpers (valid only during runLoop) -------------------------
-  /// Fills \p Regs (a recycled buffer; capacity is reused) with the spawn
-  /// register file for iteration \p Iter.
+  /// Fills \p Regs (a core's reused register file) with the spawn register
+  /// file for iteration \p Iter.
   void fillSpawnRegs(std::vector<std::uint64_t> &Regs,
                      std::uint64_t Iter) const;
   /// Starts iteration \p Iter on \p Core; its first instruction issues
@@ -229,7 +238,7 @@ private:
   void dropTags(std::uint32_t Core, bool Stores);
   void accumulateReductions(SpecThread &T);
   void recomputeExitCap();
-  /// Active cores running iterations before / after \p Iter.
+  /// Cores running iterations before / after \p Iter.
   std::uint32_t coresBefore(std::uint64_t Iter) const;
   std::uint32_t coresAfter(std::uint64_t Iter) const;
 
@@ -257,6 +266,10 @@ private:
   const PreparedLoop *Cur = nullptr;
   TlsLoopRunStats *CurStats = nullptr;
   std::vector<SpecThread> Threads; // one per core
+  /// Per core: the iteration its thread runs, or NoIter when the core is
+  /// idle. Kept apart from Threads so the per-access core masks scan a
+  /// small contiguous array, not one SpecThread per core.
+  std::vector<std::uint64_t> IterOf;
   /// Speculative tag bits of every core: per word (read bits under word
   /// grain, written bits and buffered values) and per line (read and
   /// written bits). Empty between invocations.
@@ -274,10 +287,8 @@ private:
   std::optional<std::uint64_t> ExitCap;
   std::vector<std::uint64_t> EntryRegs;
   std::vector<std::uint64_t> ReductionAcc;
-  /// Recycled register-file buffers: every spawn displaces the previous
-  /// activation's file via ExecContext::resetAtPc and reuses it for the
-  /// next spawn instead of allocating per iteration.
-  std::vector<std::vector<std::uint64_t>> RegPool;
+  /// Splits a word address into its line without a divide.
+  FastDivMod LineSplit;
 
   // Observability state. CoreBusy accumulates resolved lifetime lengths per
   // core within the current invocation; what remains of the invocation's

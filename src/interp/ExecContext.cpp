@@ -30,33 +30,17 @@ void ExecContext::start(std::uint32_t Func,
   Executed = 0;
 }
 
-std::vector<std::uint64_t>
-ExecContext::resetAtPc(exec::FlatPc Pc, std::vector<std::uint64_t> Regs) {
+std::vector<std::uint64_t> &ExecContext::resetAtPc(exec::FlatPc Pc) {
   assert(Image.isBlockStart(Pc) && "resetAtPc targets a block start");
-  assert(Regs.size() >= Image.func(Image.funcOf(Pc)).NumRegs &&
-         "register file too small");
-  std::vector<std::uint64_t> Recycled;
-  if (Frames.size() == 1) {
-    // Reuse the frame in place: no vector churn on the spawn-per-commit
-    // path of the TLS engine.
-    Frame &F = Frames.back();
-    Recycled = std::move(F.Regs);
-    F.Pc = Pc;
-    F.Activation = NextActivation++;
-    F.RetDst = ir::NoReg;
-    F.Regs = std::move(Regs);
-    F.StagedArgs.clear();
-    return Recycled;
-  }
-  if (!Frames.empty())
-    Recycled = std::move(Frames.front().Regs);
-  Frame Fr;
-  Fr.Pc = Pc;
-  Fr.Activation = NextActivation++;
-  Fr.Regs = std::move(Regs);
-  Frames.clear();
-  Frames.push_back(std::move(Fr));
-  return Recycled;
+  // Keep the outermost frame and its register buffer: the TLS engine
+  // resets a core on every spawn.
+  Frames.resize(1);
+  Frame &F = Frames.front();
+  F.Pc = Pc;
+  F.Activation = NextActivation++;
+  F.RetDst = ir::NoReg;
+  F.StagedArgs.clear();
+  return F.Regs;
 }
 
 void ExecContext::trap() const {
@@ -77,18 +61,23 @@ std::uint64_t ExecContext::stepImpl(DirectMemoryPort *Mem, TraceSink *Sink,
   assert(!Frames.empty() && "stepping a finished context");
   const exec::DecodedInst *Insts = Image.insts();
   const sim::CostModel &Costs = Cfg.Costs;
-  std::uint64_t Total = 0;
-  // The program counter, register-file pointer, and retired-instruction
-  // counter are carried in locals; Frame::Pc and Executed are written back
-  // only at frame changes, returns, and traps, so the per-instruction path
-  // never touches memory the compiler cannot keep in registers across the
-  // opaque Sink calls.
+  // Cycles an instruction of cost C occupies its core: a zero-cost
+  // instruction still takes one cycle in a run-ahead.
+  auto Occupancy = [](std::uint32_t C) -> std::uint64_t {
+    return Mode == StepMode::RunAhead && C == 0 ? 1 : C;
+  };
+  const std::uint64_t Basic = Occupancy(Costs.Basic);
+  const std::uint64_t Start = Now;
+  // The instruction pointer, register-file pointer, clock and retired-
+  // instruction counter are carried in locals; Frame::Pc and Executed are
+  // written back only at frame changes, returns, and traps, so the
+  // per-instruction path never touches memory the compiler cannot keep in
+  // registers across the opaque Sink calls.
   Frame *F = &Frames.back();
-  exec::FlatPc Pc = F->Pc;
+  const exec::DecodedInst *I = Insts + F->Pc;
+  exec::FlatPc Pc = 0; // target of the control transfer being taken
   std::uint64_t *Regs = F->Regs.data();
   std::uint64_t Exec = Executed;
-  const exec::DecodedInst *I = nullptr;
-  std::uint32_t Cost = 0;
 
   // Token-threaded dispatch: the pre-decoded opcode indexes a label table
   // and every handler ends in its own indirect jump, so the branch
@@ -110,10 +99,14 @@ std::uint64_t ExecContext::stepImpl(DirectMemoryPort *Mem, TraceSink *Sink,
                     static_cast<std::size_t>(ir::Opcode::Nop) + 1,
                 "jump table must cover every opcode in enum order");
 
-#define JRPM_RETURN(Val)                                                     \
+// Flat PC of the current instruction (frame changes, stops and traps only).
+#define JRPM_PC() static_cast<exec::FlatPc>(I - Insts)
+
+// Returns the cycles consumed since entry.
+#define JRPM_RETURN()                                                        \
   do {                                                                       \
     Executed = Exec;                                                         \
-    return (Val);                                                            \
+    return Now - Start;                                                      \
   } while (0)
 
 // Run-ahead only: leave the context parked on the instruction just
@@ -121,38 +114,44 @@ std::uint64_t ExecContext::stepImpl(DirectMemoryPort *Mem, TraceSink *Sink,
 #define JRPM_STOP_BEFORE()                                                   \
   do {                                                                       \
     --Exec;                                                                  \
-    F->Pc = Pc;                                                              \
+    F->Pc = JRPM_PC();                                                       \
     *Why = RunStop::Shared;                                                  \
-    JRPM_RETURN(Total);                                                      \
+    JRPM_RETURN();                                                           \
   } while (0)
 
 #define JRPM_FETCH()                                                         \
   do {                                                                       \
-    I = &Insts[Pc];                                                          \
     ++Exec;                                                                  \
-    Cost = Costs.Basic;                                                      \
     goto *JumpTable[static_cast<std::uint8_t>(I->Op)];                       \
   } while (0)
 
-#define JRPM_NEXT()                                                          \
+// Every instruction but a control transfer continues in its own block,
+// after occupying its core for \p Cycles.
+#define JRPM_NEXT_AFTER(Cycles)                                              \
   do {                                                                       \
+    Now += (Cycles);                                                         \
+    ++I;                                                                     \
+    JRPM_FETCH();                                                            \
+  } while (0)
+#define JRPM_NEXT() JRPM_NEXT_AFTER(Basic)
+
+// A Br, CondBr or Call that took \p Cycles lands on block start Pc. These
+// are the only ways into a block start (every block ends in a terminator),
+// so run()'s budget and stop-map tests and runAhead()'s Horizon test run
+// here and nowhere else.
+#define JRPM_ENTER_BLOCK(Cycles)                                             \
+  do {                                                                       \
+    Now += (Cycles);                                                         \
+    I = Insts + Pc;                                                          \
     if constexpr (Mode == StepMode::RunAhead) {                              \
-      /* a zero-cost instruction still occupies its core for one cycle */    \
-      Total += Cost ? Cost : 1;                                              \
-      if (Total >= MaxCycles) {                                              \
+      if (Now - Start >= MaxCycles) {                                        \
         F->Pc = Pc;                                                          \
         *Why = RunStop::Horizon;                                             \
-        JRPM_RETURN(Total);                                                  \
+        JRPM_RETURN();                                                       \
       }                                                                      \
-      JRPM_FETCH();                                                          \
-    }                                                                        \
-    Total += Cost;                                                           \
-    Now += Cost;                                                             \
-    /* budget and stop-map tests once per block */                           \
-    if ((Insts[Pc].Flags & exec::DecodedInst::BlockStartFlag) &&             \
-        (Now > MaxCycles || (StopAt && StopAt[Pc]))) {                       \
+    } else if (Now > MaxCycles || (StopAt && StopAt[Pc])) {                  \
       F->Pc = Pc;                                                            \
-      JRPM_RETURN(Total);                                                    \
+      JRPM_RETURN();                                                         \
     }                                                                        \
     JRPM_FETCH();                                                            \
   } while (0)
@@ -161,168 +160,134 @@ std::uint64_t ExecContext::stepImpl(DirectMemoryPort *Mem, TraceSink *Sink,
 
 Op_Add:
   Regs[I->Dst] = Regs[I->A] + Regs[I->B];
-  ++Pc;
   JRPM_NEXT();
 Op_Sub:
   Regs[I->Dst] = Regs[I->A] - Regs[I->B];
-  ++Pc;
   JRPM_NEXT();
 Op_Mul:
   Regs[I->Dst] = Regs[I->A] * Regs[I->B];
-  ++Pc;
   JRPM_NEXT();
 Op_Div: {
   std::int64_t D = asI(Regs[I->B]);
   if (D == 0) {
     if constexpr (Mode == StepMode::RunAhead)
       JRPM_STOP_BEFORE();
-    F->Pc = Pc; // park the context on the faulting instruction
+    F->Pc = JRPM_PC(); // park the context on the faulting instruction
     Executed = Exec;
     trap();
   }
   Regs[I->Dst] = static_cast<std::uint64_t>(asI(Regs[I->A]) / D);
-  Cost = Costs.IntDiv;
-  ++Pc;
-  JRPM_NEXT();
+  JRPM_NEXT_AFTER(Occupancy(Costs.IntDiv));
 }
 Op_Rem: {
   std::int64_t D = asI(Regs[I->B]);
   if (D == 0) {
     if constexpr (Mode == StepMode::RunAhead)
       JRPM_STOP_BEFORE();
-    F->Pc = Pc;
+    F->Pc = JRPM_PC();
     Executed = Exec;
     trap();
   }
   Regs[I->Dst] = static_cast<std::uint64_t>(asI(Regs[I->A]) % D);
-  Cost = Costs.IntDiv;
-  ++Pc;
-  JRPM_NEXT();
+  JRPM_NEXT_AFTER(Occupancy(Costs.IntDiv));
 }
 Op_And:
   Regs[I->Dst] = Regs[I->A] & Regs[I->B];
-  ++Pc;
   JRPM_NEXT();
 Op_Or:
   Regs[I->Dst] = Regs[I->A] | Regs[I->B];
-  ++Pc;
   JRPM_NEXT();
 Op_Xor:
   Regs[I->Dst] = Regs[I->A] ^ Regs[I->B];
-  ++Pc;
   JRPM_NEXT();
 Op_Shl:
   Regs[I->Dst] = Regs[I->A] << (Regs[I->B] & 63);
-  ++Pc;
   JRPM_NEXT();
 Op_Shr:
   Regs[I->Dst] =
       static_cast<std::uint64_t>(asI(Regs[I->A]) >> (Regs[I->B] & 63));
-  ++Pc;
   JRPM_NEXT();
 Op_AddImm:
   Regs[I->Dst] = Regs[I->A] + static_cast<std::uint64_t>(I->Imm);
-  ++Pc;
   JRPM_NEXT();
 Op_FAdd:
   Regs[I->Dst] = asU(asF(Regs[I->A]) + asF(Regs[I->B]));
-  ++Pc;
   JRPM_NEXT();
 Op_FSub:
   Regs[I->Dst] = asU(asF(Regs[I->A]) - asF(Regs[I->B]));
-  ++Pc;
   JRPM_NEXT();
 Op_FMul:
   Regs[I->Dst] = asU(asF(Regs[I->A]) * asF(Regs[I->B]));
-  ++Pc;
   JRPM_NEXT();
 Op_FDiv:
   Regs[I->Dst] = asU(asF(Regs[I->A]) / asF(Regs[I->B]));
-  Cost = Costs.FloatDiv;
-  ++Pc;
-  JRPM_NEXT();
+  JRPM_NEXT_AFTER(Occupancy(Costs.FloatDiv));
 Op_FNeg:
   Regs[I->Dst] = asU(-asF(Regs[I->A]));
-  ++Pc;
   JRPM_NEXT();
 Op_FSqrt:
   Regs[I->Dst] = asU(std::sqrt(asF(Regs[I->A])));
-  Cost = Costs.FloatSqrt;
-  ++Pc;
-  JRPM_NEXT();
+  JRPM_NEXT_AFTER(Occupancy(Costs.FloatSqrt));
 Op_IToF:
   Regs[I->Dst] = asU(static_cast<double>(asI(Regs[I->A])));
-  ++Pc;
   JRPM_NEXT();
 Op_FToI:
   Regs[I->Dst] =
       static_cast<std::uint64_t>(static_cast<std::int64_t>(asF(Regs[I->A])));
-  ++Pc;
   JRPM_NEXT();
 Op_CmpEQ:
   Regs[I->Dst] = Regs[I->A] == Regs[I->B];
-  ++Pc;
   JRPM_NEXT();
 Op_CmpNE:
   Regs[I->Dst] = Regs[I->A] != Regs[I->B];
-  ++Pc;
   JRPM_NEXT();
 Op_CmpLT:
   Regs[I->Dst] = asI(Regs[I->A]) < asI(Regs[I->B]);
-  ++Pc;
   JRPM_NEXT();
 Op_CmpLE:
   Regs[I->Dst] = asI(Regs[I->A]) <= asI(Regs[I->B]);
-  ++Pc;
   JRPM_NEXT();
 Op_CmpGT:
   Regs[I->Dst] = asI(Regs[I->A]) > asI(Regs[I->B]);
-  ++Pc;
   JRPM_NEXT();
 Op_CmpGE:
   Regs[I->Dst] = asI(Regs[I->A]) >= asI(Regs[I->B]);
-  ++Pc;
   JRPM_NEXT();
 Op_FCmpEQ:
   Regs[I->Dst] = asF(Regs[I->A]) == asF(Regs[I->B]);
-  ++Pc;
   JRPM_NEXT();
 Op_FCmpLT:
   Regs[I->Dst] = asF(Regs[I->A]) < asF(Regs[I->B]);
-  ++Pc;
   JRPM_NEXT();
 Op_FCmpLE:
   Regs[I->Dst] = asF(Regs[I->A]) <= asF(Regs[I->B]);
-  ++Pc;
   JRPM_NEXT();
 Op_ConstI:
 Op_ConstF:
   Regs[I->Dst] = static_cast<std::uint64_t>(I->Imm);
-  ++Pc;
   JRPM_NEXT();
 Op_Mov:
   Regs[I->Dst] = Regs[I->A];
-  ++Pc;
   JRPM_NEXT();
 Op_Load: {
   if constexpr (Mode == StepMode::RunAhead)
     JRPM_STOP_BEFORE();
   std::uint32_t Addr = exec::effectiveAddress(*I, Regs);
+  std::uint32_t Cost = Costs.Basic;
   Regs[I->Dst] = Mem->load(Addr, Cost);
   if (Sink)
     Cost += Sink->onHeapLoad(Addr, Now, I->Pc);
-  ++Pc;
-  JRPM_NEXT();
+  JRPM_NEXT_AFTER(Cost);
 }
 Op_Store: {
   if constexpr (Mode == StepMode::RunAhead)
     JRPM_STOP_BEFORE();
   std::uint32_t Addr = exec::effectiveAddress(*I, Regs);
   Mem->store(Addr, Regs[I->Dst]);
+  std::uint32_t Cost = Costs.Basic;
   if (Sink)
     Cost += Sink->onHeapStore(Addr, Now, I->Pc);
-  ++Pc;
-  JRPM_NEXT();
+  JRPM_NEXT_AFTER(Cost);
 }
 Op_Alloc: {
   if constexpr (Mode == StepMode::RunAhead)
@@ -331,7 +296,6 @@ Op_Alloc: {
                             ? static_cast<std::uint32_t>(Regs[I->A])
                             : static_cast<std::uint32_t>(I->Imm);
   Regs[I->Dst] = Mem->allocWords(Count);
-  ++Pc;
   JRPM_NEXT();
 }
 // Run-ahead only: a transfer at the outermost frame that lands on a flagged
@@ -340,10 +304,10 @@ Op_Alloc: {
 #define JRPM_BOUNDARY_CHECK()                                                \
   do {                                                                       \
     if constexpr (Mode == StepMode::RunAhead) {                              \
-      if (Frames.size() == 1 && Stops->stopsAt(Pc)) {                        \
+      if (F == Frames.data() && Stops->stopsAt(Pc)) {                        \
         F->Pc = Pc;                                                          \
         *Why = RunStop::Boundary;                                            \
-        JRPM_RETURN(Total);                                                  \
+        JRPM_RETURN();                                                       \
       }                                                                      \
     }                                                                        \
   } while (0)
@@ -351,15 +315,14 @@ Op_Alloc: {
 Op_Br:
   Pc = static_cast<exec::FlatPc>(I->Imm); // pre-resolved target
   JRPM_BOUNDARY_CHECK();
-  JRPM_NEXT();
+  JRPM_ENTER_BLOCK(Basic);
 Op_CondBr:
   Pc = Regs[I->A] != 0 ? static_cast<exec::FlatPc>(I->Imm)
                        : static_cast<exec::FlatPc>(I->Imm2);
   JRPM_BOUNDARY_CHECK();
-  JRPM_NEXT();
+  JRPM_ENTER_BLOCK(Basic);
 Op_Arg:
   F->StagedArgs.push_back(Regs[I->A]);
-  ++Pc;
   JRPM_NEXT();
 Op_Call: {
   std::uint32_t Callee = static_cast<std::uint32_t>(I->Imm);
@@ -373,22 +336,19 @@ Op_Call: {
   for (std::uint32_t A = 0; A < F->StagedArgs.size(); ++A)
     NewF.Regs[A] = F->StagedArgs[A];
   F->StagedArgs.clear();
-  F->Pc = Pc + 1; // resume point after the call
-  Cost = Costs.CallOverhead;
+  F->Pc = JRPM_PC() + 1; // resume point after the call
   if (Sink)
     Sink->onCallSite(I->Pc, Now);
   Frames.push_back(std::move(NewF)); // invalidates F
   F = &Frames.back();
   Pc = F->Pc;
   Regs = F->Regs.data();
-  // The callee entry is a function's first block start, where run()
-  // tests its budget and stop map.
   assert(Insts[Pc].Flags & exec::DecodedInst::BlockStartFlag);
-  JRPM_NEXT();
+  JRPM_ENTER_BLOCK(Occupancy(Costs.CallOverhead));
 }
 Op_Ret: {
   if constexpr (Mode == StepMode::RunAhead)
-    if (Frames.size() == 1)
+    if (F == Frames.data())
       JRPM_STOP_BEFORE(); // the caller decides what leaving it means
   std::uint64_t Value = I->A != ir::NoReg ? Regs[I->A] : 0;
   if (Sink) {
@@ -397,63 +357,61 @@ Op_Ret: {
   }
   std::uint16_t RetDst = F->RetDst;
   Frames.pop_back();
-  Cost = Costs.CallOverhead;
+  Now += Occupancy(Costs.CallOverhead);
   if (Frames.empty()) {
     RetVal = Value;
-    JRPM_RETURN(Total + Cost);
+    JRPM_RETURN();
   }
   F = &Frames.back();
-  Pc = F->Pc; // the caller parked its resume PC before the call
+  I = Insts + F->Pc; // the caller parked its resume PC before the call
   Regs = F->Regs.data();
   if (RetDst != ir::NoReg)
     Regs[RetDst] = Value;
-  JRPM_NEXT();
+  JRPM_FETCH();
 }
 // Annotation instructions cost one cycle by themselves (the nop they
 // degrade to when the runtime disables a loop's tracing); the tracer
 // charges the coprocessor interaction on top while it is listening.
+#define JRPM_NEXT_WITH_SINK(Call)                                            \
+  do {                                                                       \
+    std::uint32_t Cost = Costs.Basic;                                        \
+    if (Sink)                                                                \
+      Cost += Sink->Call;                                                    \
+    JRPM_NEXT_AFTER(Occupancy(Cost));                                        \
+  } while (0)
 Op_SLoop:
-  if (Sink)
-    Cost += Sink->onLoopStart(static_cast<std::uint32_t>(I->Imm),
-                              F->Activation, Now);
-  ++Pc;
-  JRPM_NEXT();
+  JRPM_NEXT_WITH_SINK(onLoopStart(static_cast<std::uint32_t>(I->Imm),
+                                  F->Activation, Now));
 Op_Eoi:
-  if (Sink)
-    Cost += Sink->onLoopIter(static_cast<std::uint32_t>(I->Imm), Now);
-  ++Pc;
-  JRPM_NEXT();
+  JRPM_NEXT_WITH_SINK(onLoopIter(static_cast<std::uint32_t>(I->Imm), Now));
 Op_ELoop:
-  if (Sink)
-    Cost += Sink->onLoopEnd(static_cast<std::uint32_t>(I->Imm), Now);
-  ++Pc;
-  JRPM_NEXT();
-Op_LwlAnno:
-  Cost = Cfg.LocalAnnoCost;
+  JRPM_NEXT_WITH_SINK(onLoopEnd(static_cast<std::uint32_t>(I->Imm), Now));
+Op_ReadStats:
+  JRPM_NEXT_WITH_SINK(onReadStats(static_cast<std::uint32_t>(I->Imm), Now));
+Op_LwlAnno: {
+  std::uint32_t Cost = Cfg.LocalAnnoCost;
   if (Sink)
     Cost += Sink->onLocalLoad(F->Activation, I->A, Now, I->Pc);
-  ++Pc;
-  JRPM_NEXT();
-Op_SwlAnno:
-  Cost = Cfg.LocalAnnoCost;
+  JRPM_NEXT_AFTER(Occupancy(Cost));
+}
+Op_SwlAnno: {
+  std::uint32_t Cost = Cfg.LocalAnnoCost;
   if (Sink)
     Cost += Sink->onLocalStore(F->Activation, I->A, Now, I->Pc);
-  ++Pc;
-  JRPM_NEXT();
-Op_ReadStats:
-  if (Sink)
-    Cost += Sink->onReadStats(static_cast<std::uint32_t>(I->Imm), Now);
-  ++Pc;
-  JRPM_NEXT();
+  JRPM_NEXT_AFTER(Occupancy(Cost));
+}
 Op_Nop:
-  ++Pc;
   JRPM_NEXT();
 
+#undef JRPM_NEXT_WITH_SINK
 #undef JRPM_BOUNDARY_CHECK
+#undef JRPM_ENTER_BLOCK
 #undef JRPM_NEXT
+#undef JRPM_NEXT_AFTER
 #undef JRPM_FETCH
 #undef JRPM_STOP_BEFORE
 #undef JRPM_RETURN
+#undef JRPM_PC
 }
 
 std::uint64_t ExecContext::run(DirectMemoryPort &Mem, TraceSink *Sink,
@@ -463,9 +421,8 @@ std::uint64_t ExecContext::run(DirectMemoryPort &Mem, TraceSink *Sink,
                                  nullptr, nullptr);
 }
 
-std::uint64_t ExecContext::runAhead(std::uint64_t Budget,
-                                    const BoundaryMap &Stops, RunStop &Why) {
-  assert(Budget > 0 && "a run-ahead executes at least one instruction");
-  return stepImpl<StepMode::RunAhead>(nullptr, nullptr, 0, Budget, nullptr,
-                                      &Stops, &Why);
-}
+// The inline runAhead() calls this instantiation.
+template std::uint64_t
+ExecContext::stepImpl<ExecContext::StepMode::RunAhead>(
+    DirectMemoryPort *, TraceSink *, std::uint64_t, std::uint64_t,
+    const std::uint32_t *, const BoundaryMap *, RunStop *);

@@ -18,6 +18,10 @@
 //     boundary or cycle budget, advancing the core's private clock. The
 //     TLS engine executes the Load or Store it parks on itself and then
 //     calls retire().
+// Every block ends in a terminator, so control enters a block start only
+// through a Br, a CondBr or a Call. The budget, stop-map and Horizon tests
+// run in those three handlers alone; every other instruction pays just
+// its dispatch and its cost.
 //
 //===----------------------------------------------------------------------===//
 
@@ -30,6 +34,7 @@
 #include "ir/IR.h"
 #include "sim/Config.h"
 
+#include <cassert>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -63,13 +68,14 @@ public:
   /// Begins execution at the entry of function \p Func.
   void start(std::uint32_t Func, const std::vector<std::uint64_t> &Args);
 
-  /// Positions the context, as its only frame, at block start \p Pc with
-  /// register file \p Regs (the TLS engine spawning an iteration thread).
-  /// The file may be larger than the function needs. The previous
-  /// activation's top-frame file is returned so spawn-heavy callers can
-  /// reuse its buffer instead of allocating a fresh vector per spawn.
-  std::vector<std::uint64_t> resetAtPc(exec::FlatPc Pc,
-                                       std::vector<std::uint64_t> Regs);
+  /// Positions the context, as its only frame, at block start \p Pc and
+  /// returns that frame's register file for the caller to fill (the TLS
+  /// engine spawning an iteration thread). The file still holds the
+  /// previous activation's values, or is empty on a fresh context; the
+  /// caller must size it to at least the function's register count, and
+  /// may make it larger. Reusing the buffer keeps the spawn-per-commit path
+  /// free of allocations.
+  std::vector<std::uint64_t> &resetAtPc(exec::FlatPc Pc);
 
   bool finished() const { return Frames.empty(); }
   std::uint64_t returnValue() const { return RetVal; }
@@ -101,8 +107,8 @@ public:
   /// Executes until the program finishes, the running clock (starting at
   /// \p Now, advanced per instruction) exceeds \p MaxCycles, or control
   /// reaches a block start whose entry in \p StopAt (one per flat PC of the
-  /// image; null = none) is nonzero. Both tests run at block starts after
-  /// at least one instruction, so a run resumed where it stopped makes
+  /// image; null = none) is nonzero. Both tests run when a Br, CondBr or
+  /// Call lands on a block start, so a run resumed where it stopped makes
   /// progress, and the context is at a block start (or finished) on
   /// return. Returns the cycles consumed; resuming after a stop changes no
   /// total. Must not be called when finished(). Throws TrapError when the
@@ -121,7 +127,8 @@ public:
     /// A Br/CondBr in the outermost frame landed on a flagged block start;
     /// the branch has executed and the context sits on the target.
     Boundary,
-    /// The cycle budget ran out; the context sits on the next instruction.
+    /// The cycle budget ran out; the context sits at the block start the
+    /// last Br, CondBr or Call landed on.
     Horizon,
   };
 
@@ -140,11 +147,20 @@ public:
   /// max(cost, 1) cycles. Stops as \p Why reports; returns the cycles from
   /// the first instruction's issue to the issue of the instruction the
   /// context stopped before (Shared, Horizon) or of the boundary branch
-  /// (Boundary). The Horizon stop fires once that count reaches \p Budget
-  /// (> 0). Never touches memory; it never traps, since a zero divisor
-  /// stops the run first.
+  /// (Boundary). The Horizon stop fires at the first Br, CondBr or Call
+  /// that lands on a block start once that count has reached \p Budget
+  /// (> 0), so the count may pass the budget before the run yields, and
+  /// the context then sits at a block start. Any run that does not stop
+  /// otherwise must branch or call, so the budget still bounds the host
+  /// work; where the run yields changes no simulated result. Never touches
+  /// memory; it never traps, since a zero divisor stops the run first.
   std::uint64_t runAhead(std::uint64_t Budget, const BoundaryMap &Stops,
-                         RunStop &Why);
+                         RunStop &Why) {
+    // Inline, so the TLS engine's one run-ahead per event is one call.
+    assert(Budget > 0 && "a run-ahead executes at least one instruction");
+    return stepImpl<StepMode::RunAhead>(nullptr, nullptr, 0, Budget, nullptr,
+                                        &Stops, &Why);
+  }
 
   /// Completes the Load or Store a Shared stop parked on, after the caller
   /// has executed it: advances past it and counts it as retired.

@@ -4,7 +4,9 @@
 #define JRPM_SIM_CACHEMODEL_H
 
 #include "sim/Config.h"
+#include "support/FastDivMod.h"
 
+#include <cassert>
 #include <cstdint>
 #include <vector>
 
@@ -15,52 +17,52 @@ namespace sim {
 /// whether a load hits the L1 (1 cycle) or pays the L2 penalty. The 2MB
 /// on-chip L2 is modelled as always hitting: all working sets in this
 /// reproduction fit comfortably within it.
+///
+/// Every simulated load and store of the sequential machine and of each
+/// TLS core goes through access(), so the address is split into line, set
+/// and tag with precomputed reciprocals (support/FastDivMod.h) instead of
+/// hardware divides; any geometry hasValidCacheGeometry() accepts works,
+/// not only powers of two. A set's ways sit next to each other, each tag
+/// beside its LRU age.
 class L1CacheModel {
 public:
   explicit L1CacheModel(const HydraConfig &Cfg)
-      : WordsPerLine(Cfg.WordsPerLine), Assoc(Cfg.L1Assoc),
-        NumSets(Cfg.L1Lines / Cfg.L1Assoc),
-        Sets(NumSets * Cfg.L1Assoc, EmptyTag),
-        Ages(NumSets * Cfg.L1Assoc, 0) {}
+      : WordSplit(Cfg.WordsPerLine), SetSplit(Cfg.L1Lines / Cfg.L1Assoc),
+        Assoc(Cfg.L1Assoc), Ways(Cfg.L1Lines) {
+    assert(hasValidCacheGeometry(Cfg) && "invalid L1 geometry");
+  }
 
   /// Touches the line containing word \p Addr; returns true on hit.
   bool access(std::uint32_t Addr) {
-    std::uint32_t Line = Addr / WordsPerLine;
-    std::uint32_t Set = Line % NumSets;
-    std::uint64_t Tag = Line / NumSets;
-    std::uint32_t Base = Set * Assoc;
+    std::uint32_t Line = WordSplit.div(Addr);
+    std::uint64_t Tag = SetSplit.div(Line);
+    Way *Set = &Ways[std::size_t(SetSplit.mod(Line)) * Assoc];
     ++Clock;
     for (std::uint32_t W = 0; W < Assoc; ++W) {
-      if (Sets[Base + W] == Tag) {
-        Ages[Base + W] = Clock;
+      if (Set[W].Tag == Tag) {
+        Set[W].Age = Clock;
         return true;
       }
     }
     // Miss: replace the least recently used way.
     std::uint32_t Victim = 0;
     for (std::uint32_t W = 1; W < Assoc; ++W)
-      if (Ages[Base + W] < Ages[Base + Victim])
+      if (Set[W].Age < Set[Victim].Age)
         Victim = W;
-    Sets[Base + Victim] = Tag;
-    Ages[Base + Victim] = Clock;
+    Set[Victim] = {Tag, Clock};
     return false;
-  }
-
-  void reset() {
-    for (auto &T : Sets)
-      T = EmptyTag;
-    for (auto &A : Ages)
-      A = 0;
-    Clock = 0;
   }
 
 private:
   static constexpr std::uint64_t EmptyTag = ~std::uint64_t(0);
-  std::uint32_t WordsPerLine;
+  struct Way {
+    std::uint64_t Tag = EmptyTag;
+    std::uint64_t Age = 0;
+  };
+  FastDivMod WordSplit;
+  FastDivMod SetSplit;
   std::uint32_t Assoc;
-  std::uint32_t NumSets;
-  std::vector<std::uint64_t> Sets;
-  std::vector<std::uint64_t> Ages;
+  std::vector<Way> Ways; ///< set-major: set S's ways start at S * Assoc
   std::uint64_t Clock = 0;
 };
 

@@ -97,6 +97,16 @@ struct HydraConfig {
   CostModel Costs;
 };
 
+/// True when the cache geometry can be built: at least one word per line,
+/// at least one way, and the L1 a non-zero whole number of sets. The L1
+/// model, the TLS engine and the tracer's timestamp stores split addresses
+/// by these numbers, so a config failing this must be rejected before an
+/// engine is constructed.
+inline bool hasValidCacheGeometry(const HydraConfig &Hw) {
+  return Hw.WordsPerLine >= 1 && Hw.L1Assoc >= 1 &&
+         Hw.L1Lines >= Hw.L1Assoc && Hw.L1Lines % Hw.L1Assoc == 0;
+}
+
 /// True when both overflow-analysis timestamp tables can be built: at
 /// least one way, and each table a non-zero whole number of sets.
 /// tracer::CacheLineTimestampTable divides by the associativity, so a

@@ -104,6 +104,12 @@ sim::HydraConfig parseHw(const std::uint8_t *&P, const std::uint8_t *End) {
   Hw.Costs.FloatDiv = U32();
   Hw.Costs.FloatSqrt = U32();
   Hw.Costs.CallOverhead = U32();
+  if (!sim::hasValidCacheGeometry(Hw))
+    throw Error(ErrorKind::BadRecord,
+                "cache geometry of " + std::to_string(Hw.WordsPerLine) +
+                    " words per line, " + std::to_string(Hw.L1Lines) +
+                    " lines, " + std::to_string(Hw.L1Assoc) +
+                    " ways cannot be built");
   if (!sim::hasValidOverflowTables(Hw))
     throw Error(ErrorKind::BadRecord,
                 "overflow table associativity " +

@@ -19,6 +19,7 @@
 #define JRPM_TRACER_TIMESTAMPSTORES_H
 
 #include "sim/Config.h"
+#include "support/FastDivMod.h"
 
 #include <algorithm>
 #include <cassert>
@@ -31,44 +32,14 @@ namespace tracer {
 /// Timestamp value meaning "no record".
 inline constexpr std::uint64_t NoTimestamp = 0;
 
-/// Exact 32-bit division and modulo by a runtime divisor without a divide
-/// instruction (the Lemire/Kaser/Kurz reciprocal: M = ceil(2^64 / D) makes
-/// both operations a pair of multiplies, exact for every 32-bit operand).
-/// The per-event paths split addresses into (line, word) and lines into
-/// sets with geometry that is only known at configuration time, so the
-/// compiler cannot strength-reduce the divides itself.
-class FastDivMod {
-public:
-  explicit FastDivMod(std::uint32_t Divisor = 1)
-      : D(Divisor), M(Divisor > 1 ? ~std::uint64_t(0) / Divisor + 1 : 0) {}
-
-  std::uint32_t div(std::uint32_t N) const {
-    if (D == 1)
-      return N;
-    return static_cast<std::uint32_t>(
-        (static_cast<unsigned __int128>(M) * N) >> 64);
-  }
-
-  std::uint32_t mod(std::uint32_t N) const {
-    if (D == 1)
-      return 0;
-    std::uint64_t Low = M * N;
-    return static_cast<std::uint32_t>(
-        (static_cast<unsigned __int128>(Low) * D) >> 64);
-  }
-
-private:
-  std::uint32_t D;
-  std::uint64_t M;
-};
-
 /// FIFO history of heap store timestamps at word granularity within
 /// cache-line entries. Holds the most recent `Capacity` written lines; older
 /// history is lost, which bounds how distant a dependency the tracer can
 /// observe (a deliberate imprecision the paper discusses in Section 6.2).
 ///
-/// Layout: per-line word timestamps live in one contiguous array with a
-/// WordsPerLine stride; the FIFO is the rotation order of entry slots; an
+/// Layout: per-line word timestamps live in one contiguous array, one
+/// stride of WordsPerLine per entry; the FIFO is the rotation order of
+/// entry slots; an
 /// open-addressed hash index (power-of-two, linear probing, backward-shift
 /// deletion, load factor <= 1/2) maps a line number to its slot.
 class HeapStoreTimestamps {

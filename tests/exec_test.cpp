@@ -295,6 +295,7 @@ TEST(ExecContext, RunAheadAgreesWithSteppingOnRandomPrograms) {
   // executes those to the next block start. The clock and instruction
   // totals must match the machine's exactly.
   using RunStop = interp::ExecContext::RunStop;
+  std::uint64_t Horizons = 0;
   for (std::uint64_t Seed = 1; Seed <= 6; ++Seed) {
     testutil::ProgramGenerator Gen(Seed);
     ir::Module M = Gen.generate();
@@ -331,6 +332,10 @@ TEST(ExecContext, RunAheadAgreesWithSteppingOnRandomPrograms) {
         ASSERT_TRUE(Ctx.atBlockStart());
         Clock += Cfg.Costs.Basic; // the branch itself
       }
+      // The budget is tested only where a Br, CondBr or Call lands.
+      if (Why == RunStop::Horizon) {
+        ASSERT_TRUE(Ctx.atBlockStart()) << "seed " << Seed;
+      }
       if (Why != RunStop::Shared)
         continue;
       const exec::DecodedInst &I = Image.inst(Ctx.pc());
@@ -350,11 +355,15 @@ TEST(ExecContext, RunAheadAgreesWithSteppingOnRandomPrograms) {
       Clock += Cost;
     }
     EXPECT_GT(Stopped[static_cast<int>(RunStop::Boundary)], 0u);
+    Horizons += Stopped[static_cast<int>(RunStop::Horizon)];
     EXPECT_EQ(Clock, Machine.Cycles) << "seed " << Seed;
     EXPECT_EQ(Ctx.instructionsExecuted(), Machine.Instructions)
         << "seed " << Seed;
     EXPECT_EQ(Ctx.returnValue(), Machine.ReturnValue) << "seed " << Seed;
   }
+  // Only branches in callees can hit the budget (every block start of the
+  // entry function is a boundary); some seeds have them.
+  EXPECT_GT(Horizons, 0u);
 }
 
 TEST(ExecContext, RunAheadParksBeforeZeroDivisor) {
@@ -407,14 +416,23 @@ TEST(ExecContext, ResetAtPcAcceptsOversizedRegisterFile) {
   interp::Heap H;
   interp::DirectMemoryPort Port(H, Cfg);
   interp::ExecContext Ctx(M, Cfg);
-  // Spawn-style entry: the register file is deliberately larger than the
-  // function needs (the TLS engine recycles buffers across clones whose
-  // register counts differ).
-  std::vector<std::uint64_t> Regs(M.Functions[M.EntryFunction].NumRegs + 16,
-                                  0);
-  EXPECT_TRUE(
-      Ctx.resetAtPc(Ctx.image().entry(M.EntryFunction), std::move(Regs))
-          .empty());
+  // Spawn-style entry, filled in place: the register file is deliberately
+  // larger than the function needs (the TLS engine reuses one buffer per
+  // core across clones whose register counts differ).
+  std::size_t Oversized = M.Functions[M.EntryFunction].NumRegs + 16;
+  std::vector<std::uint64_t> &Regs =
+      Ctx.resetAtPc(Ctx.image().entry(M.EntryFunction));
+  EXPECT_TRUE(Regs.empty()); // a fresh context has no previous activation
+  Regs.assign(Oversized, 7);
+  // A second reset (a respawn) hands back the same buffer with the
+  // previous activation's values; the caller refills it.
+  std::vector<std::uint64_t> &Again =
+      Ctx.resetAtPc(Ctx.image().entry(M.EntryFunction));
+  EXPECT_EQ(&Again, &Regs);
+  EXPECT_EQ(Again.size(), Oversized);
+  EXPECT_EQ(Again.back(), 7u);
+  std::fill(Again.begin(), Again.end(), 0);
+  EXPECT_EQ(Ctx.callDepth(), 1u);
   EXPECT_TRUE(Ctx.atBlockStart());
   Ctx.run(Port, nullptr, 0, ~0ull);
   EXPECT_TRUE(Ctx.finished());

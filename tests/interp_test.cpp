@@ -3,6 +3,7 @@
 #include "TestUtil.h"
 #include "interp/Heap.h"
 #include "sim/CacheModel.h"
+#include "support/Prng.h"
 
 #include <gtest/gtest.h>
 
@@ -44,6 +45,58 @@ TEST(CacheModel, LruEvictionWithinSet) {
   EXPECT_FALSE(L1.access(32)); // evicts 16 (LRU)
   EXPECT_TRUE(L1.access(0));
   EXPECT_FALSE(L1.access(16));
+}
+
+TEST(CacheModel, NonPowerOfTwoGeometryMatchesReference) {
+  // 3 words per line, 96 lines in 4 ways: 24 sets. The model splits
+  // addresses with reciprocals; this reference uses / and %.
+  sim::HydraConfig Cfg;
+  Cfg.WordsPerLine = 3;
+  Cfg.L1Lines = 96;
+  Cfg.L1Assoc = 4;
+  ASSERT_TRUE(sim::hasValidCacheGeometry(Cfg));
+  const std::uint32_t Sets = Cfg.L1Lines / Cfg.L1Assoc;
+  std::vector<std::vector<std::uint64_t>> RefTags(Sets), RefAges(Sets);
+  for (std::uint32_t S = 0; S < Sets; ++S) {
+    RefTags[S].assign(Cfg.L1Assoc, ~std::uint64_t(0));
+    RefAges[S].assign(Cfg.L1Assoc, 0);
+  }
+  std::uint64_t RefClock = 0;
+  auto Reference = [&](std::uint32_t Addr) {
+    std::uint32_t Line = Addr / Cfg.WordsPerLine;
+    std::vector<std::uint64_t> &Tags = RefTags[Line % Sets];
+    std::vector<std::uint64_t> &Ages = RefAges[Line % Sets];
+    std::uint64_t Tag = Line / Sets;
+    ++RefClock;
+    for (std::uint32_t W = 0; W < Cfg.L1Assoc; ++W)
+      if (Tags[W] == Tag) {
+        Ages[W] = RefClock;
+        return true;
+      }
+    std::uint32_t Victim = 0;
+    for (std::uint32_t W = 1; W < Cfg.L1Assoc; ++W)
+      if (Ages[W] < Ages[Victim])
+        Victim = W;
+    Tags[Victim] = Tag;
+    Ages[Victim] = RefClock;
+    return false;
+  };
+
+  sim::L1CacheModel L1(Cfg);
+  Prng Rng(42);
+  std::uint32_t Hits = 0, Misses = 0;
+  for (int I = 0; I < 200000; ++I) {
+    // Mostly a small working set (hits and conflict misses), now and then
+    // anywhere in the 32-bit address space.
+    std::uint64_t R = Rng.next();
+    std::uint32_t Addr = (R & 7) ? static_cast<std::uint32_t>(R >> 32) % 600
+                                 : static_cast<std::uint32_t>(R >> 32);
+    bool Hit = L1.access(Addr);
+    ASSERT_EQ(Hit, Reference(Addr)) << "access " << I << " addr " << Addr;
+    (Hit ? Hits : Misses)++;
+  }
+  EXPECT_GT(Hits, 0u);
+  EXPECT_GT(Misses, 0u);
 }
 
 TEST(Machine, CountsInstructionsAndCycles) {

@@ -1,12 +1,15 @@
 //===- tests/support_test.cpp - Support library unit tests -----------------==//
 
 #include "support/BitVector.h"
+#include "support/FastDivMod.h"
 #include "support/Format.h"
 #include "support/Prng.h"
 #include "support/Stats.h"
 #include "support/Table.h"
 
 #include <gtest/gtest.h>
+
+#include <vector>
 
 using namespace jrpm;
 
@@ -57,6 +60,32 @@ TEST(Prng, BoundsRespected) {
     double D = P.nextDouble();
     EXPECT_GE(D, 0.0);
     EXPECT_LT(D, 1.0);
+  }
+}
+
+TEST(FastDivMod, MatchesHardwareDivide) {
+  std::vector<std::uint32_t> Divisors;
+  for (std::uint32_t D = 1; D <= 130; ++D)
+    Divisors.push_back(D);
+  for (std::uint32_t K = 1; K <= 31; ++K) {
+    std::uint32_t P = 1u << K;
+    Divisors.insert(Divisors.end(), {P - 1, P, P + 1});
+  }
+  Prng Rng(0xD1CE);
+  for (std::uint32_t D : Divisors) {
+    FastDivMod Split(D);
+    std::vector<std::uint32_t> Numerators = {0,     1,     D - 1,
+                                             D,     D + 1, UINT32_MAX,
+                                             UINT32_MAX - 1};
+    for (int I = 0; I < 64; ++I) {
+      std::uint64_t R = Rng.next();
+      Numerators.push_back(static_cast<std::uint32_t>(R));
+      Numerators.push_back(static_cast<std::uint32_t>(R >> 48)); // small ones
+    }
+    for (std::uint32_t N : Numerators) {
+      ASSERT_EQ(Split.div(N), N / D) << N << " / " << D;
+      ASSERT_EQ(Split.mod(N), N % D) << N << " % " << D;
+    }
   }
 }
 

@@ -281,6 +281,65 @@ TEST_F(TraceFuzz, ErrorsCarryKindAndMessage) {
   std::remove(Mutant.c_str());
 }
 
+TEST_F(TraceFuzz, ImpossibleCacheGeometryIsBadRecord) {
+  // A well-formed file with valid CRCs and a plausible event stream whose
+  // header asks for zero words per line: a replay would index an empty
+  // heap-history array. The decoder must reject it before the tracer
+  // splits a single address.
+  std::string Mutant = tmpPath("wpl0");
+  {
+    trace::TraceHeader H;
+    H.Hw.WordsPerLine = 0;
+    H.LoopLocals.resize(1);
+    trace::Writer W(Mutant, H);
+    std::uint64_t Cycle = 10;
+    auto Emit = [&](trace::EventKind K, std::uint32_t Addr) {
+      trace::Event E;
+      E.Kind = K;
+      E.Cycle = Cycle++;
+      E.Activation = 1;
+      E.Addr = Addr;
+      E.Pc = K == trace::EventKind::HeapLoad || K == trace::EventKind::HeapStore
+                 ? 7
+                 : -1;
+      W.append(E);
+    };
+    Emit(trace::EventKind::LoopStart, 0);
+    for (std::uint32_t I = 0; I < 4; ++I) {
+      Emit(trace::EventKind::HeapStore, 100 + I);
+      Emit(trace::EventKind::LoopIter, 0);
+      Emit(trace::EventKind::HeapLoad, 100 + I);
+    }
+    Emit(trace::EventKind::LoopEnd, 0);
+    W.finish(trace::RunInfo{});
+  }
+  try {
+    trace::Reader R(Mutant);
+    trace::selectFromTrace(R);
+    FAIL() << "a zero-words-per-line trace replayed";
+  } catch (const trace::Error &E) {
+    EXPECT_EQ(E.kind(), trace::ErrorKind::BadRecord);
+  }
+  std::remove(Mutant.c_str());
+
+  // The other geometries no cache model can be built from.
+  for (auto [Lines, Ways] : {std::pair{512u, 0u}, {0u, 4u}, {510u, 4u}}) {
+    std::string Path = tmpPath("l1-" + std::to_string(Lines) + "-" +
+                               std::to_string(Ways));
+    {
+      trace::TraceHeader H;
+      H.Hw.L1Lines = Lines;
+      H.Hw.L1Assoc = Ways;
+      trace::Writer W(Path, H);
+      W.finish(trace::RunInfo{});
+    }
+    std::optional<trace::ErrorKind> Err = strictRead(Path);
+    ASSERT_TRUE(Err.has_value()) << Lines << " lines, " << Ways << " ways";
+    EXPECT_EQ(*Err, trace::ErrorKind::BadRecord);
+    std::remove(Path.c_str());
+  }
+}
+
 TEST_F(TraceFuzz, ImpossibleOverflowGeometryIsBadRecord) {
   // A well-formed file whose header asks for a zero-way overflow table:
   // the decoder must reject it before any engine divides by the ways.
