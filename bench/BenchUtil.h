@@ -6,7 +6,7 @@
 #include "jrpm/Pipeline.h"
 #include "support/Format.h"
 #include "support/Table.h"
-#include "sweep/ThreadPool.h"
+#include "sweep/ParallelFor.h"
 #include "workloads/Workload.h"
 
 #include <chrono>
@@ -61,24 +61,22 @@ inline std::string benchTracePath(const std::string &Tag) {
          ".jtrace";
 }
 
-/// Wall-clock of a job list executed on the work-stealing pool.
+/// Wall-clock of a job list executed by sweep::parallelFor.
 struct PoolRun {
   double Ms = 0;
   unsigned Threads = 1;
 };
 
-/// Re-runs \p Jobs on the sweep engine's work-stealing pool. Jobs must be
-/// idempotent and write their results into preassigned slots, so a pooled
-/// re-execution reproduces the serial pass byte-for-byte regardless of
-/// scheduling order.
+/// Re-runs \p Jobs through sweep::parallelFor at hardware width. Jobs must
+/// be idempotent and write their results into preassigned slots, so a
+/// pooled re-execution reproduces the serial pass byte-for-byte regardless
+/// of scheduling order.
 inline PoolRun runOnPool(const std::vector<std::function<void()>> &Jobs) {
   PoolRun P;
-  sweep::ThreadPool Pool;
-  P.Threads = Pool.threadCount();
+  P.Threads = sweep::parallelWidth(Jobs.size(), 0);
   Stopwatch S;
-  for (const std::function<void()> &J : Jobs)
-    Pool.submit(J);
-  Pool.wait();
+  sweep::parallelFor(Jobs.size(), 0,
+                     [&Jobs](std::size_t I, unsigned) { Jobs[I](); });
   P.Ms = S.ms();
   return P;
 }
@@ -89,7 +87,7 @@ inline PoolRun runOnPool(const std::vector<std::function<void()>> &Jobs) {
 inline void printPoolReduction(const char *What, std::size_t Jobs,
                                double SerialMs, const PoolRun &P,
                                bool SlotsIdentical) {
-  std::printf("\nwork-stealing pool, %zu %s jobs:\n"
+  std::printf("\nparallelFor, %zu %s jobs:\n"
               "  serial execution                             %8.1f ms\n"
               "  pooled execution (%u worker threads)         %8.1f ms\n"
               "  wall-clock reduction: %.2fx; pooled results %s\n",

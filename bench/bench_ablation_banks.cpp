@@ -12,9 +12,9 @@
 // timed, and reported for comparison.
 //
 // Pooled: each workload's whole unit (live baseline sweep + record +
-// replayed analyses) is one job. The job list runs serially first, then on
-// the sweep engine's work-stealing pool; both passes fill the same
-// preassigned row slots and must agree exactly.
+// replayed analyses) is one job. The job list runs serially first, then
+// through sweep::parallelFor; both passes fill the same preassigned row
+// slots and must agree exactly.
 //
 //===----------------------------------------------------------------------===//
 

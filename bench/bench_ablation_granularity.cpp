@@ -13,8 +13,8 @@
 // timed as the baseline.
 //
 // Pooled: each workload's unit (live baseline, record+replay, two live
-// speculative runs) is one job; the list runs serially and then on the
-// work-stealing pool into the same preassigned slots.
+// speculative runs) is one job; the list runs serially and then through
+// sweep::parallelFor into the same preassigned slots.
 //
 //===----------------------------------------------------------------------===//
 

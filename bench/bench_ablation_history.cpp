@@ -15,7 +15,7 @@
 // columns only.
 //
 // Pooled: each workload's unit (live baseline + record + replays) is one
-// job, run serially and then on the work-stealing pool into the same
+// job, run serially and then through sweep::parallelFor into the same
 // preassigned row slots; the passes must agree exactly.
 //
 //===----------------------------------------------------------------------===//

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # CLI conformance gate: every tool prints usage to stderr and exits 2 on a
 # bad invocation (no/unknown subcommand, missing operand, unknown option,
-# trailing junk), and keeps stdout clean while doing so.
+# trailing junk, a numeric flag that is junk, negative or out of range),
+# and keeps stdout clean while doing so.
 #
 # Usage (how the tier-1 ctest invokes it — see tools/CMakeLists.txt):
 #   scripts/ci_cli_usage.sh --run-bin <jrpm-run> --trace-bin <jrpm-trace> \
@@ -81,6 +82,7 @@ expect_usage "trace: unknown option"  "${TRACE_BIN}" record BitOps --bogus
 expect_usage "trace: replay no --base" "${TRACE_BIN}" replay x.jtrace --base
 expect_usage "trace: replay prefilter" "${TRACE_BIN}" replay x.jtrace --config prefilter=1
 expect_usage "trace: dump no --config" "${TRACE_BIN}" dump x.jtrace --config banks=2
+expect_usage "trace: dump bad events" "${TRACE_BIN}" dump x.jtrace --events -5
 
 # jrpm-sweep
 expect_usage "sweep: no args"         "${SWEEP_BIN}"
@@ -89,6 +91,10 @@ expect_usage "sweep: unknown option"  "${SWEEP_BIN}" run --bogus
 expect_usage "sweep: missing value"   "${SWEEP_BIN}" run --workloads
 expect_usage "sweep: bad level"       "${SWEEP_BIN}" run --levels sideways
 expect_usage "sweep: knob overflow"   "${SWEEP_BIN}" plan --config banks=99999999999999999999
+expect_usage "sweep: threads junk"    "${SWEEP_BIN}" run --threads many
+expect_usage "sweep: threads negative" "${SWEEP_BIN}" run --threads -1
+expect_usage "sweep: seed overflow"   "${SWEEP_BIN}" plan --seed 99999999999999999999
+expect_usage "sweep: timeout junk"    "${SWEEP_BIN}" plan --timeout-ms 5s
 
 # jrpm-lint
 expect_usage "lint: no args"          "${LINT_BIN}"
@@ -96,6 +102,7 @@ expect_usage "lint: unknown option"   "${LINT_BIN}" all --bogus
 expect_usage "lint: jobs no value"    "${LINT_BIN}" all --jobs
 expect_usage "lint: jobs zero"        "${LINT_BIN}" all --jobs 0
 expect_usage "lint: jobs junk"        "${LINT_BIN}" all --jobs many
+expect_usage "lint: jobs overflow"    "${LINT_BIN}" all --jobs 99999999999999999999
 expect_usage "lint: json bad option"  "${LINT_BIN}" all --json --bogus
 
 # jrpm-metrics
@@ -112,6 +119,9 @@ expect_usage "corpus: unknown option"   "${CORPUS_BIN}" run --bogus
 expect_usage "corpus: missing value"    "${CORPUS_BIN}" run --seed
 expect_usage "corpus: generate no tmpl" "${CORPUS_BIN}" generate
 expect_usage "corpus: generate count 0" "${CORPUS_BIN}" generate --template x --count 0
+expect_usage "corpus: threads negative" "${CORPUS_BIN}" run --threads -1
+expect_usage "corpus: variants negative" "${CORPUS_BIN}" run --variants-per-template -1
+expect_usage "corpus: seed junk"        "${CORPUS_BIN}" run --seed 1e3
 expect_usage "corpus: shrink no repro"  "${CORPUS_BIN}" shrink
 expect_usage "corpus: stats with junk"  "${CORPUS_BIN}" stats extra
 

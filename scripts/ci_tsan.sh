@@ -6,10 +6,10 @@
 # Configures a dedicated build tree with -DJRPM_TSAN=ON (see the option in
 # the top-level CMakeLists.txt; mutually exclusive with JRPM_SANITIZE),
 # builds everything, and runs the concurrency-focused subset of ctest: the
-# Sweep* suites (thread pool, plan runner, determinism), the concurrent
-# fuzz harness that dispatches generated programs across the pool, the
-# Corpus* suites (template corpus sweeps on the pool, 1-vs-N thread report
-# identity), and the Tracer*/TraceEngine suites (pinned engine streams,
+# Sweep* suites (parallelFor, plan runner, determinism), the concurrent
+# fuzz harness that dispatches generated programs through parallelFor, the
+# Corpus* suites (template corpus sweeps through parallelFor, 1-vs-N thread
+# report identity), and the Tracer*/TraceEngine suites (pinned engine streams,
 # interleaved engines, live-vs-replay tracer metrics). TSan reports are fatal
 # (-fno-sanitize-recover=all), so any data race fails the suite.
 

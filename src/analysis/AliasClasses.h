@@ -38,22 +38,11 @@ class AliasClasses {
 public:
   explicit AliasClasses(const ir::Function &F);
 
-  std::uint32_t numSites() const { return NumSites; }
-
-  /// The points-to summary of \p Reg.
-  const AliasSet &setFor(std::uint16_t Reg) const { return Sets[Reg]; }
-
   /// The combined points-to set of an address formed from base registers
   /// \p A and \p B (either may be ir::NoReg). If neither register carries a
   /// known site, the address is treated as Unknown: an absolute address can
   /// land anywhere in the word-addressed heap.
   AliasSet addressSet(std::uint16_t A, std::uint16_t B) const;
-
-  /// True unless the two addresses provably dereference disjoint
-  /// allocation sites.
-  bool mayAlias(const AliasSet &X, const AliasSet &Y) const {
-    return !X.disjointFrom(Y);
-  }
 
 private:
   std::uint32_t NumSites = 0;

@@ -116,9 +116,6 @@ public:
   const FunctionAnalysis &func(std::uint32_t F) const { return *Funcs[F]; }
   const std::vector<CandidateStl> &candidates() const { return Candidates; }
 
-  /// Per-function transitive memory-effect summaries (call screening).
-  const std::vector<FuncMemEffects> &memEffects() const { return Effects; }
-
   /// The affine oracle's verdict for loop \p LoopId, or null when the
   /// oracle was not enabled.
   const LoopOracleResult *oracleResult(std::uint32_t LoopId) const {

@@ -39,7 +39,7 @@ DominatorTree::DominatorTree(const ir::Function &F) {
     }
   }
 
-  Rpo.assign(PostOrder.rbegin(), PostOrder.rend());
+  std::vector<std::uint32_t> Rpo(PostOrder.rbegin(), PostOrder.rend());
   std::vector<std::uint32_t> RpoIndex(N, 0);
   for (std::uint32_t I = 0; I < Rpo.size(); ++I)
     RpoIndex[Rpo[I]] = I;

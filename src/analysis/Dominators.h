@@ -27,14 +27,10 @@ public:
   /// Returns true if \p Block is reachable from the entry.
   bool isReachable(std::uint32_t Block) const { return Reachable[Block]; }
 
-  /// Blocks in reverse postorder (reachable blocks only).
-  const std::vector<std::uint32_t> &reversePostOrder() const { return Rpo; }
-
 private:
   std::vector<std::uint32_t> Idom;
   std::vector<std::uint32_t> Depth;
   std::vector<bool> Reachable;
-  std::vector<std::uint32_t> Rpo;
 };
 
 } // namespace analysis

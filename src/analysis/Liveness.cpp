@@ -11,7 +11,6 @@ Liveness::Liveness(const ir::Function &F) {
   std::uint32_t N = F.numBlocks();
   std::uint32_t Regs = F.NumRegs;
   LiveIn.assign(N, BitVector(Regs));
-  LiveOut.assign(N, BitVector(Regs));
 
   // Per-block USE (read before any write) and DEF sets.
   std::vector<BitVector> Use(N, BitVector(Regs));
@@ -37,14 +36,14 @@ Liveness::Liveness(const ir::Function &F) {
     for (std::uint32_t BI = N; BI-- > 0;) {
       Succs.clear();
       F.Blocks[BI].appendSuccessors(Succs);
-      BitVector NewOut(Regs);
+      // LiveIn = Use | (LiveOut - Def), LiveOut = union of successors'
+      // LiveIn; a pass that changes no LiveIn changes no LiveOut either.
+      BitVector NewIn(Regs);
       for (std::uint32_t S : Succs)
-        NewOut.unionWith(LiveIn[S]);
-      BitVector NewIn = NewOut;
+        NewIn.unionWith(LiveIn[S]);
       NewIn.subtract(Def[BI]);
       NewIn.unionWith(Use[BI]);
-      if (!(NewOut == LiveOut[BI]) || !(NewIn == LiveIn[BI])) {
-        LiveOut[BI] = std::move(NewOut);
+      if (!(NewIn == LiveIn[BI])) {
         LiveIn[BI] = std::move(NewIn);
         Changed = true;
       }

@@ -19,14 +19,8 @@ public:
   /// Registers live on entry to \p Block.
   const BitVector &liveIn(std::uint32_t Block) const { return LiveIn[Block]; }
 
-  /// Registers live on exit from \p Block.
-  const BitVector &liveOut(std::uint32_t Block) const {
-    return LiveOut[Block];
-  }
-
 private:
   std::vector<BitVector> LiveIn;
-  std::vector<BitVector> LiveOut;
 };
 
 } // namespace analysis

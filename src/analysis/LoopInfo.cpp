@@ -15,7 +15,6 @@ bool Loop::contains(std::uint32_t Block) const {
 
 LoopInfo::LoopInfo(const ir::Function &F, const DominatorTree &DT) {
   std::uint32_t N = F.numBlocks();
-  BlockToLoop.assign(N, -1);
   auto Preds = F.computePredecessors();
 
   // Collect backedges: u -> h where h dominates u.
@@ -96,15 +95,6 @@ LoopInfo::LoopInfo(const ir::Function &F, const DominatorTree &DT) {
       }
     }
   }
-
-  // Innermost loop per block: the containing loop with the greatest depth.
-  for (std::uint32_t I = 0; I < Loops.size(); ++I)
-    for (std::uint32_t B : Loops[I].Blocks) {
-      int Cur = BlockToLoop[B];
-      if (Cur < 0 ||
-          Loops[static_cast<std::uint32_t>(Cur)].Depth < Loops[I].Depth)
-        BlockToLoop[B] = static_cast<int>(I);
-    }
 }
 
 std::uint32_t LoopInfo::maxDepth() const {

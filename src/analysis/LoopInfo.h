@@ -43,11 +43,6 @@ public:
 
   const std::vector<Loop> &loops() const { return Loops; }
 
-  /// Returns the innermost loop containing \p Block, or -1.
-  int innermostLoop(std::uint32_t Block) const {
-    return BlockToLoop[Block];
-  }
-
   /// Maximum nesting depth across the function (0 when there are no loops).
   std::uint32_t maxDepth() const;
 
@@ -57,7 +52,6 @@ public:
 
 private:
   std::vector<Loop> Loops;
-  std::vector<int> BlockToLoop;
 };
 
 } // namespace analysis

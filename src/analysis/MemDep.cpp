@@ -167,7 +167,7 @@ enum class PairVerdict { Independent, Carried, May };
 MemDepAnalysis::MemDepAnalysis(const ir::Function &F, const DominatorTree &DT,
                                const LoopInfo &LI,
                                const std::vector<InductionInfo> &Scalars)
-    : AC(F), DU(F) {
+    : AC(F) {
   Deps.resize(LI.loops().size());
   for (std::uint32_t L = 0; L < LI.loops().size(); ++L)
     analyzeLoop(F, DT, LI.loops()[L], Scalars[L], Deps[L]);

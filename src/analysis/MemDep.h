@@ -144,9 +144,7 @@ public:
   const LoopMemDep &loopDep(std::uint32_t LoopIdx) const {
     return Deps[LoopIdx];
   }
-  const std::vector<LoopMemDep> &allLoopDeps() const { return Deps; }
   const AliasClasses &aliases() const { return AC; }
-  const DefUseChains &defUse() const { return DU; }
 
 private:
   void analyzeLoop(const ir::Function &F, const DominatorTree &DT,
@@ -156,7 +154,6 @@ private:
                             const InductionInfo &Scalars, LoopMemDep &Out);
 
   AliasClasses AC;
-  DefUseChains DU;
   std::vector<LoopMemDep> Deps;
 };
 

@@ -3,7 +3,7 @@
 #include "corpus/CorpusRunner.h"
 
 #include "support/Format.h"
-#include "sweep/ThreadPool.h"
+#include "sweep/ParallelFor.h"
 
 using namespace jrpm;
 using namespace jrpm::corpus;
@@ -91,9 +91,10 @@ CorpusReport corpus::runCorpus(const std::vector<Template> &Templates,
   const std::uint32_t Vpt = Opts.VariantsPerTemplate;
   std::vector<VariantResult> Slots(Templates.size() * Vpt);
 
-  auto RunOne = [&](std::size_t TIdx, std::uint32_t SIdx) {
-    const Template &T = Templates[TIdx];
-    VariantResult &R = Slots[TIdx * Vpt + SIdx];
+  sweep::parallelFor(Slots.size(), Opts.Threads, [&](std::size_t I, unsigned) {
+    const Template &T = Templates[I / Vpt];
+    const std::uint32_t SIdx = static_cast<std::uint32_t>(I % Vpt);
+    VariantResult &R = Slots[I];
     Variant V = instantiate(T, Opts.BaseSeed + SIdx);
     R.Spec = V.Spec;
     R.Digest = V.Digest;
@@ -102,19 +103,7 @@ CorpusReport corpus::runCorpus(const std::vector<Template> &Templates,
       R.Shrunk = shrinkVariant(T, V.Spec, Opts.Oracle);
       R.HasShrunk = R.Shrunk.StillFailing;
     }
-  };
-
-  if (Opts.Threads == 1) {
-    for (std::size_t TIdx = 0; TIdx < Templates.size(); ++TIdx)
-      for (std::uint32_t SIdx = 0; SIdx < Vpt; ++SIdx)
-        RunOne(TIdx, SIdx);
-  } else {
-    sweep::ThreadPool Pool(Opts.Threads);
-    for (std::size_t TIdx = 0; TIdx < Templates.size(); ++TIdx)
-      for (std::uint32_t SIdx = 0; SIdx < Vpt; ++SIdx)
-        Pool.submit([&RunOne, TIdx, SIdx]() { RunOne(TIdx, SIdx); });
-    Pool.wait();
-  }
+  });
 
   // Aggregation walks the slots in plan order — completion order never
   // reaches the report.

@@ -1,7 +1,7 @@
 //===- corpus/CorpusRunner.h - Deterministic corpus sweeps -----------------==//
 //
 // Runs the differential oracle stack over (template x seed) variant grids
-// on the work-stealing sweep pool. Determinism follows the sweep engine's
+// through sweep::parallelFor. Determinism follows the sweep engine's
 // discipline: the variant plan is enumerated up front in template-major
 // order, every job writes only its preassigned result slot, and the report
 // is aggregated by walking the slots in plan order — so the report JSON
@@ -35,7 +35,7 @@ struct CorpusOptions {
   /// id, so equal seeds still draw independently per template).
   std::uint64_t BaseSeed = 1;
   std::uint32_t VariantsPerTemplate = 25;
-  /// Sweep pool width; 0 selects ThreadPool::defaultThreads().
+  /// parallelFor width; 0 selects the hardware width.
   std::uint32_t Threads = 1;
   OracleConfig Oracle;
   /// Auto-shrink failing variants (off for raw triage speed).

@@ -43,11 +43,7 @@ private:
   /// mixing loop, so calls inside generated loops nest activations.
   front::FuncDef makeHelper(int Index);
 
-  std::string freshLoopVar() {
-    CurLoopVar = "i" + std::to_string(NextLoopVar++);
-    return CurLoopVar;
-  }
-  const std::string &loopVar() const { return CurLoopVar; }
+  std::string freshLoopVar() { return "i" + std::to_string(NextLoopVar++); }
 
   front::Ex randLocal();
 
@@ -61,7 +57,6 @@ private:
   Prng Rng;
   std::vector<std::string> Locals;
   std::vector<std::string> ActiveLoopVars;
-  std::string CurLoopVar = "i_none";
   int NextLocal = 0;
   int NextLoopVar = 0;
   int NumHelpers = 0;

@@ -166,9 +166,7 @@ inline Ex lt(Ex L, Ex R) { return bin(BinOpKind::CmpLT, L, R); }
 inline Ex le(Ex L, Ex R) { return bin(BinOpKind::CmpLE, L, R); }
 inline Ex gt(Ex L, Ex R) { return bin(BinOpKind::CmpGT, L, R); }
 inline Ex ge(Ex L, Ex R) { return bin(BinOpKind::CmpGE, L, R); }
-inline Ex feq(Ex L, Ex R) { return bin(BinOpKind::FCmpEQ, L, R); }
 inline Ex flt(Ex L, Ex R) { return bin(BinOpKind::FCmpLT, L, R); }
-inline Ex fle(Ex L, Ex R) { return bin(BinOpKind::FCmpLE, L, R); }
 inline Ex fneg(Ex E) { return un(UnOpKind::FNeg, E); }
 inline Ex fsqrt(Ex E) { return un(UnOpKind::FSqrt, E); }
 inline Ex itof(Ex E) { return un(UnOpKind::IToF, E); }

@@ -38,8 +38,6 @@ public:
     Words[Addr] = Value;
   }
 
-  std::uint32_t allocatedWords() const { return Bump; }
-
 private:
   static constexpr std::uint32_t FirstAddress = 4;
   std::vector<std::uint64_t> Words;

@@ -68,12 +68,6 @@ void IRBuilder::emitBinaryInto(Opcode Op, std::uint16_t Dst, std::uint16_t A,
   emit(I);
 }
 
-std::uint16_t IRBuilder::emitAddImm(std::uint16_t A, std::int64_t Imm) {
-  std::uint16_t Dst = newReg();
-  emitAddImmInto(Dst, A, Imm);
-  return Dst;
-}
-
 void IRBuilder::emitAddImmInto(std::uint16_t Dst, std::uint16_t A,
                                std::int64_t Imm) {
   Instruction I;
@@ -115,15 +109,6 @@ void IRBuilder::emitMov(std::uint16_t Dst, std::uint16_t Src) {
   emit(I);
 }
 
-std::uint16_t IRBuilder::emitUnary(Opcode Op, std::uint16_t A) {
-  Instruction I;
-  I.Op = Op;
-  I.Dst = newReg();
-  I.A = A;
-  emit(I);
-  return I.Dst;
-}
-
 std::uint16_t IRBuilder::emitLoad(std::uint16_t Base, std::uint16_t Index,
                                   std::int64_t Offset) {
   std::uint16_t Dst = newReg();
@@ -151,24 +136,6 @@ void IRBuilder::emitStore(std::uint16_t Value, std::uint16_t Base,
   I.B = Index;
   I.Imm = Offset;
   emit(I);
-}
-
-std::uint16_t IRBuilder::emitAllocWords(std::int64_t Words) {
-  Instruction I;
-  I.Op = Opcode::Alloc;
-  I.Dst = newReg();
-  I.Imm = Words;
-  emit(I);
-  return I.Dst;
-}
-
-std::uint16_t IRBuilder::emitAllocWordsReg(std::uint16_t SizeReg) {
-  Instruction I;
-  I.Op = Opcode::Alloc;
-  I.Dst = newReg();
-  I.A = SizeReg;
-  emit(I);
-  return I.Dst;
 }
 
 void IRBuilder::emitBr(std::uint32_t Target) {

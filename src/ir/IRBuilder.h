@@ -23,7 +23,6 @@ public:
   void setFunction(std::uint32_t FuncIndex, std::uint32_t BlockIndex = 0);
 
   Function &function() { return M.Functions[FuncIndex]; }
-  std::uint32_t functionIndex() const { return FuncIndex; }
   std::uint32_t currentBlock() const { return BlockIndex; }
 
   /// Allocates a fresh virtual register.
@@ -43,13 +42,11 @@ public:
   std::uint16_t emitBinary(Opcode Op, std::uint16_t A, std::uint16_t B);
   void emitBinaryInto(Opcode Op, std::uint16_t Dst, std::uint16_t A,
                       std::uint16_t B);
-  std::uint16_t emitAddImm(std::uint16_t A, std::int64_t Imm);
   void emitAddImmInto(std::uint16_t Dst, std::uint16_t A, std::int64_t Imm);
   std::uint16_t emitConstI(std::int64_t Value);
   std::uint16_t emitConstF(double Value);
   void emitConstIInto(std::uint16_t Dst, std::int64_t Value);
   void emitMov(std::uint16_t Dst, std::uint16_t Src);
-  std::uint16_t emitUnary(Opcode Op, std::uint16_t A);
 
   /// Load from heap[R[Base] + R[Index] + Offset]; either register may be
   /// NoReg.
@@ -59,8 +56,6 @@ public:
                     std::int64_t Offset);
   void emitStore(std::uint16_t Value, std::uint16_t Base, std::uint16_t Index,
                  std::int64_t Offset);
-  std::uint16_t emitAllocWords(std::int64_t Words);
-  std::uint16_t emitAllocWordsReg(std::uint16_t SizeReg);
 
   void emitBr(std::uint32_t Target);
   void emitCondBr(std::uint16_t Cond, std::uint32_t TrueTarget,

@@ -31,17 +31,6 @@ trace::RunInfo toRunInfo(const interp::RunResult &R) {
   return I;
 }
 
-interp::RunResult toRunResult(const trace::RunInfo &I) {
-  interp::RunResult R;
-  R.Cycles = I.Cycles;
-  R.Instructions = I.Instructions;
-  R.ReturnValue = I.ReturnValue;
-  R.Loads = I.Loads;
-  R.Stores = I.Stores;
-  R.L1Misses = I.L1Misses;
-  return R;
-}
-
 } // namespace
 
 Jrpm::Jrpm(ir::Module Program, PipelineConfig Config)
@@ -73,10 +62,6 @@ interp::RunResult Jrpm::runPlain(const std::vector<std::uint64_t> &Args) {
 
 Jrpm::ProfileOutcome
 Jrpm::profileAndSelect(const std::vector<std::uint64_t> &Args) {
-  if (!Cfg.ReplayTracePath.empty()) {
-    Tracer.reset(); // the replay owns its engine; lastTracer() is null
-    return pipeline::selectFromTrace(Cfg.ReplayTracePath, Cfg);
-  }
   if (!Annotated) {
     Annotated = std::make_unique<jit::AnnotatedModule>(
         jit::annotateModule(M, *MA, Cfg.Level));
@@ -89,7 +74,7 @@ Jrpm::profileAndSelect(const std::vector<std::uint64_t> &Args) {
                  ir::verifyAnnotations(Annotated->Module, Infos));
   }
 
-  Tracer = std::make_unique<tracer::TraceEngine>(
+  auto Tracer = std::make_unique<tracer::TraceEngine>(
       Cfg.Hw, Annotated->LoopInfos, Cfg.ExtendedPcBinning);
   if (Cfg.DisableLoopAfterThreads)
     Tracer->setDisableLoopAfterThreads(Cfg.DisableLoopAfterThreads);
@@ -153,23 +138,6 @@ Jrpm::runSpeculative(const tracer::SelectionResult &Selection,
   Out.LoopStats = Engine.loopStats();
   if (Cfg.Metrics)
     Engine.exportMetrics(*Cfg.Metrics);
-  return Out;
-}
-
-Jrpm::ProfileOutcome pipeline::selectFromTrace(const std::string &Path,
-                                               const PipelineConfig &Cfg) {
-  trace::Reader R(Path);
-  trace::ReplayConfig RC;
-  trace::copyTracerConfig(Cfg, RC);
-  RC.Metrics = Cfg.Metrics;
-  trace::ReplayOutcome Replayed = trace::selectFromTrace(R, RC);
-
-  Jrpm::ProfileOutcome Out;
-  Out.Run = toRunResult(Replayed.Run);
-  Out.Selection = std::move(Replayed.Selection);
-  Out.PeakBanksInUse = Replayed.PeakBanksInUse;
-  Out.PeakLocalSlots = Replayed.PeakLocalSlots;
-  Out.PeakDynamicNest = Replayed.PeakDynamicNest;
   return Out;
 }
 

@@ -43,24 +43,19 @@ struct PipelineConfig {
   /// loops are rejected before annotation. Strictly widens StaticPrefilter.
   bool AffineOracle = false;
 
-  // --- Trace capture & replay (src/trace) ---------------------------------
+  // --- Trace capture (src/trace) -------------------------------------------
   /// When non-empty, profileAndSelect tees the annotated run's event
   /// stream into this .jtrace file while profiling. Recording never
   /// perturbs the run: the tee forwards the tracer's cycle charges
   /// unchanged.
   std::string RecordTracePath;
-  /// When non-empty, profileAndSelect skips annotation and interpretation
-  /// entirely and re-drives a fresh TraceEngine from this recorded trace
-  /// (see pipeline::selectFromTrace). With a config matching the capture,
-  /// the selection is bit-identical to the live profiled run.
-  std::string ReplayTracePath;
   /// Workload name stamped into a recorded trace's header.
   std::string WorkloadName;
 
   // --- Observability (src/metrics) ----------------------------------------
   /// When set, each pipeline step exports its counters and histograms here
   /// as it finishes: "interp.<phase>.*" from the machines, "tracer.*" from
-  /// the profiling (or replayed) engine, "spec.*" from the Hydra engine.
+  /// the profiling engine, "spec.*" from the Hydra engine.
   metrics::Registry *Metrics = nullptr;
   /// When set, steps record spans here. Jrpm registers its tracks in a
   /// fixed order at construction (one per pipeline phase, one for the
@@ -89,10 +84,6 @@ struct PipelineResult {
                                static_cast<double>(TlsRun.Cycles)
                          : 1.0;
   }
-  double predictedSpeedup() const {
-    // Selection predicted against the profiled run's cycle count.
-    return Selection.PredictedSpeedup;
-  }
 };
 
 /// Owns a program and runs the Jrpm steps over it.
@@ -107,8 +98,7 @@ public:
   /// Step 0 (baseline): clean sequential run, no annotations.
   interp::RunResult runPlain(const std::vector<std::uint64_t> &Args = {});
 
-  /// Steps 1–3: annotate, profile with TEST, select STLs. The returned
-  /// engine reference stays valid until the next call.
+  /// Steps 1–3: annotate, profile with TEST, select STLs.
   struct ProfileOutcome {
     interp::RunResult Run;
     tracer::SelectionResult Selection;
@@ -117,11 +107,6 @@ public:
     std::uint32_t PeakDynamicNest = 0;
   };
   ProfileOutcome profileAndSelect(const std::vector<std::uint64_t> &Args = {});
-
-  /// Access to the tracer of the most recent profiling run (PC bins etc.).
-  /// Null after a replayed profile (Cfg.ReplayTracePath): the replay owns
-  /// its engine internally.
-  const tracer::TraceEngine *lastTracer() const { return Tracer.get(); }
 
   /// Steps 4–5: recompile the selected loops and run speculatively.
   struct TlsOutcome {
@@ -139,7 +124,6 @@ private:
   PipelineConfig Cfg;
   std::unique_ptr<analysis::ModuleAnalysis> MA;
   std::unique_ptr<jit::AnnotatedModule> Annotated;
-  std::unique_ptr<tracer::TraceEngine> Tracer;
 
   // Timeline tracks, registered in the constructor (fixed order).
   metrics::TrackId PlainTrack = 0;
@@ -149,15 +133,6 @@ private:
   metrics::TrackId EngineTrack = 0;
   std::vector<metrics::TrackId> CoreTracks;
 };
-
-/// Trace-driven Steps 2–3: rebuilds the tracer from a recorded .jtrace and
-/// runs STL selection without the program or the interpreter. Uses the
-/// tracer-side knobs of \p Cfg (Hw, ExtendedPcBinning,
-/// DisableLoopAfterThreads); when they match the capture configuration the
-/// result is bit-identical to the live profiled run. ProfileOutcome.Run is
-/// the capture run's recorded result. Throws trace::Error on corruption.
-Jrpm::ProfileOutcome selectFromTrace(const std::string &Path,
-                                     const PipelineConfig &Cfg);
 
 } // namespace pipeline
 } // namespace jrpm

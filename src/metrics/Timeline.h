@@ -51,9 +51,8 @@ public:
   void end(TrackId Track, std::uint64_t Ts);
   void instant(TrackId Track, const std::string &Name, std::uint64_t Ts);
 
-  /// Caps the number of recorded events; once reached, further events are
-  /// dropped (and counted) instead of growing the trace without bound.
-  void setEventLimit(std::uint64_t Limit) { EventLimit = Limit; }
+  /// Events dropped (and counted) once EventLimit were recorded, instead
+  /// of growing the trace without bound.
   std::uint64_t droppedEvents() const { return Dropped; }
 
   /// Chrome trace_event JSON: metadata (process/thread names) first, then
@@ -81,7 +80,7 @@ private:
 
   mutable std::mutex M;
   std::vector<Track> Tracks;
-  std::uint64_t EventLimit = 4u * 1000 * 1000;
+  static constexpr std::uint64_t EventLimit = 4u * 1000 * 1000;
   std::uint64_t Recorded = 0;
   std::uint64_t Dropped = 0;
 };

@@ -52,3 +52,20 @@ std::string jrpm::asKiloCycles(std::uint64_t Cycles) {
   return formatString("%lluK",
                       static_cast<unsigned long long>((Cycles + 500) / 1000));
 }
+
+bool jrpm::parseUnsigned(std::string_view Str, std::uint64_t Max,
+                         std::uint64_t &Out) {
+  if (Str.empty())
+    return false;
+  std::uint64_t V = 0;
+  for (char C : Str) {
+    if (C < '0' || C > '9')
+      return false;
+    std::uint64_t D = static_cast<std::uint64_t>(C - '0');
+    if (D > Max || V > (Max - D) / 10)
+      return false;
+    V = V * 10 + D;
+  }
+  Out = V;
+  return true;
+}

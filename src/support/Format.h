@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 namespace jrpm {
 
@@ -26,6 +27,12 @@ std::string asPercent(double Ratio, int Decimals = 2);
 
 /// Renders a cycle count the way the paper prints Table 3 ("18941K").
 std::string asKiloCycles(std::uint64_t Cycles);
+
+/// Strict unsigned decimal: one or more digits, no sign, no whitespace,
+/// no trailing junk, value at most \p Max. Sets \p Out and returns true
+/// on success; leaves \p Out untouched otherwise.
+bool parseUnsigned(std::string_view Str, std::uint64_t Max,
+                   std::uint64_t &Out);
 
 } // namespace jrpm
 

@@ -153,15 +153,12 @@ bool sweep::parseConfigPoint(const std::string &Spec, ConfigPoint &Out,
       return Fail("malformed knob '" + Item + "' (expected key=value)");
     std::string Key = Item.substr(0, Eq);
     std::string ValStr = Item.substr(Eq + 1);
-    if (ValStr.find_first_not_of("0123456789") != std::string::npos)
-      return Fail("non-numeric value in knob '" + Item + "'");
     std::uint64_t Value = 0;
-    for (char C : ValStr) {
-      Value = Value * 10 + static_cast<std::uint64_t>(C - '0');
-      if (Value > UINT32_MAX)
-        return Fail("value out of range in knob '" + Item + "' (max " +
-                    std::to_string(UINT32_MAX) + ")");
-    }
+    if (!parseUnsigned(ValStr, UINT32_MAX, Value))
+      return Fail(ValStr.find_first_not_of("0123456789") != std::string::npos
+                      ? "non-numeric value in knob '" + Item + "'"
+                      : "value out of range in knob '" + Item + "' (max " +
+                            std::to_string(UINT32_MAX) + ")");
     for (const auto &Prev : Out.Knobs)
       if (Prev.first == Key)
         return Fail("duplicate knob '" + Key + "'");

@@ -173,40 +173,32 @@ SweepReport sweep::runSweep(const std::vector<SweepJob> &Jobs,
                             metrics::Timeline *Timeline) {
   SweepReport Report;
   Report.Results.resize(Jobs.size());
-  // Declared before the pool so the jobs' references outlive its workers.
-  std::vector<metrics::TrackId> WorkerTracks;
-  ThreadPool Pool(Threads);
-  Report.Threads = Pool.threadCount();
+  Report.Threads = parallelWidth(Jobs.size(), Threads);
   Clock::time_point T0 = Clock::now();
+  auto NowUs = [T0] {
+    return static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
+                                                              T0)
+            .count());
+  };
   // Worker tracks are registered before any job runs, in index order, so
   // the timeline's pid/tid assignment never depends on scheduling.
+  std::vector<metrics::TrackId> WorkerTracks;
   if (Timeline)
-    for (unsigned W = 0; W < Pool.threadCount(); ++W)
+    for (unsigned W = 0; W < Report.Threads; ++W)
       WorkerTracks.push_back(
           Timeline->track("sweep", W, "worker" + std::to_string(W)));
-  for (const SweepJob &Job : Jobs)
-    // Each job writes its preassigned slot; completion order is free.
-    Pool.submit([&Job, &Report, Timeline, &WorkerTracks, T0] {
-      int W = ThreadPool::currentWorker();
-      bool Spanned = Timeline && W >= 0 &&
-                     static_cast<std::size_t>(W) < WorkerTracks.size();
-      if (Spanned)
-        Timeline->begin(WorkerTracks[static_cast<std::size_t>(W)],
-                        "job#" + std::to_string(Job.Index) + " " +
-                            Job.Workload,
-                        static_cast<std::uint64_t>(
-                            std::chrono::duration_cast<
-                                std::chrono::microseconds>(Clock::now() - T0)
-                                .count()));
-      Report.Results[Job.Index] = runJob(Job);
-      if (Spanned)
-        Timeline->end(WorkerTracks[static_cast<std::size_t>(W)],
-                      static_cast<std::uint64_t>(
-                          std::chrono::duration_cast<
-                              std::chrono::microseconds>(Clock::now() - T0)
-                              .count()));
-    });
-  Pool.wait();
+  // Each job writes its preassigned slot; completion order is free.
+  parallelFor(Jobs.size(), Threads, [&](std::size_t I, unsigned W) {
+    const SweepJob &Job = Jobs[I];
+    if (Timeline)
+      Timeline->begin(WorkerTracks[W],
+                      "job#" + std::to_string(Job.Index) + " " + Job.Workload,
+                      NowUs());
+    Report.Results[Job.Index] = runJob(Job);
+    if (Timeline)
+      Timeline->end(WorkerTracks[W], NowUs());
+  });
   Report.WallMs = msSince(T0);
   for (const SweepResult &R : Report.Results) {
     switch (R.Status) {

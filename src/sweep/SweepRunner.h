@@ -1,11 +1,11 @@
-//===- sweep/SweepRunner.h - Executing a plan on the pool ------------------==//
+//===- sweep/SweepRunner.h - Executing a plan in parallel ------------------==//
 //
-// Runs every SweepJob of an expanded plan on a work-stealing ThreadPool
-// with failure isolation: a job that throws (or whose differential check
+// Runs every SweepJob of an expanded plan through parallelFor with
+// failure isolation: a job that throws (or whose differential check
 // fails) is recorded as a failed result — its siblings always complete and
 // the sweep itself never dies with a job. Results land in preassigned
 // slots indexed by SweepJob::Index, so the report is identical whatever
-// order the pool finishes jobs in, and the JSON rendering (sorted keys,
+// order the threads finish jobs in, and the JSON rendering (sorted keys,
 // fixed double format, timings segregated behind a flag) is byte-identical
 // between a 1-thread and an N-thread sweep of the same plan.
 //
@@ -18,7 +18,7 @@
 #include "metrics/Timeline.h"
 #include "support/Json.h"
 #include "sweep/SweepPlan.h"
-#include "sweep/ThreadPool.h"
+#include "sweep/ParallelFor.h"
 
 namespace jrpm {
 namespace sweep {
@@ -71,7 +71,7 @@ struct SweepResult {
 struct SweepReport {
   std::vector<SweepResult> Results; ///< plan order (indexed by job Index)
   std::uint64_t Seed = 0;
-  unsigned Threads = 0; ///< pool width actually used
+  unsigned Threads = 0; ///< threads actually started (parallelWidth)
   double WallMs = 0;    ///< whole-sweep wall-clock
   std::uint64_t OkCount = 0;
   std::uint64_t FailedCount = 0;
@@ -84,7 +84,8 @@ struct SweepReport {
 /// mode is folded into the returned result.
 SweepResult runJob(const SweepJob &Job);
 
-/// Executes \p Jobs on a pool of \p Threads workers (0 = hardware width).
+/// Executes \p Jobs on parallelWidth(Jobs.size(), \p Threads) threads
+/// (\p Threads == 0 selects the hardware width).
 /// With \p Timeline set, one track per worker is registered up front (in
 /// worker-index order, so pid/tid stay stable) and each job becomes a span
 /// on the track of the worker that ran it. Span timestamps are wall-clock
@@ -101,7 +102,7 @@ SweepReport runSweep(const std::vector<SweepJob> &Jobs, unsigned Threads,
 metrics::Registry mergedMetrics(const SweepReport &R);
 
 /// Renders a report as a deterministic JSON document. Wall-clock times and
-/// pool width are emitted only when \p IncludeTimings is set — with it off
+/// thread count are emitted only when \p IncludeTimings is set — with it off
 /// the bytes depend solely on the plan and the simulators.
 Json reportToJson(const SweepReport &R, bool IncludeTimings);
 

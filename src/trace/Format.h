@@ -195,10 +195,6 @@ inline std::int64_t unzigzag(std::uint64_t V) {
          -static_cast<std::int64_t>(V & 1);
 }
 
-inline void appendZigzag(std::vector<std::uint8_t> &Out, std::int64_t V) {
-  appendVarint(Out, zigzag(V));
-}
-
 inline std::uint8_t *writeZigzag(std::uint8_t *P, std::int64_t V) {
   return writeVarint(P, zigzag(V));
 }

@@ -37,7 +37,6 @@ public:
   /// finish() leaves a file any Reader rejects as truncated.
   void finish(const RunInfo &Run);
 
-  std::uint64_t eventsWritten() const { return Footer.TotalEvents; }
   std::uint64_t bytesWritten() const { return BytesWritten; }
 
 private:

@@ -34,11 +34,6 @@ struct MlsSiteStats {
   std::uint64_t CalleeCycles = 0;  ///< total time spent in the callee
   std::uint64_t OverlapCycles = 0; ///< continuation overlap achievable
 
-  double averageCalleeCycles() const {
-    return Invocations ? static_cast<double>(CalleeCycles) /
-                             static_cast<double>(Invocations)
-                       : 0;
-  }
   double overlapFraction() const {
     return CalleeCycles ? static_cast<double>(OverlapCycles) /
                               static_cast<double>(CalleeCycles)

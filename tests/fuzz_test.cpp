@@ -20,7 +20,7 @@
 #include "jit/Annotator.h"
 #include "jit/TlsPlan.h"
 #include "jrpm/Pipeline.h"
-#include "sweep/ThreadPool.h"
+#include "sweep/ParallelFor.h"
 #include "tracer/TraceEngine.h"
 
 #include <gtest/gtest.h>
@@ -132,38 +132,35 @@ TEST(CorpusFuzz, VariantsSatisfyWholeStackInvariants) {
 
 TEST(ConcurrentFuzz, GeneratedProgramsBitIdenticalUnderSweepPool) {
   // The sweep-engine variant of the fuzz harness: N generated programs are
-  // dispatched concurrently on the work-stealing pool, every job asserting
+  // dispatched concurrently through sweep::parallelFor, every job asserting
   // that speculative execution reproduces its own sequential run bit for
   // bit. Each job builds its module, engines, and PRNG from its seed alone,
   // so the test doubles as a reentrancy check of the whole stack (and is
   // the workload scripts/ci_tsan.sh puts under ThreadSanitizer).
   constexpr std::uint64_t NumPrograms = 24;
-  sweep::ThreadPool Pool(4);
   std::atomic<int> Failures{0};
   std::vector<std::string> Errors(NumPrograms);
-  for (std::uint64_t Seed = 0; Seed < NumPrograms; ++Seed)
-    Pool.submit([&, Seed]() {
-      testutil::ProgramGenerator Gen(Seed * 2654435761 + 101);
-      ir::Module M = Gen.generate();
-      sim::HydraConfig Cfg;
-      auto Seq = testutil::runModule(M, Cfg);
-      auto Tls = runTls(M, Cfg);
-      if (Tls.ReturnValue != Seq.ReturnValue) {
-        Failures.fetch_add(1, std::memory_order_relaxed);
-        Errors[Seed] = "speculative checksum diverged (seed " +
-                       std::to_string(Seed) + ")";
-        return;
-      }
-      // Sequential re-run inside the concurrent job: still deterministic.
-      auto Seq2 = testutil::runModule(M, Cfg);
-      if (Seq2.ReturnValue != Seq.ReturnValue ||
-          Seq2.Cycles != Seq.Cycles) {
-        Failures.fetch_add(1, std::memory_order_relaxed);
-        Errors[Seed] = "sequential re-run diverged (seed " +
-                       std::to_string(Seed) + ")";
-      }
-    });
-  Pool.wait();
+  sweep::parallelFor(NumPrograms, 4, [&](std::size_t Seed, unsigned) {
+    testutil::ProgramGenerator Gen(Seed * 2654435761 + 101);
+    ir::Module M = Gen.generate();
+    sim::HydraConfig Cfg;
+    auto Seq = testutil::runModule(M, Cfg);
+    auto Tls = runTls(M, Cfg);
+    if (Tls.ReturnValue != Seq.ReturnValue) {
+      Failures.fetch_add(1, std::memory_order_relaxed);
+      Errors[Seed] = "speculative checksum diverged (seed " +
+                     std::to_string(Seed) + ")";
+      return;
+    }
+    // Sequential re-run inside the concurrent job: still deterministic.
+    auto Seq2 = testutil::runModule(M, Cfg);
+    if (Seq2.ReturnValue != Seq.ReturnValue ||
+        Seq2.Cycles != Seq.Cycles) {
+      Failures.fetch_add(1, std::memory_order_relaxed);
+      Errors[Seed] = "sequential re-run diverged (seed " +
+                     std::to_string(Seed) + ")";
+    }
+  });
   EXPECT_EQ(Failures.load(), 0);
   for (const std::string &E : Errors)
     EXPECT_TRUE(E.empty()) << E;

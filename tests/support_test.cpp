@@ -42,6 +42,28 @@ TEST(Format, AsKiloCycles) {
   EXPECT_EQ(asKiloCycles(0), "0K");
 }
 
+TEST(Format, ParseUnsignedIsStrict) {
+  std::uint64_t V = 7;
+  for (const char *Bad : {"", "-1", "+1", "1x", " 1", "0x10", "many"}) {
+    EXPECT_FALSE(parseUnsigned(Bad, 100, V)) << "'" << Bad << "'";
+    EXPECT_EQ(V, 7u) << "failed parse must leave Out untouched";
+  }
+  EXPECT_TRUE(parseUnsigned("0", 100, V));
+  EXPECT_EQ(V, 0u);
+  EXPECT_TRUE(parseUnsigned("100", 100, V)); // Max itself
+  EXPECT_EQ(V, 100u);
+  EXPECT_FALSE(parseUnsigned("101", 100, V)); // Max + 1
+  EXPECT_TRUE(parseUnsigned("007", 100, V));
+  EXPECT_EQ(V, 7u);
+  // The full 64-bit range, with no wraparound one past it.
+  EXPECT_TRUE(parseUnsigned("18446744073709551615", UINT64_MAX, V));
+  EXPECT_EQ(V, UINT64_MAX);
+  EXPECT_FALSE(parseUnsigned("18446744073709551616", UINT64_MAX, V));
+  EXPECT_FALSE(parseUnsigned("99999999999999999999", UINT64_MAX, V));
+  EXPECT_FALSE(parseUnsigned("4294967296", UINT32_MAX, V));
+  EXPECT_FALSE(parseUnsigned("5", 4, V)); // a single digit above Max
+}
+
 TEST(Prng, DeterministicAcrossInstances) {
   Prng A(123), B(123);
   for (int I = 0; I < 100; ++I)

@@ -1,6 +1,6 @@
 //===- tests/sweep_test.cpp - Sweep engine tests ---------------------------==//
 //
-// Covers the work-stealing pool, plan expansion (cartesian grid + dedup),
+// Covers parallelFor, plan expansion (cartesian grid + dedup),
 // failure isolation (a crashing job reports instead of killing the sweep),
 // the soft per-job timeout, the determinism contract (same plan + seed on
 // 1 thread and N threads renders byte-identical JSON), and the selection
@@ -16,72 +16,80 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <unistd.h>
+#include <utility>
 #include <vector>
 
 using namespace jrpm;
 using namespace jrpm::sweep;
 
 //===----------------------------------------------------------------------===//
-// Work-stealing thread pool
+// parallelFor
 //===----------------------------------------------------------------------===//
 
-TEST(SweepThreadPool, ExecutesEveryTask) {
-  ThreadPool Pool(4);
-  EXPECT_EQ(Pool.threadCount(), 4u);
-  std::atomic<int> Count{0};
-  for (int I = 0; I < 200; ++I)
-    Pool.submit([&Count]() { Count.fetch_add(1, std::memory_order_relaxed); });
-  Pool.wait();
-  EXPECT_EQ(Count.load(), 200);
+TEST(SweepParallelFor, EveryIndexRunsExactlyOnce) {
+  for (std::size_t N : {0u, 1u, 7u, 200u})
+    for (unsigned Width : {0u, 1u, 3u, 8u}) {
+      SCOPED_TRACE("N=" + std::to_string(N) +
+                   " width=" + std::to_string(Width));
+      std::vector<std::atomic<int>> Hits(N);
+      parallelFor(N, Width, [&Hits](std::size_t I, unsigned) {
+        Hits[I].fetch_add(1, std::memory_order_relaxed);
+      });
+      for (std::size_t I = 0; I < N; ++I)
+        EXPECT_EQ(Hits[I].load(), 1) << "index " << I;
+    }
 }
 
-TEST(SweepThreadPool, NestedSubmitFromWorker) {
-  // A running task may fan out further work; wait() must cover the
-  // transitively submitted tasks too.
-  ThreadPool Pool(3);
-  std::atomic<int> Count{0};
-  for (int I = 0; I < 8; ++I)
-    Pool.submit([&]() {
-      Count.fetch_add(1, std::memory_order_relaxed);
-      for (int J = 0; J < 4; ++J)
-        Pool.submit(
-            [&]() { Count.fetch_add(1, std::memory_order_relaxed); });
+TEST(SweepParallelFor, WorkerIdsBelowStartedWidth) {
+  // Width 0 is the hardware width: at least one thread, capped by N.
+  const unsigned Hw = parallelWidth(SIZE_MAX, 0);
+  EXPECT_GE(Hw, 1u);
+  for (std::size_t N : {1u, 7u, 200u})
+    for (unsigned Width : {0u, 1u, 3u, 8u}) {
+      SCOPED_TRACE("N=" + std::to_string(N) +
+                   " width=" + std::to_string(Width));
+      const unsigned Started = parallelWidth(N, Width);
+      EXPECT_EQ(Started, std::min<std::size_t>(Width ? Width : Hw, N));
+      std::vector<unsigned> Worker(N, ~0u); // one slot per index
+      parallelFor(N, Width,
+                  [&Worker](std::size_t I, unsigned W) { Worker[I] = W; });
+      for (unsigned W : Worker)
+        EXPECT_LT(W, Started);
+    }
+}
+
+TEST(SweepParallelFor, WidthOneRunsOnCallingThread) {
+  // Width 1, requested or implied by a single job, runs inline.
+  const auto Caller = std::this_thread::get_id();
+  for (auto [N, Width] : {std::pair<std::size_t, unsigned>{50, 1},
+                          std::pair<std::size_t, unsigned>{1, 8}}) {
+    std::vector<char> OnCaller(N, 0); // one slot per index
+    parallelFor(N, Width, [&](std::size_t I, unsigned W) {
+      EXPECT_EQ(W, 0u);
+      OnCaller[I] = std::this_thread::get_id() == Caller;
     });
-  Pool.wait();
-  EXPECT_EQ(Count.load(), 8 + 8 * 4);
+    for (char C : OnCaller)
+      EXPECT_TRUE(C);
+  }
 }
 
-TEST(SweepThreadPool, ReusableAfterWait) {
-  ThreadPool Pool(2);
-  std::atomic<int> Count{0};
-  Pool.submit([&]() { ++Count; });
-  Pool.wait();
-  Pool.submit([&]() { ++Count; });
-  Pool.submit([&]() { ++Count; });
-  Pool.wait();
-  EXPECT_EQ(Count.load(), 3);
-}
-
-TEST(SweepThreadPool, SingleThreadRunsEverything) {
-  ThreadPool Pool(1);
-  std::atomic<int> Count{0};
-  for (int I = 0; I < 50; ++I)
-    Pool.submit([&]() { ++Count; });
-  Pool.wait();
-  EXPECT_EQ(Count.load(), 50);
-}
-
-TEST(SweepThreadPool, WaitWithNoWorkReturnsImmediately) {
-  ThreadPool Pool(2);
-  Pool.wait();
-  Pool.wait();
+TEST(SweepParallelFor, ZeroJobsStartNoThread) {
+  for (unsigned Width : {0u, 1u, 3u, 8u}) {
+    EXPECT_EQ(parallelWidth(0, Width), 0u);
+    bool Called = false;
+    parallelFor(0, Width, [&Called](std::size_t, unsigned) { Called = true; });
+    EXPECT_FALSE(Called);
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -263,6 +271,16 @@ TEST(SweepRunnerTest, FailedJobIsIsolatedFromSiblings) {
   EXPECT_GT(Report.Results[2].PlainCycles, 0u);
 }
 
+TEST(SweepRunnerTest, OneJobStartsOneThread) {
+  // The reported width is the number of threads actually started: never
+  // more than one per job. The job fails at once; only the width matters.
+  SweepPlan Plan;
+  Plan.Workloads = {"no_such_workload"};
+  SweepReport Report = runSweep(expandOrDie(Plan), 4);
+  ASSERT_EQ(Report.Results.size(), 1u);
+  EXPECT_EQ(Report.Threads, 1u);
+}
+
 TEST(SweepRunnerTest, SoftTimeoutReportsWithoutKilling) {
   // The simulator has no preemption point, so an over-budget job completes
   // and is then reported as timed out; its measurements stay valid.
@@ -291,7 +309,7 @@ TEST(SweepRunnerTest, OneAndManyThreadsRenderIdenticalJson) {
 
   std::string J1 = reportToJson(R1, /*IncludeTimings=*/false).dump();
   std::string J4 = reportToJson(R4, /*IncludeTimings=*/false).dump();
-  EXPECT_EQ(J1, J4) << "sweep JSON must not depend on the pool width";
+  EXPECT_EQ(J1, J4) << "sweep JSON must not depend on the thread count";
 
   // With timings the documents legitimately differ (wall-clock, width) —
   // guard that the deterministic view really strips them.

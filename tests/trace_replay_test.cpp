@@ -197,11 +197,11 @@ TEST(TraceReplay, SelectionBitIdenticalOnAllWorkloads) {
       pipeline::Jrpm::ProfileOutcome Live = J.profileAndSelect();
 
       metrics::Registry ReplayMetrics;
-      pipeline::PipelineConfig ReplayCfg = Cfg;
-      ReplayCfg.RecordTracePath.clear();
-      ReplayCfg.Metrics = &ReplayMetrics;
-      pipeline::Jrpm::ProfileOutcome Replayed =
-          pipeline::selectFromTrace(Tmp.path(), ReplayCfg);
+      trace::Reader Reader(Tmp.path());
+      trace::ReplayConfig RC;
+      trace::copyTracerConfig(Cfg, RC);
+      RC.Metrics = &ReplayMetrics;
+      trace::ReplayOutcome Replayed = trace::selectFromTrace(Reader, RC);
 
       // Bit-identical selection: exact equality, doubles included.
       EXPECT_TRUE(Live.Selection == Replayed.Selection);
@@ -255,16 +255,19 @@ TEST(TraceReplay, ReplayViaPipelineConfigSkipsInterpretation) {
   pipeline::Jrpm Recorder(W->Build(), Cfg);
   auto Live = Recorder.profileAndSelect();
 
-  pipeline::PipelineConfig ReplayCfg = Cfg;
-  ReplayCfg.RecordTracePath.clear();
-  ReplayCfg.ReplayTracePath = Tmp.path();
-  pipeline::Jrpm Replayer(W->Build(), ReplayCfg);
-  auto Replayed = Replayer.profileAndSelect();
+  // Steps 2-3 from the trace alone: no annotation, no interpretation.
+  trace::Reader Reader(Tmp.path());
+  trace::ReplayConfig RC;
+  trace::copyTracerConfig(Cfg, RC);
+  trace::ReplayOutcome Replayed = trace::selectFromTrace(Reader, RC);
 
   EXPECT_TRUE(Live.Selection == Replayed.Selection);
-  EXPECT_EQ(Replayer.lastTracer(), nullptr);
 
-  // The replayed selection still drives speculative execution (steps 4-5).
+  // The replayed selection still drives speculative execution (steps 4-5)
+  // in a pipeline that never profiled.
+  pipeline::PipelineConfig ReplayCfg = Cfg;
+  ReplayCfg.RecordTracePath.clear();
+  pipeline::Jrpm Replayer(W->Build(), ReplayCfg);
   auto Tls = Replayer.runSpeculative(Replayed.Selection);
   auto Plain = Replayer.runPlain();
   EXPECT_EQ(Tls.Run.ReturnValue, Plain.ReturnValue);

@@ -10,7 +10,7 @@
 //       with --count > 1 prints a seed/digest/weight table.
 //   jrpm-corpus run [options]
 //       Sweep the differential oracle stack over every (template x seed)
-//       variant on the work-stealing pool. The report JSON is byte-
+//       variant in parallel. The report JSON is byte-
 //       identical for any --threads and across reruns. Exits 1 when any
 //       variant fails (failures are auto-shrunk into the report).
 //   jrpm-corpus shrink --repro file.jrpm [--inject-trip n] [-o min.jrpm]
@@ -23,7 +23,7 @@
 //   --workloads a,b,c        extract from a workload subset
 //   --variants-per-template n  seeds per template (default 25)
 //   --seed n                 base seed (default 1)
-//   --threads n              pool width (default 1; 0 = hardware)
+//   --threads n              thread count (default 1; 0 = hardware)
 //   --quick                  cap the corpus at <= 200 variants (tier-1)
 //   --inject-trip n          plant a fault: variants whose trip-count
 //                            holes multiply to >= n are reported failing
@@ -38,6 +38,7 @@
 #include "support/AtomicFile.h"
 #include "support/Format.h"
 #include "support/Table.h"
+#include "sweep/ParallelFor.h"
 #include "workloads/Workload.h"
 
 #include <cstdio>
@@ -109,6 +110,17 @@ CliOptions parseCli(int Argc, char **Argv, int First) {
       }
       return Argv[++I];
     };
+    auto NextUnsigned = [&](std::uint64_t Max) {
+      std::uint64_t V = 0;
+      bool Given = I + 1 < Argc;
+      const char *S = NextArg();
+      if (Given && !parseUnsigned(S, Max, V)) {
+        std::fprintf(stderr, "%s: expected an integer in [0, %llu], got '%s'\n",
+                     A.c_str(), (unsigned long long)Max, S);
+        O.Ok = false;
+      }
+      return V;
+    };
     if (A == "--workloads") {
       O.Workloads = splitCommas(NextArg());
     } else if (A == "--template") {
@@ -116,16 +128,16 @@ CliOptions parseCli(int Argc, char **Argv, int First) {
     } else if (A == "--repro") {
       O.ReproPath = NextArg();
     } else if (A == "--seed") {
-      O.Seed = static_cast<std::uint64_t>(std::atoll(NextArg()));
+      O.Seed = NextUnsigned(UINT64_MAX);
     } else if (A == "--count") {
-      O.Count = static_cast<std::uint32_t>(std::atoi(NextArg()));
+      O.Count = static_cast<std::uint32_t>(NextUnsigned(UINT32_MAX));
     } else if (A == "--variants-per-template") {
       O.VariantsPerTemplate =
-          static_cast<std::uint32_t>(std::atoi(NextArg()));
+          static_cast<std::uint32_t>(NextUnsigned(UINT32_MAX));
     } else if (A == "--threads") {
-      O.Threads = static_cast<std::uint32_t>(std::atoi(NextArg()));
+      O.Threads = static_cast<std::uint32_t>(NextUnsigned(sweep::MaxThreads));
     } else if (A == "--inject-trip") {
-      O.InjectTrip = std::atoll(NextArg());
+      O.InjectTrip = std::strtoll(NextArg(), nullptr, 10);
     } else if (A == "--quick") {
       O.Quick = true;
     } else if (A == "--no-shrink") {

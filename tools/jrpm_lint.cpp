@@ -25,12 +25,11 @@
 #include "jrpm/LintReport.h"
 #include "support/Format.h"
 #include "support/Table.h"
+#include "sweep/ParallelFor.h"
 #include "workloads/Workload.h"
 
-#include <atomic>
 #include <cstdio>
 #include <string>
-#include <thread>
 #include <vector>
 
 using namespace jrpm;
@@ -120,13 +119,11 @@ int main(int Argc, char **Argv) {
     } else if (A == "--json") {
       JsonMode = true;
     } else if (A == "--jobs") {
-      if (I + 1 >= Argc)
+      std::uint64_t V = 0;
+      if (I + 1 >= Argc || !parseUnsigned(Argv[++I], sweep::MaxThreads, V) ||
+          V == 0)
         return usage();
-      std::string V = Argv[++I];
-      if (V.empty() || V.find_first_not_of("0123456789") != std::string::npos ||
-          V == "0")
-        return usage();
-      Jobs = static_cast<unsigned>(std::stoul(V));
+      Jobs = static_cast<unsigned>(V);
     } else {
       return usage();
     }
@@ -149,23 +146,10 @@ int main(int Argc, char **Argv) {
   // Lint in parallel, report in registry order: the output is a pure
   // function of the workload set and options, never of the schedule.
   std::vector<lint::WorkloadLint> Results(Targets.size());
-  std::atomic<std::size_t> Next{0};
-  auto Work = [&] {
-    for (std::size_t I = Next.fetch_add(1); I < Targets.size();
-         I = Next.fetch_add(1)) {
-      ir::Module M = Targets[I]->Build();
-      Results[I] = lint::lintWorkload(Targets[I]->Name, M, Opts);
-    }
-  };
-  if (Jobs <= 1 || Targets.size() <= 1) {
-    Work();
-  } else {
-    std::vector<std::thread> Pool;
-    for (unsigned T = 0; T < Jobs; ++T)
-      Pool.emplace_back(Work);
-    for (std::thread &T : Pool)
-      T.join();
-  }
+  sweep::parallelFor(Targets.size(), Jobs, [&](std::size_t I, unsigned) {
+    ir::Module M = Targets[I]->Build();
+    Results[I] = lint::lintWorkload(Targets[I]->Name, M, Opts);
+  });
 
   std::uint32_t Errors = 0;
   for (const lint::WorkloadLint &R : Results)

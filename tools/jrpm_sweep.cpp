@@ -3,8 +3,8 @@
 // Usage:
 //   jrpm-sweep run [options]
 //       Expand the plan and execute every (workload x level x config) job
-//       on the work-stealing pool; print a summary table and optionally
-//       write the structured JSON report.
+//       in parallel; print a summary table and optionally write the
+//       structured JSON report.
 //   jrpm-sweep plan [options]
 //       Print the expanded job list without running anything.
 //   jrpm-sweep conformance [options]
@@ -21,7 +21,8 @@
 //                       assoc banks disable-after history line-grain
 //                       load-lines pc-binning prefilter slots store-lines
 //                       sync
-//   --threads n         pool width (default: hardware concurrency)
+//   --threads n         thread count, at most one per job (default 0:
+//                       hardware concurrency)
 //   --timeout-ms n      soft per-job wall-clock budget
 //   --seed n            seed stamped into the report
 //   -o file.json        write the JSON report (atomic rename)
@@ -29,8 +30,8 @@
 //                       (deterministic: byte-identical for any --threads)
 //   --timeline file.json write a Chrome trace_event timeline of worker
 //                       occupancy (wall-clock; NOT deterministic)
-//   --no-timings        deterministic JSON only: no wall-clock, no pool
-//                       width (1-thread and N-thread runs byte-identical)
+//   --no-timings        deterministic JSON only: no wall-clock, no thread
+//                       count (1-thread and N-thread runs byte-identical)
 //   --quiet             suppress the per-job table, print the summary only
 //
 //===----------------------------------------------------------------------===//
@@ -102,6 +103,17 @@ CliOptions parseCli(int Argc, char **Argv, int First) {
       }
       return Argv[++I];
     };
+    auto NextUnsigned = [&](std::uint64_t Max) {
+      std::uint64_t V = 0;
+      bool Given = I + 1 < Argc;
+      const char *S = NextArg();
+      if (Given && !parseUnsigned(S, Max, V)) {
+        std::fprintf(stderr, "%s: expected an integer in [0, %llu], got '%s'\n",
+                     A.c_str(), (unsigned long long)Max, S);
+        O.Ok = false;
+      }
+      return V;
+    };
     if (A == "--workloads") {
       O.Plan.Workloads = splitCommas(NextArg());
     } else if (A == "--levels") {
@@ -125,11 +137,11 @@ CliOptions parseCli(int Argc, char **Argv, int First) {
         O.Plan.Configs.push_back(std::move(P));
       }
     } else if (A == "--threads") {
-      O.Threads = static_cast<unsigned>(std::atoi(NextArg()));
+      O.Threads = static_cast<unsigned>(NextUnsigned(sweep::MaxThreads));
     } else if (A == "--timeout-ms") {
-      O.Plan.TimeoutMs = static_cast<std::uint32_t>(std::atoi(NextArg()));
+      O.Plan.TimeoutMs = static_cast<std::uint32_t>(NextUnsigned(UINT32_MAX));
     } else if (A == "--seed") {
-      O.Plan.Seed = static_cast<std::uint64_t>(std::atoll(NextArg()));
+      O.Plan.Seed = NextUnsigned(UINT64_MAX);
     } else if (A == "-o") {
       O.OutPath = NextArg();
     } else if (A == "--metrics") {

@@ -92,8 +92,10 @@ Options parseOptions(int Argc, char **Argv,
       O.Base = true;
     else if (A == "--config")
       Spec += (Spec.empty() ? "" : ",") + Next();
-    else
-      O.Events = static_cast<std::uint64_t>(std::atoll(Next().c_str()));
+    else if (!parseUnsigned(Next(), UINT64_MAX, O.Events) && O.Ok) {
+      std::fprintf(stderr, "--events: expected an unsigned integer\n");
+      O.Ok = false;
+    }
   }
   std::string Err;
   if (O.Ok && !sweep::parseConfigPoint(Spec, O.Point, &Err)) {
