@@ -39,13 +39,6 @@ using namespace jrpm::benchutil;
 
 namespace {
 
-/// A serial-recurrence rejection, from either static mode.
-bool isSerialReject(analysis::RejectKind K) {
-  return K == analysis::RejectKind::SerialMemoryRecurrence ||
-         K == analysis::RejectKind::AffineSerialZiv ||
-         K == analysis::RejectKind::AffineSerialSiv;
-}
-
 /// One static mode's confusion-matrix tallies against dynamic TEST.
 struct ModeStats {
   std::uint32_t Rejected = 0;
@@ -84,7 +77,7 @@ ModeStats scoreMode(const ir::Module &M, const analysis::AnalysisOptions &Opts,
   ModeStats S;
   analysis::ModuleAnalysis MA(M, Opts);
   for (const analysis::CandidateStl &C : MA.candidates()) {
-    if (!isSerialReject(C.Kind))
+    if (!C.rejectedAsSerial())
       continue;
     ++S.Rejected;
     if (Selected.count(C.LoopId))

@@ -122,6 +122,8 @@ expect_usage "corpus: generate count 0" "${CORPUS_BIN}" generate --template x --
 expect_usage "corpus: threads negative" "${CORPUS_BIN}" run --threads -1
 expect_usage "corpus: variants negative" "${CORPUS_BIN}" run --variants-per-template -1
 expect_usage "corpus: seed junk"        "${CORPUS_BIN}" run --seed 1e3
+expect_usage "corpus: inject-trip junk" "${CORPUS_BIN}" run --inject-trip many
+expect_usage "corpus: inject-trip negative" "${CORPUS_BIN}" run --inject-trip -3
 expect_usage "corpus: shrink no repro"  "${CORPUS_BIN}" shrink
 expect_usage "corpus: stats with junk"  "${CORPUS_BIN}" stats extra
 

@@ -105,6 +105,13 @@ struct CandidateStl {
   std::string RejectReason;
   /// Carried named locals needing `lwl`/`swl` annotations, in slot order.
   std::vector<std::uint16_t> AnnotatedLocals;
+
+  /// A serial-recurrence rejection, from the pre-filter or the oracle.
+  bool rejectedAsSerial() const {
+    return Kind == RejectKind::SerialMemoryRecurrence ||
+           Kind == RejectKind::AffineSerialZiv ||
+           Kind == RejectKind::AffineSerialSiv;
+  }
 };
 
 /// Module-wide analysis results and candidate list.

@@ -3,15 +3,8 @@
 #include "corpus/Oracles.h"
 
 #include "analysis/Candidates.h"
-#include "hydra/TlsEngine.h"
-#include "interp/Machine.h"
-#include "jit/Annotator.h"
-#include "jit/TlsPlan.h"
+#include "jrpm/Pipeline.h"
 #include "support/Format.h"
-#include "trace/Reader.h"
-#include "trace/Writer.h"
-#include "tracer/Selector.h"
-#include "tracer/TraceEngine.h"
 
 #include <set>
 
@@ -63,51 +56,25 @@ std::int64_t corpus::tripProduct(const Template &T, const VariantSpec &Spec) {
   return P;
 }
 
-namespace {
-
-/// Speculative execution under \p Cfg with the paper's optimistic policy
-/// (every non-rejected candidate gets a plan) — the fuzz suite's contract.
-/// \p MA is the default-options analysis of \p M.
-interp::RunResult runTls(const ir::Module &M,
-                         const analysis::ModuleAnalysis &MA,
-                         const sim::HydraConfig &Cfg) {
-  std::vector<jit::TlsLoopPlan> Plans;
-  for (const analysis::CandidateStl &C : MA.candidates())
-    if (!C.Rejected)
-      Plans.push_back(jit::buildTlsPlan(MA, C));
-  hydra::TlsEngine Engine(M, Cfg, std::move(Plans));
-  interp::Machine Machine(M, Cfg);
-  Machine.setDispatcher(&Engine);
-  return Machine.run();
-}
-
-bool isSerialReject(analysis::RejectKind K) {
-  return K == analysis::RejectKind::SerialMemoryRecurrence ||
-         K == analysis::RejectKind::AffineSerialZiv ||
-         K == analysis::RejectKind::AffineSerialSiv;
-}
-
-} // namespace
-
 OracleOutcome corpus::runOracles(const Template &T, const Variant &V,
                                  const OracleConfig &Cfg) {
   OracleOutcome Out;
-  const ir::Module &M = V.Module;
   auto Fail = [&Out](OracleKind K, std::string Detail) {
     Out.Passed = false;
     Out.Failures.push_back({K, std::move(Detail)});
   };
 
-  // Sequential reference run.
-  interp::Machine SeqMachine(M, Cfg.Hw);
-  interp::RunResult Seq = SeqMachine.run();
+  // The plain run, the profiled run recorded into memory, and its replay.
+  pipeline::PipelineConfig PCfg;
+  PCfg.Hw = Cfg.Hw;
+  pipeline::Jrpm J(V.Module, PCfg);
+  pipeline::Jrpm::DifferentialOutcome D = J.runDifferential();
+  const interp::RunResult &Seq = D.PlainRun;
   Out.SeqReturn = Seq.ReturnValue;
   Out.SeqCycles = Seq.Cycles;
 
-  // One default-options analysis serves the TLS grid and the profiled run.
-  analysis::ModuleAnalysis MA(M);
-
-  // Oracle 1: sequential vs speculative bit-identity on the config grid.
+  // Oracle 1: sequential vs speculative bit-identity on the config grid,
+  // every non-rejected candidate speculated; then the annotated run.
   struct GridPoint {
     const char *Name;
     sim::HydraConfig Hw;
@@ -116,33 +83,21 @@ OracleOutcome corpus::runOracles(const Template &T, const Variant &V,
                        {"line", Cfg.Hw}};
   Grid[1].Hw.SyncCarriedLocals = true;
   Grid[2].Hw.ViolationGrain = sim::ViolationGranularity::Line;
+  tracer::SelectionResult All = pipeline::everyCandidate(J.moduleAnalysis());
   for (const GridPoint &G : Grid) {
-    interp::RunResult Tls = runTls(M, MA, G.Hw);
+    interp::RunResult Tls = J.runSpeculative(All, G.Hw).Run;
     if (Tls.ReturnValue != Seq.ReturnValue)
       Fail(OracleKind::Execution,
            formatString("%s mode returned %llu, sequential %llu", G.Name,
                         (unsigned long long)Tls.ReturnValue,
                         (unsigned long long)Seq.ReturnValue));
   }
+  for (std::string &M : D.ExecutionMismatches)
+    Fail(OracleKind::Execution, std::move(M));
 
-  // Profiled run: dynamic TEST ground truth, recorded once into memory.
-  jit::AnnotatedModule AM =
-      jit::annotateModule(M, MA, jit::AnnotationLevel::Optimized);
-  tracer::TraceEngine Live(Cfg.Hw, AM.LoopInfos);
-  std::vector<trace::Event> Recorded;
-  trace::RecordingSink<std::vector<trace::Event>> Recorder(Recorded, &Live);
-  interp::Machine Prof(AM.Module, Cfg.Hw);
-  Prof.setTraceSink(&Recorder);
-  interp::RunResult ProfRun = Prof.run();
-  if (ProfRun.ReturnValue != Seq.ReturnValue)
-    Fail(OracleKind::Execution,
-         formatString("annotated run returned %llu, sequential %llu",
-                      (unsigned long long)ProfRun.ReturnValue,
-                      (unsigned long long)Seq.ReturnValue));
-  tracer::SelectionResult LiveSel =
-      tracer::selectStls(Live, ProfRun.Cycles, Cfg.Hw);
+  const tracer::SelectionResult &LiveSel = D.Profile.Selection;
   Out.SelectionDigest = tracer::selectionDigest(LiveSel);
-  Out.Candidates = static_cast<std::uint32_t>(MA.candidates().size());
+  Out.Candidates = static_cast<std::uint32_t>(All.SelectedLoops.size());
   Out.DynSelected = static_cast<std::uint32_t>(LiveSel.SelectedLoops.size());
 
   // Oracle 2: static verdicts vs the dynamic selection — zero false
@@ -159,9 +114,9 @@ OracleOutcome corpus::runOracles(const Template &T, const Variant &V,
   Modes[1].Name = "affine-oracle";
   Modes[1].Opts.AffineOracle = true;
   for (const Mode &Md : Modes) {
-    analysis::ModuleAnalysis SMA(M, Md.Opts);
+    analysis::ModuleAnalysis SMA(V.Module, Md.Opts);
     for (const analysis::CandidateStl &C : SMA.candidates()) {
-      if (!isSerialReject(C.Kind))
+      if (!C.rejectedAsSerial())
         continue;
       ++Out.StaticRejects;
       if (Selected.count(C.LoopId)) {
@@ -173,20 +128,11 @@ OracleOutcome corpus::runOracles(const Template &T, const Variant &V,
     }
   }
 
-  // Oracle 3: record-once / replay-many — a fresh engine fed the recorded
-  // events must reproduce the live selection digest exactly.
-  tracer::TraceEngine Fresh(Cfg.Hw, AM.LoopInfos);
-  for (const trace::Event &E : Recorded)
-    trace::dispatchEvent(E, Fresh);
-  Out.EventsReplayed = Recorded.size();
-  tracer::SelectionResult ReplaySel =
-      tracer::selectStls(Fresh, ProfRun.Cycles, Cfg.Hw);
-  std::uint64_t ReplayDigest = tracer::selectionDigest(ReplaySel);
-  if (ReplayDigest != Out.SelectionDigest)
-    Fail(OracleKind::Replay,
-         formatString("replayed selection digest %016llx != live %016llx",
-                      (unsigned long long)ReplayDigest,
-                      (unsigned long long)Out.SelectionDigest));
+  // Oracle 3: record-once / replay-many — the replayed selection must
+  // reproduce the live digest exactly.
+  Out.EventsReplayed = D.Replay.EventsReplayed;
+  for (std::string &M : D.ReplayMismatches)
+    Fail(OracleKind::Replay, std::move(M));
 
   // Planted fault, for testing the harness/shrinker end to end.
   if (Cfg.InjectTripAtLeast > 0) {

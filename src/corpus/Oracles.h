@@ -4,21 +4,23 @@
 // compares two independent computations of the same fact, so a failure
 // localizes the defect to a specific layer:
 //
-//   1. Execution: sequential interpretation vs speculative TLS execution
-//      must be bit-identical, checked across a 3-point HydraConfig grid
+//   1. Execution: the plain sequential run vs the annotated run and vs
+//      speculative TLS of every non-rejected candidate must be
+//      bit-identical, TLS checked across a 3-point HydraConfig grid
 //      (restart, carried-local sync, line-granular violations).
 //   2. Static conformance: the static prefilter's and the affine oracle's
 //      serial rejections are scored against the dynamic TEST selection;
 //      a rejected-but-selected loop (false rejection) is a hard failure —
 //      the zero-false-rejection gate from bench_static_vs_test, now
 //      enforced per variant.
-//   3. Replay: the profiling run's trace is recorded once into memory and
-//      replayed into a fresh TraceEngine; the replayed selection digest
-//      must equal the live one (record-once / replay-many identity).
+//   3. Replay: the profiling run is recorded into an in-memory
+//      trace::CachedTrace and replayed; the replayed selection digest and
+//      run must equal the live ones (record-once / replay-many identity).
 //
-// All three run from one profiled execution plus three TLS executions, no
-// files involved, so the stack is cheap enough for thousands of variants
-// and safe to run concurrently on the sweep pool.
+// Oracles 1 and 3 are the registry sweep's own pipeline::Jrpm steps
+// (runDifferential, and runSpeculative under everyCandidate), pipeline
+// verifiers included. No files are involved, so the stack is cheap enough
+// for thousands of variants and safe to run concurrently.
 //
 //===----------------------------------------------------------------------===//
 

@@ -298,19 +298,29 @@ bool corpus::parseReproDocument(const std::string &Text, VariantSpec &Out,
     return Fail("repro document missing template_id/seed/holes");
   Out = VariantSpec();
   Out.TemplateId = Id->str();
-  Out.Seed = Seed->asUint();
+  std::optional<std::uint64_t> SeedValue = Seed->exactUint();
+  if (!SeedValue)
+    return Fail("seed is not an integer in [0, 2^64)");
+  Out.Seed = *SeedValue;
   for (const Json &HJ : Holes->items()) {
     const Json *Name = HJ.find("name");
     const Json *Value = HJ.find("value");
     if (!Name || !Name->isString() || !Value || !Value->isNumber())
       return Fail("malformed hole entry");
-    Out.Holes.push_back(
-        {Name->str(), static_cast<std::int64_t>(Value->number())});
+    std::optional<std::int64_t> V = Value->exactInt();
+    if (!V)
+      return Fail("hole value is not a 64-bit integer");
+    Out.Holes.push_back({Name->str(), *V});
   }
-  if (Digest) {
-    *Digest = 0;
-    if (const Json *D = J.find("digest"); D && D->isString())
-      *Digest = std::strtoull(D->str().c_str(), nullptr, 16);
+  std::uint64_t Recorded = 0;
+  if (const Json *D = J.find("digest")) {
+    const std::string &Hex = D->str();
+    if (!D->isString() || Hex.size() != 16 ||
+        Hex.find_first_not_of("0123456789abcdefABCDEF") != std::string::npos)
+      return Fail("digest is not 16 hex digits");
+    Recorded = std::strtoull(Hex.c_str(), nullptr, 16);
   }
+  if (Digest)
+    *Digest = Recorded;
   return true;
 }

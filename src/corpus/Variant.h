@@ -85,8 +85,10 @@ Variant instantiate(const Template &T, std::uint64_t Seed);
 std::string reproDocument(const Variant &V);
 
 /// Parses a repro document back into its spec. \p Digest (optional)
-/// receives the recorded program digest. Returns false with *Err set on
-/// malformed input.
+/// receives the recorded program digest (0 when the document has none).
+/// Returns false with *Err set on malformed input, including a seed or hole
+/// value that is not an integer in range and a digest that is not 16 hex
+/// digits.
 bool parseReproDocument(const std::string &Text, VariantSpec &Out,
                         std::uint64_t *Digest = nullptr,
                         std::string *Err = nullptr);

@@ -4,8 +4,10 @@
 
 #include "ir/AnnotationVerifier.h"
 #include "support/Compiler.h"
-#include "trace/Replay.h"
+#include "support/Format.h"
 #include "trace/Writer.h"
+
+#include <optional>
 
 using namespace jrpm;
 using namespace jrpm::pipeline;
@@ -31,7 +33,28 @@ trace::RunInfo toRunInfo(const interp::RunResult &R) {
   return I;
 }
 
+/// The header a capture of \p AM's profiling run under \p Cfg carries.
+trace::TraceHeader traceHeader(const PipelineConfig &Cfg,
+                               const jit::AnnotatedModule &AM) {
+  trace::TraceHeader H;
+  H.WorkloadName = Cfg.WorkloadName;
+  H.AnnotationLevel = Cfg.Level == jit::AnnotationLevel::Base ? 0 : 1;
+  trace::copyTracerConfig(Cfg, H);
+  H.LoopLocals.reserve(AM.LoopInfos.size());
+  for (const tracer::LoopTraceInfo &Info : AM.LoopInfos)
+    H.LoopLocals.push_back(Info.AnnotatedLocals);
+  return H;
+}
+
 } // namespace
+
+tracer::SelectionResult
+pipeline::everyCandidate(const analysis::ModuleAnalysis &MA) {
+  tracer::SelectionResult Sel;
+  for (const analysis::CandidateStl &C : MA.candidates())
+    Sel.SelectedLoops.push_back(C.LoopId);
+  return Sel;
+}
 
 Jrpm::Jrpm(ir::Module Program, PipelineConfig Config)
     : M(std::move(Program)), Cfg(std::move(Config)) {
@@ -60,8 +83,7 @@ interp::RunResult Jrpm::runPlain(const std::vector<std::uint64_t> &Args) {
   return Machine.run(Args);
 }
 
-Jrpm::ProfileOutcome
-Jrpm::profileAndSelect(const std::vector<std::uint64_t> &Args) {
+const jit::AnnotatedModule &Jrpm::annotated() {
   if (!Annotated) {
     Annotated = std::make_unique<jit::AnnotatedModule>(
         jit::annotateModule(M, *MA, Cfg.Level));
@@ -73,30 +95,24 @@ Jrpm::profileAndSelect(const std::vector<std::uint64_t> &Args) {
     failOnErrors("annotation verifier",
                  ir::verifyAnnotations(Annotated->Module, Infos));
   }
+  return *Annotated;
+}
 
+template <typename Dest>
+Jrpm::ProfileOutcome
+Jrpm::profileInto(Dest *Capture, const std::vector<std::uint64_t> &Args) {
+  const jit::AnnotatedModule &AM = annotated();
   auto Tracer = std::make_unique<tracer::TraceEngine>(
-      Cfg.Hw, Annotated->LoopInfos, Cfg.ExtendedPcBinning);
+      Cfg.Hw, AM.LoopInfos, Cfg.ExtendedPcBinning);
   if (Cfg.DisableLoopAfterThreads)
     Tracer->setDisableLoopAfterThreads(Cfg.DisableLoopAfterThreads);
 
-  // Optional capture: tee the event stream to disk while profiling.
-  std::unique_ptr<trace::Writer> Recorder;
-  std::unique_ptr<trace::RecordingSink<>> Tee;
+  std::optional<trace::RecordingSink<Dest>> Tee;
   interp::TraceSink *Sink = Tracer.get();
-  if (!Cfg.RecordTracePath.empty()) {
-    trace::TraceHeader H;
-    H.WorkloadName = Cfg.WorkloadName;
-    H.AnnotationLevel = Cfg.Level == jit::AnnotationLevel::Base ? 0 : 1;
-    trace::copyTracerConfig(Cfg, H);
-    H.LoopLocals.reserve(Annotated->LoopInfos.size());
-    for (const tracer::LoopTraceInfo &Info : Annotated->LoopInfos)
-      H.LoopLocals.push_back(Info.AnnotatedLocals);
-    Recorder = std::make_unique<trace::Writer>(Cfg.RecordTracePath, H);
-    Tee = std::make_unique<trace::RecordingSink<>>(*Recorder, Tracer.get());
-    Sink = Tee.get();
-  }
+  if (Capture)
+    Sink = &Tee.emplace(*Capture, *Tracer);
 
-  interp::Machine Machine(Annotated->Module, Cfg.Hw);
+  interp::Machine Machine(AM.Module, Cfg.Hw);
   Machine.setTraceSink(Sink);
   Machine.setObservability(Cfg.Metrics, "profiled", Cfg.Timeline,
                            ProfileTrack);
@@ -104,8 +120,8 @@ Jrpm::profileAndSelect(const std::vector<std::uint64_t> &Args) {
     Tracer->setObservability(Cfg.Timeline, TracerTrack);
   ProfileOutcome Out;
   Out.Run = Machine.run(Args);
-  if (Recorder)
-    Recorder->finish(toRunInfo(Out.Run));
+  if (Capture)
+    Capture->finish(toRunInfo(Out.Run));
   Out.Selection = tracer::selectStls(*Tracer, Out.Run.Cycles, Cfg.Hw);
   Out.PeakBanksInUse = Tracer->peakBanksInUse();
   Out.PeakLocalSlots = Tracer->peakLocalSlots();
@@ -115,8 +131,23 @@ Jrpm::profileAndSelect(const std::vector<std::uint64_t> &Args) {
   return Out;
 }
 
+Jrpm::ProfileOutcome
+Jrpm::profileAndSelect(const std::vector<std::uint64_t> &Args) {
+  if (Cfg.RecordTracePath.empty())
+    return profileInto<trace::Writer>(nullptr, Args);
+  trace::Writer Recorder(Cfg.RecordTracePath, traceHeader(Cfg, annotated()));
+  return profileInto(&Recorder, Args);
+}
+
 Jrpm::TlsOutcome
 Jrpm::runSpeculative(const tracer::SelectionResult &Selection,
+                     const std::vector<std::uint64_t> &Args) {
+  return runSpeculative(Selection, Cfg.Hw, Args);
+}
+
+Jrpm::TlsOutcome
+Jrpm::runSpeculative(const tracer::SelectionResult &Selection,
+                     const sim::HydraConfig &Hw,
                      const std::vector<std::uint64_t> &Args) {
   std::vector<jit::TlsLoopPlan> Plans;
   for (std::uint32_t LoopId : Selection.SelectedLoops) {
@@ -127,8 +158,8 @@ Jrpm::runSpeculative(const tracer::SelectionResult &Selection,
     // Step-4 lint: the Hydra engine executes the plan unchecked.
     failOnErrors("tls plan verifier", jit::verifyTlsPlan(M, Plans.back()));
   }
-  hydra::TlsEngine Engine(M, Cfg.Hw, std::move(Plans));
-  interp::Machine Machine(M, Cfg.Hw);
+  hydra::TlsEngine Engine(M, Hw, std::move(Plans));
+  interp::Machine Machine(M, Hw);
   Machine.setDispatcher(&Engine);
   Machine.setObservability(Cfg.Metrics, "tls", Cfg.Timeline, TlsTrack);
   if (Cfg.Timeline)
@@ -154,4 +185,39 @@ PipelineResult Jrpm::runAll(const std::vector<std::uint64_t> &Args) {
   R.TlsRun = T.Run;
   R.TlsLoopStats = std::move(T.LoopStats);
   return R;
+}
+
+Jrpm::DifferentialOutcome
+Jrpm::runDifferential(const std::vector<std::uint64_t> &Args) {
+  DifferentialOutcome Out;
+  Out.PlainRun = runPlain(Args);
+  std::optional<trace::CachedTrace> Trace;
+  if (Cfg.RecordTracePath.empty()) {
+    Out.Profile =
+        profileInto(&Trace.emplace(traceHeader(Cfg, annotated())), Args);
+  } else {
+    Out.Profile = profileAndSelect(Args);
+    Trace.emplace(Cfg.RecordTracePath);
+  }
+  trace::ReplayConfig RC; // Metrics unset: tracer.* is exported live only
+  trace::copyTracerConfig(Cfg, RC);
+  Out.Replay = trace::selectFromTrace(*Trace, RC);
+
+  const interp::RunResult &Live = Out.Profile.Run;
+  if (Live.ReturnValue != Out.PlainRun.ReturnValue)
+    Out.ExecutionMismatches.push_back(
+        formatString("annotated checksum %llu != sequential %llu",
+                     (unsigned long long)Live.ReturnValue,
+                     (unsigned long long)Out.PlainRun.ReturnValue));
+  std::uint64_t LiveDigest = tracer::selectionDigest(Out.Profile.Selection);
+  std::uint64_t ReplayDigest = tracer::selectionDigest(Out.Replay.Selection);
+  if (ReplayDigest != LiveDigest)
+    Out.ReplayMismatches.push_back(
+        formatString("replayed selection digest %016llx != live %016llx",
+                     (unsigned long long)ReplayDigest,
+                     (unsigned long long)LiveDigest));
+  if (Out.Replay.Run != toRunInfo(Live))
+    Out.ReplayMismatches.push_back(
+        "trace footer run diverged from live profiled run");
+  return Out;
 }

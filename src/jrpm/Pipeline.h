@@ -17,6 +17,7 @@
 #include "interp/Machine.h"
 #include "jit/Annotator.h"
 #include "sim/Config.h"
+#include "trace/Replay.h"
 #include "tracer/Selector.h"
 
 #include <map>
@@ -45,9 +46,9 @@ struct PipelineConfig {
 
   // --- Trace capture (src/trace) -------------------------------------------
   /// When non-empty, profileAndSelect tees the annotated run's event
-  /// stream into this .jtrace file while profiling. Recording never
-  /// perturbs the run: the tee forwards the tracer's cycle charges
-  /// unchanged.
+  /// stream into this .jtrace file while profiling, and runDifferential
+  /// replays from the file. Recording never perturbs the run: the tee
+  /// forwards the tracer's cycle charges unchanged.
   std::string RecordTracePath;
   /// Workload name stamped into a recorded trace's header.
   std::string WorkloadName;
@@ -86,6 +87,11 @@ struct PipelineResult {
   }
 };
 
+/// The optimistic selection: every candidate loop of \p MA. runSpeculative
+/// skips the rejected ones, so under it every non-rejected candidate runs
+/// speculatively (the corpus's and the fuzz suite's TLS contract).
+tracer::SelectionResult everyCandidate(const analysis::ModuleAnalysis &MA);
+
 /// Owns a program and runs the Jrpm steps over it.
 class Jrpm {
 public:
@@ -115,11 +121,41 @@ public:
   };
   TlsOutcome runSpeculative(const tracer::SelectionResult &Selection,
                             const std::vector<std::uint64_t> &Args = {});
+  /// Steps 4–5 on engine hardware \p Hw instead of the configured one.
+  TlsOutcome runSpeculative(const tracer::SelectionResult &Selection,
+                            const sim::HydraConfig &Hw,
+                            const std::vector<std::uint64_t> &Args = {});
 
   /// All five steps.
   PipelineResult runAll(const std::vector<std::uint64_t> &Args = {});
 
+  /// The differential oracle over steps 0–3: the plain run, profile +
+  /// select while recording, and a replay of the recording under the same
+  /// configuration. The recording goes through RecordTracePath when it is
+  /// set and stays in memory otherwise. Both mismatch lists stay empty on
+  /// a correct stack.
+  struct DifferentialOutcome {
+    interp::RunResult PlainRun;
+    ProfileOutcome Profile;
+    trace::ReplayOutcome Replay;
+    /// The annotated run's checksum differs from the plain run's.
+    std::vector<std::string> ExecutionMismatches;
+    /// The replayed selection digest or the recorded run differs from the
+    /// live profiled run.
+    std::vector<std::string> ReplayMismatches;
+  };
+  DifferentialOutcome
+  runDifferential(const std::vector<std::uint64_t> &Args = {});
+
 private:
+  /// The annotated module, built and lint-checked on first use.
+  const jit::AnnotatedModule &annotated();
+  /// Steps 1–3, teeing the event stream into \p Capture (a trace::Writer
+  /// or trace::CachedTrace) when it is non-null.
+  template <typename Dest>
+  ProfileOutcome profileInto(Dest *Capture,
+                             const std::vector<std::uint64_t> &Args);
+
   ir::Module M;
   PipelineConfig Cfg;
   std::unique_ptr<analysis::ModuleAnalysis> MA;

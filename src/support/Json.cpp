@@ -159,6 +159,27 @@ std::uint64_t Json::asUint() const {
   }
 }
 
+std::optional<std::int64_t> Json::exactInt() const {
+  if (K == Kind::Int)
+    return I;
+  if (K == Kind::Uint && U <= static_cast<std::uint64_t>(INT64_MAX))
+    return static_cast<std::int64_t>(U);
+  // [-2^63, 2^63) is exactly int64's range; NaN fails both tests.
+  if (K == Kind::Double && D >= -0x1p63 && D < 0x1p63 && D == std::trunc(D))
+    return static_cast<std::int64_t>(D);
+  return std::nullopt;
+}
+
+std::optional<std::uint64_t> Json::exactUint() const {
+  if (K == Kind::Uint)
+    return U;
+  if (K == Kind::Int && I >= 0)
+    return static_cast<std::uint64_t>(I);
+  if (K == Kind::Double && D >= 0 && D < 0x1p64 && D == std::trunc(D))
+    return static_cast<std::uint64_t>(D);
+  return std::nullopt;
+}
+
 namespace {
 
 /// Recursive-descent parser over the serialization subset dump() emits.

@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -69,6 +70,11 @@ public:
   /// Unified numeric view (Int/Uint/Double all convert; else 0).
   double number() const;
   std::uint64_t asUint() const;
+  /// The value as an exact integer of the target type (an Int, a Uint or
+  /// an integral Double, in range), else empty: never a truncated fraction
+  /// or an out-of-range double cast, which is undefined behaviour.
+  std::optional<std::int64_t> exactInt() const;
+  std::optional<std::uint64_t> exactUint() const;
 
   /// Maximum container nesting depth parse() accepts. Deeper documents are
   /// rejected with a typed error instead of recursing toward a stack

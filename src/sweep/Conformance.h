@@ -2,8 +2,9 @@
 //
 // The differential harness the sweep engine exists to feed: every Table 6
 // workload is executed under sequential interpretation, an annotated
-// profiling run captured to a trace and re-analyzed from it, and native
-// speculative TLS, across a grid of engine configurations and both
+// profiling run captured to a .jtrace file and re-analyzed from it, and
+// native speculative TLS (Jrpm::runDifferential with RecordTracePath set,
+// then runSpeculative), across a grid of engine configurations and both
 // annotation levels. Every leg must produce a bit-identical checksum, and
 // the trace-replayed selection must reproduce the live selection digest
 // exactly. This replaces the old hand-picked spot checks (a few workloads

@@ -49,8 +49,8 @@ const std::vector<std::string> &knownKnobs();
 
 /// What a job executes.
 enum class JobMode {
-  Pipeline,    ///< all five Jrpm steps; checksum-verifies TLS vs sequential
-  Conformance, ///< sequential vs annotated-trace vs TLS differential check
+  Pipeline,    ///< all five Jrpm steps, differential-checked in memory
+  Conformance, ///< the same through a .jtrace file; reports the replay
 };
 
 /// One fully resolved unit of work, independent of every other job.

@@ -4,7 +4,6 @@
 
 #include "support/AtomicFile.h"
 #include "support/Format.h"
-#include "trace/Replay.h"
 #include "workloads/Workload.h"
 
 #include <chrono>
@@ -37,7 +36,21 @@ double msSince(Clock::time_point T0) {
       .count();
 }
 
-void fillPipelineFields(SweepResult &R, const pipeline::PipelineResult &P) {
+void appendError(SweepResult &R, const std::string &Msg) {
+  if (!R.Error.empty())
+    R.Error += "; ";
+  R.Error += Msg;
+}
+
+/// Records the measurements of a job's Jrpm steps and every mismatch in
+/// \p R. Only a conformance job reports the replayed digest.
+void recordOutcome(SweepResult &R, pipeline::Jrpm::DifferentialOutcome &D,
+                   const pipeline::Jrpm::TlsOutcome &Tls) {
+  pipeline::PipelineResult P;
+  P.PlainRun = D.PlainRun;
+  P.ProfiledRun = D.Profile.Run;
+  P.Selection = std::move(D.Profile.Selection);
+  P.TlsRun = Tls.Run;
   R.PlainCycles = P.PlainRun.Cycles;
   R.ProfiledCycles = P.ProfiledRun.Cycles;
   R.TlsCycles = P.TlsRun.Cycles;
@@ -48,87 +61,18 @@ void fillPipelineFields(SweepResult &R, const pipeline::PipelineResult &P) {
   R.ActualSpeedup = P.actualSpeedup();
   R.ProfilingSlowdown = P.profilingSlowdown();
   R.SelectionDigest = tracer::selectionDigest(P.Selection);
-}
+  if (R.Mode == JobMode::Conformance)
+    R.ReplayDigest = tracer::selectionDigest(D.Replay.Selection);
 
-void appendError(SweepResult &R, const std::string &Msg) {
-  if (!R.Error.empty())
-    R.Error += "; ";
-  R.Error += Msg;
-}
-
-/// The full five-step pipeline with a sequential-vs-speculative checksum
-/// verification — the Pipeline job mode.
-void runPipelineJob(const workloads::Workload &W, const SweepJob &Job,
-                    SweepResult &R) {
-  pipeline::PipelineConfig Cfg = Job.Cfg;
-  Cfg.Metrics = &R.Metrics;
-  pipeline::Jrpm J(W.Build(), Cfg);
-  pipeline::PipelineResult P = J.runAll();
-  fillPipelineFields(R, P);
+  for (const std::string &M : D.ExecutionMismatches)
+    appendError(R, M);
   if (P.TlsRun.ReturnValue != P.PlainRun.ReturnValue)
     appendError(R, formatString(
                        "speculative checksum %llu != sequential %llu",
                        (unsigned long long)P.TlsRun.ReturnValue,
                        (unsigned long long)P.PlainRun.ReturnValue));
-}
-
-/// The differential conformance check: the same program is executed as (1)
-/// a clean sequential interpretation, (2) an annotated profiling run
-/// recorded to a trace and re-analyzed from that trace, and (3) native TLS
-/// on the Hydra engine. All three checksums must be bit-identical and the
-/// trace-replayed selection must reproduce the live digest exactly.
-void runConformanceJob(const workloads::Workload &W, const SweepJob &Job,
-                       SweepResult &R) {
-  std::string TracePath = "/tmp/jrpm-sweep-" +
-                          std::to_string(static_cast<long>(getpid())) + "-" +
-                          std::to_string(Job.Index) + ".jtrace";
-  // Removes the trace on every exit, a throwing pipeline step included.
-  struct RemoveOnExit {
-    const std::string &Path;
-    ~RemoveOnExit() { std::remove(Path.c_str()); }
-  } Cleanup{TracePath};
-  pipeline::PipelineConfig Cfg = Job.Cfg;
-  Cfg.RecordTracePath = TracePath;
-  Cfg.Metrics = &R.Metrics;
-
-  pipeline::Jrpm J(W.Build(), Cfg);
-  interp::RunResult Plain = J.runPlain();
-  pipeline::Jrpm::ProfileOutcome Profile = J.profileAndSelect();
-  pipeline::Jrpm::TlsOutcome Tls = J.runSpeculative(Profile.Selection);
-
-  pipeline::PipelineResult P;
-  P.PlainRun = Plain;
-  P.ProfiledRun = Profile.Run;
-  P.Selection = Profile.Selection;
-  P.TlsRun = Tls.Run;
-  fillPipelineFields(R, P);
-
-  if (Profile.Run.ReturnValue != Plain.ReturnValue)
-    appendError(R, formatString(
-                       "annotated checksum %llu != sequential %llu",
-                       (unsigned long long)Profile.Run.ReturnValue,
-                       (unsigned long long)Plain.ReturnValue));
-  if (Tls.Run.ReturnValue != Plain.ReturnValue)
-    appendError(R, formatString(
-                       "speculative checksum %llu != sequential %llu",
-                       (unsigned long long)Tls.Run.ReturnValue,
-                       (unsigned long long)Plain.ReturnValue));
-
-  // Leg 2b: the recorded trace, re-analyzed from scratch, must reproduce
-  // the live selection bit-for-bit under the capture configuration.
-  trace::CachedTrace Trace(TracePath);
-  trace::ReplayConfig RC; // Metrics unset: tracer.* is exported live only
-  trace::copyTracerConfig(Job.Cfg, RC);
-  trace::ReplayOutcome Replayed = trace::selectFromTrace(Trace, RC);
-  R.ReplayDigest = tracer::selectionDigest(Replayed.Selection);
-  if (R.ReplayDigest != R.SelectionDigest)
-    appendError(R, formatString(
-                       "replayed selection digest %016llx != live %016llx",
-                       (unsigned long long)R.ReplayDigest,
-                       (unsigned long long)R.SelectionDigest));
-  if (Replayed.Run.Cycles != Profile.Run.Cycles ||
-      Replayed.Run.ReturnValue != Profile.Run.ReturnValue)
-    appendError(R, "trace footer run diverged from live profiled run");
+  for (const std::string &M : D.ReplayMismatches)
+    appendError(R, M);
 }
 
 } // namespace
@@ -148,11 +92,28 @@ SweepResult sweep::runJob(const SweepJob &Job) {
     R.WallMs = msSince(T0);
     return R;
   }
+  // A conformance job records through a trace file, so its check covers
+  // the on-disk round trip; a pipeline job keeps the recording in memory.
+  std::string TracePath;
+  if (Job.Mode == JobMode::Conformance)
+    TracePath = "/tmp/jrpm-sweep-" +
+                std::to_string(static_cast<long>(getpid())) + "-" +
+                std::to_string(Job.Index) + ".jtrace";
+  // Removes the trace on every exit, a throwing pipeline step included.
+  struct RemoveOnExit {
+    const std::string &Path;
+    ~RemoveOnExit() {
+      if (!Path.empty())
+        std::remove(Path.c_str());
+    }
+  } Cleanup{TracePath};
   try {
-    if (Job.Mode == JobMode::Conformance)
-      runConformanceJob(*W, Job, R);
-    else
-      runPipelineJob(*W, Job, R);
+    pipeline::PipelineConfig Cfg = Job.Cfg;
+    Cfg.RecordTracePath = TracePath;
+    Cfg.Metrics = &R.Metrics;
+    pipeline::Jrpm J(W->Build(), Cfg);
+    pipeline::Jrpm::DifferentialOutcome D = J.runDifferential();
+    recordOutcome(R, D, J.runSpeculative(D.Profile.Selection));
     R.Status = R.Error.empty() ? JobStatus::Ok : JobStatus::Failed;
   } catch (const std::exception &E) {
     appendError(R, E.what());

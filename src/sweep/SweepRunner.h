@@ -1,13 +1,15 @@
 //===- sweep/SweepRunner.h - Executing a plan in parallel ------------------==//
 //
-// Runs every SweepJob of an expanded plan through parallelFor with
-// failure isolation: a job that throws (or whose differential check
-// fails) is recorded as a failed result — its siblings always complete and
-// the sweep itself never dies with a job. Results land in preassigned
-// slots indexed by SweepJob::Index, so the report is identical whatever
-// order the threads finish jobs in, and the JSON rendering (sorted keys,
-// fixed double format, timings segregated behind a flag) is byte-identical
-// between a 1-thread and an N-thread sweep of the same plan.
+// Runs every SweepJob of an expanded plan through parallelFor. Every job
+// runs the same differential check on the Jrpm steps
+// (Jrpm::runDifferential, then the TLS run); the mode only chooses whether
+// the trace goes through a file and whether the replayed digest is
+// reported. A job that throws or fails its check is recorded as a failed
+// result; its siblings always complete and the sweep never dies with a
+// job. Results land in slots indexed by SweepJob::Index, so the report is
+// identical whatever order the threads finish jobs in, and the JSON
+// rendering (sorted keys, fixed double format, timings behind a flag) is
+// byte-identical between a 1-thread and an N-thread sweep of the same plan.
 //
 //===----------------------------------------------------------------------===//
 
@@ -55,8 +57,8 @@ struct SweepResult {
   double ActualSpeedup = 1.0;
   double ProfilingSlowdown = 1.0;
   std::uint64_t SelectionDigest = 0; ///< live selection digest
-  /// Conformance mode: digest of the trace-replayed selection; must equal
-  /// SelectionDigest.
+  /// Conformance mode: digest of the selection replayed from the trace
+  /// file; must equal SelectionDigest.
   std::uint64_t ReplayDigest = 0;
 
   double WallMs = 0; ///< job wall-clock (non-deterministic; gated in JSON)

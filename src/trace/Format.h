@@ -126,6 +126,16 @@ struct TraceFooter {
   RunInfo Run;
 };
 
+/// Tallies \p E into \p F: its kind's count, the total and the last cycle.
+/// The one footer count shared by Writer, an in-memory CachedTrace capture
+/// and the Reader's cross-check.
+inline void countEvent(TraceFooter &F, const Event &E) {
+  ++F.EventCounts[static_cast<std::uint8_t>(E.Kind)];
+  ++F.TotalEvents;
+  if (E.Kind != EventKind::Return)
+    F.LastCycle = E.Cycle;
+}
+
 // --- Errors ----------------------------------------------------------------
 
 enum class ErrorKind {

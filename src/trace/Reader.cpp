@@ -213,16 +213,12 @@ bool Reader::next(Event &E) {
   default:
     break;
   }
-  if (E.Kind != EventKind::Return) {
-    if (HasLastCycle && E.Cycle < Tally.LastCycle)
-      throw Error(ErrorKind::NonMonotonicCycle,
-                  "cycle " + std::to_string(E.Cycle) + " after cycle " +
-                      std::to_string(Tally.LastCycle));
-    Tally.LastCycle = E.Cycle;
-    HasLastCycle = true;
-  }
-  ++Tally.EventCounts[static_cast<std::uint8_t>(E.Kind)];
-  ++Tally.TotalEvents;
+  // LastCycle starts at 0, so the first cycle-bearing event always passes.
+  if (E.Kind != EventKind::Return && E.Cycle < Tally.LastCycle)
+    throw Error(ErrorKind::NonMonotonicCycle,
+                "cycle " + std::to_string(E.Cycle) + " after cycle " +
+                    std::to_string(Tally.LastCycle));
+  countEvent(Tally, E);
   return true;
 }
 

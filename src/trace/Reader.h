@@ -63,7 +63,6 @@ private:
   std::uint32_t ChunkEventsLeft = 0;
   DeltaState Deltas;
   TraceFooter Tally; ///< accumulated while decoding, checked vs footer
-  bool HasLastCycle = false;
   bool Done = false;
 
   // Cached O(1) footer.

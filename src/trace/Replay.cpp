@@ -50,23 +50,14 @@ ReplayOutcome trace::selectFromTrace(Reader &R, const ReplayConfig &Cfg) {
 // CachedTrace
 //===----------------------------------------------------------------------===//
 
-CachedTrace::CachedTrace(Reader &R) : Header(R.header()) {
+CachedTrace::CachedTrace(const std::string &Path) {
+  Reader R(Path);
+  Header = R.header();
   Events.reserve(R.footer().TotalEvents);
   Event E;
   while (R.next(E))
     Events.push_back(E);
   Footer = R.footer();
-}
-
-CachedTrace::CachedTrace(const std::string &Path) {
-  Reader R(Path);
-  *this = CachedTrace(R);
-}
-
-std::uint64_t CachedTrace::replay(interp::TraceSink &Sink) const {
-  for (const Event &E : Events)
-    dispatchEvent(E, Sink);
-  return Events.size();
 }
 
 ReplayOutcome trace::selectFromTrace(const CachedTrace &T,
@@ -75,6 +66,7 @@ ReplayOutcome trace::selectFromTrace(const CachedTrace &T,
                              Cfg.ExtendedPcBinning);
   if (Cfg.DisableLoopAfterThreads)
     Engine.setDisableLoopAfterThreads(Cfg.DisableLoopAfterThreads);
-  std::uint64_t N = T.replay(Engine);
-  return finishOutcome(Engine, Cfg, T.footer().Run, N);
+  for (const Event &E : T.events())
+    dispatchEvent(E, Engine);
+  return finishOutcome(Engine, Cfg, T.footer().Run, T.events().size());
 }

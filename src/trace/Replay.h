@@ -42,6 +42,8 @@ struct ReplayOutcome {
   std::uint32_t PeakLocalSlots = 0;
   std::uint32_t PeakDynamicNest = 0;
   std::uint64_t EventsReplayed = 0;
+
+  bool operator==(const ReplayOutcome &O) const = default;
 };
 
 /// Copies the tracer-side fields (Hw, ExtendedPcBinning,
@@ -76,21 +78,28 @@ inline ReplayOutcome selectFromTrace(Reader &R) {
 /// A fully decoded in-memory trace for sweep-style consumers: pays the
 /// disk read, checksum, and varint decode exactly once, then feeds any
 /// number of analysis configurations straight from memory. Construction
-/// performs the same strict validation as streaming the whole file.
+/// from a file performs the same strict validation as streaming the whole
+/// file. It is also RecordingSink's in-memory destination: append() and
+/// finish() keep the footer the way Writer does.
 class CachedTrace {
 public:
-  /// Drains \p R (which must be freshly opened) and validates the stream
-  /// against its footer. Throws Error on any corruption.
-  explicit CachedTrace(Reader &R);
-  /// Convenience: open, drain, and close \p Path.
+  /// Opens \p Path, drains it and validates the stream against its
+  /// footer. Throws Error on any corruption.
   explicit CachedTrace(const std::string &Path);
+  /// An empty capture of a run described by \p Header.
+  explicit CachedTrace(const TraceHeader &Header) : Header(Header) {}
+
+  /// Appends one event and counts it into the footer.
+  void append(const Event &E) {
+    Events.push_back(E);
+    countEvent(Footer, E);
+  }
+  /// Records the capture run's results in the footer.
+  void finish(const RunInfo &Run) { Footer.Run = Run; }
 
   const TraceHeader &header() const { return Header; }
   const TraceFooter &footer() const { return Footer; }
   const std::vector<Event> &events() const { return Events; }
-
-  /// Feeds every event to \p Sink. Returns the number of events.
-  std::uint64_t replay(interp::TraceSink &Sink) const;
 
 private:
   TraceHeader Header;
@@ -101,10 +110,6 @@ private:
 /// Engine construction + replay + selection from an in-memory trace: the
 /// per-configuration cost of a record-once/analyze-many sweep.
 ReplayOutcome selectFromTrace(const CachedTrace &T, const ReplayConfig &Cfg);
-
-inline ReplayOutcome selectFromTrace(const CachedTrace &T) {
-  return selectFromTrace(T, recordedConfig(T.header()));
-}
 
 } // namespace trace
 } // namespace jrpm

@@ -45,10 +45,7 @@ void Writer::append(const Event &E) {
     throw Error(ErrorKind::Io, "append after finish on '" + Path + "'");
   encodeEvent(Chunk, E, Deltas);
   ++ChunkEvents;
-  ++Footer.EventCounts[static_cast<std::uint8_t>(E.Kind)];
-  ++Footer.TotalEvents;
-  if (E.Kind != EventKind::Return)
-    Footer.LastCycle = E.Cycle;
+  countEvent(Footer, E);
   if (Chunk.size() >= ChunkTargetBytes)
     flushChunk();
 }

@@ -1,10 +1,10 @@
 //===- trace/Writer.h - Streaming .jtrace capture --------------------------==//
 //
 // Writer streams TraceSink events to disk in buffered, delta-encoded
-// chunks; RecordingSink is the tee that feeds it (or an in-memory event
-// vector) from a live annotated run while forwarding every event (and the
-// downstream sink's cycle charges) unchanged, so recording never perturbs
-// the run being recorded.
+// chunks; RecordingSink is the tee that feeds it (or an in-memory
+// trace::CachedTrace) from a live annotated run while forwarding every
+// event (and the downstream sink's cycle charges) unchanged, so recording
+// never perturbs the run being recorded.
 //
 //===----------------------------------------------------------------------===//
 
@@ -15,7 +15,6 @@
 #include "trace/Wire.h"
 
 #include <cstdio>
-#include <type_traits>
 
 namespace jrpm {
 namespace trace {
@@ -54,130 +53,75 @@ private:
 };
 
 /// TraceSink tee: records every event into \p Dest and forwards it to the
-/// optional downstream sink, returning the downstream's cycle charges so
-/// the captured run is cycle-identical to an unrecorded one. \p Dest is a
-/// Writer (a .jtrace file) or a std::vector<Event> (an in-memory capture),
-/// chosen at compile time so recording adds no per-event virtual call.
-template <typename Dest = Writer>
-class RecordingSink : public interp::TraceSink {
+/// downstream sink, returning the downstream's cycle charges so the
+/// captured run is cycle-identical to an unrecorded one. \p Dest is a
+/// Writer (a .jtrace file) or a CachedTrace (an in-memory capture); both
+/// take append(Event) and finish(RunInfo). It is a template parameter so
+/// recording adds no per-event virtual call.
+template <typename Dest> class RecordingSink : public interp::TraceSink {
 public:
-  explicit RecordingSink(Dest &D, interp::TraceSink *Downstream = nullptr)
-      : D(D), Down(Downstream) {}
+  RecordingSink(Dest &D, interp::TraceSink &Down) : D(D), Down(Down) {}
 
   std::uint32_t onHeapLoad(std::uint32_t Addr, std::uint64_t Cycle,
                            std::int32_t Pc) override {
-    Event E;
-    E.Kind = EventKind::HeapLoad;
-    E.Addr = Addr;
-    E.Cycle = Cycle;
-    E.Pc = Pc;
-    record(E);
-    return Down ? Down->onHeapLoad(Addr, Cycle, Pc) : 0;
+    D.append({.Kind = EventKind::HeapLoad, .Cycle = Cycle, .Addr = Addr,
+              .Pc = Pc});
+    return Down.onHeapLoad(Addr, Cycle, Pc);
   }
   std::uint32_t onHeapStore(std::uint32_t Addr, std::uint64_t Cycle,
                             std::int32_t Pc) override {
-    Event E;
-    E.Kind = EventKind::HeapStore;
-    E.Addr = Addr;
-    E.Cycle = Cycle;
-    E.Pc = Pc;
-    record(E);
-    return Down ? Down->onHeapStore(Addr, Cycle, Pc) : 0;
+    D.append({.Kind = EventKind::HeapStore, .Cycle = Cycle, .Addr = Addr,
+              .Pc = Pc});
+    return Down.onHeapStore(Addr, Cycle, Pc);
   }
   std::uint32_t onLocalLoad(std::uint64_t Activation, std::uint16_t Reg,
                             std::uint64_t Cycle, std::int32_t Pc) override {
-    Event E;
-    E.Kind = EventKind::LocalLoad;
-    E.Activation = Activation;
-    E.Reg = Reg;
-    E.Cycle = Cycle;
-    E.Pc = Pc;
-    record(E);
-    return Down ? Down->onLocalLoad(Activation, Reg, Cycle, Pc) : 0;
+    D.append({.Kind = EventKind::LocalLoad, .Cycle = Cycle,
+              .Activation = Activation, .Reg = Reg, .Pc = Pc});
+    return Down.onLocalLoad(Activation, Reg, Cycle, Pc);
   }
   std::uint32_t onLocalStore(std::uint64_t Activation, std::uint16_t Reg,
                              std::uint64_t Cycle, std::int32_t Pc) override {
-    Event E;
-    E.Kind = EventKind::LocalStore;
-    E.Activation = Activation;
-    E.Reg = Reg;
-    E.Cycle = Cycle;
-    E.Pc = Pc;
-    record(E);
-    return Down ? Down->onLocalStore(Activation, Reg, Cycle, Pc) : 0;
+    D.append({.Kind = EventKind::LocalStore, .Cycle = Cycle,
+              .Activation = Activation, .Reg = Reg, .Pc = Pc});
+    return Down.onLocalStore(Activation, Reg, Cycle, Pc);
   }
   std::uint32_t onLoopStart(std::uint32_t LoopId, std::uint64_t Activation,
                             std::uint64_t Cycle) override {
-    Event E;
-    E.Kind = EventKind::LoopStart;
-    E.LoopId = LoopId;
-    E.Activation = Activation;
-    E.Cycle = Cycle;
-    record(E);
-    return Down ? Down->onLoopStart(LoopId, Activation, Cycle) : 0;
+    D.append({.Kind = EventKind::LoopStart, .Cycle = Cycle,
+              .Activation = Activation, .LoopId = LoopId});
+    return Down.onLoopStart(LoopId, Activation, Cycle);
   }
   std::uint32_t onLoopIter(std::uint32_t LoopId,
                            std::uint64_t Cycle) override {
-    Event E;
-    E.Kind = EventKind::LoopIter;
-    E.LoopId = LoopId;
-    E.Cycle = Cycle;
-    record(E);
-    return Down ? Down->onLoopIter(LoopId, Cycle) : 0;
+    D.append({.Kind = EventKind::LoopIter, .Cycle = Cycle, .LoopId = LoopId});
+    return Down.onLoopIter(LoopId, Cycle);
   }
   std::uint32_t onLoopEnd(std::uint32_t LoopId, std::uint64_t Cycle) override {
-    Event E;
-    E.Kind = EventKind::LoopEnd;
-    E.LoopId = LoopId;
-    E.Cycle = Cycle;
-    record(E);
-    return Down ? Down->onLoopEnd(LoopId, Cycle) : 0;
+    D.append({.Kind = EventKind::LoopEnd, .Cycle = Cycle, .LoopId = LoopId});
+    return Down.onLoopEnd(LoopId, Cycle);
   }
   void onReturn(std::uint64_t Activation) override {
-    Event E;
-    E.Kind = EventKind::Return;
-    E.Activation = Activation;
-    record(E);
-    if (Down)
-      Down->onReturn(Activation);
+    D.append({.Kind = EventKind::Return, .Activation = Activation});
+    Down.onReturn(Activation);
   }
   void onCallSite(std::int32_t CallPc, std::uint64_t Cycle) override {
-    Event E;
-    E.Kind = EventKind::CallSite;
-    E.Pc = CallPc;
-    E.Cycle = Cycle;
-    record(E);
-    if (Down)
-      Down->onCallSite(CallPc, Cycle);
+    D.append({.Kind = EventKind::CallSite, .Cycle = Cycle, .Pc = CallPc});
+    Down.onCallSite(CallPc, Cycle);
   }
   void onCallReturn(std::uint64_t Cycle) override {
-    Event E;
-    E.Kind = EventKind::CallReturn;
-    E.Cycle = Cycle;
-    record(E);
-    if (Down)
-      Down->onCallReturn(Cycle);
+    D.append({.Kind = EventKind::CallReturn, .Cycle = Cycle});
+    Down.onCallReturn(Cycle);
   }
   std::uint32_t onReadStats(std::uint32_t LoopId,
                             std::uint64_t Cycle) override {
-    Event E;
-    E.Kind = EventKind::ReadStats;
-    E.LoopId = LoopId;
-    E.Cycle = Cycle;
-    record(E);
-    return Down ? Down->onReadStats(LoopId, Cycle) : 0;
+    D.append({.Kind = EventKind::ReadStats, .Cycle = Cycle, .LoopId = LoopId});
+    return Down.onReadStats(LoopId, Cycle);
   }
 
 private:
-  void record(const Event &E) {
-    if constexpr (std::is_same_v<Dest, Writer>)
-      D.append(E);
-    else
-      D.push_back(E);
-  }
-
   Dest &D;
-  interp::TraceSink *Down;
+  interp::TraceSink &Down;
 };
 
 } // namespace trace

@@ -125,15 +125,19 @@ TEST(CorpusVariants, EveryVariantVerifiesCleanly) {
 }
 
 TEST(CorpusOracles, CleanVariantsPassAllOracles) {
+  // The execution oracle covers the restart, sync and line-grain TLS runs
+  // of every variant against its sequential run.
   OracleConfig Cfg;
   for (const Template &T : familyRepresentatives()) {
-    Variant V = instantiate(T, 11);
-    OracleOutcome O = runOracles(T, V, Cfg);
-    EXPECT_TRUE(O.Passed)
-        << T.Id << ": "
-        << (O.Failures.empty() ? "" : O.Failures.front().Detail);
-    EXPECT_EQ(O.FalseRejects, 0u) << T.Id;
-    EXPECT_GT(O.EventsReplayed, 0u) << T.Id;
+    for (std::uint64_t Seed : {3, 11, 23}) {
+      Variant V = instantiate(T, Seed);
+      OracleOutcome O = runOracles(T, V, Cfg);
+      EXPECT_TRUE(O.Passed)
+          << T.Id << " seed " << Seed << ": "
+          << (O.Failures.empty() ? "" : O.Failures.front().Detail);
+      EXPECT_EQ(O.FalseRejects, 0u) << T.Id << " seed " << Seed;
+      EXPECT_GT(O.EventsReplayed, 0u) << T.Id << " seed " << Seed;
+    }
   }
 }
 
@@ -209,6 +213,52 @@ TEST(CorpusRepro, DocumentRoundTripsWithProvenance) {
   VariantSpec Bad;
   EXPECT_FALSE(parseReproDocument("{}", Bad, nullptr, &Err));
   EXPECT_FALSE(parseReproDocument("not json", Bad, nullptr, &Err));
+}
+
+TEST(CorpusRepro, RejectsNonIntegralValuesAndBadDigests) {
+  std::vector<Template> Reps = familyRepresentatives();
+  ASSERT_FALSE(Reps.empty());
+  Json Good;
+  ASSERT_TRUE(Json::parse(reproDocument(instantiate(Reps.front(), 1)), Good));
+  auto With = [&](const char *Key, Json Value) {
+    Json Doc = Good;
+    Doc[Key] = std::move(Value);
+    return Doc.dump();
+  };
+  auto OneHole = [](Json Value) {
+    Json H = Json::object();
+    H["name"] = "n";
+    H["value"] = std::move(Value);
+    Json A = Json::array();
+    A.push(std::move(H));
+    return A;
+  };
+  const char *Hole = "hole value is not a 64-bit integer";
+  const char *Seed = "seed is not an integer in [0, 2^64)";
+  const char *Digest = "digest is not 16 hex digits";
+  const std::pair<std::string, const char *> Cases[] = {
+      {With("holes", OneHole(Json(1e30))), Hole},
+      {With("holes", OneHole(Json(2.5))), Hole},
+      {With("seed", Json(2.5e30)), Seed},
+      {With("seed", Json(2.5)), Seed},
+      {With("seed", Json(-3)), Seed},
+      {With("digest", Json("0123abcd")), Digest},
+      {With("digest", Json("0123456789abcdeg")), Digest},
+      {With("digest", Json(12345u)), Digest},
+  };
+  for (const auto &[Doc, Want] : Cases) {
+    VariantSpec Spec;
+    std::string Err;
+    EXPECT_FALSE(parseReproDocument(Doc, Spec, nullptr, &Err)) << Doc;
+    EXPECT_EQ(Err, Want) << Doc;
+  }
+  // An integral double in range is an integer ("1e+17" parses as a double).
+  VariantSpec Spec;
+  std::string Err;
+  EXPECT_TRUE(
+      parseReproDocument(With("seed", Json(1e17)), Spec, nullptr, &Err))
+      << Err;
+  EXPECT_EQ(Spec.Seed, 100000000000000000u);
 }
 
 TEST(CorpusRepro, ReportFailuresReproduceFromReportAlone) {

@@ -113,7 +113,7 @@ trackNames(const Json &Root) {
   return Names;
 }
 
-Json runTlsTimeline(const workloads::Workload &W) {
+Json pipelineTimeline(const workloads::Workload &W) {
   metrics::Timeline TL;
   pipeline::PipelineConfig Cfg;
   Cfg.ExtendedPcBinning = true;
@@ -128,7 +128,7 @@ Json runTlsTimeline(const workloads::Workload &W) {
 TEST(TimelineSchema, TlsPipelineSpansBalancedAndTracksStable) {
   const workloads::Workload *W = workloads::findWorkload("fft");
   ASSERT_NE(W, nullptr);
-  Json Root = runTlsTimeline(*W);
+  Json Root = pipelineTimeline(*W);
 
   std::map<std::pair<std::uint64_t, std::uint64_t>, TrackState> Tracks;
   validateTraceEvents(Root, Tracks);
@@ -147,7 +147,7 @@ TEST(TimelineSchema, TlsPipelineSpansBalancedAndTracksStable) {
 
   // Simulated-cycle timestamps make the whole document a pure function of
   // the run: a second identical pipeline must export identical bytes.
-  EXPECT_EQ(Root.dump(), runTlsTimeline(*W).dump());
+  EXPECT_EQ(Root.dump(), pipelineTimeline(*W).dump());
 
   // Nothing was dropped by the event cap on a workload this size.
   EXPECT_EQ(Root.find("droppedEvents"), nullptr);

@@ -13,6 +13,7 @@
 
 #include "TestUtil.h"
 #include "jrpm/Pipeline.h"
+#include "sweep/Conformance.h"
 #include "trace/Dump.h"
 #include "trace/Replay.h"
 #include "tracer/Selector.h"
@@ -273,6 +274,45 @@ TEST(TraceReplay, ReplayViaPipelineConfigSkipsInterpretation) {
   EXPECT_EQ(Tls.Run.ReturnValue, Plain.ReturnValue);
 }
 
+TEST(TraceReplay, MemoryAndFileCapturesAgree) {
+  // Jrpm::runDifferential records into memory when RecordTracePath is
+  // empty and through the file otherwise; the medium must not show in the
+  // replay, on any conformance grid point, and recording must not perturb
+  // the live run.
+  for (const char *Name : {"BitOps", "Huffman", "fft"}) {
+    const workloads::Workload *W = workloads::findWorkload(Name);
+    ASSERT_NE(W, nullptr) << Name;
+    for (const sweep::ConfigPoint &Point : sweep::defaultConformanceGrid()) {
+      SCOPED_TRACE(std::string(Name) + " @ " + Point.name());
+      TempTrace Tmp(std::string(Name) + "-medium");
+      pipeline::PipelineConfig FileCfg =
+          captureConfig(*W, jit::AnnotationLevel::Optimized, Tmp.path());
+      ASSERT_TRUE(Point.apply(FileCfg));
+      pipeline::PipelineConfig MemoryCfg = FileCfg;
+      MemoryCfg.RecordTracePath.clear();
+
+      pipeline::Jrpm ViaFile(W->Build(), FileCfg);
+      pipeline::Jrpm InMemory(W->Build(), MemoryCfg);
+      pipeline::Jrpm::DifferentialOutcome F = ViaFile.runDifferential();
+      pipeline::Jrpm::DifferentialOutcome M = InMemory.runDifferential();
+
+      // Selection, footer run, peaks and event count, exactly.
+      EXPECT_TRUE(F.Replay == M.Replay);
+      EXPECT_GT(M.Replay.EventsReplayed, 0u);
+      // An empty RecordTracePath leaves profileAndSelect unrecorded.
+      pipeline::Jrpm::ProfileOutcome Unrecorded = InMemory.profileAndSelect();
+      EXPECT_EQ(Unrecorded.Run.Cycles, M.Profile.Run.Cycles);
+      EXPECT_TRUE(Unrecorded.Selection == M.Profile.Selection);
+      for (const pipeline::Jrpm::DifferentialOutcome *D : {&F, &M}) {
+        EXPECT_TRUE(D->ExecutionMismatches.empty())
+            << D->ExecutionMismatches.front();
+        EXPECT_TRUE(D->ReplayMismatches.empty())
+            << D->ReplayMismatches.front();
+      }
+    }
+  }
+}
+
 TEST(TraceReplay, HeaderAndFooterDescribeTheCapture) {
   const workloads::Workload *W = workloads::findWorkload("BitOps");
   ASSERT_NE(W, nullptr);
@@ -302,25 +342,6 @@ TEST(TraceReplay, HeaderAndFooterDescribeTheCapture) {
     ++Streamed;
   EXPECT_EQ(Streamed, F.TotalEvents);
   EXPECT_EQ(R.eventsRead(), F.TotalEvents);
-}
-
-TEST(TraceReplay, RecordingDoesNotPerturbTheRun) {
-  const workloads::Workload *W = workloads::findWorkload("Assignment");
-  ASSERT_NE(W, nullptr);
-  TempTrace Tmp("unperturbed");
-
-  pipeline::PipelineConfig Plain;
-  Plain.ExtendedPcBinning = true;
-  pipeline::Jrpm JPlain(W->Build(), Plain);
-  auto Unrecorded = JPlain.profileAndSelect();
-
-  pipeline::PipelineConfig Rec =
-      captureConfig(*W, jit::AnnotationLevel::Optimized, Tmp.path());
-  pipeline::Jrpm JRec(W->Build(), Rec);
-  auto Recorded = JRec.profileAndSelect();
-
-  EXPECT_EQ(Unrecorded.Run.Cycles, Recorded.Run.Cycles);
-  EXPECT_TRUE(Unrecorded.Selection == Recorded.Selection);
 }
 
 TEST(TraceReplay, ConfigOverrideReplaysUnderNewHardware) {

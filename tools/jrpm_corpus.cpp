@@ -137,7 +137,7 @@ CliOptions parseCli(int Argc, char **Argv, int First) {
     } else if (A == "--threads") {
       O.Threads = static_cast<std::uint32_t>(NextUnsigned(sweep::MaxThreads));
     } else if (A == "--inject-trip") {
-      O.InjectTrip = std::strtoll(NextArg(), nullptr, 10);
+      O.InjectTrip = static_cast<std::int64_t>(NextUnsigned(INT64_MAX));
     } else if (A == "--quick") {
       O.Quick = true;
     } else if (A == "--no-shrink") {
