@@ -139,6 +139,13 @@ Jrpm::profileAndSelect(const std::vector<std::uint64_t> &Args) {
   return profileInto(&Recorder, Args);
 }
 
+Jrpm::RecordedProfile
+Jrpm::profileInMemory(const std::vector<std::uint64_t> &Args) {
+  RecordedProfile R{{}, trace::CachedTrace(traceHeader(Cfg, annotated()))};
+  R.Profile = profileInto(&R.Trace, Args);
+  return R;
+}
+
 Jrpm::TlsOutcome
 Jrpm::runSpeculative(const tracer::SelectionResult &Selection,
                      const std::vector<std::uint64_t> &Args) {
@@ -191,17 +198,15 @@ Jrpm::DifferentialOutcome
 Jrpm::runDifferential(const std::vector<std::uint64_t> &Args) {
   DifferentialOutcome Out;
   Out.PlainRun = runPlain(Args);
-  std::optional<trace::CachedTrace> Trace;
-  if (Cfg.RecordTracePath.empty()) {
-    Out.Profile =
-        profileInto(&Trace.emplace(traceHeader(Cfg, annotated())), Args);
-  } else {
-    Out.Profile = profileAndSelect(Args);
-    Trace.emplace(Cfg.RecordTracePath);
-  }
+  RecordedProfile Rec =
+      Cfg.RecordTracePath.empty()
+          ? profileInMemory(Args)
+          : RecordedProfile{profileAndSelect(Args),
+                            trace::CachedTrace(Cfg.RecordTracePath)};
+  Out.Profile = std::move(Rec.Profile);
   trace::ReplayConfig RC; // Metrics unset: tracer.* is exported live only
   trace::copyTracerConfig(Cfg, RC);
-  Out.Replay = trace::selectFromTrace(*Trace, RC);
+  Out.Replay = trace::selectFromTrace(Rec.Trace, RC);
 
   const interp::RunResult &Live = Out.Profile.Run;
   if (Live.ReturnValue != Out.PlainRun.ReturnValue)

@@ -114,6 +114,15 @@ public:
   };
   ProfileOutcome profileAndSelect(const std::vector<std::uint64_t> &Args = {});
 
+  /// Steps 1–3, recording the annotated run's event stream into memory
+  /// whatever RecordTracePath says. This is the capture runDifferential
+  /// replays when RecordTracePath is empty.
+  struct RecordedProfile {
+    ProfileOutcome Profile;
+    trace::CachedTrace Trace;
+  };
+  RecordedProfile profileInMemory(const std::vector<std::uint64_t> &Args = {});
+
   /// Steps 4–5: recompile the selected loops and run speculatively.
   struct TlsOutcome {
     interp::RunResult Run;

@@ -30,6 +30,7 @@ public:
 
   const std::string &path() const { return Path; }
   const TraceHeader &header() const { return Header; }
+  std::uint64_t fileSize() const { return FileSize; }
 
   /// O(1) footer access via the trailing block-size field — no event
   /// decoding. Independent of the sequential cursor.

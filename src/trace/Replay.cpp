@@ -2,6 +2,8 @@
 
 #include "trace/Replay.h"
 
+#include <algorithm>
+
 using namespace jrpm;
 using namespace jrpm::trace;
 
@@ -53,10 +55,13 @@ ReplayOutcome trace::selectFromTrace(Reader &R, const ReplayConfig &Cfg) {
 CachedTrace::CachedTrace(const std::string &Path) {
   Reader R(Path);
   Header = R.header();
-  Events.reserve(R.footer().TotalEvents);
+  // Every event takes at least one wire byte, so a footer that claims
+  // more events than the file has bytes cannot be reserved for: the
+  // stream check below rejects it with a typed Error.
+  Records.reserve(std::min(R.footer().TotalEvents, R.fileSize()));
   Event E;
   while (R.next(E))
-    Events.push_back(E);
+    append(E);
   Footer = R.footer();
 }
 
@@ -66,7 +71,6 @@ ReplayOutcome trace::selectFromTrace(const CachedTrace &T,
                              Cfg.ExtendedPcBinning);
   if (Cfg.DisableLoopAfterThreads)
     Engine.setDisableLoopAfterThreads(Cfg.DisableLoopAfterThreads);
-  for (const Event &E : T.events())
-    dispatchEvent(E, Engine);
-  return finishOutcome(Engine, Cfg, T.footer().Run, T.events().size());
+  T.forEach([&](const Event &E) { dispatchEvent(E, Engine); });
+  return finishOutcome(Engine, Cfg, T.footer().Run, T.footer().TotalEvents);
 }

@@ -16,12 +16,15 @@ namespace jrpm {
 namespace trace {
 
 /// Delta predictors for the event encoding. Reset at every chunk boundary
-/// so chunks decode independently.
+/// so chunks decode independently. Deltas are taken and applied modulo
+/// 2^64 (a Pc predictor holds the sign-extended Pc): the bytes are those
+/// of the plain signed difference, and neither an activation of 2^63 or
+/// more nor a forged delta can overflow a signed add.
 struct DeltaState {
   std::uint64_t Cycle = 0;
-  std::int64_t Pc = 0;
-  std::int64_t Addr = 0;
-  std::int64_t Activation = 0;
+  std::uint64_t Pc = 0;
+  std::uint64_t Addr = 0;
+  std::uint64_t Activation = 0;
 };
 
 /// Upper bound on one encoded event: a kind byte plus at most four 10-byte
@@ -36,24 +39,16 @@ inline void encodeEvent(std::vector<std::uint8_t> &Out, const Event &E,
   std::uint8_t Tmp[MaxEventWireBytes];
   std::uint8_t *P = Tmp;
   *P++ = static_cast<std::uint8_t>(E.Kind);
-  auto Cycle = [&] {
-    P = writeZigzag(P, static_cast<std::int64_t>(E.Cycle) -
-                           static_cast<std::int64_t>(D.Cycle));
-    D.Cycle = E.Cycle;
+  auto Delta = [&](std::uint64_t V, std::uint64_t &Pred) {
+    P = writeZigzag(P, static_cast<std::int64_t>(V - Pred));
+    Pred = V;
   };
+  auto Cycle = [&] { Delta(E.Cycle, D.Cycle); };
   auto Pc = [&] {
-    P = writeZigzag(P, static_cast<std::int64_t>(E.Pc) - D.Pc);
-    D.Pc = E.Pc;
+    Delta(static_cast<std::uint64_t>(static_cast<std::int64_t>(E.Pc)), D.Pc);
   };
-  auto Addr = [&] {
-    P = writeZigzag(P, static_cast<std::int64_t>(E.Addr) - D.Addr);
-    D.Addr = E.Addr;
-  };
-  auto Act = [&] {
-    P = writeZigzag(P, static_cast<std::int64_t>(E.Activation) -
-                           D.Activation);
-    D.Activation = static_cast<std::int64_t>(E.Activation);
-  };
+  auto Addr = [&] { Delta(E.Addr, D.Addr); };
+  auto Act = [&] { Delta(E.Activation, D.Activation); };
   switch (E.Kind) {
   case EventKind::HeapLoad:
   case EventKind::HeapStore:
@@ -105,23 +100,13 @@ inline Event decodeEvent(const std::uint8_t *&P, const std::uint8_t *End,
                 "event kind " + std::to_string(KindByte));
   Event E;
   E.Kind = static_cast<EventKind>(KindByte);
-  auto Cycle = [&] {
-    D.Cycle = static_cast<std::uint64_t>(
-        static_cast<std::int64_t>(D.Cycle) + parseZigzag(P, End));
-    E.Cycle = D.Cycle;
+  auto Delta = [&](std::uint64_t &Pred) {
+    return Pred += static_cast<std::uint64_t>(parseZigzag(P, End));
   };
-  auto Pc = [&] {
-    D.Pc += parseZigzag(P, End);
-    E.Pc = static_cast<std::int32_t>(D.Pc);
-  };
-  auto Addr = [&] {
-    D.Addr += parseZigzag(P, End);
-    E.Addr = static_cast<std::uint32_t>(D.Addr);
-  };
-  auto Act = [&] {
-    D.Activation += parseZigzag(P, End);
-    E.Activation = static_cast<std::uint64_t>(D.Activation);
-  };
+  auto Cycle = [&] { E.Cycle = Delta(D.Cycle); };
+  auto Pc = [&] { E.Pc = static_cast<std::int32_t>(Delta(D.Pc)); };
+  auto Addr = [&] { E.Addr = static_cast<std::uint32_t>(Delta(D.Addr)); };
+  auto Act = [&] { E.Activation = Delta(D.Activation); };
   switch (E.Kind) {
   case EventKind::HeapLoad:
   case EventKind::HeapStore:

@@ -10,6 +10,7 @@
 #include "jrpm/Pipeline.h"
 #include "support/Prng.h"
 #include "trace/Replay.h"
+#include "trace/Wire.h"
 #include "trace/Writer.h"
 #include "workloads/Workload.h"
 
@@ -353,5 +354,54 @@ TEST_F(TraceFuzz, ImpossibleOverflowGeometryIsBadRecord) {
   std::optional<trace::ErrorKind> Err = strictRead(Mutant);
   ASSERT_TRUE(Err.has_value());
   EXPECT_EQ(*Err, trace::ErrorKind::BadRecord);
+  std::remove(Mutant.c_str());
+}
+
+TEST_F(TraceFuzz, FooterClaimingTooManyEventsIsTypedError) {
+  // A footer with a valid CRC that claims 2^44 events. The O(1) footer
+  // read accepts it; the stream check must reject it as FooterMismatch,
+  // and CachedTrace must not fail earlier by reserving 2^44 events.
+  const std::vector<std::uint8_t> &P = *Pristine;
+  constexpr std::size_t TrailerSize = 4 + sizeof(trace::EndMagic);
+  std::size_t At = P.size() - TrailerSize;
+  std::uint32_t BlockSize = static_cast<std::uint32_t>(P[At]) |
+                            static_cast<std::uint32_t>(P[At + 1]) << 8 |
+                            static_cast<std::uint32_t>(P[At + 2]) << 16 |
+                            static_cast<std::uint32_t>(P[At + 3]) << 24;
+  std::size_t FooterStart = At - BlockSize;
+  auto WithFooter = [&](const trace::TraceFooter &F) {
+    std::vector<std::uint8_t> Payload;
+    trace::encodeFooter(Payload, F);
+    std::vector<std::uint8_t> B(P.begin(),
+                                P.begin() +
+                                    static_cast<std::ptrdiff_t>(FooterStart));
+    auto PutU32 = [&](std::size_t V) {
+      for (unsigned Shift = 0; Shift < 32; Shift += 8)
+        B.push_back(static_cast<std::uint8_t>(V >> Shift));
+    };
+    B.push_back(trace::FooterTag);
+    PutU32(Payload.size());
+    PutU32(trace::crc32(Payload.data(), Payload.size()));
+    B.insert(B.end(), Payload.begin(), Payload.end());
+    PutU32(B.size() - FooterStart);
+    B.insert(B.end(), std::begin(trace::EndMagic), std::end(trace::EndMagic));
+    return B;
+  };
+  trace::TraceFooter F = trace::Reader(*Path).footer();
+  ASSERT_TRUE(WithFooter(F) == P) << "the footer forgery is not faithful";
+
+  std::string Mutant = tmpPath("footer-events");
+  F.TotalEvents = std::uint64_t(1) << 44;
+  writeFile(Mutant, WithFooter(F));
+  EXPECT_EQ(trace::Reader(Mutant).footer().TotalEvents, F.TotalEvents);
+  std::optional<trace::ErrorKind> Err = strictRead(Mutant);
+  ASSERT_TRUE(Err.has_value());
+  EXPECT_EQ(*Err, trace::ErrorKind::FooterMismatch);
+  try {
+    trace::CachedTrace T(Mutant);
+    FAIL() << "a trace whose footer claims 2^44 events loaded";
+  } catch (const trace::Error &E) {
+    EXPECT_EQ(E.kind(), trace::ErrorKind::FooterMismatch);
+  }
   std::remove(Mutant.c_str());
 }

@@ -16,12 +16,15 @@
 #include "sweep/Conformance.h"
 #include "trace/Dump.h"
 #include "trace/Replay.h"
+#include "trace/Writer.h"
 #include "tracer/Selector.h"
 #include "workloads/Workload.h"
 
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <cstdio>
+#include <fstream>
 #include <iterator>
 #include <vector>
 
@@ -175,7 +178,99 @@ const PinnedRun PinnedRuns[] = {
     {"mp3", "opt", 719584, 702342, 83194066026441, 0xf2b3ea7e199130b6, 3, 1, 3},
 };
 
+std::vector<std::uint8_t> readFile(const std::string &Path) {
+  std::ifstream In(Path, std::ios::binary);
+  return std::vector<std::uint8_t>((std::istreambuf_iterator<char>(In)),
+                                   std::istreambuf_iterator<char>());
+}
+
+std::vector<trace::Event> eventsOf(const trace::CachedTrace &T) {
+  std::vector<trace::Event> Out;
+  T.forEach([&](const trace::Event &E) { Out.push_back(E); });
+  return Out;
+}
+
+/// Every event kind at every edge of CachedTrace's packed record: the
+/// 32-bit activation and 44-bit cycle limits on both sides, the widest
+/// register, address and loop id, and the extreme PCs. Cycles never
+/// decrease, so the stream is also a valid .jtrace event stream when the
+/// header's loop table covers \p LoopId.
+std::vector<trace::Event> extremeEvents(std::uint32_t LoopId) {
+  using K = trace::EventKind;
+  const std::uint64_t Cycles[] = {0,       1,        (1ull << 44) - 1,
+                                  1ull << 44, 1ull << 63, ~0ull};
+  const std::uint64_t Acts[] = {0,          (1ull << 32) - 1, 1ull << 32,
+                                1ull << 63, ~0ull};
+  const std::int32_t Pcs[] = {-1, INT32_MIN, INT32_MAX, 0};
+  std::vector<trace::Event> Out;
+  std::size_t I = 0;
+  for (std::uint64_t Cycle : Cycles) {
+    for (std::uint64_t Act : Acts) {
+      std::int32_t Pc = Pcs[I++ % std::size(Pcs)];
+      std::uint16_t Reg = I % 2 ? 0xFFFF : 0;
+      Out.push_back({.Kind = K::HeapLoad, .Cycle = Cycle,
+                     .Addr = 0xFFFFFFFF, .Pc = Pc});
+      Out.push_back({.Kind = K::HeapStore, .Cycle = Cycle, .Pc = Pc});
+      Out.push_back({.Kind = K::LocalLoad, .Cycle = Cycle,
+                     .Activation = Act, .Reg = Reg, .Pc = Pc});
+      Out.push_back({.Kind = K::LocalStore, .Cycle = Cycle,
+                     .Activation = Act, .Reg = 0xFFFF, .Pc = Pc});
+      Out.push_back({.Kind = K::LoopStart, .Cycle = Cycle,
+                     .Activation = Act, .LoopId = LoopId});
+      Out.push_back({.Kind = K::LoopIter, .Cycle = Cycle, .LoopId = LoopId});
+      Out.push_back({.Kind = K::LoopEnd, .Cycle = Cycle, .LoopId = LoopId});
+      Out.push_back({.Kind = K::Return, .Activation = Act});
+      Out.push_back({.Kind = K::CallSite, .Cycle = Cycle, .Pc = Pc});
+      Out.push_back({.Kind = K::CallReturn, .Cycle = Cycle});
+      Out.push_back({.Kind = K::ReadStats, .Cycle = Cycle, .LoopId = LoopId});
+    }
+  }
+  return Out;
+}
+
 } // namespace
+
+TEST(CachedTrace, PackingKeepsExtremeEventsExactly) {
+  // In memory: the largest loop id, plus fields a kind does not carry set
+  // away from their defaults, which only the escape path can keep.
+  std::vector<trace::Event> Events = extremeEvents(UINT32_MAX);
+  Events.push_back({.Kind = trace::EventKind::HeapLoad, .Activation = 3,
+                    .LoopId = 9});
+  Events.push_back({.Kind = trace::EventKind::CallReturn, .Pc = 12});
+  Events.push_back({.Kind = trace::EventKind::Return, .Cycle = 5});
+  trace::CachedTrace Memory{trace::TraceHeader{}};
+  for (const trace::Event &E : Events)
+    Memory.append(E);
+  EXPECT_TRUE(eventsOf(Memory) == Events);
+  EXPECT_EQ(Memory.footer().TotalEvents, Events.size());
+  // Narrow events take one 16-byte record; escaped ones add an Event.
+  EXPECT_GT(Memory.eventBytes(), 16 * Events.size());
+  EXPECT_LT(Memory.eventBytes(), sizeof(trace::Event) * Events.size());
+
+  // Through a .jtrace file and back.
+  constexpr std::uint32_t LoopId = 4095;
+  Events = extremeEvents(LoopId);
+  trace::TraceHeader H;
+  H.LoopLocals.resize(LoopId + 1);
+  trace::CachedTrace Captured(H);
+  for (const trace::Event &E : Events)
+    Captured.append(E);
+  trace::RunInfo Run{.Cycles = ~0ull, .Instructions = 1ull << 44,
+                     .ReturnValue = 1ull << 63};
+  Captured.finish(Run);
+  TempTrace Tmp("extreme");
+  {
+    trace::Writer W(Tmp.path(), Captured.header());
+    Captured.forEach([&](const trace::Event &E) { W.append(E); });
+    W.finish(Captured.footer().Run);
+  }
+  trace::CachedTrace Loaded(Tmp.path());
+  EXPECT_TRUE(eventsOf(Loaded) == Events);
+  EXPECT_EQ(Loaded.footer().TotalEvents, Events.size());
+  EXPECT_EQ(Loaded.footer().LastCycle, ~0ull);
+  EXPECT_TRUE(Loaded.footer().Run == Run);
+  EXPECT_EQ(Loaded.eventBytes(), Captured.eventBytes());
+}
 
 TEST(TraceReplay, SelectionBitIdenticalOnAllWorkloads) {
   const std::vector<workloads::Workload> &All = workloads::allWorkloads();
@@ -310,6 +405,37 @@ TEST(TraceReplay, MemoryAndFileCapturesAgree) {
             << D->ReplayMismatches.front();
       }
     }
+  }
+}
+
+TEST(TraceReplay, MemoryCaptureReencodesByteIdenticalOnAllWorkloads) {
+  // The in-memory capture runDifferential replays, written out through
+  // Writer, must be the very file a direct RecordTracePath capture
+  // writes: the packed records lose nothing on a real event stream.
+  for (const workloads::Workload &W : workloads::allWorkloads()) {
+    SCOPED_TRACE(W.Name);
+    TempTrace Direct(W.Name + "-direct"), Rewritten(W.Name + "-rewritten");
+    pipeline::PipelineConfig Cfg =
+        captureConfig(W, jit::AnnotationLevel::Optimized, Direct.path());
+    pipeline::Jrpm(W.Build(), Cfg).profileAndSelect();
+
+    Cfg.RecordTracePath.clear();
+    pipeline::Jrpm J(W.Build(), Cfg);
+    pipeline::Jrpm::RecordedProfile Memory = J.profileInMemory();
+    const trace::CachedTrace &T = Memory.Trace;
+    ASSERT_GT(T.footer().TotalEvents, 0u);
+    // No real event needs the escape path.
+    EXPECT_EQ(T.eventBytes(), 16 * T.footer().TotalEvents);
+    {
+      trace::Writer Wr(Rewritten.path(), T.header());
+      T.forEach([&](const trace::Event &E) { Wr.append(E); });
+      Wr.finish(T.footer().Run);
+    }
+    std::vector<std::uint8_t> A = readFile(Direct.path());
+    std::vector<std::uint8_t> B = readFile(Rewritten.path());
+    ASSERT_FALSE(A.empty());
+    EXPECT_TRUE(A == B) << A.size() << " direct bytes, " << B.size()
+                        << " re-encoded bytes";
   }
 }
 
