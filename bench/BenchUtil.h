@@ -40,7 +40,7 @@ inline std::string fmt(double V, int Decimals = 2) {
   return formatString("%.*f", Decimals, V);
 }
 
-/// Wall-clock stopwatch for the record-once/replay-many comparisons.
+/// Wall-clock stopwatch.
 class Stopwatch {
 public:
   double ms() const {
@@ -61,55 +61,20 @@ inline std::string benchTracePath(const std::string &Tag) {
          ".jtrace";
 }
 
-/// Wall-clock of a job list executed by sweep::parallelFor.
-struct PoolRun {
-  double Ms = 0;
-  unsigned Threads = 1;
-};
-
 /// Re-runs \p Jobs through sweep::parallelFor at hardware width. Jobs must
 /// be idempotent and write their results into preassigned slots, so a
 /// pooled re-execution reproduces the serial pass byte-for-byte regardless
 /// of scheduling order.
-inline PoolRun runOnPool(const std::vector<std::function<void()>> &Jobs) {
-  PoolRun P;
-  P.Threads = sweep::parallelWidth(Jobs.size(), 0);
-  Stopwatch S;
+inline void runOnPool(const std::vector<std::function<void()>> &Jobs) {
   sweep::parallelFor(Jobs.size(), 0,
                      [&Jobs](std::size_t I, unsigned) { Jobs[I](); });
-  P.Ms = S.ms();
-  return P;
 }
 
-/// Prints the measured serial-vs-pooled wall-clock reduction for the same
-/// job list (the acceptance metric for the sweep engine: >= 3x on a 4-core
-/// runner; on fewer cores the reduction degrades proportionally).
-inline void printPoolReduction(const char *What, std::size_t Jobs,
-                               double SerialMs, const PoolRun &P,
-                               bool SlotsIdentical) {
-  std::printf("\nparallelFor, %zu %s jobs:\n"
-              "  serial execution                             %8.1f ms\n"
-              "  pooled execution (%u worker threads)         %8.1f ms\n"
-              "  wall-clock reduction: %.2fx; pooled results %s\n",
-              Jobs, What, SerialMs, P.Threads, P.Ms, SerialMs / P.Ms,
-              SlotsIdentical ? "identical to serial"
-                             : "DIFFER FROM SERIAL");
-}
-
-/// Prints the measured cost of a configuration sweep under the old
-/// methodology (one live pipeline execution per configuration) against the
-/// trace-driven one (one recorded capture, N replayed analyses), both
-/// measured by this very bench run.
-inline void printSweepRatio(const char *Baseline, int Configs, double LiveMs,
-                            double RecordMs, double AnalyzeMs) {
-  double NewMs = RecordMs + AnalyzeMs;
-  std::printf("\nrecord-once/replay-many, %d-configuration sweep:\n"
-              "  %-44s %8.1f ms\n"
-              "  1 record + %d trace-driven analyses          %8.1f ms "
-              "(record %.1f, analyze %.1f)\n"
-              "  wall-clock reduction: %.2fx\n",
-              Configs, Baseline, LiveMs, Configs, NewMs, RecordMs, AnalyzeMs,
-              LiveMs / NewMs);
+/// Prints whether the pooled pass reproduced the serial one.
+inline void printPoolVerdict(const char *What, std::size_t Jobs,
+                             bool SlotsIdentical) {
+  std::printf("\nparallelFor, %zu %s jobs: pooled results %s\n", Jobs, What,
+              SlotsIdentical ? "identical to serial" : "DIFFER FROM SERIAL");
 }
 
 } // namespace benchutil

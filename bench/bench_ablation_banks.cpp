@@ -5,23 +5,18 @@
 // This ablation sweeps the bank count and reports how much of the analysis
 // survives: traced entries, selected STLs, and the predicted speedup.
 //
-// Trace-driven: each workload is interpreted once into a .jtrace capture;
-// every bank configuration is then a replayed analysis over the in-memory
-// event stream (trace::CachedTrace), not a fresh interpretation. The old
-// methodology (one annotated interpretation per configuration) is also run,
-// timed, and reported for comparison.
+// Trace-driven: each workload is interpreted once into an in-memory capture
+// (trace::CachedTrace); every bank configuration is then a replayed
+// analysis over that event stream, not a fresh interpretation.
 //
-// Pooled: each workload's whole unit (live baseline sweep + record +
-// replayed analyses) is one job. The job list runs serially first, then
-// through sweep::parallelFor; both passes fill the same preassigned row
-// slots and must agree exactly.
+// Pooled: each workload's unit (record + replayed analyses) is one job. The
+// job list runs serially first, then through sweep::parallelFor; both
+// passes fill the same preassigned row slots and must agree exactly.
 //
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
 #include "trace/Replay.h"
-
-#include <mutex>
 
 using namespace jrpm;
 using namespace jrpm::benchutil;
@@ -32,8 +27,6 @@ int main() {
   const std::uint32_t BankCounts[] = {1, 2, 4, 8};
   const char *Names[] = {"Assignment", "jess", "decJpeg", "mp3"};
 
-  std::mutex PhaseM;
-  double LiveMs = 0, RecordMs = 0, AnalyzeMs = 0;
   // Rows[workload][config], filled by the jobs; the table is rendered after
   // the passes so pooled scheduling order cannot reorder the output.
   std::vector<std::vector<std::vector<std::string>>> Rows(
@@ -46,34 +39,12 @@ int main() {
       const char *Name = Names[Wi];
       const workloads::Workload *W = workloads::findWorkload(Name);
 
-      // Old methodology, timed as the baseline: re-interpret per config.
-      for (std::uint32_t Banks : BankCounts) {
-        pipeline::PipelineConfig Cfg;
-        Cfg.Hw.ComparatorBanks = Banks;
-        Cfg.DisableLoopAfterThreads = Banks < 8 ? 2000 : 0;
-        Stopwatch S;
-        pipeline::Jrpm J(W->Build(), Cfg);
-        J.profileAndSelect();
-        std::lock_guard<std::mutex> L(PhaseM);
-        LiveMs += S.ms();
-      }
-
-      // Record once under the reference configuration...
-      std::string Path = benchTracePath(std::string("banks-") + Name);
-      {
-        Stopwatch S;
-        pipeline::PipelineConfig Cfg;
-        Cfg.WorkloadName = Name;
-        Cfg.RecordTracePath = Path;
-        pipeline::Jrpm J(W->Build(), Cfg);
-        J.profileAndSelect();
-        std::lock_guard<std::mutex> L(PhaseM);
-        RecordMs += S.ms();
-      }
-
-      // ...then feed every bank count from the same decoded event stream.
-      Stopwatch Analyze;
-      trace::CachedTrace Trace(Path);
+      // Record once under the reference configuration, then feed every
+      // bank count from the same event stream.
+      pipeline::PipelineConfig RecCfg;
+      RecCfg.WorkloadName = Name;
+      trace::CachedTrace Trace =
+          pipeline::Jrpm(W->Build(), RecCfg).profileInMemory().Trace;
       for (std::size_t Ci = 0; Ci < std::size(BankCounts); ++Ci) {
         std::uint32_t Banks = BankCounts[Ci];
         trace::ReplayConfig Cfg = trace::recordedConfig(Trace.header());
@@ -91,22 +62,13 @@ int main() {
                         formatString("%zu", P.Selection.SelectedLoops.size()),
                         fmt(P.Selection.PredictedSpeedup)};
       }
-      {
-        std::lock_guard<std::mutex> L(PhaseM);
-        AnalyzeMs += Analyze.ms();
-      }
-      std::remove(Path.c_str());
     });
   }
 
-  Stopwatch Serial;
   for (const std::function<void()> &J : Jobs)
     J();
-  double SerialMs = Serial.ms();
-  double LiveSnap = LiveMs, RecordSnap = RecordMs, AnalyzeSnap = AnalyzeMs;
   std::vector<std::vector<std::vector<std::string>>> SerialRows = Rows;
-
-  PoolRun P = runOnPool(Jobs);
+  runOnPool(Jobs);
 
   TextTable T;
   T.setHeader({"Benchmark", "banks", "peak", "untraced entries", "selected",
@@ -121,9 +83,7 @@ int main() {
               "paper: 'eight comparator banks are sufficient to analyze\n"
               "most of the benchmark programs'); starving the array loses\n"
               "inner decompositions unless dynamic disabling frees banks.\n");
-  printSweepRatio("4 annotated interpretations (one per config)", 4,
-                  LiveSnap, RecordSnap, AnalyzeSnap);
-  printPoolReduction("per-workload record+replay", Jobs.size(), SerialMs, P,
-                     Rows == SerialRows);
+  printPoolVerdict("per-workload record+replay", Jobs.size(),
+                   Rows == SerialRows);
   return Rows == SerialRows ? 0 : 1;
 }

@@ -5,23 +5,17 @@
 // violations. This ablation runs the speculative engine under both
 // granularities (results must stay bit-identical; only performance moves).
 //
-// Trace-driven: the violation grain only affects the speculative (TLS)
-// engine — profiling and STL selection are grain-independent — so the
-// profiling phase is recorded once and its selection replayed once from
-// the trace, shared by both grains. Only the speculative runs themselves
-// stay live. The original methodology (full pipeline per grain) is run and
-// timed as the baseline.
+// The violation grain only affects the speculative (TLS) engine —
+// profiling and STL selection are grain-independent — so one profiled
+// selection is shared by both grains' speculative runs.
 //
-// Pooled: each workload's unit (live baseline, record+replay, two live
+// Pooled: each workload's unit (plain run, profile + select, two
 // speculative runs) is one job; the list runs serially and then through
 // sweep::parallelFor into the same preassigned slots.
 //
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
-#include "trace/Replay.h"
-
-#include <mutex>
 
 using namespace jrpm;
 using namespace jrpm::benchutil;
@@ -31,8 +25,6 @@ int main() {
               "Hydra design choice (Section 3.1)");
   const char *Names[] = {"moldyn", "BitOps", "shallow", "decJpeg", "Huffman"};
 
-  std::mutex PhaseM;
-  double LiveMs = 0, RecordMs = 0, AnalyzeMs = 0, SpecMs = 0;
   std::vector<std::vector<std::vector<std::string>>> Rows(
       std::size(Names), std::vector<std::vector<std::string>>(2));
   std::vector<char> Matched(std::size(Names), 0);
@@ -43,58 +35,16 @@ int main() {
       const char *Name = Names[Wi];
       const workloads::Workload *W = workloads::findWorkload(Name);
 
-      // Old methodology, timed as the baseline: plain + annotated profiling
-      // + speculative execution per grain.
-      for (auto Grain : {sim::ViolationGranularity::Word,
-                         sim::ViolationGranularity::Line}) {
-        pipeline::PipelineConfig Cfg;
-        Cfg.Hw.ViolationGrain = Grain;
-        Stopwatch S;
-        pipeline::Jrpm J(W->Build(), Cfg);
-        J.runAll();
-        std::lock_guard<std::mutex> L(PhaseM);
-        LiveMs += S.ms();
-      }
-
-      // Profile once, recorded; the selection is replayed from the trace
-      // and shared by both grains.
-      std::string Path = benchTracePath(std::string("grain-") + Name);
-      {
-        Stopwatch S;
-        pipeline::PipelineConfig Cfg;
-        Cfg.WorkloadName = Name;
-        Cfg.RecordTracePath = Path;
-        pipeline::Jrpm J(W->Build(), Cfg);
-        J.profileAndSelect();
-        std::lock_guard<std::mutex> L(PhaseM);
-        RecordMs += S.ms();
-      }
-      Stopwatch Analyze;
-      trace::Reader R(Path);
-      trace::ReplayOutcome Profile = trace::selectFromTrace(R);
-      {
-        std::lock_guard<std::mutex> L(PhaseM);
-        AnalyzeMs += Analyze.ms();
-      }
-      std::remove(Path.c_str());
-
-      // Only the speculative runs depend on the grain; they stay live, on
-      // one program under each grain's engine configuration.
       bool AllMatch = true;
       pipeline::Jrpm J(W->Build(), pipeline::PipelineConfig{});
       interp::RunResult Plain = J.runPlain();
+      tracer::SelectionResult Selection = J.profileAndSelect().Selection;
       int Gi = 0;
       for (auto Grain : {sim::ViolationGranularity::Word,
                          sim::ViolationGranularity::Line}) {
         sim::HydraConfig Hw;
         Hw.ViolationGrain = Grain;
-        Stopwatch S;
-        pipeline::Jrpm::TlsOutcome Tls =
-            J.runSpeculative(Profile.Selection, Hw);
-        {
-          std::lock_guard<std::mutex> L(PhaseM);
-          SpecMs += S.ms();
-        }
+        pipeline::Jrpm::TlsOutcome Tls = J.runSpeculative(Selection, Hw);
         bool Match = Tls.Run.ReturnValue == Plain.ReturnValue;
         AllMatch &= Match;
         std::uint64_t Violations = 0, Restarts = 0;
@@ -117,15 +67,10 @@ int main() {
     });
   }
 
-  Stopwatch Serial;
   for (const std::function<void()> &J : Jobs)
     J();
-  double SerialMs = Serial.ms();
-  double LiveSnap = LiveMs, RecordSnap = RecordMs, AnalyzeSnap = AnalyzeMs,
-         SpecSnap = SpecMs;
   std::vector<std::vector<std::vector<std::string>>> SerialRows = Rows;
-
-  PoolRun P = runOnPool(Jobs);
+  runOnPool(Jobs);
 
   TextTable T;
   T.setHeader({"Benchmark", "grain", "violations", "restarts",
@@ -143,17 +88,7 @@ int main() {
   std::printf("\nLine-granular detection adds false sharing violations on\n"
               "loops whose neighbouring iterations touch adjacent words;\n"
               "correctness is unaffected (TLS restarts hide everything).\n");
-  double NewMs = RecordSnap + AnalyzeSnap + SpecSnap;
-  std::printf("\nrecord-once/replay-many, 2-configuration sweep:\n"
-              "  2 full pipeline runs (one per grain)         %8.1f ms\n"
-              "  1 recorded profile + 1 replayed selection\n"
-              "  + 2 live speculative runs                    %8.1f ms "
-              "(record %.1f, analyze %.1f, spec %.1f)\n"
-              "  wall-clock reduction: %.2fx (the speculative engine must\n"
-              "  still run under each grain; only profiling is amortized)\n",
-              LiveSnap, NewMs, RecordSnap, AnalyzeSnap, SpecSnap,
-              LiveSnap / NewMs);
-  printPoolReduction("per-workload grain-comparison", Jobs.size(), SerialMs,
-                     P, Rows == SerialRows);
+  printPoolVerdict("per-workload grain-comparison", Jobs.size(),
+                   Rows == SerialRows);
   return Rows == SerialRows ? 0 : 1;
 }

@@ -7,23 +7,18 @@
 // estimates.
 //
 // Trace-driven: the FIFO depth only affects the tracer's dependence
-// detection, never the interpreted execution, so one recorded run feeds
-// all four depths as replayed analyses (trace::CachedTrace). The original
-// methodology — a full pipeline run (plain + annotated + speculative
-// execution) per depth, which also produced an actual-speedup column — is
-// run and timed as the baseline; the replayed table reports the analysis
-// columns only.
+// detection, never the interpreted execution, so one run recorded in
+// memory (trace::CachedTrace) feeds all four depths as replayed analyses.
+// The table reports the analysis columns only.
 //
-// Pooled: each workload's unit (live baseline + record + replays) is one
-// job, run serially and then through sweep::parallelFor into the same
-// preassigned row slots; the passes must agree exactly.
+// Pooled: each workload's unit (record + replays) is one job, run serially
+// and then through sweep::parallelFor into the same preassigned row slots;
+// the passes must agree exactly.
 //
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
 #include "trace/Replay.h"
-
-#include <mutex>
 
 using namespace jrpm;
 using namespace jrpm::benchutil;
@@ -34,8 +29,6 @@ int main() {
   const std::uint32_t Depths[] = {8, 48, 192, 768};
   const char *Names[] = {"Huffman", "compress", "MipsSimulator"};
 
-  std::mutex PhaseM;
-  double LiveMs = 0, RecordMs = 0, AnalyzeMs = 0;
   std::vector<std::vector<std::vector<std::string>>> Rows(
       std::size(Names),
       std::vector<std::vector<std::string>>(std::size(Depths)));
@@ -46,32 +39,11 @@ int main() {
       const char *Name = Names[Wi];
       const workloads::Workload *W = workloads::findWorkload(Name);
 
-      // Old methodology, timed as the baseline: the full five-step pipeline
-      // per configuration (this is what produced the actual-speedup column).
-      for (std::uint32_t Depth : Depths) {
-        pipeline::PipelineConfig Cfg;
-        Cfg.Hw.HeapTimestampFifoLines = Depth;
-        Stopwatch S;
-        pipeline::Jrpm J(W->Build(), Cfg);
-        J.runAll();
-        std::lock_guard<std::mutex> L(PhaseM);
-        LiveMs += S.ms();
-      }
-
       // Record once, then replay the analysis once per FIFO depth.
-      std::string Path = benchTracePath(std::string("history-") + Name);
-      {
-        Stopwatch S;
-        pipeline::PipelineConfig Cfg;
-        Cfg.WorkloadName = Name;
-        Cfg.RecordTracePath = Path;
-        pipeline::Jrpm J(W->Build(), Cfg);
-        J.profileAndSelect();
-        std::lock_guard<std::mutex> L(PhaseM);
-        RecordMs += S.ms();
-      }
-      Stopwatch Analyze;
-      trace::CachedTrace Trace(Path);
+      pipeline::PipelineConfig RecCfg;
+      RecCfg.WorkloadName = Name;
+      trace::CachedTrace Trace =
+          pipeline::Jrpm(W->Build(), RecCfg).profileInMemory().Trace;
       for (std::size_t Di = 0; Di < std::size(Depths); ++Di) {
         std::uint32_t Depth = Depths[Di];
         trace::ReplayConfig Cfg = trace::recordedConfig(Trace.header());
@@ -91,22 +63,13 @@ int main() {
                                          ArcsEarlier)),
                         fmt(R.Selection.PredictedSpeedup)};
       }
-      {
-        std::lock_guard<std::mutex> L(PhaseM);
-        AnalyzeMs += Analyze.ms();
-      }
-      std::remove(Path.c_str());
     });
   }
 
-  Stopwatch Serial;
   for (const std::function<void()> &J : Jobs)
     J();
-  double SerialMs = Serial.ms();
-  double LiveSnap = LiveMs, RecordSnap = RecordMs, AnalyzeSnap = AnalyzeMs;
   std::vector<std::vector<std::vector<std::string>>> SerialRows = Rows;
-
-  PoolRun P = runOnPool(Jobs);
+  runOnPool(Jobs);
 
   TextTable T;
   T.setHeader({"Benchmark", "history lines", "arcs(t-1)", "arcs(<t-1)",
@@ -122,9 +85,7 @@ int main() {
               "visibility changes little, matching Section 6.2's\n"
               "observation that available parallelism is determined by\n"
               "recent, not distant, threads.\n");
-  printSweepRatio("4 full pipeline runs (one per config)", 4, LiveSnap,
-                  RecordSnap, AnalyzeSnap);
-  printPoolReduction("per-workload record+replay", Jobs.size(), SerialMs, P,
-                     Rows == SerialRows);
+  printPoolVerdict("per-workload record+replay", Jobs.size(),
+                   Rows == SerialRows);
   return Rows == SerialRows ? 0 : 1;
 }

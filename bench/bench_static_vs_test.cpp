@@ -215,13 +215,10 @@ int main() {
     Jobs.push_back(
         [&, Wi]() { Stats[Wi] = compare(All[Wi].Build(), /*Profiled=*/true); });
 
-  Stopwatch Serial;
   for (const std::function<void()> &J : Jobs)
     J();
-  double SerialMs = Serial.ms();
   std::vector<ProgramStats> SerialStats = Stats;
-
-  PoolRun P = runOnPool(Jobs);
+  runOnPool(Jobs);
   bool SlotsIdentical = true;
   for (std::size_t Wi = 0; Wi < All.size(); ++Wi)
     SlotsIdentical &=
@@ -403,8 +400,7 @@ int main() {
                   .c_str(),
               Total.DynNotSelected);
 
-  printPoolReduction("per-program conformance", Jobs.size(), SerialMs, P,
-                     SlotsIdentical);
+  printPoolVerdict("per-program conformance", Jobs.size(), SlotsIdentical);
 
   bool ZeroFalse =
       Total.Pre.FalseRejections == 0 && Total.Orc.FalseRejections == 0;

@@ -19,7 +19,8 @@
 #ifndef JRPM_HYDRA_SPECTAGS_H
 #define JRPM_HYDRA_SPECTAGS_H
 
-#include <bit>
+#include "support/FlatTable.h"
+
 #include <cassert>
 #include <cstdint>
 #include <vector>
@@ -33,30 +34,23 @@ public:
   static constexpr std::uint32_t MaxCores = 32;
 
   struct Entry {
-    std::uint32_t Key = 0;
+    using Key = std::uint32_t;
+    std::uint32_t Addr = 0;    ///< word address or line index
     std::uint32_t Read = 0;    ///< cores holding a read bit
     std::uint32_t Written = 0; ///< cores holding a written bit
     std::uint32_t Values = 0;  ///< value block, while Written != 0
-    bool live() const { return (Read | Written) != 0; }
+    Key key() const { return Addr; }
+    static std::uint64_t hash(Key K) { return K; }
+    bool occupied() const { return (Read | Written) != 0; }
   };
 
   /// \p ValueCores > 0 keeps one value word per core for every written
   /// entry (the word table's store-buffer data); 0 keeps tags only.
   explicit SpecTagTable(std::uint32_t ValueCores = 0)
-      : ValueCores(ValueCores) {
-    rehash(InitialCapacity);
-  }
+      : ValueCores(ValueCores), Tags(InitialEntries) {}
 
   /// The entry for \p Key, or null when no core holds a bit on it.
-  Entry *find(std::uint32_t Key) {
-    for (std::uint32_t I = home(Key);; I = (I + 1) & Mask) {
-      Entry &E = Slots[I];
-      if (!E.live())
-        return nullptr;
-      if (E.Key == Key)
-        return &E;
-    }
-  }
+  Entry *find(std::uint32_t Key) { return Tags.find(Key); }
 
   /// The entry for \p Key, inserted untagged when absent. The caller must
   /// set a bit on it (or write() it) before the next insert or clear: an
@@ -69,16 +63,7 @@ public:
 
   /// insert() of a \p Key that find() just reported absent: one probe, not
   /// two. (Not asserted: the check would be the probe this saves.)
-  Entry &insertAbsent(std::uint32_t Key) {
-    if ((Count + 1) * 2 > Slots.size())
-      rehash(static_cast<std::uint32_t>(Slots.size() * 2));
-    ++Count;
-    std::uint32_t I = home(Key);
-    while (Slots[I].live())
-      I = (I + 1) & Mask;
-    Slots[I].Key = Key;
-    return Slots[I];
-  }
+  Entry &insertAbsent(std::uint32_t Key) { return Tags.insertAbsent({Key}); }
 
   /// Sets \p Core's written bit on \p E and returns its value word (word
   /// table only).
@@ -118,56 +103,19 @@ public:
     E.Written &= ~WrittenBits;
     if (HadValues && !E.Written)
       FreeBlocks.push_back(E.Values);
-    if (!E.live())
-      erase(static_cast<std::uint32_t>(&E - Slots.data()));
+    if (!E.occupied())
+      Tags.erase(E);
   }
 
-  std::uint32_t size() const { return Count; }
+  std::uint32_t size() const {
+    return static_cast<std::uint32_t>(Tags.size());
+  }
 
 private:
-  static constexpr std::uint32_t InitialCapacity = 256;
-
-  std::uint32_t home(std::uint32_t Key) const {
-    return (Key * 0x9E3779B1u) >> Shift; // Fibonacci hashing
-  }
-
-  /// Backward-shift deletion: later entries of the probe run move into the
-  /// hole unless that would put them before their home slot, so lookups
-  /// never need tombstones.
-  void erase(std::uint32_t Hole) {
-    --Count;
-    for (std::uint32_t J = (Hole + 1) & Mask; Slots[J].live();
-         J = (J + 1) & Mask) {
-      std::uint32_t FromHome = (J - home(Slots[J].Key)) & Mask;
-      std::uint32_t FromHole = (J - Hole) & Mask;
-      if (FromHome < FromHole)
-        continue; // J's home lies after the hole: it must stay
-      Slots[Hole] = Slots[J];
-      Hole = J;
-    }
-    Slots[Hole] = Entry();
-  }
-
-  void rehash(std::uint32_t Capacity) {
-    std::vector<Entry> Old = std::move(Slots);
-    Slots.assign(Capacity, Entry());
-    Mask = Capacity - 1;
-    Shift = 32 - static_cast<std::uint32_t>(std::countr_zero(Capacity));
-    for (const Entry &E : Old) {
-      if (!E.live())
-        continue;
-      std::uint32_t I = home(E.Key);
-      while (Slots[I].live())
-        I = (I + 1) & Mask;
-      Slots[I] = E;
-    }
-  }
+  static constexpr std::uint32_t InitialEntries = 128;
 
   std::uint32_t ValueCores;
-  std::vector<Entry> Slots; ///< power-of-two capacity, at most half full
-  std::uint32_t Count = 0;
-  std::uint32_t Mask = 0;
-  std::uint32_t Shift = 0;
+  FlatTable<Entry> Tags;
   /// Value blocks of ValueCores words, one per written entry, recycled
   /// through FreeBlocks.
   std::vector<std::uint64_t> Pool;

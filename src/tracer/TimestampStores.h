@@ -11,7 +11,7 @@
 // per-event path. The heap history keeps its FIFO *implicitly*: line
 // entries are (re)assigned in strict rotation order, so the entry assigned
 // longest ago is always the next eviction victim, and the only auxiliary
-// structure is a small open-addressed line->entry index.
+// structure is a small line->entry FlatTable.
 //
 //===----------------------------------------------------------------------===//
 
@@ -20,6 +20,7 @@
 
 #include "sim/Config.h"
 #include "support/FastDivMod.h"
+#include "support/FlatTable.h"
 
 #include <algorithm>
 #include <cassert>
@@ -39,32 +40,34 @@ inline constexpr std::uint64_t NoTimestamp = 0;
 ///
 /// Layout: per-line word timestamps live in one contiguous array, one
 /// stride of WordsPerLine per entry; the FIFO is the rotation order of
-/// entry slots; an
-/// open-addressed hash index (power-of-two, linear probing, backward-shift
-/// deletion, load factor <= 1/2) maps a line number to its slot.
+/// entry slots; a FlatTable maps a line number to its entry slot.
 class HeapStoreTimestamps {
 public:
+  /// One line -> entry mapping of the index.
+  struct LineSlot {
+    using Key = std::uint32_t;
+    static constexpr std::uint32_t NoEntry = ~std::uint32_t(0);
+    std::uint32_t Line = 0;
+    std::uint32_t Entry = NoEntry;
+    Key key() const { return Line; }
+    static std::uint64_t hash(Key K) { return K; }
+    bool occupied() const { return Entry != NoEntry; }
+  };
+
   HeapStoreTimestamps(std::uint32_t CapacityLines, std::uint32_t WordsPerLine)
       : Capacity(std::max<std::uint32_t>(CapacityLines, 1)),
-        WordsPerLine(WordsPerLine), Split(WordsPerLine),
+        WordsPerLine(WordsPerLine), Split(WordsPerLine), Index(Capacity),
         Lines(Capacity, 0),
         WordTs(static_cast<std::size_t>(Capacity) * WordsPerLine,
-               NoTimestamp) {
-    std::uint32_t IndexSize = 8;
-    while (IndexSize < 2 * Capacity)
-      IndexSize *= 2;
-    Index.assign(IndexSize, EmptySlot);
-    Mask = IndexSize - 1;
-  }
+               NoTimestamp) {}
 
   /// Records that word \p Addr was stored at \p Cycle. The hit path (line
   /// already tracked) is a probe and one store, small enough to inline into
   /// the per-event sweeps; the insert/evict path is outlined.
   void recordStore(std::uint32_t Addr, std::uint64_t Cycle) {
     std::uint32_t Line = Split.div(Addr);
-    std::uint32_t E = findEntry(Line);
-    if (E == EmptySlot)
-      E = insertLine(Line);
+    const LineSlot *S = Index.find(Line);
+    std::uint32_t E = S ? S->Entry : insertLine(Line);
     WordTs[static_cast<std::size_t>(E) * WordsPerLine + Split.mod(Addr)] =
         Cycle;
   }
@@ -72,15 +75,15 @@ public:
   /// Returns the last store timestamp recorded for word \p Addr, or
   /// NoTimestamp when the history has no record.
   std::uint64_t lookup(std::uint32_t Addr) const {
-    std::uint32_t E = findEntry(Split.div(Addr));
-    if (E == EmptySlot)
+    const LineSlot *S = Index.find(Split.div(Addr));
+    if (!S)
       return NoTimestamp;
-    return WordTs[static_cast<std::size_t>(E) * WordsPerLine +
+    return WordTs[static_cast<std::size_t>(S->Entry) * WordsPerLine +
                   Split.mod(Addr)];
   }
 
   void clear() {
-    std::fill(Index.begin(), Index.end(), EmptySlot);
+    Index.clear();
     Live = 0;
     NextSlot = 0;
   }
@@ -92,31 +95,13 @@ public:
   std::uint32_t peakOccupancy() const { return Peak; }
 
 private:
-  static constexpr std::uint32_t EmptySlot = ~std::uint32_t(0);
-
-  std::uint32_t hashSlot(std::uint32_t Line) const {
-    return static_cast<std::uint32_t>(
-               (Line * 0x9E3779B97F4A7C15ull) >> 32) &
-           Mask;
-  }
-
-  std::uint32_t findEntry(std::uint32_t Line) const {
-    for (std::uint32_t I = hashSlot(Line);; I = (I + 1) & Mask) {
-      std::uint32_t E = Index[I];
-      if (E == EmptySlot)
-        return EmptySlot;
-      if (Lines[E] == Line)
-        return E;
-    }
-  }
-
   /// Assigns the next FIFO entry slot to \p Line (evicting the slot's
   /// previous line once the history is full) and returns the slot.
   std::uint32_t insertLine(std::uint32_t Line) {
     std::uint32_t E = NextSlot;
     NextSlot = NextSlot + 1 == Capacity ? 0 : NextSlot + 1;
     if (Live == Capacity) {
-      eraseIndex(Lines[E]);
+      Index.erase(Lines[E]);
       ++Evictions;
     } else {
       ++Live;
@@ -125,52 +110,20 @@ private:
     Lines[E] = Line;
     std::uint64_t *W = &WordTs[static_cast<std::size_t>(E) * WordsPerLine];
     std::fill(W, W + WordsPerLine, NoTimestamp);
-    insertIndex(Line, E);
+    Index.insertAbsent({Line, E});
     return E;
-  }
-
-  void insertIndex(std::uint32_t Line, std::uint32_t Entry) {
-    std::uint32_t I = hashSlot(Line);
-    while (Index[I] != EmptySlot)
-      I = (I + 1) & Mask;
-    Index[I] = Entry;
-  }
-
-  void eraseIndex(std::uint32_t Line) {
-    std::uint32_t I = hashSlot(Line);
-    while (Index[I] == EmptySlot || Lines[Index[I]] != Line)
-      I = (I + 1) & Mask;
-    // Backward-shift deletion keeps probe chains gap-free.
-    std::uint32_t J = I;
-    for (;;) {
-      Index[I] = EmptySlot;
-      for (;;) {
-        J = (J + 1) & Mask;
-        if (Index[J] == EmptySlot)
-          return;
-        std::uint32_t Home = hashSlot(Lines[Index[J]]);
-        // Move J's occupant into the hole unless its home lies in the
-        // (cyclic) interval (I, J] — then the hole does not break its
-        // probe chain.
-        if (J > I ? (Home <= I || Home > J) : (Home <= I && Home > J))
-          break;
-      }
-      Index[I] = Index[J];
-      I = J;
-    }
   }
 
   std::uint32_t Capacity;
   std::uint32_t WordsPerLine;
   FastDivMod Split;
-  std::uint32_t Mask = 0;
   std::uint32_t NextSlot = 0; ///< next FIFO slot to assign (oldest entry)
   std::uint32_t Live = 0;     ///< entries currently tracked
   std::uint32_t Peak = 0;
   std::uint64_t Evictions = 0;
+  FlatTable<LineSlot> Index;         ///< line -> entry slot
   std::vector<std::uint32_t> Lines;  ///< line number per entry slot
   std::vector<std::uint64_t> WordTs; ///< WordsPerLine stamps per entry slot
-  std::vector<std::uint32_t> Index;  ///< open-addressed line -> entry slot
 };
 
 /// Direct-mapped table of cache-line timestamps used by the speculative
@@ -323,90 +276,26 @@ private:
   std::uint32_t Top = 0;
 };
 
-/// Flat open-addressed index of the live (activation, register)
-/// reservations: each maps to its slot in the LocalVarTimestampFile. At
-/// most one active bank reserves a given pair — TraceEngine::onLoopStart
-/// skips registers already covered by an enclosing reservation of the same
-/// activation — so the index resolves a local-variable event to its owning
-/// slot in O(1) instead of walking the bank stack per event. Sized at
-/// twice the slot-file capacity the probe sequences stay short; erase uses
-/// backward-shift deletion, so churny reservation stacks leave no
-/// tombstones behind.
-class LocalSlotIndex {
-public:
-  explicit LocalSlotIndex(std::uint32_t SlotCapacity) {
-    std::uint32_t Size = 8;
-    while (Size < 2 * SlotCapacity)
-      Size *= 2;
-    Entries.assign(Size, Entry{});
-    Mask = Size - 1;
-  }
-
-  /// Adds the reservation (\p Activation, \p Reg) -> \p Slot. The pair
-  /// must not be present (reservation uniqueness).
-  void insert(std::uint64_t Activation, std::uint16_t Reg,
-              std::uint32_t Slot) {
-    std::uint32_t I = hashSlot(Activation, Reg);
-    while (Entries[I].Slot != Empty)
-      I = (I + 1) & Mask;
-    Entries[I].Activation = Activation;
-    Entries[I].Reg = Reg;
-    Entries[I].Slot = Slot;
-  }
-
-  /// The slot owning (\p Activation, \p Reg), or -1 when no live
-  /// reservation covers the pair.
-  std::int32_t find(std::uint64_t Activation, std::uint16_t Reg) const {
-    for (std::uint32_t I = hashSlot(Activation, Reg);; I = (I + 1) & Mask) {
-      const Entry &E = Entries[I];
-      if (E.Slot == Empty)
-        return -1;
-      if (E.Activation == Activation && E.Reg == Reg)
-        return static_cast<std::int32_t>(E.Slot);
-    }
-  }
-
-  /// Removes the reservation (\p Activation, \p Reg); no-op when absent.
-  void erase(std::uint64_t Activation, std::uint16_t Reg) {
-    std::uint32_t I = hashSlot(Activation, Reg);
-    for (;; I = (I + 1) & Mask) {
-      if (Entries[I].Slot == Empty)
-        return;
-      if (Entries[I].Activation == Activation && Entries[I].Reg == Reg)
-        break;
-    }
-    // Backward-shift deletion: pull every displaced follower into the
-    // hole so probe chains stay contiguous without tombstones.
-    std::uint32_t Hole = I;
-    for (std::uint32_t J = (Hole + 1) & Mask; Entries[J].Slot != Empty;
-         J = (J + 1) & Mask) {
-      std::uint32_t Home = hashSlot(Entries[J].Activation, Entries[J].Reg);
-      if (((J - Home) & Mask) >= ((J - Hole) & Mask)) {
-        Entries[Hole] = Entries[J];
-        Hole = J;
-      }
-    }
-    Entries[Hole].Slot = Empty;
-  }
-
-private:
-  static constexpr std::uint32_t Empty = ~std::uint32_t(0);
-
-  struct Entry {
+/// One (activation, register) -> slot mapping of TraceEngine's index of
+/// live local-variable reservations. At most one active bank reserves a
+/// given pair — TraceEngine::onLoopStart skips registers already covered by
+/// an enclosing reservation of the same activation — so a local-variable
+/// event resolves to its owning slot in one probe.
+struct LocalSlot {
+  struct Key {
     std::uint64_t Activation = 0;
-    std::uint32_t Slot = Empty;
     std::uint16_t Reg = 0;
+    bool operator==(const Key &) const = default;
   };
-
-  std::uint32_t hashSlot(std::uint64_t Activation, std::uint16_t Reg) const {
-    std::uint64_t Mixed =
-        (Activation ^ (static_cast<std::uint64_t>(Reg) << 17)) *
-        0x9E3779B97F4A7C15ull;
-    return static_cast<std::uint32_t>(Mixed >> 32) & Mask;
+  static constexpr std::uint32_t NoSlot = ~std::uint32_t(0);
+  std::uint64_t Activation = 0;
+  std::uint32_t Slot = NoSlot;
+  std::uint16_t Reg = 0;
+  Key key() const { return {Activation, Reg}; }
+  static std::uint64_t hash(const Key &K) {
+    return K.Activation ^ (static_cast<std::uint64_t>(K.Reg) << 17);
   }
-
-  std::vector<Entry> Entries;
-  std::uint32_t Mask = 0;
+  bool occupied() const { return Slot != NoSlot; }
 };
 
 } // namespace tracer

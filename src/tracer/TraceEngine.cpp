@@ -193,9 +193,8 @@ std::uint32_t TraceEngine::onLocalLoad(std::uint64_t Activation,
   LastEventTime = Cycle;
   // Resolve (activation, register) to the owning reservation — unique
   // among the live banks, so the flat index answers in one probe.
-  const std::int32_t Slot = SlotIndex.find(Activation, Reg);
-  if (Slot >= 0)
-    checkLoadArc(LocalTs.read(static_cast<std::uint32_t>(Slot)), Cycle, Pc);
+  if (const LocalSlot *S = SlotIndex.find({Activation, Reg}))
+    checkLoadArc(LocalTs.read(S->Slot), Cycle, Pc);
   return 0;
 }
 
@@ -205,9 +204,8 @@ std::uint32_t TraceEngine::onLocalStore(std::uint64_t Activation,
   (void)Pc;
   ++Events.LocalStores;
   LastEventTime = Cycle;
-  const std::int32_t Slot = SlotIndex.find(Activation, Reg);
-  if (Slot >= 0)
-    LocalTs.write(static_cast<std::uint32_t>(Slot), Cycle);
+  if (const LocalSlot *S = SlotIndex.find({Activation, Reg}))
+    LocalTs.write(S->Slot, Cycle);
   return 0;
 }
 
@@ -236,7 +234,7 @@ std::uint32_t TraceEngine::onLoopStart(std::uint32_t LoopId,
     // absent from the slot index.
     ScratchLocals.clear();
     for (std::uint16_t Reg : Loops[LoopId].AnnotatedLocals)
-      if (SlotIndex.find(Activation, Reg) < 0)
+      if (!SlotIndex.find({Activation, Reg}))
         ScratchLocals.push_back(Reg);
     int Base =
         LocalTs.reserve(static_cast<std::uint32_t>(ScratchLocals.size()));
@@ -248,8 +246,9 @@ std::uint32_t TraceEngine::onLoopStart(std::uint32_t LoopId,
       RegStack.insert(RegStack.end(), ScratchLocals.begin(),
                       ScratchLocals.end());
       for (std::uint32_t K = 0; K < Bank.SlotCount; ++K)
-        SlotIndex.insert(Activation, ScratchLocals[K],
-                         static_cast<std::uint32_t>(Base) + K);
+        SlotIndex.insertAbsent({.Activation = Activation,
+                                .Slot = static_cast<std::uint32_t>(Base) + K,
+                                .Reg = ScratchLocals[K]});
       assert(RegStack.size() == LocalTs.used() &&
              "register stack out of sync with the slot file");
       PeakSlots = std::max(PeakSlots, LocalTs.used());
@@ -369,7 +368,7 @@ void TraceEngine::closeBank(BankFrame &Bank, std::uint64_t Cycle) {
                         Bank.SlotCount) == SlotReleaseResult::Ok) {
       const std::uint32_t Base = static_cast<std::uint32_t>(Bank.SlotBase);
       for (std::uint32_t K = 0; K < Bank.SlotCount; ++K)
-        SlotIndex.erase(Bank.Activation, RegStack[Base + K]);
+        SlotIndex.erase({Bank.Activation, RegStack[Base + K]});
       RegStack.resize(static_cast<std::size_t>(Bank.SlotBase));
     } else {
       ++SlotReleaseErrors; // slot file and index untouched, RegStack too

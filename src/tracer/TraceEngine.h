@@ -228,7 +228,7 @@ private:
   /// mirrors the live reservations in RegStack exactly (insert on
   /// reservation, erase on release), so local-variable events skip the
   /// bank-stack walk entirely.
-  LocalSlotIndex SlotIndex;
+  FlatTable<LocalSlot> SlotIndex;
 
   std::vector<BankFrame> Active; // stack, bottom = outermost
   TracedBanks Traced;            // SoA state of the traced subsequence

@@ -4,6 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <map>
+#include <random>
+#include <vector>
+
 using namespace jrpm;
 using namespace jrpm::tracer;
 
@@ -113,6 +119,57 @@ TEST(HeapStoreTimestamps, CountsEvictionsAndPeakOccupancy) {
   EXPECT_EQ(H.evictions(), 1u);
   EXPECT_EQ(H.peakOccupancy(), 2u);
   EXPECT_EQ(H.lookup(8), NoTimestamp);
+}
+
+TEST(HeapStoreTimestamps, MatchesFifoReferenceUnderRandomTraffic) {
+  // A plain FIFO of whole lines: a store to an untracked line appends it
+  // and, once Capacity lines are held, drops the oldest. Rewrites do not
+  // refresh a line's place. Every eviction erases from the line index.
+  for (std::uint32_t Capacity = 2; Capacity <= 8; ++Capacity) {
+    const std::uint32_t Words = 3;
+    HeapStoreTimestamps H(Capacity, Words);
+    std::deque<std::uint32_t> Fifo;
+    std::map<std::uint32_t, std::vector<std::uint64_t>> Stamps;
+    std::uint64_t Evictions = 0;
+    std::uint32_t Peak = 0;
+    std::mt19937 Rng(Capacity);
+    const std::uint32_t Addrs = 3 * Capacity * Words;
+    for (std::uint64_t Cycle = 1; Cycle <= 6000; ++Cycle) {
+      std::uint32_t Addr = Rng() % Addrs;
+      if (Rng() % 2) {
+        H.recordStore(Addr, Cycle);
+        std::uint32_t Line = Addr / Words;
+        auto It = Stamps.find(Line);
+        if (It == Stamps.end()) {
+          if (Fifo.size() == Capacity) {
+            Stamps.erase(Fifo.front());
+            Fifo.pop_front();
+            ++Evictions;
+          }
+          Fifo.push_back(Line);
+          It = Stamps.emplace(Line, std::vector<std::uint64_t>(
+                                        Words, NoTimestamp))
+                   .first;
+          Peak = std::max(Peak, static_cast<std::uint32_t>(Fifo.size()));
+        }
+        It->second[Addr % Words] = Cycle;
+      } else if (Rng() % 500 == 0) {
+        H.clear();
+        Fifo.clear();
+        Stamps.clear();
+      }
+      for (std::uint32_t A = 0; A < Addrs; ++A) {
+        auto It = Stamps.find(A / Words);
+        std::uint64_t Want =
+            It == Stamps.end() ? NoTimestamp : It->second[A % Words];
+        ASSERT_EQ(H.lookup(A), Want)
+            << "capacity " << Capacity << " cycle " << Cycle << " addr " << A;
+      }
+      ASSERT_EQ(H.evictions(), Evictions) << "capacity " << Capacity;
+      ASSERT_EQ(H.peakOccupancy(), Peak) << "capacity " << Capacity;
+    }
+    EXPECT_GT(Evictions, 1000u);
+  }
 }
 
 TEST(CacheLineTimestamps, CountsEvictionsAndPeakOccupancy) {
