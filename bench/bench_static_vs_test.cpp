@@ -72,10 +72,11 @@ struct ProgramStats {
 };
 
 /// Scores one static mode's rejections against the dynamic selection.
-ModeStats scoreMode(const ir::Module &M, const analysis::AnalysisOptions &Opts,
+ModeStats scoreMode(const analysis::ModuleAnalysis &Base,
+                    const analysis::AnalysisOptions &Opts,
                     const std::set<std::uint32_t> &Selected) {
   ModeStats S;
-  analysis::ModuleAnalysis MA(M, Opts);
+  analysis::ModuleAnalysis MA(Base, Opts);
   for (const analysis::CandidateStl &C : MA.candidates()) {
     if (!C.rejectedAsSerial())
       continue;
@@ -110,11 +111,11 @@ ProgramStats compare(const ir::Module &M, bool Profiled) {
 
   analysis::AnalysisOptions PreOpts;
   PreOpts.StaticPrefilter = true;
-  S.Pre = scoreMode(M, PreOpts, Selected);
+  S.Pre = scoreMode(JOff.moduleAnalysis(), PreOpts, Selected);
 
   analysis::AnalysisOptions OrcOpts;
   OrcOpts.AffineOracle = true;
-  S.Orc = scoreMode(M, OrcOpts, Selected);
+  S.Orc = scoreMode(JOff.moduleAnalysis(), OrcOpts, Selected);
 
   if (Profiled) {
     pipeline::PipelineConfig On;

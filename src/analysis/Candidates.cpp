@@ -91,13 +91,23 @@ ModuleAnalysis::ModuleAnalysis(const ir::Module &Mod,
     : M(Mod) {
   Funcs.reserve(M.Functions.size());
   for (const ir::Function &F : M.Functions)
-    Funcs.push_back(std::make_unique<FunctionAnalysis>(F));
+    Funcs.push_back(std::make_shared<const FunctionAnalysis>(F));
 
   // Per-function memory-effect summaries subsume the old transitive
   // allocates-bit: call screening reads the Allocates flag, the oracle
   // also wants the read/write facts.
-  Effects = computeMemEffects(M);
+  Effects = std::make_shared<const std::vector<FuncMemEffects>>(
+      computeMemEffects(M));
+  screen(Opts);
+}
 
+ModuleAnalysis::ModuleAnalysis(const ModuleAnalysis &Base,
+                               const AnalysisOptions &Opts)
+    : M(Base.M), Funcs(Base.Funcs), Effects(Base.Effects) {
+  screen(Opts);
+}
+
+void ModuleAnalysis::screen(const AnalysisOptions &Opts) {
   for (std::uint32_t FI = 0; FI < M.Functions.size(); ++FI) {
     const ir::Function &F = M.Functions[FI];
     const FunctionAnalysis &FA = *Funcs[FI];
@@ -127,7 +137,7 @@ ModuleAnalysis::ModuleAnalysis(const ir::Module &Mod,
             C.Kind = RejectKind::AllocatesHeap;
             C.RejectReason = "loop body allocates heap memory";
           } else if (I.Op == ir::Opcode::Call &&
-                     Effects[static_cast<std::uint32_t>(I.Imm)].Allocates) {
+                     (*Effects)[static_cast<std::uint32_t>(I.Imm)].Allocates) {
             C.Rejected = true;
             C.Kind = RejectKind::CallsAllocator;
             C.RejectReason = "loop body calls an allocating function";
@@ -171,7 +181,7 @@ ModuleAnalysis::ModuleAnalysis(const ir::Module &Mod,
       // the conformance harness); only provably-serial verdicts reject.
       if (Opts.AffineOracle) {
         LoopOracleResult R =
-            runStaticOracle(F, L, Scalars, FA.MemDep->aliases(), Effects,
+            runStaticOracle(F, L, Scalars, FA.MemDep->aliases(), *Effects,
                             Opts.SerialArcBudget);
         if (R.Verdict == OracleVerdict::ProvablySerial && !C.Rejected) {
           C.Rejected = true;

@@ -119,6 +119,10 @@ class ModuleAnalysis {
 public:
   explicit ModuleAnalysis(const ir::Module &M,
                           const AnalysisOptions &Opts = {});
+  /// Screens \p Base's module again under \p Opts. Equal to a fresh
+  /// ModuleAnalysis(M, Opts), but shares Base's option-independent
+  /// per-function analyses and memory effects instead of recomputing them.
+  ModuleAnalysis(const ModuleAnalysis &Base, const AnalysisOptions &Opts);
 
   const FunctionAnalysis &func(std::uint32_t F) const { return *Funcs[F]; }
   const std::vector<CandidateStl> &candidates() const { return Candidates; }
@@ -149,10 +153,13 @@ public:
   std::uint32_t maxStaticLoopDepth() const;
 
 private:
+  /// Builds the candidate list (and oracle verdicts) under \p Opts.
+  void screen(const AnalysisOptions &Opts);
+
   const ir::Module &M;
-  std::vector<std::unique_ptr<FunctionAnalysis>> Funcs;
+  std::vector<std::shared_ptr<const FunctionAnalysis>> Funcs;
+  std::shared_ptr<const std::vector<FuncMemEffects>> Effects;
   std::vector<CandidateStl> Candidates;
-  std::vector<FuncMemEffects> Effects;
   /// Parallel to Candidates when the oracle ran; empty otherwise.
   std::vector<LoopOracleResult> OracleResults;
 };

@@ -114,7 +114,7 @@ OracleOutcome corpus::runOracles(const Template &T, const Variant &V,
   Modes[1].Name = "affine-oracle";
   Modes[1].Opts.AffineOracle = true;
   for (const Mode &Md : Modes) {
-    analysis::ModuleAnalysis SMA(V.Module, Md.Opts);
+    analysis::ModuleAnalysis SMA(J.moduleAnalysis(), Md.Opts);
     for (const analysis::CandidateStl &C : SMA.candidates()) {
       if (!C.rejectedAsSerial())
         continue;

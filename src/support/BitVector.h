@@ -52,6 +52,18 @@ public:
     return Changed;
   }
 
+  /// this &= Other. Returns true if any bit changed.
+  bool intersectWith(const BitVector &Other) {
+    assert(NumBits == Other.NumBits && "size mismatch");
+    bool Changed = false;
+    for (std::size_t I = 0; I < Words.size(); ++I) {
+      std::uint64_t Old = Words[I];
+      Words[I] &= Other.Words[I];
+      Changed |= Words[I] != Old;
+    }
+    return Changed;
+  }
+
   /// this &= ~Other.
   void subtract(const BitVector &Other) {
     assert(NumBits == Other.NumBits && "size mismatch");

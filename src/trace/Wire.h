@@ -31,9 +31,9 @@ struct DeltaState {
 /// varints. Used to size the stack staging buffer in encodeEvent.
 inline constexpr std::size_t MaxEventWireBytes = 1 + 4 * 10;
 
-/// Appends the wire form of \p E to \p Out. Inline and staged through a
-/// stack buffer: the encoder runs on every event of every recorded run, so
-/// it must cost nanoseconds, not a vector bounds check per byte.
+/// Appends the wire form of \p E to \p Out via a stack buffer, with no
+/// vector bounds check per byte. `inline` only lets the header hold the
+/// definition: GCC keeps it, decodeEvent and parseVarint out of line.
 inline void encodeEvent(std::vector<std::uint8_t> &Out, const Event &E,
                         DeltaState &D) {
   std::uint8_t Tmp[MaxEventWireBytes];
@@ -89,7 +89,7 @@ inline void encodeEvent(std::vector<std::uint8_t> &Out, const Event &E,
 }
 
 /// Decodes one event from [*P, End). Throws Error on malformed input;
-/// advances \p P past the event. Inline for the same reason as encodeEvent.
+/// advances \p P past the event. Out of line, like encodeEvent.
 inline Event decodeEvent(const std::uint8_t *&P, const std::uint8_t *End,
                          DeltaState &D) {
   if (P == End)

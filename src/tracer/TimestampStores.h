@@ -151,10 +151,11 @@ public:
   }
 
   /// Looks up the line containing \p Addr, returns its previous timestamp
-  /// (NoTimestamp on tag mismatch), and records \p Cycle for it. The
-  /// dominant direct-mapped configuration is small enough to inline into
-  /// the per-event sweeps; wider geometries take the outlined way scan.
-  std::uint64_t exchange(std::uint32_t Addr, std::uint64_t Cycle) {
+  /// (NoTimestamp on tag mismatch), and records \p Cycle for it. Forced
+  /// inline into the per-event sweeps, which otherwise call an out-of-line
+  /// copy; wider geometries than direct-mapped take the outlined way scan.
+  [[gnu::always_inline]] std::uint64_t exchange(std::uint32_t Addr,
+                                                std::uint64_t Cycle) {
     std::uint32_t Line = WordSplit.div(Addr);
     std::uint32_t Set = SetSplit.mod(Line);
     std::uint64_t Key = static_cast<std::uint64_t>(Line) + 1;
@@ -185,8 +186,8 @@ public:
   std::uint32_t peakOccupancy() const { return std::max(Peak, Live); }
 
 private:
-  std::uint64_t exchangeSetAssoc(std::uint32_t Set, std::uint64_t Key,
-                                 std::uint64_t Cycle) {
+  [[gnu::noinline]] std::uint64_t
+  exchangeSetAssoc(std::uint32_t Set, std::uint64_t Key, std::uint64_t Cycle) {
     std::uint32_t Base = Set * Assoc;
     // Hit: refresh in place.
     for (std::uint32_t W = 0; W < Assoc; ++W) {
