@@ -14,32 +14,9 @@ DominatorTree::DominatorTree(const ir::Function &F) {
   Depth.assign(N, 0);
   Reachable.assign(N, false);
 
-  // Depth-first search from the entry to compute postorder.
-  std::vector<std::uint32_t> PostOrder;
-  PostOrder.reserve(N);
-  std::vector<std::uint32_t> Stack = {0};
-  std::vector<std::uint8_t> State(N, 0); // 0 unvisited, 1 open, 2 done
-  std::vector<std::uint32_t> Succs;
-  while (!Stack.empty()) {
-    std::uint32_t B = Stack.back();
-    if (State[B] == 0) {
-      State[B] = 1;
-      Reachable[B] = true;
-      Succs.clear();
-      F.Blocks[B].appendSuccessors(Succs);
-      for (std::uint32_t S : Succs)
-        if (State[S] == 0)
-          Stack.push_back(S);
-    } else {
-      Stack.pop_back();
-      if (State[B] == 1) {
-        State[B] = 2;
-        PostOrder.push_back(B);
-      }
-    }
-  }
-
-  std::vector<std::uint32_t> Rpo(PostOrder.rbegin(), PostOrder.rend());
+  std::vector<std::uint32_t> Rpo = F.reversePostOrder();
+  for (std::uint32_t B : Rpo)
+    Reachable[B] = true;
   std::vector<std::uint32_t> RpoIndex(N, 0);
   for (std::uint32_t I = 0; I < Rpo.size(); ++I)
     RpoIndex[Rpo[I]] = I;
