@@ -25,8 +25,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
-#include "RandomProgram.h"
 #include "analysis/Candidates.h"
+#include "corpus/Generator.h"
 #include "corpus/Variant.h"
 #include "frontend/Ast.h"
 #include "frontend/Lower.h"
@@ -265,7 +265,7 @@ int main() {
   std::vector<std::function<void()>> RandJobs;
   for (std::size_t Seed = 0; Seed < NumRandom; ++Seed)
     RandJobs.push_back([&RandStats, Seed]() {
-      testutil::ProgramGenerator Gen(0xC0FFEE00 + Seed);
+      corpus::ProgramGenerator Gen(0xC0FFEE00 + Seed);
       RandStats[Seed] = compare(Gen.generate(), /*Profiled=*/false);
     });
   runOnPool(RandJobs);

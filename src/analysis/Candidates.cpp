@@ -2,7 +2,7 @@
 
 #include "analysis/Candidates.h"
 
-#include "analysis/RegUse.h"
+#include "ir/RegUse.h"
 
 #include <algorithm>
 #include <set>
@@ -15,7 +15,7 @@ FunctionAnalysis::FunctionAnalysis(const ir::Function &F)
   LoopScalars.reserve(LI.loops().size());
   for (const Loop &L : LI.loops())
     LoopScalars.push_back(analyzeLoopScalars(F, L, DT, LV));
-  MemDep = std::make_unique<MemDepAnalysis>(F, DT, LI, LoopScalars);
+  MemDep = std::make_unique<MemDepAnalysis>(F, LI, LoopScalars);
 }
 
 const char *analysis::rejectKindName(RejectKind Kind) {
@@ -53,10 +53,10 @@ bool analysis::rejectKindFromName(const std::string &Name, RejectKind &Out) {
 static bool usedBeforeDef(const ir::BasicBlock &Block, std::uint16_t Reg) {
   for (const ir::Instruction &I : Block.Instructions) {
     bool Used = false;
-    forEachUsedReg(I, [&](std::uint16_t R) { Used |= R == Reg; });
+    ir::forEachUsedReg(I, [&](std::uint16_t R) { Used |= R == Reg; });
     if (Used)
       return true;
-    if (definedReg(I) == Reg)
+    if (ir::definedReg(I) == Reg)
       return false;
   }
   return false;
@@ -71,7 +71,7 @@ static bool isObviousSerializer(const ir::Function &F, const Loop &L,
   bool DefInLatch = false;
   for (std::uint32_t Latch : L.Latches)
     for (const ir::Instruction &I : F.Blocks[Latch].Instructions)
-      if (definedReg(I) == Reg)
+      if (ir::definedReg(I) == Reg)
         DefInLatch = true;
   if (!DefInLatch)
     return false;
@@ -181,8 +181,8 @@ void ModuleAnalysis::screen(const AnalysisOptions &Opts) {
       // the conformance harness); only provably-serial verdicts reject.
       if (Opts.AffineOracle) {
         LoopOracleResult R =
-            runStaticOracle(F, L, Scalars, FA.MemDep->aliases(), *Effects,
-                            Opts.SerialArcBudget);
+            runStaticOracle(F, L, FA.DT, Scalars, FA.MemDep->aliases(),
+                            *Effects, Opts.SerialArcBudget);
         if (R.Verdict == OracleVerdict::ProvablySerial && !C.Rejected) {
           C.Rejected = true;
           C.Kind = R.Test == DepTestKind::Ziv ? RejectKind::AffineSerialZiv

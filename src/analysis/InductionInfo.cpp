@@ -2,12 +2,17 @@
 
 #include "analysis/InductionInfo.h"
 
-#include "analysis/RegUse.h"
+#include "ir/RegUse.h"
 
 #include <algorithm>
 
 using namespace jrpm;
 using namespace jrpm::analysis;
+
+bool InductionInfo::isInvariant(std::uint16_t Reg) const {
+  return Reg == ir::NoReg ||
+         std::binary_search(Invariants.begin(), Invariants.end(), Reg);
+}
 
 namespace {
 
@@ -31,8 +36,8 @@ InductionInfo analysis::analyzeLoopScalars(const ir::Function &F,
     const ir::BasicBlock &BB = F.Blocks[B];
     for (std::uint32_t Idx = 0; Idx < BB.Instructions.size(); ++Idx) {
       const ir::Instruction &I = BB.Instructions[Idx];
-      forEachUsedReg(I, [&](std::uint16_t R) { ++UseCount[R]; });
-      std::uint16_t D = definedReg(I);
+      ir::forEachUsedReg(I, [&](std::uint16_t R) { ++UseCount[R]; });
+      std::uint16_t D = ir::definedReg(I);
       if (D != ir::NoReg)
         Defs[D].push_back({B, Idx});
     }
@@ -50,17 +55,20 @@ InductionInfo analysis::analyzeLoopScalars(const ir::Function &F,
     const std::vector<DefSite> &RegDefs = DefIt->second;
     std::uint16_t Reg = static_cast<std::uint16_t>(R);
 
-    // Basic inductor: single def `AddImm r, r, c` whose block executes once
-    // per iteration (dominates every latch).
+    // Basic inductor: single def `AddImm r, r, c` whose block executes
+    // exactly once per iteration: at least once because it dominates every
+    // latch, at most once because no path inside one iteration leads from
+    // it back to itself (an inner loop's block runs k times per iteration).
     if (RegDefs.size() == 1) {
+      const DefSite &Site = RegDefs[0];
       const ir::Instruction &DefI =
-          F.Blocks[RegDefs[0].Block].Instructions[RegDefs[0].Index];
+          F.Blocks[Site.Block].Instructions[Site.Index];
       bool DominatesLatches = true;
       for (std::uint32_t Latch : L.Latches)
-        DominatesLatches &= DT.dominates(RegDefs[0].Block, Latch);
-      if (DefI.Op == ir::Opcode::AddImm && DefI.A == Reg &&
-          DominatesLatches) {
-        Info.Inductors[Reg] = DefI.Imm;
+        DominatesLatches &= DT.dominates(Site.Block, Latch);
+      if (DefI.Op == ir::Opcode::AddImm && DefI.A == Reg && DominatesLatches &&
+          !L.reachesInIteration(F, Site.Block, Site.Block)) {
+        Info.Inductors[Reg] = {DefI.Imm, Site.Block, Site.Index};
         continue;
       }
       // Sum reduction: single def `r = r (+|-) x` (or `x + r`) and the only
@@ -73,8 +81,9 @@ InductionInfo analysis::analyzeLoopScalars(const ir::Function &F,
           (DefI.A == Reg || (DefI.Op == ir::Opcode::FAdd && DefI.B == Reg));
       bool IsAddImmSelf = DefI.Op == ir::Opcode::AddImm && DefI.A == Reg;
       if ((IsIntSum || IsFloatSum || IsAddImmSelf) && UseCount[Reg] == 1) {
-        // An AddImm on itself that does not dominate the latches is a
-        // conditionally-executed counter; treat it as an integer sum
+        // An AddImm on itself that is no inductor (it does not dominate the
+        // latches, or sits on an inner cycle) is a counter that runs a
+        // varying number of times per iteration; treat it as an integer sum
         // reduction (privatizable with a final combine).
         Info.Reductions[Reg] =
             IsFloatSum ? ReductionKind::SumFloat : ReductionKind::SumInt;

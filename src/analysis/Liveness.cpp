@@ -2,7 +2,7 @@
 
 #include "analysis/Liveness.h"
 
-#include "analysis/RegUse.h"
+#include "ir/RegUse.h"
 
 using namespace jrpm;
 using namespace jrpm::analysis;
@@ -17,11 +17,11 @@ Liveness::Liveness(const ir::Function &F) {
   std::vector<BitVector> Def(N, BitVector(Regs));
   for (std::uint32_t B = 0; B < N; ++B) {
     for (const ir::Instruction &I : F.Blocks[B].Instructions) {
-      forEachUsedReg(I, [&](std::uint16_t R) {
+      ir::forEachUsedReg(I, [&](std::uint16_t R) {
         if (!Def[B].test(R))
           Use[B].set(R);
       });
-      std::uint16_t D = definedReg(I);
+      std::uint16_t D = ir::definedReg(I);
       if (D != ir::NoReg)
         Def[B].set(D);
     }

@@ -13,6 +13,24 @@ bool Loop::contains(std::uint32_t Block) const {
   return std::binary_search(Blocks.begin(), Blocks.end(), Block);
 }
 
+bool Loop::reachesInIteration(const ir::Function &F, std::uint32_t From,
+                              std::uint32_t To) const {
+  std::vector<bool> Seen(F.numBlocks(), false);
+  std::vector<std::uint32_t> Work;
+  F.Blocks[From].appendSuccessors(Work);
+  while (!Work.empty()) {
+    std::uint32_t B = Work.back();
+    Work.pop_back();
+    if (B == Header || !contains(B) || Seen[B])
+      continue;
+    if (B == To)
+      return true;
+    Seen[B] = true;
+    F.Blocks[B].appendSuccessors(Work);
+  }
+  return false;
+}
+
 LoopInfo::LoopInfo(const ir::Function &F, const DominatorTree &DT) {
   std::uint32_t N = F.numBlocks();
   auto Preds = F.computePredecessors();

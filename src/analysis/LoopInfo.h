@@ -34,6 +34,13 @@ struct Loop {
   std::uint32_t Depth = 1;
 
   bool contains(std::uint32_t Block) const;
+
+  /// True when \p To can run after \p From within one iteration: a path of
+  /// in-loop edges leads from a successor of \p From to \p To without
+  /// re-entering the header. With \p To == \p From, true when \p From lies
+  /// on a cycle inside one iteration (an inner loop, reducible or not).
+  bool reachesInIteration(const ir::Function &F, std::uint32_t From,
+                          std::uint32_t To) const;
 };
 
 /// The loop forest of one function.

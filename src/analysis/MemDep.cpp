@@ -6,8 +6,6 @@
 #include "ir/RegUse.h"
 
 #include <algorithm>
-#include <deque>
-#include <map>
 #include <utility>
 
 using namespace jrpm;
@@ -164,26 +162,17 @@ enum class PairVerdict { Independent, Carried, May };
 
 } // namespace
 
-MemDepAnalysis::MemDepAnalysis(const ir::Function &F, const DominatorTree &DT,
-                               const LoopInfo &LI,
+MemDepAnalysis::MemDepAnalysis(const ir::Function &F, const LoopInfo &LI,
                                const std::vector<InductionInfo> &Scalars)
     : AC(F) {
   Deps.resize(LI.loops().size());
   for (std::uint32_t L = 0; L < LI.loops().size(); ++L)
-    analyzeLoop(F, DT, LI.loops()[L], Scalars[L], Deps[L]);
+    analyzeLoop(F, LI.loops()[L], Scalars[L], Deps[L]);
 }
 
-void MemDepAnalysis::analyzeLoop(const ir::Function &F,
-                                 const DominatorTree &DT, const Loop &L,
+void MemDepAnalysis::analyzeLoop(const ir::Function &F, const Loop &L,
                                  const InductionInfo &Scalars,
                                  LoopMemDep &Out) {
-  auto IsInvariant = [&](std::uint16_t Reg) {
-    if (Reg == ir::NoReg)
-      return true;
-    return std::find(Scalars.Invariants.begin(), Scalars.Invariants.end(),
-                     Reg) != Scalars.Invariants.end();
-  };
-
   std::vector<MemAccess> Accesses;
   for (std::uint32_t B : L.Blocks) {
     const auto &Instrs = F.Blocks[B].Instructions;
@@ -210,49 +199,12 @@ void MemDepAnalysis::analyzeLoop(const ir::Function &F,
     }
   }
 
-  // Locate the single update site of each basic inductor so same-offset
-  // accesses on the same side of it can be proven iteration-local.
-  std::map<std::uint16_t, std::pair<std::uint32_t, std::uint32_t>> UpdateAt;
-  for (std::uint32_t B : L.Blocks) {
-    const auto &Instrs = F.Blocks[B].Instructions;
-    for (std::uint32_t I = 0; I < Instrs.size(); ++I) {
-      const ir::Instruction &Ins = Instrs[I];
-      if (Ins.Op == ir::Opcode::AddImm && Ins.Dst == Ins.A &&
-          Scalars.Inductors.count(Ins.Dst))
-        UpdateAt[Ins.Dst] = {B, I};
-    }
-  }
-
-  // Intra-iteration reachability from a point, never crossing the header:
-  // tells whether an access can execute after the inductor update within
-  // the same iteration.
-  auto MayRunAfter = [&](std::pair<std::uint32_t, std::uint32_t> Update,
-                         const MemAccess &A) {
-    auto [UB, UI] = Update;
-    if (A.Block == UB)
-      return A.Index > UI;
-    std::vector<bool> Seen(F.numBlocks(), false);
-    std::deque<std::uint32_t> Work;
-    std::vector<std::uint32_t> Succs;
-    F.Blocks[UB].appendSuccessors(Succs);
-    for (std::uint32_t S : Succs)
-      if (L.contains(S) && S != L.Header)
-        Work.push_back(S);
-    while (!Work.empty()) {
-      std::uint32_t B = Work.front();
-      Work.pop_front();
-      if (Seen[B])
-        continue;
-      Seen[B] = true;
-      if (B == A.Block)
-        return true;
-      Succs.clear();
-      F.Blocks[B].appendSuccessors(Succs);
-      for (std::uint32_t S : Succs)
-        if (L.contains(S) && S != L.Header && !Seen[S])
-          Work.push_back(S);
-    }
-    return false;
+  // Whether an access can execute after the inductor update within the
+  // same iteration, where the register already holds the next value.
+  auto MayRunAfter = [&](const BasicInductor &Update, const MemAccess &A) {
+    if (A.Block == Update.Block)
+      return A.Index > Update.Index;
+    return L.reachesInIteration(F, Update.Block, A.Block);
   };
 
   auto Classify = [&](const MemAccess &X, const MemAccess &Y,
@@ -266,7 +218,7 @@ void MemDepAnalysis::analyzeLoop(const ir::Function &F,
     if (regPair(X.BaseA, X.BaseB) != regPair(Y.BaseA, Y.BaseB))
       return PairVerdict::May;
 
-    if (IsInvariant(X.BaseA) && IsInvariant(X.BaseB)) {
+    if (Scalars.isInvariant(X.BaseA) && Scalars.isInvariant(X.BaseB)) {
       if (X.Offset == Y.Offset)
         return PairVerdict::Carried; // the same fixed cell every iteration
       return PairVerdict::Independent;
@@ -283,13 +235,14 @@ void MemDepAnalysis::analyzeLoop(const ir::Function &F,
         if (Ind != ir::NoReg && Ind != R)
           return PairVerdict::May; // two inductors: out of scope
         Ind = R;
-      } else if (!IsInvariant(R)) {
+      } else if (!Scalars.isInvariant(R)) {
         OtherInvariant = false;
       }
     }
     if (Ind == ir::NoReg || !OtherInvariant)
       return PairVerdict::May;
-    std::int64_t Step = Scalars.Inductors.at(Ind);
+    const BasicInductor &Update = Scalars.Inductors.at(Ind);
+    std::int64_t Step = Update.Step;
     if (Step == 0)
       return PairVerdict::May;
     std::int64_t Gap = X.Offset - Y.Offset;
@@ -299,9 +252,7 @@ void MemDepAnalysis::analyzeLoop(const ir::Function &F,
       // Same cell only within one iteration — provided neither access can
       // land on the far side of the inductor update, where the register
       // already holds the next iteration's value.
-      auto It = UpdateAt.find(Ind);
-      if (It != UpdateAt.end() && !MayRunAfter(It->second, X) &&
-          !MayRunAfter(It->second, Y))
+      if (!MayRunAfter(Update, X) && !MayRunAfter(Update, Y))
         return PairVerdict::Independent;
       Distance = 1;
       return PairVerdict::Carried;
@@ -360,7 +311,6 @@ void MemDepAnalysis::analyzeLoop(const ir::Function &F,
 
   if (L.Children.empty() && !Out.HasCall && !Out.HasAlloc)
     findSerialRecurrence(F, L, Scalars, Out);
-  (void)DT;
 }
 
 void MemDepAnalysis::findSerialRecurrence(const ir::Function &F, const Loop &L,
@@ -368,12 +318,6 @@ void MemDepAnalysis::findSerialRecurrence(const ir::Function &F, const Loop &L,
                                           LoopMemDep &Out) {
   if (L.Latches.empty())
     return;
-  auto IsInvariant = [&](std::uint16_t Reg) {
-    if (Reg == ir::NoReg)
-      return true;
-    return std::find(Scalars.Invariants.begin(), Scalars.Invariants.end(),
-                     Reg) != Scalars.Invariants.end();
-  };
   std::vector<bool> Named = namedLocalRegs(F);
   auto AnnotatedCost = [&](const ir::Instruction &I) {
     return annotatedCostEstimate(F, Named, I);
@@ -390,7 +334,8 @@ void MemDepAnalysis::findSerialRecurrence(const ir::Function &F, const Loop &L,
       return false;
     // Same invariant address registers, different offset: a distinct cell.
     if (regPair(I.A, I.B) == regPair(Cell.BaseA, Cell.BaseB) &&
-        IsInvariant(I.A) && IsInvariant(I.B) && I.Imm != Cell.Offset)
+        Scalars.isInvariant(I.A) && Scalars.isInvariant(I.B) &&
+        I.Imm != Cell.Offset)
       return false;
     return true;
   };
@@ -401,8 +346,8 @@ void MemDepAnalysis::findSerialRecurrence(const ir::Function &F, const Loop &L,
   const auto &Latch0 = F.Blocks[L.Latches[0]].Instructions;
   for (std::uint32_t SI = 0; SI < Latch0.size(); ++SI) {
     const ir::Instruction &Seed = Latch0[SI];
-    if (Seed.Op != ir::Opcode::Store || !IsInvariant(Seed.A) ||
-        !IsInvariant(Seed.B))
+    if (Seed.Op != ir::Opcode::Store || !Scalars.isInvariant(Seed.A) ||
+        !Scalars.isInvariant(Seed.B))
       continue;
     MemAccess Cell;
     Cell.BaseA = Seed.A;

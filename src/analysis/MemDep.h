@@ -28,7 +28,6 @@
 #define JRPM_ANALYSIS_MEMDEP_H
 
 #include "analysis/AliasClasses.h"
-#include "analysis/Dominators.h"
 #include "analysis/InductionInfo.h"
 #include "analysis/LoopInfo.h"
 #include "ir/IR.h"
@@ -138,8 +137,8 @@ struct LoopMemDep {
 /// Memory dependence analysis of one function, per natural loop.
 class MemDepAnalysis {
 public:
-  MemDepAnalysis(const ir::Function &F, const DominatorTree &DT,
-                 const LoopInfo &LI, const std::vector<InductionInfo> &Scalars);
+  MemDepAnalysis(const ir::Function &F, const LoopInfo &LI,
+                 const std::vector<InductionInfo> &Scalars);
 
   const LoopMemDep &loopDep(std::uint32_t LoopIdx) const {
     return Deps[LoopIdx];
@@ -147,9 +146,8 @@ public:
   const AliasClasses &aliases() const { return AC; }
 
 private:
-  void analyzeLoop(const ir::Function &F, const DominatorTree &DT,
-                   const Loop &L, const InductionInfo &Scalars,
-                   LoopMemDep &Out);
+  void analyzeLoop(const ir::Function &F, const Loop &L,
+                   const InductionInfo &Scalars, LoopMemDep &Out);
   void findSerialRecurrence(const ir::Function &F, const Loop &L,
                             const InductionInfo &Scalars, LoopMemDep &Out);
 

@@ -5,7 +5,6 @@
 #include "ir/RegUse.h"
 
 #include <algorithm>
-#include <deque>
 
 using namespace jrpm;
 using namespace jrpm::analysis;
@@ -72,48 +71,8 @@ constexpr unsigned MaxDepth = 16;
 } // namespace
 
 LoopScev::LoopScev(const ir::Function &Fn, const Loop &Lp,
-                   const InductionInfo &Sc)
-    : F(Fn), L(Lp), Scalars(Sc) {
-  // Loop-local numbering, header first.
-  LocalId[L.Header] = 0;
-  for (std::uint32_t B : L.Blocks)
-    if (B != L.Header)
-      LocalId.emplace(B, static_cast<std::uint32_t>(LocalId.size()));
-  std::uint32_t N = static_cast<std::uint32_t>(LocalId.size());
-
-  // Intra-iteration predecessors: loop-internal edges minus backedges.
-  std::vector<std::vector<std::uint32_t>> Preds(N);
-  std::vector<std::uint32_t> Succs;
-  for (std::uint32_t B : L.Blocks) {
-    Succs.clear();
-    F.Blocks[B].appendSuccessors(Succs);
-    for (std::uint32_t S : Succs)
-      if (L.contains(S) && S != L.Header)
-        Preds[LocalId.at(S)].push_back(LocalId.at(B));
-  }
-
-  // Iterative dominators over the body DAG rooted at the header.
-  IterDom.assign(N, std::vector<bool>(N, true));
-  IterDom[0].assign(N, false);
-  IterDom[0][0] = true;
-  bool Changed = true;
-  while (Changed) {
-    Changed = false;
-    for (std::uint32_t B = 1; B < N; ++B) {
-      std::vector<bool> Meet(N, true);
-      if (Preds[B].empty())
-        Meet.assign(N, false); // unreachable within an iteration
-      for (std::uint32_t P : Preds[B])
-        for (std::uint32_t D = 0; D < N; ++D)
-          Meet[D] = Meet[D] && IterDom[P][D];
-      Meet[B] = true;
-      if (Meet != IterDom[B]) {
-        IterDom[B] = Meet;
-        Changed = true;
-      }
-    }
-  }
-
+                   const DominatorTree &Dt, const InductionInfo &Sc)
+    : F(Fn), L(Lp), DT(Dt), Scalars(Sc) {
   // Definition sites (keep two per register: one is the interesting case,
   // more than one disqualifies the temp path anyway).
   for (std::uint32_t B : L.Blocks) {
@@ -125,55 +84,15 @@ LoopScev::LoopScev(const ir::Function &Fn, const Loop &Lp,
       auto &Sites = DefsIn[D];
       if (Sites.size() < 2)
         Sites.push_back({B, I});
-      if (Instrs[I].Op == ir::Opcode::AddImm && Instrs[I].A == D &&
-          Scalars.Inductors.count(D))
-        UpdateAt[D] = {B, I};
     }
   }
-}
-
-bool LoopScev::iterDominates(std::uint32_t Dom, std::uint32_t Block) const {
-  auto DIt = LocalId.find(Dom);
-  auto BIt = LocalId.find(Block);
-  if (DIt == LocalId.end() || BIt == LocalId.end())
-    return false;
-  return IterDom[BIt->second][DIt->second];
 }
 
 bool LoopScev::mustFollow(std::uint32_t DefB, std::uint32_t DefI,
                           std::uint32_t UseB, std::uint32_t UseI) const {
   if (DefB == UseB)
     return DefI < UseI;
-  return iterDominates(DefB, UseB);
-}
-
-bool LoopScev::mayFollow(std::uint32_t B1, std::uint32_t I1, std::uint32_t B2,
-                         std::uint32_t I2) const {
-  if (B1 == B2 && I2 > I1)
-    return true;
-  // Forward reachability from B1 without re-entering the header.
-  std::vector<bool> Seen(F.numBlocks(), false);
-  std::deque<std::uint32_t> Work;
-  std::vector<std::uint32_t> Succs;
-  F.Blocks[B1].appendSuccessors(Succs);
-  for (std::uint32_t S : Succs)
-    if (L.contains(S) && S != L.Header)
-      Work.push_back(S);
-  while (!Work.empty()) {
-    std::uint32_t B = Work.front();
-    Work.pop_front();
-    if (Seen[B])
-      continue;
-    Seen[B] = true;
-    if (B == B2)
-      return true;
-    Succs.clear();
-    F.Blocks[B].appendSuccessors(Succs);
-    for (std::uint32_t S : Succs)
-      if (L.contains(S) && S != L.Header && !Seen[S])
-        Work.push_back(S);
-  }
-  return false;
+  return DT.dominates(DefB, UseB);
 }
 
 AffineExpr LoopScev::valueAt(std::uint16_t Reg, std::uint32_t Block,
@@ -189,28 +108,24 @@ AffineExpr LoopScev::valueAtImpl(std::uint16_t Reg, std::uint32_t Block,
     return Invalid;
 
   // Loop invariant: a fixed symbolic value.
-  if (std::find(Scalars.Invariants.begin(), Scalars.Invariants.end(), Reg) !=
-      Scalars.Invariants.end())
+  if (Scalars.isInvariant(Reg))
     return symbol(Reg);
 
   // Basic inductor: entry value + step * i, plus one step once the use is
   // provably past the update. A path-dependent position is not affine.
   auto IndIt = Scalars.Inductors.find(Reg);
   if (IndIt != Scalars.Inductors.end()) {
-    auto UpIt = UpdateAt.find(Reg);
-    if (UpIt == UpdateAt.end())
-      return Invalid;
+    const BasicInductor &Up = IndIt->second;
     AffineExpr E = symbol(Reg);
-    E.IterCoeff = IndIt->second;
-    auto [UB, UI] = UpIt->second;
-    if (mustFollow(UB, UI, Block, Index)) {
-      if (!affineAdd(E.Const, IndIt->second, E.Const))
+    E.IterCoeff = Up.Step;
+    if (mustFollow(Up.Block, Up.Index, Block, Index)) {
+      if (!affineAdd(E.Const, Up.Step, E.Const))
         return Invalid;
       return E;
     }
-    if (!mayFollow(UB, UI, Block, Index))
-      return E;
-    return Invalid;
+    // Not past the update in its own block: only a path leaving the
+    // update's block can still put the use after it.
+    return L.reachesInIteration(F, Up.Block, Block) ? Invalid : E;
   }
 
   // Carried reductions and other carried scalars: not affine.

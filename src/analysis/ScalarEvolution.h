@@ -17,15 +17,19 @@
 //
 // Positioning matters for inductors: the same register reads as
 // base + step*i before its update and base + step*(i+1) after it. The
-// builder resolves the use site against the update site with
-// intra-iteration dominance (dominators of the loop body with backedges
-// removed) and bails when the relative order is path-dependent.
+// builder resolves the use site against the update site (recorded by
+// analyzeLoopScalars) with the function's dominator tree, and bails when
+// the relative order is path-dependent. For two blocks of one natural loop
+// function dominance is exactly intra-iteration dominance: every path into
+// the loop passes the header, and no path re-enters the body except
+// through it, so the part of a path after its last header visit decides.
 //
 //===----------------------------------------------------------------------===//
 
 #ifndef JRPM_ANALYSIS_SCALAREVOLUTION_H
 #define JRPM_ANALYSIS_SCALAREVOLUTION_H
 
+#include "analysis/Dominators.h"
 #include "analysis/InductionInfo.h"
 #include "analysis/LoopInfo.h"
 #include "ir/IR.h"
@@ -57,7 +61,8 @@ struct AffineExpr {
 /// Affine scalar evolution of one innermost loop.
 class LoopScev {
 public:
-  LoopScev(const ir::Function &F, const Loop &L, const InductionInfo &Scalars);
+  LoopScev(const ir::Function &F, const Loop &L, const DominatorTree &DT,
+           const InductionInfo &Scalars);
 
   /// Affine form of the value \p Reg holds when read by the instruction at
   /// (\p Block, \p Index) inside the loop. ir::NoReg reads as zero.
@@ -69,19 +74,10 @@ public:
   AffineExpr addressAt(const ir::Instruction &I, std::uint32_t Block,
                        std::uint32_t Index) const;
 
-  /// True when every intra-iteration path from the loop header to \p Block
-  /// passes through \p Dom (reflexive; backedges removed).
-  bool iterDominates(std::uint32_t Dom, std::uint32_t Block) const;
-
   /// True when the instruction at (DefB, DefI) is guaranteed to have
   /// executed before (UseB, UseI) runs within the same iteration.
   bool mustFollow(std::uint32_t DefB, std::uint32_t DefI, std::uint32_t UseB,
                   std::uint32_t UseI) const;
-
-  /// True when (B2, I2) can execute after (B1, I1) within one iteration
-  /// (forward intra-iteration reachability; never crosses the header).
-  bool mayFollow(std::uint32_t B1, std::uint32_t I1, std::uint32_t B2,
-                 std::uint32_t I2) const;
 
 private:
   AffineExpr valueAtImpl(std::uint16_t Reg, std::uint32_t Block,
@@ -89,13 +85,8 @@ private:
 
   const ir::Function &F;
   const Loop &L;
+  const DominatorTree &DT;
   const InductionInfo &Scalars;
-  /// Loop-local block numbering for the intra-iteration dominator sets.
-  std::map<std::uint32_t, std::uint32_t> LocalId;
-  /// Per local block: bit-set (as vector<bool>) of local dominator ids.
-  std::vector<std::vector<bool>> IterDom;
-  /// Per inductor register: its unique in-loop update site.
-  std::map<std::uint16_t, std::pair<std::uint32_t, std::uint32_t>> UpdateAt;
   /// Per register: in-loop definition sites (at most the first two kept).
   std::map<std::uint16_t, std::vector<std::pair<std::uint32_t, std::uint32_t>>>
       DefsIn;

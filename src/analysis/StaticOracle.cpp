@@ -188,11 +188,12 @@ private:
 } // namespace
 
 LoopOracleResult analysis::runStaticOracle(
-    const ir::Function &F, const Loop &L, const InductionInfo &Scalars,
-    const AliasClasses &AC, const std::vector<FuncMemEffects> &Effects,
+    const ir::Function &F, const Loop &L, const DominatorTree &DT,
+    const InductionInfo &Scalars, const AliasClasses &AC,
+    const std::vector<FuncMemEffects> &Effects,
     std::uint32_t SerialArcBudget) {
   LoopOracleResult R;
-  LoopScev Scev(F, L, Scalars);
+  LoopScev Scev(F, L, DT, Scalars);
 
   bool HasAlloc = false;
   bool HasCall = false;
@@ -272,7 +273,7 @@ LoopOracleResult analysis::runStaticOracle(
     WindowModel Window(F, L);
     auto DominatesLatches = [&](std::uint32_t Block) {
       for (std::uint32_t Latch : L.Latches)
-        if (!Scev.iterDominates(Block, Latch))
+        if (!DT.dominates(Block, Latch))
           return false;
       return true;
     };

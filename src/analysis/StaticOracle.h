@@ -42,6 +42,7 @@
 
 #include "analysis/AliasClasses.h"
 #include "analysis/DepTest.h"
+#include "analysis/Dominators.h"
 #include "analysis/InductionInfo.h"
 #include "analysis/LoopInfo.h"
 #include "ir/IR.h"
@@ -79,10 +80,12 @@ struct LoopOracleResult {
   std::uint32_t MayPairs = 0;
 };
 
-/// Runs the oracle on loop \p L of \p F. \p Effects are the module-wide
-/// per-function memory summaries (computeMemEffects); \p SerialArcBudget
-/// is the forwarding-delay bar a serial window must fit (cycles).
+/// Runs the oracle on loop \p L of \p F, whose dominator tree is \p DT.
+/// \p Effects are the module-wide per-function memory summaries
+/// (computeMemEffects); \p SerialArcBudget is the forwarding-delay bar a
+/// serial window must fit (cycles).
 LoopOracleResult runStaticOracle(const ir::Function &F, const Loop &L,
+                                 const DominatorTree &DT,
                                  const InductionInfo &Scalars,
                                  const AliasClasses &AC,
                                  const std::vector<FuncMemEffects> &Effects,

@@ -1,8 +1,7 @@
 //===- corpus/Generator.cpp ------------------------------------------------==//
 //
-// Method bodies are a verbatim move of the original tests/RandomProgram.h
-// inline definitions: the seed-to-module mapping is a compatibility
-// contract (see the header) and must not drift.
+// The seed-to-module mapping is a compatibility contract (see the header)
+// and must not drift.
 //
 //===----------------------------------------------------------------------===//
 

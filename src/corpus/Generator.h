@@ -8,9 +8,8 @@
 // checksum, so sequential and speculative executions can be compared
 // bit-for-bit.
 //
-// Promoted from tests/RandomProgram.h so the fuzz suites and the corpus
-// engine (Template.h / Variant.h) consume one generator instead of two
-// drifting copies. The generation algorithm is frozen: a given seed must
+// The fuzz suites and the corpus engine (Template.h / Variant.h) consume
+// this one generator. The generation algorithm is frozen: a given seed must
 // produce byte-identical modules forever, because recorded failure seeds
 // (fuzz regressions, corpus repro files) reproduce from the seed alone.
 //

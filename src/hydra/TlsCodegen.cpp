@@ -2,7 +2,7 @@
 
 #include "hydra/TlsCodegen.h"
 
-#include "analysis/RegUse.h"
+#include "ir/RegUse.h"
 
 #include <cassert>
 #include <map>
@@ -26,7 +26,7 @@ ir::Function hydra::globalizeLoopBody(
     std::set<std::uint16_t> LiveInRegs; // carried locals already loaded
     for (const ir::Instruction &I : Out.Blocks[B].Instructions) {
       // Load each carried local before its first use in the block.
-      analysis::forEachUsedReg(I, [&](std::uint16_t R) {
+      ir::forEachUsedReg(I, [&](std::uint16_t R) {
         auto It = Spill.find(R);
         if (It == Spill.end() || LiveInRegs.count(R))
           return;
@@ -40,7 +40,7 @@ ir::Function hydra::globalizeLoopBody(
       NewInstrs.push_back(I);
       // Store each carried local right after it is defined so consuming
       // threads see the value as early as possible.
-      std::uint16_t D = analysis::definedReg(I);
+      std::uint16_t D = ir::definedReg(I);
       auto It = D != ir::NoReg ? Spill.find(D) : Spill.end();
       if (It != Spill.end()) {
         LiveInRegs.insert(D); // the register now holds the current value

@@ -5,10 +5,6 @@
 #include "support/Format.h"
 
 #include <algorithm>
-#include <deque>
-#include <map>
-#include <optional>
-#include <set>
 
 using namespace jrpm;
 using namespace jrpm::ir;
@@ -21,7 +17,11 @@ class AnnotationVerifierImpl {
 public:
   AnnotationVerifierImpl(const Module &M,
                          const std::vector<LoopAnnotationInfo> &Loops)
-      : M(M), Loops(Loops) {}
+      : M(M), Loops(Loops), SawSLoop(Loops.size(), false),
+        SwlSeen(Loops.size()) {
+    for (std::size_t Id = 0; Id < Loops.size(); ++Id)
+      SwlSeen[Id].assign(Loops[Id].AnnotatedLocals.size(), false);
+  }
 
   std::vector<std::string> run() {
     for (std::uint32_t F = 0; F < M.Functions.size(); ++F)
@@ -45,17 +45,18 @@ private:
     return false;
   }
 
-  /// Walks \p BB from \p Stack, reporting violations and returning the
-  /// stack at the block's end (nullopt after an unrecoverable mismatch).
-  std::optional<LoopStack> walkBlock(const Function &F, std::uint32_t FIdx,
-                                     std::uint32_t B, LoopStack Stack) {
+  /// Walks block \p B from the active-loop stack \p Stack, reporting
+  /// violations and leaving the stack at the block's end in \p Stack.
+  /// Returns false after an unrecoverable mismatch.
+  bool walkBlock(const Function &F, std::uint32_t FIdx, std::uint32_t B,
+                 LoopStack &Stack) {
     for (const Instruction &I : F.Blocks[B].Instructions) {
       switch (I.Op) {
       case Opcode::SLoop:
         if (!validLoopId(I.Imm)) {
           report(formatString("func %u bb%u: sloop with unknown loop id %lld",
                               FIdx, B, static_cast<long long>(I.Imm)));
-          return std::nullopt;
+          return false;
         }
         if (std::find(Stack.begin(), Stack.end(),
                       static_cast<std::uint32_t>(I.Imm)) != Stack.end()) {
@@ -63,7 +64,7 @@ private:
                               "already active",
                               FIdx, B, static_cast<long long>(I.Imm),
                               static_cast<long long>(I.Imm)));
-          return std::nullopt;
+          return false;
         }
         if (I.Imm2 != static_cast<std::int32_t>(
                           Loops[static_cast<std::size_t>(I.Imm)]
@@ -75,7 +76,7 @@ private:
                   Loops[static_cast<std::size_t>(I.Imm)]
                       .AnnotatedLocals.size())));
         Stack.push_back(static_cast<std::uint32_t>(I.Imm));
-        SawSLoop.insert(static_cast<std::uint32_t>(I.Imm));
+        SawSLoop[static_cast<std::size_t>(I.Imm)] = true;
         break;
       case Opcode::Eoi:
         if (Stack.empty() ||
@@ -83,7 +84,7 @@ private:
           report(formatString(
               "func %u bb%u: eoi %lld does not match innermost active loop",
               FIdx, B, static_cast<long long>(I.Imm)));
-          return std::nullopt;
+          return false;
         }
         break;
       case Opcode::ELoop:
@@ -92,7 +93,7 @@ private:
           report(formatString(
               "func %u bb%u: eloop %lld does not match innermost active loop",
               FIdx, B, static_cast<long long>(I.Imm)));
-          return std::nullopt;
+          return false;
         }
         Stack.pop_back();
         break;
@@ -113,8 +114,9 @@ private:
         } else if (I.Op == Opcode::SwlAnno) {
           for (std::uint32_t Id : Stack) {
             const auto &Regs = Loops[Id].AnnotatedLocals;
-            if (std::find(Regs.begin(), Regs.end(), I.A) != Regs.end())
-              SwlSeen[Id].insert(I.A);
+            for (std::size_t K = 0; K < Regs.size(); ++K)
+              if (Regs[K] == I.A)
+                SwlSeen[Id][K] = true;
           }
         }
         break;
@@ -125,14 +127,14 @@ private:
               "func %u bb%u: return while loop %u is still active (missing "
               "eloop)",
               FIdx, B, Stack.back()));
-          return std::nullopt;
+          return false;
         }
         break;
       default:
         break;
       }
     }
-    return Stack;
+    return true;
   }
 
   void verifyFunction(std::uint32_t FIdx) {
@@ -140,33 +142,30 @@ private:
     if (F.Blocks.empty() || !F.Blocks[0].hasTerminator())
       return; // structurally broken; the structural verifier reports it
 
-    // Forward dataflow of the active-loop stack. Every join must agree:
-    // two paths reaching one block with different stacks means some path
-    // skips an eoi/eloop and the tracer's bank bookkeeping diverges.
-    std::map<std::uint32_t, LoopStack> AtEntry;
-    std::deque<std::uint32_t> Work;
-    AtEntry[0] = {};
-    Work.push_back(0);
-    std::set<std::uint32_t> Done;
-    while (!Work.empty()) {
-      std::uint32_t B = Work.front();
-      Work.pop_front();
-      if (Done.count(B))
-        continue;
-      Done.insert(B);
-      std::optional<LoopStack> Exit = walkBlock(F, FIdx, B, AtEntry[B]);
-      if (!Exit)
+    // Forward dataflow of the active-loop stack in reverse post-order, so
+    // a block's entry stack is set by a predecessor before it is walked.
+    // Every join must agree: two paths reaching one block with different
+    // stacks means some path skips an eoi/eloop and the tracer's bank
+    // bookkeeping diverges.
+    std::uint32_t N = F.numBlocks();
+    std::vector<LoopStack> AtEntry(N);
+    std::vector<bool> Reached(N, false);
+    Reached[0] = true;
+    LoopStack Stack;
+    std::vector<std::uint32_t> Succs;
+    for (std::uint32_t B : F.reversePostOrder()) {
+      Stack = AtEntry[B];
+      if (!walkBlock(F, FIdx, B, Stack))
         return; // unrecoverable: later checks would cascade
-      if (!F.Blocks[B].hasTerminator())
-        continue;
-      std::vector<std::uint32_t> Succs;
+      Succs.clear();
       F.Blocks[B].appendSuccessors(Succs);
       for (std::uint32_t S : Succs) {
-        auto It = AtEntry.find(S);
-        if (It == AtEntry.end()) {
-          AtEntry[S] = *Exit;
-          Work.push_back(S);
-        } else if (It->second != *Exit) {
+        if (S >= N)
+          continue; // the structural verifier reports bad targets
+        if (!Reached[S]) {
+          Reached[S] = true;
+          AtEntry[S] = Stack;
+        } else if (AtEntry[S] != Stack) {
           report(formatString(
               "func %u bb%u: inconsistent loop nesting at join (from bb%u)",
               FIdx, S, B));
@@ -178,23 +177,29 @@ private:
     // Coverage: every local the trace info promises to watch must produce
     // at least one swl inside the loop (each carried local is defined in
     // the loop, and even optimized annotation keeps the last definition).
-    for (std::uint32_t Id : SawSLoop) {
-      for (std::uint16_t Reg : Loops[Id].AnnotatedLocals)
-        if (!SwlSeen[Id].count(Reg))
+    for (std::uint32_t Id = 0; Id < Loops.size(); ++Id) {
+      if (!SawSLoop[Id])
+        continue;
+      const auto &Regs = Loops[Id].AnnotatedLocals;
+      for (std::size_t K = 0; K < Regs.size(); ++K)
+        if (!SwlSeen[Id][K])
           report(formatString(
               "func %u: loop %u watches r%u but no swl annotates it", FIdx,
-              Id, Reg));
+              Id, Regs[K]));
+      SawSLoop[Id] = false;
+      SwlSeen[Id].assign(Regs.size(), false);
     }
-    SawSLoop.clear();
-    SwlSeen.clear();
   }
 
   const Module &M;
   const std::vector<LoopAnnotationInfo> &Loops;
   std::vector<std::string> Errors;
-  /// Loops whose sloop marker appeared in the current function.
-  std::set<std::uint32_t> SawSLoop;
-  std::map<std::uint32_t, std::set<std::uint16_t>> SwlSeen;
+  /// Per loop id: whether its sloop marker appeared in the current
+  /// function.
+  std::vector<bool> SawSLoop;
+  /// Per loop id, parallel to its AnnotatedLocals: whether an swl inside
+  /// the loop covered that local.
+  std::vector<std::vector<bool>> SwlSeen;
 };
 
 } // namespace

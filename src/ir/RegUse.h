@@ -2,8 +2,7 @@
 //
 // Opcode-aware register use/def queries over single instructions. These
 // live at the IR layer (rather than in analysis) so the verifier and the
-// annotation linter can reason about data flow without a layering cycle;
-// analysis/RegUse.h re-exports them under the analysis namespace.
+// annotation linter can reason about data flow without a layering cycle.
 //
 //===----------------------------------------------------------------------===//
 

@@ -2,7 +2,7 @@
 
 #include "jit/Annotator.h"
 
-#include "analysis/RegUse.h"
+#include "ir/RegUse.h"
 #include "ir/Verifier.h"
 #include "support/Compiler.h"
 
@@ -101,7 +101,7 @@ private:
       std::map<std::uint16_t, std::uint32_t> LastDef;
       if (Level == AnnotationLevel::Optimized)
         for (std::uint32_t Idx = 0; Idx < Old.size(); ++Idx) {
-          std::uint16_t D = analysis::definedReg(Old[Idx]);
+          std::uint16_t D = ir::definedReg(Old[Idx]);
           if (D != ir::NoReg && Regs.count(D))
             LastDef[D] = Idx;
         }
@@ -114,7 +114,7 @@ private:
         // optimized mode only annotates the first load in the block (the
         // shortest possible arc).
         std::set<std::uint16_t> Reads;
-        analysis::forEachUsedReg(I, [&](std::uint16_t R) {
+        ir::forEachUsedReg(I, [&](std::uint16_t R) {
           if (Regs.count(R))
             Reads.insert(R);
         });
@@ -130,7 +130,7 @@ private:
           ++Out.LocalAnnotations;
         }
         NewInstrs.push_back(I);
-        std::uint16_t D = analysis::definedReg(I);
+        std::uint16_t D = ir::definedReg(I);
         if (D != ir::NoReg && Regs.count(D)) {
           bool Skip = Level == AnnotationLevel::Optimized &&
                       LastDef.count(D) && LastDef[D] != Idx;

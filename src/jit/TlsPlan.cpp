@@ -21,8 +21,8 @@ TlsLoopPlan jit::buildTlsPlan(const analysis::ModuleAnalysis &MA,
   Plan.Header = L.Header;
   Plan.Blocks = L.Blocks;
   Plan.CarriedLocals = Scalars.OtherCarried;
-  for (const auto &[Reg, Step] : Scalars.Inductors)
-    Plan.Inductors.emplace_back(Reg, Step);
+  for (const auto &[Reg, Ind] : Scalars.Inductors)
+    Plan.Inductors.emplace_back(Reg, Ind.Step);
   for (const auto &[Reg, Kind] : Scalars.Reductions)
     Plan.Reductions.emplace_back(Reg, Kind);
   Plan.NumInvariants = static_cast<std::uint32_t>(Scalars.Invariants.size());

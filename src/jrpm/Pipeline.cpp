@@ -60,7 +60,6 @@ Jrpm::Jrpm(ir::Module Program, PipelineConfig Config)
     : M(std::move(Program)), Cfg(std::move(Config)) {
   analysis::AnalysisOptions Opts;
   Opts.StaticPrefilter = Cfg.StaticPrefilter;
-  Opts.SerialArcBudget = Cfg.SerialArcBudget;
   Opts.AffineOracle = Cfg.AffineOracle;
   MA = std::make_unique<analysis::ModuleAnalysis>(M, Opts);
   if (Cfg.Timeline) {

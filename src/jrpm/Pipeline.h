@@ -37,8 +37,6 @@ struct PipelineConfig {
   /// pay profiling overhead. Off by default — the paper's figures measure
   /// the optimistic policy.
   bool StaticPrefilter = false;
-  /// Arc budget for the pre-filter, in cycles (see AnalysisOptions).
-  std::uint32_t SerialArcBudget = 10;
   /// Enables the affine speculation oracle (analysis::AnalysisOptions):
   /// affine dependence tests produce per-loop verdicts and provably-serial
   /// loops are rejected before annotation. Strictly widens StaticPrefilter.

@@ -69,3 +69,17 @@ bool jrpm::parseUnsigned(std::string_view Str, std::uint64_t Max,
   Out = V;
   return true;
 }
+
+std::vector<std::string> jrpm::splitCommas(std::string_view Str) {
+  std::vector<std::string> Out;
+  std::size_t Pos = 0;
+  while (Pos <= Str.size()) {
+    std::size_t Comma = Str.find(',', Pos);
+    if (Comma == std::string_view::npos)
+      Comma = Str.size();
+    if (Comma > Pos)
+      Out.emplace_back(Str.substr(Pos, Comma - Pos));
+    Pos = Comma + 1;
+  }
+  return Out;
+}

@@ -1,7 +1,8 @@
 //===- support/Format.h - String formatting helpers ----------------------===//
 //
-// printf-style formatting into std::string plus human-readable number
-// rendering used by the bench harnesses when regenerating paper tables.
+// printf-style formatting into std::string, human-readable number
+// rendering used by the bench harnesses when regenerating paper tables,
+// and the strict number and list parsers of the command-line tools.
 //
 //===----------------------------------------------------------------------===//
 
@@ -11,6 +12,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <vector>
 
 namespace jrpm {
 
@@ -33,6 +35,9 @@ std::string asKiloCycles(std::uint64_t Cycles);
 /// on success; leaves \p Out untouched otherwise.
 bool parseUnsigned(std::string_view Str, std::uint64_t Max,
                    std::uint64_t &Out);
+
+/// Splits a comma-separated CLI list ("a,b,c"), dropping empty items.
+std::vector<std::string> splitCommas(std::string_view Str);
 
 } // namespace jrpm
 

@@ -6,10 +6,18 @@
 #include "analysis/InductionInfo.h"
 #include "analysis/Liveness.h"
 #include "analysis/LoopInfo.h"
+#include "corpus/Generator.h"
+#include "corpus/Template.h"
+#include "corpus/Variant.h"
 #include "ir/IRBuilder.h"
 #include "ir/Verifier.h"
+#include "workloads/Workload.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <map>
+#include <string>
 
 using namespace jrpm;
 using namespace jrpm::analysis;
@@ -21,6 +29,137 @@ namespace {
 const ir::Function &mainFunc(const ir::Module &M) {
   return M.Functions[M.EntryFunction];
 }
+
+/// Reference model of intra-iteration dominance, kept from the fixpoint
+/// LoopScev ran before it asked the function's dominator tree: iterative
+/// dominator sets over the loop body with the backedges removed, rooted
+/// at the header.
+class IterDominanceReference {
+public:
+  IterDominanceReference(const ir::Function &F, const Loop &L) {
+    // Loop-local numbering, header first.
+    LocalId[L.Header] = 0;
+    for (std::uint32_t B : L.Blocks)
+      if (B != L.Header)
+        LocalId.emplace(B, static_cast<std::uint32_t>(LocalId.size()));
+    std::uint32_t N = static_cast<std::uint32_t>(LocalId.size());
+
+    // Intra-iteration predecessors: loop-internal edges minus backedges.
+    std::vector<std::vector<std::uint32_t>> Preds(N);
+    std::vector<std::uint32_t> Succs;
+    for (std::uint32_t B : L.Blocks) {
+      Succs.clear();
+      F.Blocks[B].appendSuccessors(Succs);
+      for (std::uint32_t S : Succs)
+        if (L.contains(S) && S != L.Header)
+          Preds[LocalId.at(S)].push_back(LocalId.at(B));
+    }
+
+    IterDom.assign(N, std::vector<bool>(N, true));
+    IterDom[0].assign(N, false);
+    IterDom[0][0] = true;
+    bool Changed = true;
+    while (Changed) {
+      Changed = false;
+      for (std::uint32_t B = 1; B < N; ++B) {
+        std::vector<bool> Meet(N, true);
+        if (Preds[B].empty())
+          Meet.assign(N, false); // unreachable within an iteration
+        for (std::uint32_t P : Preds[B])
+          for (std::uint32_t D = 0; D < N; ++D)
+            Meet[D] = Meet[D] && IterDom[P][D];
+        Meet[B] = true;
+        if (Meet != IterDom[B]) {
+          IterDom[B] = Meet;
+          Changed = true;
+        }
+      }
+    }
+  }
+
+  /// True when every intra-iteration path from the header to \p Block
+  /// passes through \p Dom.
+  bool dominates(std::uint32_t Dom, std::uint32_t Block) const {
+    return IterDom[LocalId.at(Block)][LocalId.at(Dom)];
+  }
+
+private:
+  std::map<std::uint32_t, std::uint32_t> LocalId;
+  std::vector<std::vector<bool>> IterDom;
+};
+
+struct IterDominanceTally {
+  std::uint64_t Loops = 0;
+  std::uint64_t NestedLoops = 0;
+  std::uint64_t Pairs = 0;
+};
+
+/// Compares DominatorTree::dominates with the reference on every ordered
+/// block pair of every loop of every function of \p M; reports the first
+/// disagreement per function.
+void expectIterDominanceMatches(const ir::Module &M, const std::string &What,
+                                IterDominanceTally &Tally) {
+  for (const ir::Function &F : M.Functions) {
+    DominatorTree DT(F);
+    LoopInfo LI(F, DT);
+    for (const Loop &L : LI.loops()) {
+      IterDominanceReference Ref(F, L);
+      ++Tally.Loops;
+      Tally.NestedLoops += L.Parent >= 0;
+      for (std::uint32_t A : L.Blocks)
+        for (std::uint32_t B : L.Blocks) {
+          ++Tally.Pairs;
+          if (DT.dominates(A, B) != Ref.dominates(A, B)) {
+            ADD_FAILURE() << What << " " << F.Name << ": loop at bb"
+                          << L.Header << ", bb" << A << " vs bb" << B
+                          << ": tree says " << DT.dominates(A, B);
+            return;
+          }
+        }
+    }
+  }
+}
+
+/// main(): a loop whose body holds an irreducible cycle. X enters the
+/// P/Q cycle at both P and Q; P updates i and is the latch's only
+/// predecessor, so it dominates the latch yet runs once or twice per
+/// iteration.
+///
+///   entry -> H;  H: i < 40 ? X : Exit;  X: i & 1 ? Q : P
+///   P: i += 1; i & 1 ? Q : Latch;  Q: -> P;  Latch: -> H;  Exit: ret i
+struct IrreducibleBody {
+  ir::Module M;
+  std::uint16_t I = 0;
+  std::uint32_t P = 0, Q = 0;
+
+  IrreducibleBody() {
+    ir::IRBuilder B(M);
+    B.createFunction("main", 0);
+    std::uint32_t H = B.newBlock(), X = B.newBlock();
+    P = B.newBlock();
+    Q = B.newBlock();
+    std::uint32_t Latch = B.newBlock(), Exit = B.newBlock();
+    I = B.newReg();
+    B.emitConstIInto(I, 0);
+    std::uint16_t Forty = B.emitConstI(40);
+    std::uint16_t One = B.emitConstI(1);
+    B.emitBr(H);
+    B.setBlock(H);
+    B.emitCondBr(B.emitBinary(ir::Opcode::CmpLT, I, Forty), X, Exit);
+    B.setBlock(X);
+    B.emitCondBr(B.emitBinary(ir::Opcode::And, I, One), Q, P);
+    B.setBlock(P);
+    B.emitAddImmInto(I, I, 1);
+    B.emitCondBr(B.emitBinary(ir::Opcode::And, I, One), Q, Latch);
+    B.setBlock(Q);
+    B.emitBr(P);
+    B.setBlock(Latch);
+    B.emitBr(H);
+    B.setBlock(Exit);
+    B.emitRet(I);
+    M.finalize();
+  }
+};
 
 } // namespace
 
@@ -157,8 +296,14 @@ TEST(Induction, RecognizesInductorAndReduction) {
     if (Name == "i")
       IReg = Reg;
   }
-  EXPECT_TRUE(Info.Inductors.count(IReg));
-  EXPECT_EQ(Info.Inductors.at(IReg), 1);
+  ASSERT_TRUE(Info.Inductors.count(IReg));
+  const BasicInductor &Ind = Info.Inductors.at(IReg);
+  EXPECT_EQ(Ind.Step, 1);
+  // The recorded update site is the inductor's `i = i + 1`.
+  const ir::Instruction &Update = F.Blocks[Ind.Block].Instructions[Ind.Index];
+  EXPECT_EQ(Update.Op, ir::Opcode::AddImm);
+  EXPECT_EQ(Update.Dst, IReg);
+  EXPECT_EQ(Update.A, IReg);
   EXPECT_TRUE(Info.Reductions.count(SReg));
   EXPECT_TRUE(Info.OtherCarried.empty());
 }
@@ -338,6 +483,48 @@ TEST(LoopInfo, IrreducibleCycleIsNotANaturalLoop) {
   EXPECT_TRUE(LI.loops().empty());
   ModuleAnalysis MA(M);
   EXPECT_EQ(MA.loopCount(), 0u);
+}
+
+TEST(Dominators, IterationDominanceMatchesReferenceFixpoint) {
+  // Function dominance answers intra-iteration dominance for the blocks
+  // of a natural loop; the reference computes the latter directly.
+  IterDominanceTally Tally;
+  for (const workloads::Workload &W : workloads::allWorkloads())
+    expectIterDominanceMatches(W.Build(), W.Name, Tally);
+  for (const corpus::Template &T : corpus::extractRegistryTemplates())
+    for (std::uint64_t Seed = 1; Seed <= 4; ++Seed)
+      expectIterDominanceMatches(corpus::instantiate(T, Seed).Module,
+                                 T.Id + " seed " + std::to_string(Seed),
+                                 Tally);
+  for (std::uint64_t Seed = 1; Seed <= 200; ++Seed)
+    expectIterDominanceMatches(corpus::ProgramGenerator(Seed).generate(),
+                               "generator seed " + std::to_string(Seed),
+                               Tally);
+  IrreducibleBody Irr;
+  ASSERT_TRUE(ir::verifyModule(Irr.M).empty());
+  expectIterDominanceMatches(Irr.M, "irreducible body", Tally);
+  EXPECT_GT(Tally.NestedLoops, 0u);
+  EXPECT_GT(Tally.Pairs, Tally.Loops);
+}
+
+TEST(Induction, UpdateOnIrreducibleCycleIsNotAnInductor) {
+  // P dominates the latch, but P -> Q -> P is a cycle inside one
+  // iteration: i steps by 1 or 2 per iteration, so it is no inductor.
+  IrreducibleBody Irr;
+  const ir::Function &F = mainFunc(Irr.M);
+  FunctionAnalysis FA(F);
+  ASSERT_EQ(FA.LI.loops().size(), 1u);
+  const Loop &L = FA.LI.loops()[0];
+  ASSERT_EQ(L.Latches.size(), 1u);
+  EXPECT_TRUE(FA.DT.dominates(Irr.P, L.Latches[0]));
+  EXPECT_TRUE(L.reachesInIteration(F, Irr.P, Irr.P));
+  EXPECT_TRUE(L.reachesInIteration(F, Irr.Q, Irr.P));
+  EXPECT_FALSE(L.reachesInIteration(F, L.Latches[0], Irr.P));
+  const InductionInfo &Info = FA.LoopScalars[0];
+  EXPECT_EQ(Info.Inductors.count(Irr.I), 0u);
+  EXPECT_EQ(std::count(Info.OtherCarried.begin(), Info.OtherCarried.end(),
+                       Irr.I),
+            1);
 }
 
 TEST(Dominators, UnreachableBlocksAreSelfContained) {

@@ -8,9 +8,9 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "RandomProgram.h"
 #include "TestUtil.h"
 #include "analysis/Candidates.h"
+#include "corpus/Generator.h"
 #include "ir/AnnotationVerifier.h"
 #include "ir/IRBuilder.h"
 #include "ir/Verifier.h"
@@ -112,7 +112,7 @@ TEST(AnnotationVerifier, AllRegistryWorkloadsLintClean) {
 
 TEST(AnnotationVerifier, FuzzedProgramsLintClean) {
   for (std::uint64_t Seed = 1; Seed <= 20; ++Seed) {
-    ir::Module M = testutil::ProgramGenerator(Seed).generate();
+    ir::Module M = corpus::ProgramGenerator(Seed).generate();
     expectCleanAtBothLevels(M, "fuzz seed " + std::to_string(Seed));
   }
 }

@@ -9,9 +9,9 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "RandomProgram.h"
 #include "TestUtil.h"
 #include "analysis/Candidates.h"
+#include "corpus/Generator.h"
 #include "exec/CodeImage.h"
 #include "hydra/TlsCodegen.h"
 #include "interp/Trap.h"
@@ -197,7 +197,7 @@ TEST(CodeImage, AppendFunctionMatchesWholeModuleBuild) {
   for (const workloads::Workload &W : workloads::allWorkloads())
     expectAppendMatchesRebuild(W.Build(), W.Name);
   for (std::uint64_t Seed = 1; Seed <= 6; ++Seed)
-    expectAppendMatchesRebuild(testutil::ProgramGenerator(Seed).generate(),
+    expectAppendMatchesRebuild(corpus::ProgramGenerator(Seed).generate(),
                                "seed " + std::to_string(Seed));
   expectAppendMatchesRebuild(makeCallProgram(), "call program");
 }
@@ -227,7 +227,7 @@ struct RunStopPoint {
 TEST(ExecContext, StepGranularitiesAgreeOnRandomPrograms) {
   for (std::uint64_t Seed = 1; Seed <= 6; ++Seed) {
     SCOPED_TRACE("seed " + std::to_string(Seed));
-    testutil::ProgramGenerator Gen(Seed);
+    corpus::ProgramGenerator Gen(Seed);
     ir::Module M = Gen.generate();
     sim::HydraConfig Cfg;
     interp::RunResult Machine = runModule(M, Cfg); // one unstopped run()
@@ -297,7 +297,7 @@ TEST(ExecContext, RunAheadAgreesWithSteppingOnRandomPrograms) {
   using RunStop = interp::ExecContext::RunStop;
   std::uint64_t Horizons = 0;
   for (std::uint64_t Seed = 1; Seed <= 6; ++Seed) {
-    testutil::ProgramGenerator Gen(Seed);
+    corpus::ProgramGenerator Gen(Seed);
     ir::Module M = Gen.generate();
     sim::HydraConfig Cfg;
     interp::RunResult Machine = runModule(M, Cfg);

@@ -1,6 +1,6 @@
 //===- tests/fuzz_test.cpp - Randomized whole-stack property tests ---------==//
 //
-// Feeds generated programs (tests/RandomProgram.h) through every layer and
+// Feeds generated programs (corpus/Generator.h) through every layer and
 // checks the invariants that must hold for *any* program:
 //
 //   * sequential execution is deterministic,
@@ -11,8 +11,8 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "RandomProgram.h"
 #include "TestUtil.h"
+#include "corpus/Generator.h"
 #include "jrpm/Pipeline.h"
 #include "sweep/ParallelFor.h"
 
@@ -25,7 +25,7 @@ using namespace jrpm;
 class FuzzSuite : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(FuzzSuite, WholeStackInvariants) {
-  testutil::ProgramGenerator Gen(GetParam());
+  corpus::ProgramGenerator Gen(GetParam());
   ir::Module M = Gen.generate();
   sim::HydraConfig Cfg;
 
@@ -61,7 +61,7 @@ TEST_P(FuzzSuite, WholeStackInvariants) {
 }
 
 TEST_P(FuzzSuite, FullPipelineMatches) {
-  testutil::ProgramGenerator Gen(GetParam() * 7919 + 13);
+  corpus::ProgramGenerator Gen(GetParam() * 7919 + 13);
   pipeline::Jrpm J(Gen.generate(), pipeline::PipelineConfig{});
   pipeline::PipelineResult R = J.runAll();
   EXPECT_EQ(R.TlsRun.ReturnValue, R.PlainRun.ReturnValue)
@@ -69,6 +69,11 @@ TEST_P(FuzzSuite, FullPipelineMatches) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzSuite, ::testing::Range<std::uint64_t>(1, 41));
+// Programs whose outer loop steps a counter inside a child loop: treating
+// that counter as a once-per-iteration inductor made TLS diverge.
+INSTANTIATE_TEST_SUITE_P(InnerLoopCounter, FuzzSuite,
+                         ::testing::Values<std::uint64_t>(296, 395, 697, 1062,
+                                                          1667, 1952, 1995));
 
 TEST(ConcurrentFuzz, GeneratedProgramsBitIdenticalUnderSweepPool) {
   // The sweep-engine variant of the fuzz harness: N generated programs are
@@ -80,7 +85,7 @@ TEST(ConcurrentFuzz, GeneratedProgramsBitIdenticalUnderSweepPool) {
   constexpr std::uint64_t NumPrograms = 24;
   std::vector<std::string> Errors(NumPrograms);
   sweep::parallelFor(NumPrograms, 4, [&](std::size_t Seed, unsigned) {
-    testutil::ProgramGenerator Gen(Seed * 2654435761 + 101);
+    corpus::ProgramGenerator Gen(Seed * 2654435761 + 101);
     ir::Module M = Gen.generate();
     sim::HydraConfig Cfg;
     auto Seq = testutil::runModule(M, Cfg);

@@ -8,7 +8,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "RandomProgram.h"
 #include "TestUtil.h"
 #include "analysis/Candidates.h"
 #include "corpus/Template.h"

@@ -16,6 +16,7 @@
 #include "analysis/ScalarEvolution.h"
 #include "analysis/StaticOracle.h"
 #include "ir/Opcode.h"
+#include "jrpm/Pipeline.h"
 
 #include <gtest/gtest.h>
 
@@ -75,11 +76,11 @@ struct LoopFixture {
     return FA.LoopScalars[Idx];
   }
   LoopScev scev(std::uint32_t Idx = 0) const {
-    return LoopScev(func(), loop(Idx), scalars(Idx));
+    return LoopScev(func(), loop(Idx), FA.DT, scalars(Idx));
   }
   LoopOracleResult oracle(std::uint32_t Budget,
                           std::uint32_t Idx = 0) const {
-    return runStaticOracle(func(), loop(Idx), scalars(Idx),
+    return runStaticOracle(func(), loop(Idx), FA.DT, scalars(Idx),
                            FA.MemDep->aliases(), Effects, Budget);
   }
 };
@@ -513,7 +514,7 @@ TEST(StaticOracle, PureCalleeKeepsParallelVerdict) {
   ASSERT_EQ(FA.LI.loops().size(), 1u);
   std::vector<FuncMemEffects> Effects = computeMemEffects(M);
   LoopOracleResult R =
-      runStaticOracle(F, FA.LI.loops()[0], FA.LoopScalars[0],
+      runStaticOracle(F, FA.LI.loops()[0], FA.DT, FA.LoopScalars[0],
                       FA.MemDep->aliases(), Effects, 10);
   EXPECT_EQ(R.Verdict, OracleVerdict::ProvablyParallel);
 }
@@ -612,7 +613,7 @@ TEST(InductionEdge, NegativeStrideIsAnInductor) {
   }));
   std::uint16_t I = localReg(FX.func(), "i");
   ASSERT_EQ(FX.scalars().Inductors.count(I), 1u);
-  EXPECT_EQ(FX.scalars().Inductors.at(I), -1);
+  EXPECT_EQ(FX.scalars().Inductors.at(I).Step, -1);
 
   // ... and its affine form carries the negative stride.
   LoopScev Scev = FX.scev();
@@ -679,7 +680,7 @@ TEST(InductionEdge, StrideUpdateAfterUseKeepsInductor) {
   }));
   std::uint16_t I = localReg(FX.func(), "i");
   ASSERT_EQ(FX.scalars().Inductors.count(I), 1u);
-  EXPECT_EQ(FX.scalars().Inductors.at(I), 1);
+  EXPECT_EQ(FX.scalars().Inductors.at(I).Step, 1);
   LoopScev Scev = FX.scev();
   auto [SB, SI] = findOp(FX.func(), ir::Opcode::Store);
   AffineExpr E = Scev.addressAt(FX.func().Blocks[SB].Instructions[SI],
@@ -710,4 +711,44 @@ TEST(InductionEdge, WraparoundCounterStaysAnInductor) {
   AffineExpr E = Scev.addressAt(FX.func().Blocks[SB].Instructions[SI],
                                 SB, SI);
   EXPECT_FALSE(E.Valid); // 2^40 * 2^40 wraps the coefficient
+}
+
+TEST(InductionEdge, UpdateInsideInnerLoopIsNotAnInductor) {
+  // i's only update sits in the header of a three-trip inner loop, which
+  // dominates the outer latch but runs three times per outer iteration.
+  LoopFixture FX(seq({
+      assign("i", c(0)),
+      assign("s", c(0)),
+      whileLoop(lt(v("i"), c(40)),
+                seq({
+                    assign("j", c(0)),
+                    doWhile(lt(v("j"), c(3)),
+                            seq({
+                                assign("i", add(v("i"), c(1))),
+                                assign("j", add(v("j"), c(1))),
+                            })),
+                    assign("s", add(v("s"), v("i"))),
+                })),
+      ret(v("s")),
+  }));
+  ASSERT_EQ(FX.FA.LI.loops().size(), 2u);
+  std::uint32_t Outer = FX.loop(0).Parent < 0 ? 0 : 1;
+  std::uint32_t Inner = 1 - Outer;
+  std::uint16_t I = localReg(FX.func(), "i");
+  EXPECT_EQ(FX.scalars(Outer).Inductors.count(I), 0u);
+  EXPECT_EQ(std::count(FX.scalars(Outer).OtherCarried.begin(),
+                       FX.scalars(Outer).OtherCarried.end(), I),
+            1);
+  // In the inner loop the same update is a plain once-per-iteration step.
+  ASSERT_EQ(FX.scalars(Inner).Inductors.count(I), 1u);
+  EXPECT_EQ(FX.scalars(Inner).Inductors.at(I).Step, 1);
+
+  // Speculating every loop reproduces the sequential sum of 3 + 6 + ... +
+  // 42; an outer inductor of step 1 would start iteration n at i = n.
+  pipeline::Jrpm J(FX.M, pipeline::PipelineConfig{});
+  interp::RunResult Seq = testutil::runModule(FX.M);
+  EXPECT_EQ(Seq.ReturnValue, 315u);
+  EXPECT_EQ(J.runSpeculative(pipeline::everyCandidate(J.moduleAnalysis()))
+                .Run.ReturnValue,
+            Seq.ReturnValue);
 }

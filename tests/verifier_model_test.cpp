@@ -12,8 +12,8 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "RandomProgram.h"
 #include "analysis/Candidates.h"
+#include "corpus/Generator.h"
 #include "ir/IRBuilder.h"
 #include "ir/RegUse.h"
 #include "ir/Verifier.h"
@@ -325,7 +325,7 @@ TEST(DefBeforeUseModel, FuzzGeneratorProgramsMatchModel) {
   std::size_t Diags = 0;
   for (std::uint64_t Seed = 1; Seed <= 40; ++Seed) {
     std::string Where = "generator seed " + std::to_string(Seed);
-    Module M = testutil::ProgramGenerator(Seed).generate();
+    Module M = corpus::ProgramGenerator(Seed).generate();
     EXPECT_EQ(expectMatchesModel(M, Where), 0u) << Where;
 
     // Annotation appends split blocks after their successors.
@@ -415,7 +415,7 @@ TEST(IRDump, MatchesSnprintfOnEdgeValues) {
 
 TEST(IRDump, MatchesSnprintfOnGeneratedPrograms) {
   for (std::uint64_t Seed = 1; Seed <= 20; ++Seed) {
-    Module M = testutil::ProgramGenerator(Seed).generate();
+    Module M = corpus::ProgramGenerator(Seed).generate();
     EXPECT_EQ(M.dump(), snprintfDump(M)) << "seed " << Seed;
     analysis::ModuleAnalysis MA(M);
     Module AM =

@@ -67,20 +67,6 @@ int usage() {
   return 2;
 }
 
-std::vector<std::string> splitCommas(const std::string &S) {
-  std::vector<std::string> Out;
-  std::size_t Pos = 0;
-  while (Pos <= S.size()) {
-    std::size_t Comma = S.find(',', Pos);
-    if (Comma == std::string::npos)
-      Comma = S.size();
-    if (Comma > Pos)
-      Out.push_back(S.substr(Pos, Comma - Pos));
-    Pos = Comma + 1;
-  }
-  return Out;
-}
-
 struct CliOptions {
   std::vector<std::string> Workloads;
   std::string TemplateId;
