@@ -16,11 +16,12 @@
 // consumer (sequential machine, Hydra TLS cores, tracer event emission)
 // behaves bit-identically to the nested layout.
 //
-// Whoever runs a module builds its image: a sequential context compiles
-// its own, and the Hydra TLS engine compiles the plain module once and
-// then appends each globalized loop clone with appendFunction(). An append
-// lays out one function after the existing ones, so every flat PC handed
-// out before it stays valid.
+// An interp::Machine compiles the module it runs into one image and owns
+// it. The machine's context and the cores of a Hydra TLS engine bound to
+// the machine run on that image, and the engine installs each globalized
+// loop clone into it with appendFunction(). An append lays out one
+// function after the existing ones, so every flat PC handed out before it
+// stays valid.
 //
 //===----------------------------------------------------------------------===//
 

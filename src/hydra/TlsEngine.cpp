@@ -33,26 +33,33 @@ std::uint32_t coreBit(std::uint32_t Core) { return 1u << Core; }
 
 TlsEngine::TlsEngine(const ir::Module &M, const sim::HydraConfig &Cfg,
                      std::vector<jit::TlsLoopPlan> Plans)
-    : Cfg(Cfg), Plain(M), EngineImage(M), WordTags(Cfg.NumCores),
+    : Cfg(Cfg), Plain(M), WordTags(Cfg.NumCores),
       LineSplit(Cfg.WordsPerLine) {
   if (Cfg.NumCores == 0 || Cfg.NumCores > SpecTagTable::MaxCores)
     throw std::invalid_argument("TlsEngine models 1 to 32 cores");
   assert(sim::hasValidCacheGeometry(Cfg) && "invalid cache geometry");
-  LoopAtPc.assign(EngineImage.numInsts(), 0);
-  Loops.reserve(Plans.size());
-  for (jit::TlsLoopPlan &Plan : Plans) {
-    LoopAtPc[EngineImage.blockStart(Plan.Func, Plan.Header)] =
-        static_cast<std::uint32_t>(Loops.size() + 1);
-    PreparedLoop PL;
-    PL.Plan = std::move(Plan);
-    Loops.push_back(std::move(PL));
-  }
+  Loops.resize(Plans.size());
+  for (std::size_t L = 0; L < Plans.size(); ++L)
+    Loops[L].Plan = std::move(Plans[L]);
   Threads.resize(Cfg.NumCores);
   IterOf.assign(Cfg.NumCores, NoIter);
-  for (std::uint32_t C = 0; C < Cfg.NumCores; ++C) {
-    Threads[C].Ctx = std::make_unique<interp::ExecContext>(EngineImage, Cfg);
-    Threads[C].L1 = std::make_unique<sim::L1CacheModel>(Cfg);
+}
+
+const std::vector<std::uint32_t> &TlsEngine::stopMap(interp::Machine &M) {
+  if (&M.module() != &Plain)
+    throw std::invalid_argument("the machine runs another module");
+  Image = &M.image();
+  LoopAtPc.assign(Image->numInsts(), 0);
+  for (std::uint32_t L = 0; L < Loops.size(); ++L) {
+    const jit::TlsLoopPlan &Plan = Loops[L].Plan;
+    LoopAtPc[Image->blockStart(Plan.Func, Plan.Header)] = L + 1;
+    Loops[L].Ready = false;
   }
+  for (SpecThread &T : Threads) {
+    T.Ctx = std::make_unique<interp::ExecContext>(*Image, Cfg);
+    T.L1 = std::make_unique<sim::L1CacheModel>(Cfg);
+  }
+  return LoopAtPc;
 }
 
 TlsLoopRunStats TlsEngine::totals() const {
@@ -174,31 +181,28 @@ void TlsEngine::prepareLoop(PreparedLoop &PL, interp::Machine &M) {
       globalizeLoopBody(Plain.Functions[PL.Plan.Func], PL.Plan, PL.SpillAddrs);
   // Number the clone's tracer PCs after the image's last instruction, as
   // Module::finalize() would if the clone were pushed onto the module.
-  std::int32_t NextPc = static_cast<std::int32_t>(EngineImage.numInsts());
+  std::int32_t NextPc = static_cast<std::int32_t>(Image->numInsts());
   for (ir::BasicBlock &BB : Clone.Blocks)
     for (ir::Instruction &I : BB.Instructions)
       I.Pc = NextPc++;
-  // Appending leaves every existing flat PC where it was, so LoopAtPc and
-  // previously prepared loops stay valid. The spec contexts re-read the
-  // instruction array on every run-ahead, so its reallocation is invisible.
-  PL.TlsFunc = EngineImage.appendFunction(Clone);
-  PL.HeaderPcTls = EngineImage.blockStart(PL.TlsFunc, PL.Plan.Header);
-  const exec::FuncDesc &F = EngineImage.func(PL.TlsFunc);
-  exec::FlatPc Lo = ~exec::FlatPc(0), Hi = 0;
-  for (std::uint32_t B = 0; B < F.NumBlocks; ++B) {
-    const exec::BlockDesc &D = EngineImage.blockDesc(F.FirstBlock + B);
-    Lo = std::min(Lo, D.StartPc);
-    Hi = std::max(Hi, D.StartPc + D.NumInsts);
-  }
+  // Installing leaves every existing flat PC where it was, so LoopAtPc and
+  // previously prepared loops stay valid. The machine's context and the
+  // spec contexts re-read the instruction array on every run and
+  // run-ahead, so its reallocation is invisible.
+  std::uint32_t Func = M.install(Clone);
+  PL.HeaderPcTls = Image->blockStart(Func, PL.Plan.Header);
+  // The clone is the last function, laid out from its entry to the end.
+  const exec::FlatPc Lo = Image->entry(Func);
   PL.Boundaries.Base = Lo;
-  PL.Boundaries.Flags.assign(Hi - Lo, 0);
-  for (std::uint32_t B = 0; B < F.NumBlocks; ++B)
+  PL.Boundaries.Flags.assign(Image->numInsts() - Lo, 0);
+  for (std::uint32_t B = 0; B < Clone.numBlocks(); ++B)
     if (B == PL.Plan.Header || !PL.Plan.containsBlock(B))
-      PL.Boundaries.Flags[EngineImage.blockStart(PL.TlsFunc, B) - Lo] = 1;
+      PL.Boundaries.Flags[Image->blockStart(Func, B) - Lo] = 1;
   PL.Ready = true;
 }
 
 bool TlsEngine::onBlockStart(interp::ExecContext &Ctx, interp::Machine &M) {
+  assert(&M.image() == Image && "onBlockStart from a machine not bound");
   std::uint32_t Loop = LoopAtPc[Ctx.pc()];
   if (!Loop)
     return false;
@@ -522,7 +526,7 @@ bool TlsEngine::runEvent(std::uint32_t Core) {
       T.State = SpecThread::St::IterDone;
     } else {
       T.State = SpecThread::St::Exited;
-      T.ExitBlock = EngineImage.blockOf(Pc);
+      T.ExitBlock = Image->blockOf(Pc);
       recomputeExitCap();
     }
     return true;
@@ -530,7 +534,7 @@ bool TlsEngine::runEvent(std::uint32_t Core) {
   case RunStop::Shared:
     break;
   }
-  const exec::DecodedInst &I = EngineImage.inst(T.Ctx->pc());
+  const exec::DecodedInst &I = Image->inst(T.Ctx->pc());
   switch (I.Op) {
   case ir::Opcode::Load:
   case ir::Opcode::Store:
@@ -624,7 +628,7 @@ void TlsEngine::runLoop(PreparedLoop &PL, interp::ExecContext &Ctx,
               ClockBase);
 
   EntryRegs = Ctx.topRegs();
-  assert(EntryRegs.size() >= EngineImage.func(PL.Plan.Func).NumRegs &&
+  assert(EntryRegs.size() >= Image->func(PL.Plan.Func).NumRegs &&
          "entry registers too small");
 
   // Loop startup (Table 2): initialize loop locals in the spill area and

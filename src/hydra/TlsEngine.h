@@ -89,9 +89,11 @@ public:
   TlsEngine(ir::Module &&, const sim::HydraConfig &,
             std::vector<jit::TlsLoopPlan>) = delete;
 
-  const std::vector<std::uint32_t> &stopMap() const override {
-    return LoopAtPc;
-  }
+  /// Binds the engine to \p M, which must run the engine's module (throws
+  /// std::invalid_argument otherwise): the cores run on \p M's image, into
+  /// which each loop's clone is installed when the loop first runs. Binding
+  /// again starts over: loops are prepared anew and the cores' L1s are cold.
+  const std::vector<std::uint32_t> &stopMap(interp::Machine &M) override;
   bool onBlockStart(interp::ExecContext &Ctx, interp::Machine &M) override;
 
   const std::map<std::uint32_t, TlsLoopRunStats> &loopStats() const {
@@ -117,10 +119,8 @@ public:
 private:
   struct PreparedLoop {
     jit::TlsLoopPlan Plan;
-    /// Index of the globalized clone within EngineImage (0 = not yet
-    /// prepared).
-    std::uint32_t TlsFunc = 0;
-    /// Flat PC of the clone's header block in EngineImage: spec threads
+    /// Flat PC of the clone's header block in the bound machine's image:
+    /// spec threads
     /// spawn here and an iteration is done when control returns here.
     exec::FlatPc HeaderPcTls = 0;
     /// The clone's header and every block outside the loop: a thread's
@@ -245,19 +245,16 @@ private:
   /// Held by value (reentrancy audit): sweep jobs build engines from
   /// per-job configs in temporaries; a reference member would dangle.
   sim::HydraConfig Cfg;
-  /// The caller's plain module: the source of each loop's clone.
+  /// The caller's plain module: the only module a bound machine may run,
+  /// and the source of each loop's clone.
   const ir::Module &Plain;
-  /// Image of Plain, to which prepareLoop appends each loop's globalized
-  /// clone. An append moves no existing flat PC, so PCs cached in LoopAtPc
-  /// and in already-prepared loops stay valid, and the spec contexts
-  /// reference this member by address throughout.
-  exec::CodeImage EngineImage;
+  /// The bound machine's image. An install moves no existing flat PC, so
+  /// PCs cached in LoopAtPc and in already-prepared loops stay valid.
+  const exec::CodeImage *Image = nullptr;
   std::vector<PreparedLoop> Loops;
-  /// Per flat PC of the plain module: 1 + the index of the selected loop
-  /// whose header block starts there, or 0. The sequential machine's
-  /// context and EngineImage are both compiled from Plain, so their flat
-  /// PCs agree: this is the machine's stop map, and onBlockStart
-  /// dispatches on one load.
+  /// Per flat PC of the bound machine's image at binding: 1 + the index of
+  /// the selected loop whose header block starts there, or 0. This is the
+  /// machine's stop map, and onBlockStart dispatches on one load.
   std::vector<std::uint32_t> LoopAtPc;
   std::map<std::uint32_t, TlsLoopRunStats> Stats;
 

@@ -36,7 +36,6 @@
 
 #include <cassert>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 namespace jrpm {
@@ -53,15 +52,10 @@ struct Frame {
 
 class ExecContext {
 public:
-  /// Runs on an externally owned image (the Hydra engine shares one image
-  /// across its cores and appends loop clones to it between runs).
+  /// Runs on \p Image, which its owner keeps alive: the interp::Machine
+  /// whose context and bound TLS cores share it (and append clones to it).
   ExecContext(const exec::CodeImage &Image, const sim::HydraConfig &Cfg)
       : Image(Image), Cfg(Cfg) {}
-
-  /// Convenience: compiles a private image of \p M.
-  ExecContext(const ir::Module &M, const sim::HydraConfig &Cfg)
-      : OwnedImage(std::make_shared<const exec::CodeImage>(M)),
-        Image(*OwnedImage), Cfg(Cfg) {}
 
   const exec::CodeImage &image() const { return Image; }
 
@@ -106,11 +100,11 @@ public:
 
   /// Executes until the program finishes, the running clock (starting at
   /// \p Now, advanced per instruction) exceeds \p MaxCycles, or control
-  /// reaches a block start whose entry in \p StopAt (one per flat PC of the
-  /// image; null = none) is nonzero. Both tests run when a Br, CondBr or
-  /// Call lands on a block start, so a run resumed where it stopped makes
-  /// progress, and the context is at a block start (or finished) on
-  /// return. Returns the cycles consumed; resuming after a stop changes no
+  /// reaches a block start whose entry in \p StopAt (indexed by flat PC,
+  /// covering every PC the run can reach; null = none) is nonzero. Both
+  /// tests run when a Br, CondBr or Call lands on a block start, so a run
+  /// resumed where it stopped makes progress, and the context is at a
+  /// block start (or finished) on return. Returns the cycles consumed; resuming after a stop changes no
   /// total. Must not be called when finished(). Throws TrapError when the
   /// program divides by zero.
   std::uint64_t run(DirectMemoryPort &Mem, TraceSink *Sink,
@@ -186,7 +180,6 @@ private:
                          const std::uint32_t *StopAt,
                          const BoundaryMap *Stops, RunStop *Why);
 
-  std::shared_ptr<const exec::CodeImage> OwnedImage; ///< null when external
   const exec::CodeImage &Image;
   const sim::HydraConfig &Cfg;
   std::vector<Frame> Frames;

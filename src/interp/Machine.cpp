@@ -6,8 +6,6 @@
 #include "metrics/Timeline.h"
 #include "support/Compiler.h"
 
-#include <stdexcept>
-
 using namespace jrpm;
 using namespace jrpm::interp;
 
@@ -18,14 +16,8 @@ RunResult Machine::run(const std::vector<std::uint64_t> &Args) {
   Ctx.start(M.EntryFunction, Args);
   // Watchdog against runaway programs: generous for our largest workloads.
   constexpr std::uint64_t MaxCycles = 40ull * 1000 * 1000 * 1000;
-  const std::uint32_t *StopAt = nullptr;
-  if (Dispatcher) {
-    const std::vector<std::uint32_t> &Map = Dispatcher->stopMap();
-    if (Map.size() != Ctx.image().numInsts())
-      throw std::invalid_argument(
-          "the dispatcher's stop map does not cover the machine's module");
-    StopAt = Map.data();
-  }
+  const std::uint32_t *StopAt =
+      Dispatcher ? Dispatcher->stopMap(*this).data() : nullptr;
   // start(), run() and a dispatcher's repositioning all leave the context
   // at a block start (or finished), so each pass consults the dispatcher
   // only where it asked to be.

@@ -40,9 +40,11 @@ class LoopDispatcher {
 public:
   virtual ~LoopDispatcher() = default;
 
-  /// One entry per flat PC of the machine's module: nonzero at the block
-  /// starts onBlockStart() wants to see. Must not change during a run.
-  virtual const std::vector<std::uint32_t> &stopMap() const = 0;
+  /// Binds the dispatcher to \p M; Machine::run calls it once, before any
+  /// onBlockStart(). Returns one entry per flat PC of \p M's image as it
+  /// is now: nonzero at the block starts onBlockStart() wants to see. The
+  /// map must not change during the run.
+  virtual const std::vector<std::uint32_t> &stopMap(Machine &M) = 0;
 
   /// Returns true if the dispatcher executed the loop speculatively: the
   /// context is then positioned at the loop exit and the consumed cycles
@@ -63,7 +65,8 @@ struct RunResult {
 class Machine {
 public:
   Machine(const ir::Module &M, const sim::HydraConfig &Cfg)
-      : M(M), Cfg(Cfg), Ctx(M, this->Cfg), Port(TheHeap, this->Cfg) {}
+      : M(M), Cfg(Cfg), Image(M), Ctx(Image, this->Cfg),
+        Port(TheHeap, this->Cfg) {}
 
   void setTraceSink(TraceSink *S) { Sink = S; }
   void setDispatcher(LoopDispatcher *D) { Dispatcher = D; }
@@ -87,6 +90,13 @@ public:
 
   Heap &heap() { return TheHeap; }
   const ir::Module &module() const { return M; }
+  /// The module's functions, then whatever install() appended.
+  const exec::CodeImage &image() const { return Image; }
+  /// Appends \p F to the image and returns its function index. No flat PC
+  /// handed out before moves; the machine's context never enters \p F.
+  std::uint32_t install(const ir::Function &F) {
+    return Image.appendFunction(F);
+  }
   const sim::HydraConfig &config() const { return Cfg; }
   std::uint64_t clock() const { return Clock; }
   void addCycles(std::uint64_t C) { Clock += C; }
@@ -97,6 +107,9 @@ private:
   /// below keep references into this copy for the machine's lifetime.
   sim::HydraConfig Cfg;
   Heap TheHeap;
+  /// The one image of M, which a dispatcher installs its code into.
+  /// Declared before Ctx, which runs on it.
+  exec::CodeImage Image;
   ExecContext Ctx;
   DirectMemoryPort Port;
   TraceSink *Sink = nullptr;

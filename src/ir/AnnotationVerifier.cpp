@@ -17,10 +17,9 @@ class AnnotationVerifierImpl {
 public:
   AnnotationVerifierImpl(const Module &M,
                          const std::vector<LoopAnnotationInfo> &Loops)
-      : M(M), Loops(Loops), SawSLoop(Loops.size(), false),
-        SwlSeen(Loops.size()) {
+      : M(M), Loops(Loops), SLoopIn(Loops.size(), 0), SwlIn(Loops.size()) {
     for (std::size_t Id = 0; Id < Loops.size(); ++Id)
-      SwlSeen[Id].assign(Loops[Id].AnnotatedLocals.size(), false);
+      SwlIn[Id].assign(Loops[Id].AnnotatedLocals.size(), 0);
   }
 
   std::vector<std::string> run() {
@@ -76,7 +75,7 @@ private:
                   Loops[static_cast<std::size_t>(I.Imm)]
                       .AnnotatedLocals.size())));
         Stack.push_back(static_cast<std::uint32_t>(I.Imm));
-        SawSLoop[static_cast<std::size_t>(I.Imm)] = true;
+        SLoopIn[static_cast<std::size_t>(I.Imm)] = FIdx + 1;
         break;
       case Opcode::Eoi:
         if (Stack.empty() ||
@@ -116,7 +115,7 @@ private:
             const auto &Regs = Loops[Id].AnnotatedLocals;
             for (std::size_t K = 0; K < Regs.size(); ++K)
               if (Regs[K] == I.A)
-                SwlSeen[Id][K] = true;
+                SwlIn[Id][K] = FIdx + 1;
           }
         }
         break;
@@ -178,28 +177,28 @@ private:
     // at least one swl inside the loop (each carried local is defined in
     // the loop, and even optimized annotation keeps the last definition).
     for (std::uint32_t Id = 0; Id < Loops.size(); ++Id) {
-      if (!SawSLoop[Id])
+      if (SLoopIn[Id] != FIdx + 1)
         continue;
       const auto &Regs = Loops[Id].AnnotatedLocals;
       for (std::size_t K = 0; K < Regs.size(); ++K)
-        if (!SwlSeen[Id][K])
+        if (SwlIn[Id][K] != FIdx + 1)
           report(formatString(
               "func %u: loop %u watches r%u but no swl annotates it", FIdx,
               Id, Regs[K]));
-      SawSLoop[Id] = false;
-      SwlSeen[Id].assign(Regs.size(), false);
     }
   }
 
   const Module &M;
   const std::vector<LoopAnnotationInfo> &Loops;
   std::vector<std::string> Errors;
-  /// Per loop id: whether its sloop marker appeared in the current
-  /// function.
-  std::vector<bool> SawSLoop;
-  /// Per loop id, parallel to its AnnotatedLocals: whether an swl inside
-  /// the loop covered that local.
-  std::vector<std::vector<bool>> SwlSeen;
+  // Marks are 1 + the index of the function whose walk set them (0 =
+  // never), so the state a walk leaves, however it ended, means nothing to
+  // any other function and needs no reset.
+  /// Per loop id: the last function whose walk met its sloop marker.
+  std::vector<std::uint32_t> SLoopIn;
+  /// Per loop id, parallel to its AnnotatedLocals: the last function in
+  /// which an swl inside the loop covered that local.
+  std::vector<std::vector<std::uint32_t>> SwlIn;
 };
 
 } // namespace

@@ -193,6 +193,34 @@ TEST(AnnotationVerifier, CatchesMissingSwlCoverage) {
   EXPECT_TRUE(anyErrorContains(Fx.verify(), "no swl annotates"));
 }
 
+TEST(AnnotationVerifier, ErrorsStayWithTheFunctionThatHasThem) {
+  // Function 0 opens loop 0, which watches one local, then ends an
+  // iteration of loop 1: an unrecoverable mismatch that stops its walk
+  // before its coverage check. Function 1 has no annotations at all, so
+  // nothing may be reported under its index.
+  ir::Module M;
+  ir::IRBuilder B(M);
+  B.createFunction("broken", 0);
+  ir::Instruction SLoop{};
+  SLoop.Op = ir::Opcode::SLoop;
+  SLoop.Imm = 0;
+  SLoop.Imm2 = 1;
+  B.emit(SLoop);
+  ir::Instruction Eoi{};
+  Eoi.Op = ir::Opcode::Eoi;
+  Eoi.Imm = 1;
+  B.emit(Eoi);
+  B.emitRet();
+  B.createFunction("clean", 0);
+  B.emitRet();
+  M.finalize();
+  std::vector<ir::LoopAnnotationInfo> Loops = {{{5}}};
+  std::vector<std::string> Errors = ir::verifyAnnotations(M, Loops);
+  ASSERT_EQ(Errors.size(), 1u);
+  EXPECT_EQ(Errors[0],
+            "func 0 bb0: eoi 1 does not match innermost active loop");
+}
+
 //===----------------------------------------------------------------------===//
 // verifyModule extensions: def-before-use and register types
 //===----------------------------------------------------------------------===//

@@ -14,6 +14,7 @@
 #include "corpus/Generator.h"
 #include "exec/CodeImage.h"
 #include "hydra/TlsCodegen.h"
+#include "hydra/TlsEngine.h"
 #include "interp/Trap.h"
 #include "jit/TlsPlan.h"
 #include "workloads/Workload.h"
@@ -132,14 +133,21 @@ TEST(CodeImage, TerminatorClassification) {
 
 namespace {
 
-/// Asserts that two images agree field by field.
+/// Asserts that two images agree field by field, or with \p Prefix, that
+/// \p X starts with all of \p Y.
 void expectSameImage(const exec::CodeImage &X, const exec::CodeImage &Y,
-                     const std::string &What) {
+                     const std::string &What, bool Prefix = false) {
   SCOPED_TRACE(What);
-  ASSERT_EQ(X.numInsts(), Y.numInsts());
-  ASSERT_EQ(X.numBlocks(), Y.numBlocks());
-  ASSERT_EQ(X.numFuncs(), Y.numFuncs());
-  for (exec::FlatPc Pc = 0; Pc < X.numInsts(); ++Pc) {
+  if (Prefix) {
+    ASSERT_GE(X.numInsts(), Y.numInsts());
+    ASSERT_GE(X.numBlocks(), Y.numBlocks());
+    ASSERT_GE(X.numFuncs(), Y.numFuncs());
+  } else {
+    ASSERT_EQ(X.numInsts(), Y.numInsts());
+    ASSERT_EQ(X.numBlocks(), Y.numBlocks());
+    ASSERT_EQ(X.numFuncs(), Y.numFuncs());
+  }
+  for (exec::FlatPc Pc = 0; Pc < Y.numInsts(); ++Pc) {
     const exec::DecodedInst &A = X.inst(Pc), &B = Y.inst(Pc);
     EXPECT_TRUE(A.Op == B.Op && A.Flags == B.Flags && A.Dst == B.Dst &&
                 A.A == B.A && A.B == B.B && A.Imm == B.Imm &&
@@ -147,14 +155,14 @@ void expectSameImage(const exec::CodeImage &X, const exec::CodeImage &Y,
         << "inst " << Pc;
     EXPECT_EQ(X.blockOrdinalOf(Pc), Y.blockOrdinalOf(Pc)) << "inst " << Pc;
   }
-  for (std::uint32_t I = 0; I < X.numBlocks(); ++I) {
+  for (std::uint32_t I = 0; I < Y.numBlocks(); ++I) {
     const exec::BlockDesc &A = X.blockDesc(I), &B = Y.blockDesc(I);
     EXPECT_TRUE(A.StartPc == B.StartPc && A.NumInsts == B.NumInsts &&
                 A.Func == B.Func && A.BlockInFunc == B.BlockInFunc &&
                 A.Term == B.Term && A.Annotations == B.Annotations)
         << "block " << I;
   }
-  for (std::uint32_t I = 0; I < X.numFuncs(); ++I) {
+  for (std::uint32_t I = 0; I < Y.numFuncs(); ++I) {
     const exec::FuncDesc &A = X.func(I), &B = Y.func(I);
     EXPECT_TRUE(A.EntryPc == B.EntryPc && A.NumRegs == B.NumRegs &&
                 A.NumParams == B.NumParams && A.FirstBlock == B.FirstBlock &&
@@ -191,6 +199,21 @@ void expectAppendMatchesRebuild(ir::Module M, const std::string &What) {
   expectSameImage(Appended, exec::CodeImage(Whole), What);
 }
 
+/// Two loops that carry no local across iterations, so their clones need
+/// no spill words and globalizeLoopBody(F, Plan, {}) rebuilds exactly what
+/// the TLS engine installs.
+ir::Module twoSpillFreeLoops() {
+  return makeMain(seq({
+      assign("a", allocWords(c(64))),
+      forLoop("i", c(0), lt(v("i"), c(64)), 1,
+              store(v("a"), v("i"), mul(v("i"), c(7)))),
+      assign("s", c(0)),
+      forLoop("i", c(0), lt(v("i"), c(64)), 1,
+              assign("s", add(v("s"), ld(v("a"), v("i"))))),
+      ret(v("s")),
+  }));
+}
+
 } // namespace
 
 TEST(CodeImage, AppendFunctionMatchesWholeModuleBuild) {
@@ -200,6 +223,35 @@ TEST(CodeImage, AppendFunctionMatchesWholeModuleBuild) {
     expectAppendMatchesRebuild(corpus::ProgramGenerator(Seed).generate(),
                                "seed " + std::to_string(Seed));
   expectAppendMatchesRebuild(makeCallProgram(), "call program");
+
+  // The same layout when the TLS engine installs its clones into the
+  // machine's image during a run: the module's own functions first, then
+  // each clone as a whole-module build with it appended would lay it out.
+  ir::Module M = twoSpillFreeLoops();
+  analysis::ModuleAnalysis MA(M);
+  std::vector<jit::TlsLoopPlan> Plans;
+  for (const analysis::CandidateStl &C : MA.candidates())
+    if (!C.Rejected)
+      Plans.push_back(jit::buildTlsPlan(MA, C));
+  ASSERT_EQ(Plans.size(), 2u);
+  sim::HydraConfig Cfg;
+  interp::Machine Machine(M, Cfg);
+  hydra::TlsEngine Engine(M, Cfg, Plans);
+  Machine.setDispatcher(&Engine);
+  EXPECT_EQ(Machine.run().ReturnValue, runModule(M, Cfg).ReturnValue);
+  const exec::CodeImage &Installed = Machine.image();
+  ASSERT_EQ(Installed.numFuncs(), M.Functions.size() + Plans.size());
+  expectSameImage(Installed, exec::CodeImage(M), "machine base", true);
+  ir::Module Whole = M;
+  for (std::size_t K = 0; K < Plans.size(); ++K) {
+    ASSERT_TRUE(Plans[K].CarriedLocals.empty());
+    Whole.Functions.push_back(
+        hydra::globalizeLoopBody(M.Functions[Plans[K].Func], Plans[K], {}));
+    Whole.finalize();
+    expectSameImage(Installed, exec::CodeImage(Whole),
+                    "installed clone " + std::to_string(K),
+                    K + 1 < Plans.size());
+  }
 }
 
 namespace {
@@ -231,12 +283,13 @@ TEST(ExecContext, StepGranularitiesAgreeOnRandomPrograms) {
     ir::Module M = Gen.generate();
     sim::HydraConfig Cfg;
     interp::RunResult Machine = runModule(M, Cfg); // one unstopped run()
+    exec::CodeImage Image(M);
 
     // Whole run under a cycle budget: resuming after a budget return must
     // not change any totals.
     interp::Heap HB;
     interp::DirectMemoryPort PortB(HB, Cfg);
-    interp::ExecContext Budgeted(M, Cfg);
+    interp::ExecContext Budgeted(Image, Cfg);
     Budgeted.start(M.EntryFunction, {});
     std::uint64_t ClockB = Budgeted.run(PortB, nullptr, 0, Machine.Cycles / 2);
     if (!Budgeted.finished()) {
@@ -256,7 +309,7 @@ TEST(ExecContext, StepGranularitiesAgreeOnRandomPrograms) {
     auto RunStopped = [&](const std::vector<std::uint32_t> &StopAt) {
       interp::Heap H;
       interp::DirectMemoryPort Port(H, Cfg);
-      interp::ExecContext Ctx(M, Cfg);
+      interp::ExecContext Ctx(Image, Cfg);
       Ctx.start(M.EntryFunction, {});
       std::uint64_t Clock = 0;
       std::vector<RunStopPoint> Stops;
@@ -273,7 +326,6 @@ TEST(ExecContext, StepGranularitiesAgreeOnRandomPrograms) {
       EXPECT_EQ(Ctx.returnValue(), Machine.ReturnValue);
       return Stops;
     };
-    exec::CodeImage Image(M);
     std::vector<std::uint32_t> Every = blockStartMap(Image);
     std::vector<std::uint32_t> Some = blockStartMap(Image, 3);
     std::vector<RunStopPoint> AtEvery = RunStopped(Every);
@@ -304,10 +356,10 @@ TEST(ExecContext, RunAheadAgreesWithSteppingOnRandomPrograms) {
 
     interp::Heap H;
     interp::DirectMemoryPort Port(H, Cfg);
-    interp::ExecContext Ctx(M, Cfg);
+    exec::CodeImage Image(M);
+    interp::ExecContext Ctx(Image, Cfg);
     Ctx.start(M.EntryFunction, {});
     // Every block start of the entry function is a boundary.
-    const exec::CodeImage &Image = Ctx.image();
     const exec::FuncDesc &F = Image.func(M.EntryFunction);
     interp::ExecContext::BoundaryMap Stops;
     exec::FlatPc Lo = ~exec::FlatPc(0), Hi = 0;
@@ -374,7 +426,8 @@ TEST(ExecContext, RunAheadParksBeforeZeroDivisor) {
   }));
   M.finalize();
   sim::HydraConfig Cfg;
-  interp::ExecContext Ctx(M, Cfg);
+  exec::CodeImage Image(M);
+  interp::ExecContext Ctx(Image, Cfg);
   Ctx.start(M.EntryFunction, {});
   interp::ExecContext::BoundaryMap None;
   None.Base = 0;
@@ -415,7 +468,8 @@ TEST(ExecContext, ResetAtPcAcceptsOversizedRegisterFile) {
 
   interp::Heap H;
   interp::DirectMemoryPort Port(H, Cfg);
-  interp::ExecContext Ctx(M, Cfg);
+  exec::CodeImage Image(M);
+  interp::ExecContext Ctx(Image, Cfg);
   // Spawn-style entry, filled in place: the register file is deliberately
   // larger than the function needs (the TLS engine reuses one buffer per
   // core across clones whose register counts differ).
@@ -456,7 +510,8 @@ TEST(ExecContext, RepositionTopAdoptsLoopExitState) {
   sim::HydraConfig Cfg;
   interp::Heap H1;
   interp::DirectMemoryPort P1(H1, Cfg);
-  interp::ExecContext A(M, Cfg);
+  exec::CodeImage Image(M);
+  interp::ExecContext A(Image, Cfg);
   std::vector<std::uint32_t> BlockStarts = blockStartMap(A.image());
   A.start(M.EntryFunction, {});
   std::uint64_t C1 = 0;
@@ -479,7 +534,7 @@ TEST(ExecContext, RepositionTopAdoptsLoopExitState) {
 
   interp::Heap H2;
   interp::DirectMemoryPort P2(H2, Cfg);
-  interp::ExecContext B(M, Cfg);
+  interp::ExecContext B(Image, Cfg);
   B.start(M.EntryFunction, {});
   std::uint64_t C2 = 0;
   while (!(B.atBlockStart() && B.currentBlock() == Plan.Header))

@@ -19,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <map>
 #include <random>
@@ -37,14 +38,19 @@ struct TlsRun {
   hydra::TlsLoopRunStats Totals;
 };
 
-TlsRun runAllLoopsTls(const ir::Module &M,
-                      sim::HydraConfig Cfg = sim::HydraConfig()) {
+/// A TLS plan for every non-rejected loop of \p M.
+std::vector<jit::TlsLoopPlan> allLoopPlans(const ir::Module &M) {
   analysis::ModuleAnalysis MA(M);
   std::vector<jit::TlsLoopPlan> Plans;
   for (const auto &C : MA.candidates())
     if (!C.Rejected)
       Plans.push_back(jit::buildTlsPlan(MA, C));
-  hydra::TlsEngine Engine(M, Cfg, std::move(Plans));
+  return Plans;
+}
+
+TlsRun runAllLoopsTls(const ir::Module &M,
+                      sim::HydraConfig Cfg = sim::HydraConfig()) {
+  hydra::TlsEngine Engine(M, Cfg, allLoopPlans(M));
   interp::Machine Machine(M, Cfg);
   Machine.setDispatcher(&Engine);
   TlsRun R;
@@ -822,6 +828,34 @@ TEST(TlsEngine, MachineRejectsAnotherModulesStopMap) {
   interp::Machine Machine(Run, sim::HydraConfig());
   Machine.setDispatcher(&Tls);
   EXPECT_THROW(Machine.run(), std::invalid_argument);
+  // A copy of the engine's module has the same instruction count, and so a
+  // stop map of the right size, but it is still another module.
+  ir::Module Copy = Engine;
+  interp::Machine SameSize(Copy, sim::HydraConfig());
+  SameSize.setDispatcher(&Tls);
+  EXPECT_THROW(SameSize.run(), std::invalid_argument);
+}
+
+TEST(TlsEngine, RebindsToEachMachineItRuns) {
+  // One engine driving two machines of its module in turn: each machine's
+  // image gets its own clones, its carried locals spill to its own heap,
+  // and the cores' L1s start cold, so both runs match a fresh engine's.
+  ir::Module M = carriedChain();
+  std::vector<jit::TlsLoopPlan> Plans = allLoopPlans(M);
+  ASSERT_TRUE(std::any_of(Plans.begin(), Plans.end(), [](const auto &P) {
+    return !P.CarriedLocals.empty();
+  }));
+  TlsRun Fresh = runAllLoopsTls(M);
+  hydra::TlsEngine Tls(M, sim::HydraConfig(), std::move(Plans));
+  for (int Run = 0; Run < 2; ++Run) {
+    SCOPED_TRACE("run " + std::to_string(Run));
+    interp::Machine Machine(M, sim::HydraConfig());
+    Machine.setDispatcher(&Tls);
+    interp::RunResult R = Machine.run();
+    EXPECT_EQ(R.Cycles, Fresh.Result.Cycles);
+    EXPECT_EQ(R.ReturnValue, Fresh.Result.ReturnValue);
+    EXPECT_GT(Machine.image().numFuncs(), M.Functions.size());
+  }
 }
 
 TEST(TlsEngine, MisspeculatedDivideByZeroDoesNotTrap) {
