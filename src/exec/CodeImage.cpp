@@ -7,41 +7,6 @@
 using namespace jrpm;
 using namespace jrpm::exec;
 
-namespace {
-
-std::uint8_t annotationBit(ir::Opcode Op) {
-  switch (Op) {
-  case ir::Opcode::SLoop:
-    return AnnoSLoop;
-  case ir::Opcode::Eoi:
-    return AnnoEoi;
-  case ir::Opcode::ELoop:
-    return AnnoELoop;
-  case ir::Opcode::LwlAnno:
-  case ir::Opcode::SwlAnno:
-    return AnnoLocal;
-  case ir::Opcode::ReadStats:
-    return AnnoReadStats;
-  default:
-    return AnnoNone;
-  }
-}
-
-TermClass classifyTerminator(ir::Opcode Op) {
-  switch (Op) {
-  case ir::Opcode::Br:
-    return TermClass::Jump;
-  case ir::Opcode::CondBr:
-    return TermClass::CondJump;
-  case ir::Opcode::Ret:
-    return TermClass::Return;
-  default:
-    JRPM_UNREACHABLE("block terminator is not a terminator opcode");
-  }
-}
-
-} // namespace
-
 CodeImage::CodeImage(const ir::Module &M) {
   std::size_t NumInsts = 0, NumBlocks = 0;
   for (const ir::Function &F : M.Functions) {
@@ -77,9 +42,6 @@ std::uint32_t CodeImage::appendFunction(const ir::Function &F) {
     BD.NumInsts = static_cast<std::uint32_t>(BB.Instructions.size());
     BD.Func = FI;
     BD.BlockInFunc = BI;
-    BD.Term = classifyTerminator(BB.Instructions.back().Op);
-    for (const ir::Instruction &I : BB.Instructions)
-      BD.Annotations |= annotationBit(I.Op);
     Blocks.push_back(BD);
     Pc += BB.Instructions.size();
   }

@@ -43,21 +43,6 @@ namespace exec {
 /// the module having been finalized.
 using FlatPc = std::uint32_t;
 
-/// How a basic block transfers control (per-block metadata; the decoded
-/// terminator itself carries the resolved targets).
-enum class TermClass : std::uint8_t { Jump, CondJump, Return };
-
-/// Bitmask of annotation opcodes present in a block (per-block metadata
-/// for consumers that want to skip annotation-free regions cheaply).
-enum AnnoMask : std::uint8_t {
-  AnnoNone = 0,
-  AnnoSLoop = 1 << 0,
-  AnnoEoi = 1 << 1,
-  AnnoELoop = 1 << 2,
-  AnnoLocal = 1 << 3,
-  AnnoReadStats = 1 << 4,
-};
-
 /// One pre-decoded instruction. Field meaning matches ir::Instruction
 /// except that control-flow targets are resolved to flat PCs:
 ///   Br:     Imm  = target flat PC
@@ -98,8 +83,6 @@ struct BlockDesc {
   std::uint32_t NumInsts = 0;
   std::uint32_t Func = 0;
   std::uint32_t BlockInFunc = 0;
-  TermClass Term = TermClass::Return;
-  std::uint8_t Annotations = AnnoNone;
 };
 
 /// Per-function metadata: entry PC plus the frame geometry the Call path

@@ -423,7 +423,12 @@ bool TlsEngine::specLoad(std::uint32_t Core, std::uint32_t Addr,
   } else {
     if (!T.L1->access(Addr))
       Cost += Cfg.L2HitExtraCycles;
-    Value = CurHeap->load(Addr);
+    // A speculative thread that used a stale value can compute an address
+    // outside the heap. That stale value came from a word an earlier
+    // thread will still store, so the thread is certain to be squashed:
+    // it reads 0 instead. The head keeps the sequential semantics.
+    Value = Iter == HeadIter || CurHeap->contains(Addr) ? CurHeap->load(Addr)
+                                                        : 0;
   }
 
   // Set the read bits: the word's under word-grain violation detection,

@@ -27,13 +27,16 @@ public:
     return Base;
   }
 
+  /// Whether \p Addr is a word of the heap (allocated or the null line).
+  bool contains(std::uint32_t Addr) const { return Addr < Words.size(); }
+
   std::uint64_t load(std::uint32_t Addr) const {
-    assert(Addr < Words.size() && "heap load out of bounds");
+    assert(contains(Addr) && "heap load out of bounds");
     return Words[Addr];
   }
 
   void store(std::uint32_t Addr, std::uint64_t Value) {
-    assert(Addr < Words.size() && "heap store out of bounds");
+    assert(contains(Addr) && "heap store out of bounds");
     assert(Addr >= FirstAddress && "store to the null line");
     Words[Addr] = Value;
   }

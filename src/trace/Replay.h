@@ -82,15 +82,24 @@ inline ReplayOutcome selectFromTrace(Reader &R) {
 /// file. It is also RecordingSink's in-memory destination: append() and
 /// finish() keep the footer the way Writer does.
 ///
-/// Events are held as fixed 16-byte records, not 40-byte Events: one u64
-/// packs kind:4 | reg:16 | cycle:44, and two u32 words carry the kind's
-/// payload (heap: Addr, Pc; local: Activation, Pc; LoopStart: LoopId,
-/// Activation; LoopIter/LoopEnd/ReadStats: LoopId; Return: Activation;
-/// CallSite: Pc). An event the record cannot reproduce exactly (an
-/// activation of 2^32 or more, a cycle of 2^44 or more, a field its kind
-/// does not carry set away from its default) is kept whole in a side
-/// table and its record holds the escape kind and the table index, so
-/// every appended event comes back from forEach() unchanged.
+/// Events are held as one 8-byte record each, not 40-byte Events:
+/// kind:4 | cycle delta:12 | payload:48, low bits first. The cycle and the
+/// activation are deltas against a predictor holding the last cycle and
+/// the last activation seen; every event advances it in capture order,
+/// escaped ones included (a Return carries no cycle, so it leaves the
+/// cycle word alone). The payload, low bits first, per kind:
+///   heap:        Addr:32 | Pc+1:16
+///   local:       Reg:16 | activation delta:16 | Pc+1:16
+///   LoopStart:   LoopId:16 | activation delta:32
+///   LoopIter, LoopEnd, ReadStats: LoopId:32
+///   Return:      activation delta:48
+///   CallSite:    Pc+1:32
+///   CallReturn:  nothing
+/// Activation deltas are signed. An event the record cannot reproduce
+/// exactly (a delta outside its window, a field its kind does not carry
+/// set away from its default) is kept whole in a side table and its
+/// record holds the escape kind and the table index, so every appended
+/// event comes back from forEach() unchanged.
 class CachedTrace {
 public:
   /// Opens \p Path, drains it and validates the stream against its
@@ -101,15 +110,15 @@ public:
 
   /// Appends one event and counts it into the footer.
   void append(const Event &E) {
-    Record R = pack(E);
+    std::uint64_t R = pack(E, Last);
+    Predictor Check = Last;
     if (static_cast<std::uint8_t>(E.Kind) >= NumEventKinds ||
-        !(unpackNarrow(R) == E)) {
-      std::uint64_t I = Wide.size();
+        !(unpackNarrow(R, Check) == E)) {
+      R = EscapeKind | static_cast<std::uint64_t>(Wide.size()) << 4;
       Wide.push_back(E);
-      R = {EscapeKind, static_cast<std::uint32_t>(I),
-           static_cast<std::uint32_t>(I >> 32)};
     }
     Records.push_back(R);
+    Last.advance(E);
     countEvent(Footer, E);
   }
   /// Records the capture run's results in the footer.
@@ -120,96 +129,145 @@ public:
 
   /// Calls \p F with every event, in capture order.
   template <typename Fn> void forEach(Fn &&F) const {
-    for (const Record &R : Records)
-      F(unpack(R));
+    Predictor P;
+    for (std::uint64_t R : Records) {
+      if ((R & 0xF) != EscapeKind) {
+        F(unpackNarrow(R, P));
+        continue;
+      }
+      const Event &E = Wide[R >> 4];
+      P.advance(E);
+      F(E);
+    }
   }
 
   /// Bytes the event store occupies, side table included.
   std::uint64_t eventBytes() const {
-    return Records.size() * sizeof(Record) + Wide.size() * sizeof(Event);
+    return Records.size() * sizeof(std::uint64_t) +
+           Wide.size() * sizeof(Event);
   }
 
 private:
-  struct Record {
-    std::uint64_t Head; ///< kind:4 | reg:16 | cycle:44
-    std::uint32_t A;    ///< first payload word, or the low escape index
-    std::uint32_t B;    ///< second payload word, or the high escape index
-  };
-  static_assert(sizeof(Record) == 16);
   static constexpr std::uint64_t EscapeKind = 15;
   static_assert(NumEventKinds <= EscapeKind);
 
-  /// \p E's record, exact only when unpackNarrow gives \p E back.
-  static Record pack(const Event &E) {
-    Record R{static_cast<std::uint64_t>(E.Kind) |
-                 static_cast<std::uint64_t>(E.Reg) << 4 | E.Cycle << 20,
-             0, 0};
-    auto Pc = static_cast<std::uint32_t>(E.Pc);
-    auto Act = static_cast<std::uint32_t>(E.Activation);
+  /// The last cycle and activation of the events before a record.
+  /// unpackNarrow() advances it as it decodes; advance() is the rule it
+  /// follows, for any event.
+  struct Predictor {
+    std::uint64_t Cycle = 0;
+    std::uint64_t Activation = 0;
+
+    void advance(const Event &E) {
+      switch (E.Kind) {
+      case EventKind::Return:
+        Activation = E.Activation;
+        return;
+      case EventKind::LocalLoad:
+      case EventKind::LocalStore:
+      case EventKind::LoopStart:
+        Activation = E.Activation;
+        break;
+      default:
+        break;
+      }
+      Cycle = E.Cycle;
+    }
+  };
+
+  static constexpr std::uint64_t mask(unsigned Bits) {
+    return (1ull << Bits) - 1;
+  }
+  /// The \p Bits-wide field of \p P at bit \p At.
+  static std::uint64_t field(std::uint64_t P, unsigned At, unsigned Bits) {
+    return P >> At & mask(Bits);
+  }
+  /// The same field, sign-extended.
+  static std::uint64_t signedField(std::uint64_t P, unsigned At,
+                                   unsigned Bits) {
+    return static_cast<std::uint64_t>(
+        static_cast<std::int64_t>(P << (64 - At - Bits)) >> (64 - Bits));
+  }
+  /// Pc+1, so the default Pc of -1 packs as 0.
+  static std::uint64_t packPc(std::int32_t Pc) {
+    return static_cast<std::uint32_t>(Pc) + 1u;
+  }
+  static std::int32_t unpackPc(std::uint64_t F) {
+    return static_cast<std::int32_t>(static_cast<std::uint32_t>(F) - 1u);
+  }
+
+  /// \p E's record against predictor \p Last, exact only when
+  /// unpackNarrow gives \p E back.
+  static std::uint64_t pack(const Event &E, const Predictor &Last) {
+    std::uint64_t Act = E.Activation - Last.Activation;
+    std::uint64_t P = 0;
     switch (E.Kind) {
     case EventKind::HeapLoad:
     case EventKind::HeapStore:
-      R.A = E.Addr;
-      R.B = Pc;
+      P = E.Addr | (packPc(E.Pc) & mask(16)) << 32;
       break;
     case EventKind::LocalLoad:
     case EventKind::LocalStore:
-      R.A = Act;
-      R.B = Pc;
+      P = E.Reg | (Act & mask(16)) << 16 | (packPc(E.Pc) & mask(16)) << 32;
       break;
     case EventKind::LoopStart:
-      R.A = E.LoopId;
-      R.B = Act;
+      P = (E.LoopId & mask(16)) | (Act & mask(32)) << 16;
       break;
     case EventKind::LoopIter:
     case EventKind::LoopEnd:
     case EventKind::ReadStats:
-      R.A = E.LoopId;
+      P = E.LoopId;
       break;
     case EventKind::Return:
-      R.A = Act;
+      P = Act & mask(48);
       break;
     case EventKind::CallSite:
-      R.A = Pc;
+      P = packPc(E.Pc) & mask(32);
       break;
     case EventKind::CallReturn:
       break;
     }
-    return R;
+    std::uint64_t Cycle =
+        E.Kind == EventKind::Return ? 0 : (E.Cycle - Last.Cycle) & mask(12);
+    return (static_cast<std::uint64_t>(E.Kind) & 0xF) | Cycle << 4 | P << 16;
   }
 
-  /// The event a non-escape record holds; fields its kind does not carry
+  /// The event a non-escape record holds against predictor \p Last,
+  /// which it advances past the event; fields its kind does not carry
   /// keep their defaults.
-  static Event unpackNarrow(const Record &R) {
+  static Event unpackNarrow(std::uint64_t R, Predictor &Last) {
     Event E;
-    E.Kind = static_cast<EventKind>(R.Head & 0xF);
-    E.Reg = static_cast<std::uint16_t>(R.Head >> 4);
-    E.Cycle = R.Head >> 20;
+    E.Kind = static_cast<EventKind>(R & 0xF);
+    Last.Cycle += field(R, 4, 12); // 0 in a Return's record
+    E.Cycle = Last.Cycle;
+    std::uint64_t P = R >> 16;
     switch (E.Kind) {
     case EventKind::HeapLoad:
     case EventKind::HeapStore:
-      E.Addr = R.A;
-      E.Pc = static_cast<std::int32_t>(R.B);
+      E.Addr = static_cast<std::uint32_t>(P);
+      E.Pc = unpackPc(field(P, 32, 16));
       break;
     case EventKind::LocalLoad:
     case EventKind::LocalStore:
-      E.Activation = R.A;
-      E.Pc = static_cast<std::int32_t>(R.B);
+      E.Reg = static_cast<std::uint16_t>(P);
+      E.Activation = Last.Activation += signedField(P, 16, 16);
+      E.Pc = unpackPc(field(P, 32, 16));
       break;
     case EventKind::LoopStart:
-      E.LoopId = R.A;
-      E.Activation = R.B;
+      E.LoopId = static_cast<std::uint32_t>(field(P, 0, 16));
+      E.Activation = Last.Activation += signedField(P, 16, 32);
       break;
     case EventKind::LoopIter:
     case EventKind::LoopEnd:
     case EventKind::ReadStats:
-      E.LoopId = R.A;
+      E.LoopId = static_cast<std::uint32_t>(P);
       break;
     case EventKind::Return:
-      E.Activation = R.A;
+      E.Cycle = 0;
+      E.Activation = Last.Activation += signedField(P, 0, 48);
       break;
     case EventKind::CallSite:
-      E.Pc = static_cast<std::int32_t>(R.A);
+      E.Pc = unpackPc(P);
       break;
     case EventKind::CallReturn:
       break;
@@ -217,16 +275,11 @@ private:
     return E;
   }
 
-  Event unpack(const Record &R) const {
-    if ((R.Head & 0xF) == EscapeKind)
-      return Wide[R.A | static_cast<std::uint64_t>(R.B) << 32];
-    return unpackNarrow(R);
-  }
-
   TraceHeader Header;
   TraceFooter Footer;
-  std::vector<Record> Records;
+  std::vector<std::uint64_t> Records;
   std::vector<Event> Wide; ///< the escaped events, in capture order
+  Predictor Last;          ///< append()'s predictor
 };
 
 /// Engine construction + replay + selection from an in-memory trace: the

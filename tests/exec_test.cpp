@@ -114,16 +114,19 @@ TEST(CodeImage, TerminatorClassification) {
   exec::CodeImage Img(M);
   std::uint32_t Returns = 0, CondJumps = 0, Jumps = 0;
   for (std::uint32_t B = 0; B < Img.numBlocks(); ++B) {
-    switch (Img.blockDesc(B).Term) {
-    case exec::TermClass::Return:
+    const exec::BlockDesc &BD = Img.blockDesc(B);
+    switch (Img.inst(BD.StartPc + BD.NumInsts - 1).Op) {
+    case ir::Opcode::Ret:
       ++Returns;
       break;
-    case exec::TermClass::CondJump:
+    case ir::Opcode::CondBr:
       ++CondJumps;
       break;
-    case exec::TermClass::Jump:
+    case ir::Opcode::Br:
       ++Jumps;
       break;
+    default:
+      ADD_FAILURE() << "block " << B << " ends in a non-terminator";
     }
   }
   EXPECT_GE(Returns, 3u); // two in mix, one in main
@@ -159,7 +162,8 @@ void expectSameImage(const exec::CodeImage &X, const exec::CodeImage &Y,
     const exec::BlockDesc &A = X.blockDesc(I), &B = Y.blockDesc(I);
     EXPECT_TRUE(A.StartPc == B.StartPc && A.NumInsts == B.NumInsts &&
                 A.Func == B.Func && A.BlockInFunc == B.BlockInFunc &&
-                A.Term == B.Term && A.Annotations == B.Annotations)
+                X.inst(A.StartPc + A.NumInsts - 1).Op ==
+                    Y.inst(B.StartPc + B.NumInsts - 1).Op)
         << "block " << I;
   }
   for (std::uint32_t I = 0; I < Y.numFuncs(); ++I) {

@@ -469,6 +469,27 @@ ir::Module divideByNextSlot(std::int64_t Zero) {
   }));
 }
 
+/// s += a[p[i]]; p[i+1] = i over n = 64, with p[1..n] starting at 2^30:
+/// iteration i+1 reads p[i+1] before iteration i stores it, so a
+/// speculative thread indexes a far outside the heap.
+ir::Module staleIndexGather() {
+  return makeMain(seq({
+      assign("p", allocWords(c(65))),
+      assign("a", allocWords(c(64))),
+      store(v("p"), c(0), c(0)),
+      forLoop("i", c(1), lt(v("i"), c(65)), 1,
+              store(v("p"), v("i"), c(1 << 30))),
+      forLoop("k", c(0), lt(v("k"), c(64)), 1, store(v("a"), v("k"), v("k"))),
+      assign("s", c(0)),
+      forLoop("i", c(0), lt(v("i"), c(64)), 1,
+              seq({
+                  assign("s", add(v("s"), ld(v("a"), ld(v("p"), v("i"))))),
+                  store(v("p"), add(v("i"), c(1)), v("i")),
+              })),
+      ret(v("s")),
+  }));
+}
+
 /// Two selected loops in two helpers, run in the order A, B, A: the second
 /// run of A starts after B's clone has been appended to the engine image.
 /// B carries a local, so its spill word is allocated between A's runs.
@@ -866,6 +887,17 @@ TEST(TlsEngine, MisspeculatedDivideByZeroDoesNotTrap) {
   EXPECT_EQ(Seq.ReturnValue, 6400u);
   TlsRun Tls;
   ASSERT_NO_THROW(Tls = runAllLoopsTls(M));
+  EXPECT_EQ(Tls.Result.ReturnValue, Seq.ReturnValue);
+  EXPECT_GT(Tls.Totals.Violations, 0u);
+}
+
+TEST(TlsEngine, MisspeculatedOutOfBoundsLoadIsSquashed) {
+  // A thread that read a stale p[i] loads a[2^30]; the load must read a
+  // placeholder and the squash drop it, not abort the process.
+  ir::Module M = staleIndexGather();
+  auto Seq = runModule(M);
+  EXPECT_EQ(Seq.ReturnValue, 1953u);
+  auto Tls = runAllLoopsTls(M);
   EXPECT_EQ(Tls.Result.ReturnValue, Seq.ReturnValue);
   EXPECT_GT(Tls.Totals.Violations, 0u);
 }

@@ -190,9 +190,9 @@ std::vector<trace::Event> eventsOf(const trace::CachedTrace &T) {
   return Out;
 }
 
-/// Every event kind at every edge of CachedTrace's packed record: the
-/// 32-bit activation and 44-bit cycle limits on both sides, the widest
-/// register, address and loop id, and the extreme PCs. Cycles never
+/// Every event kind at extreme field values: cycles and activations on
+/// both sides of 2^32 and 2^44, the widest register, address and loop id,
+/// and the extreme PCs. Cycles never
 /// decrease, so the stream is also a valid .jtrace event stream when the
 /// header's loop table covers \p LoopId.
 std::vector<trace::Event> extremeEvents(std::uint32_t LoopId) {
@@ -243,8 +243,8 @@ TEST(CachedTrace, PackingKeepsExtremeEventsExactly) {
     Memory.append(E);
   EXPECT_TRUE(eventsOf(Memory) == Events);
   EXPECT_EQ(Memory.footer().TotalEvents, Events.size());
-  // Narrow events take one 16-byte record; escaped ones add an Event.
-  EXPECT_GT(Memory.eventBytes(), 16 * Events.size());
+  // Narrow events take one 8-byte record; escaped ones add an Event.
+  EXPECT_GT(Memory.eventBytes(), 8 * Events.size());
   EXPECT_LT(Memory.eventBytes(), sizeof(trace::Event) * Events.size());
 
   // Through a .jtrace file and back.
@@ -270,6 +270,116 @@ TEST(CachedTrace, PackingKeepsExtremeEventsExactly) {
   EXPECT_EQ(Loaded.footer().LastCycle, ~0ull);
   EXPECT_TRUE(Loaded.footer().Run == Run);
   EXPECT_EQ(Loaded.eventBytes(), Captured.eventBytes());
+}
+
+namespace {
+
+/// Appends \p Events to a fresh CachedTrace, checks that forEach gives
+/// them back unchanged, and returns how many took the escape path.
+std::uint64_t escapedEvents(const std::vector<trace::Event> &Events) {
+  trace::CachedTrace T{trace::TraceHeader{}};
+  for (const trace::Event &E : Events)
+    T.append(E);
+  EXPECT_TRUE(eventsOf(T) == Events);
+  std::uint64_t Extra = T.eventBytes() - 8 * Events.size();
+  EXPECT_EQ(Extra % sizeof(trace::Event), 0u);
+  return Extra / sizeof(trace::Event);
+}
+
+} // namespace
+
+TEST(CachedTrace, RecordWindowEdgesRoundTrip) {
+  // Each case sits on one edge of the 8-byte record: the last value that
+  // packs narrow, and the first that has to escape.
+  using K = trace::EventKind;
+  constexpr std::uint64_t Base = 1ull << 40; // an activation to go below
+  struct Case {
+    const char *What;
+    std::vector<trace::Event> Events;
+    std::uint64_t Escaped;
+  };
+  const Case Cases[] = {
+      {"cycle delta 4095",
+       {{.Kind = K::LoopIter, .Cycle = 100},
+        {.Kind = K::LoopIter, .Cycle = 100 + 4095},
+        {.Kind = K::CallReturn, .Cycle = 100 + 2 * 4095}},
+       0},
+      {"cycle delta 4096",
+       {{.Kind = K::LoopIter, .Cycle = 100},
+        {.Kind = K::LoopIter, .Cycle = 100 + 4096}},
+       1},
+      {"local activation delta 2^15-1",
+       {{.Kind = K::LocalLoad, .Activation = (1u << 15) - 1, .Pc = 0}},
+       0},
+      {"local activation delta 2^15",
+       {{.Kind = K::LocalLoad, .Activation = 1u << 15, .Pc = 0}},
+       1},
+      {"local activation delta -2^15",
+       {{.Kind = K::Return, .Activation = Base},
+        {.Kind = K::LocalStore, .Activation = Base - (1u << 15), .Pc = 0}},
+       0},
+      {"local activation delta -2^15-1",
+       {{.Kind = K::Return, .Activation = Base},
+        {.Kind = K::LocalStore, .Activation = Base - (1u << 15) - 1,
+         .Pc = 0}},
+       1},
+      {"LoopStart activation delta 2^31-1 and -2^31",
+       {{.Kind = K::LoopStart, .Activation = (1ull << 31) - 1},
+        {.Kind = K::LoopStart, .Activation = ~0ull}},
+       0},
+      {"LoopStart activation delta 2^31",
+       {{.Kind = K::LoopStart, .Activation = 1ull << 31}},
+       1},
+      {"LoopStart activation delta -2^31-1",
+       {{.Kind = K::Return, .Activation = Base},
+        {.Kind = K::LoopStart, .Activation = Base - (1ull << 31) - 1}},
+       1},
+      {"Return activation delta 2^47-1 and -2^47",
+       {{.Kind = K::Return, .Activation = (1ull << 47) - 1},
+        {.Kind = K::Return, .Activation = ~0ull}},
+       0},
+      {"Return activation delta 2^47",
+       {{.Kind = K::Return, .Activation = 1ull << 47}},
+       1},
+      {"Return activation delta -2^47-1",
+       {{.Kind = K::Return, .Activation = (1ull << 47) - 1},
+        {.Kind = K::Return, .Activation = ~0ull - 1}},
+       1},
+      {"Pc 65534",
+       {{.Kind = K::HeapLoad, .Addr = 0xFFFFFFFF, .Pc = 65534},
+        {.Kind = K::LocalLoad, .Reg = 0xFFFF, .Pc = 65534},
+        {.Kind = K::CallSite, .Pc = INT32_MAX},
+        {.Kind = K::CallSite, .Pc = INT32_MIN}},
+       0},
+      {"Pc 65535",
+       {{.Kind = K::HeapStore, .Pc = 65535},
+        {.Kind = K::LocalStore, .Pc = 65535}},
+       2},
+      {"LoopStart loop id 65535",
+       {{.Kind = K::LoopStart, .LoopId = 65535},
+        {.Kind = K::ReadStats, .LoopId = UINT32_MAX}},
+       0},
+      {"LoopStart loop id 65536",
+       {{.Kind = K::LoopStart, .LoopId = 65536}},
+       1},
+      {"narrow events after an escape",
+       {{.Kind = K::LocalLoad, .Cycle = 1ull << 50, .Activation = Base,
+         .Pc = 7},
+        {.Kind = K::LocalLoad, .Cycle = (1ull << 50) + 1,
+         .Activation = Base + 1, .Pc = 7},
+        {.Kind = K::LoopEnd, .Cycle = (1ull << 50) + 4096}},
+       1},
+      {"a trace that starts with Return",
+       {{.Kind = K::Return, .Activation = 5},
+        {.Kind = K::LocalLoad, .Cycle = 4000, .Activation = 5, .Pc = 1},
+        {.Kind = K::Return, .Activation = 4},
+        {.Kind = K::LoopIter, .Cycle = 8000}},
+       0},
+  };
+  for (const Case &C : Cases) {
+    SCOPED_TRACE(C.What);
+    EXPECT_EQ(escapedEvents(C.Events), C.Escaped);
+  }
 }
 
 TEST(TraceReplay, SelectionBitIdenticalOnAllWorkloads) {
@@ -425,7 +535,7 @@ TEST(TraceReplay, MemoryCaptureReencodesByteIdenticalOnAllWorkloads) {
     const trace::CachedTrace &T = Memory.Trace;
     ASSERT_GT(T.footer().TotalEvents, 0u);
     // No real event needs the escape path.
-    EXPECT_EQ(T.eventBytes(), 16 * T.footer().TotalEvents);
+    EXPECT_EQ(T.eventBytes(), 8 * T.footer().TotalEvents);
     {
       trace::Writer Wr(Rewritten.path(), T.header());
       T.forEach([&](const trace::Event &E) { Wr.append(E); });
