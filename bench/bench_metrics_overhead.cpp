@@ -11,11 +11,15 @@
 // window — it is a once-per-run cost proportional to the output size, not
 // a per-cycle tax on the simulators.
 //
-// Gate: metrics registry attached costs <= 5% aggregate wall-clock. Exit
-// 0 only when that is measured. When the two detached passes differ by
-// more than 5% and the gate is missed, the runner's own jitter hides the
-// answer: the bench prints UNRESOLVED and exits 2. A measured overhead
-// above 5% on a steady runner exits 1.
+// The host may run the same pass in a fast or a slow mode, so one pass
+// per configuration does not decide a 5% gate. The bench runs Rounds
+// rounds, each one pass per configuration in a rotating order, keeps each
+// workload's fastest time per configuration (as perfbench's bestPass
+// does) and compares the sums of those minima.
+//
+// Gate: metrics registry attached costs <= 5% aggregate wall-clock over
+// the per-workload minima. Exit 0 when it holds, 1 when it does not or
+// when a detached pass's checksum diverges.
 //
 // The timeline row is informational: span recording takes a mutex per
 // speculative-thread lifetime, which is orders of magnitude coarser than
@@ -28,38 +32,46 @@
 #include "metrics/Metrics.h"
 #include "metrics/Timeline.h"
 
+#include <limits>
+#include <numeric>
+
 using namespace jrpm;
 using namespace jrpm::benchutil;
 
 namespace {
 
-enum class Mode { Detached, Metrics, MetricsAndTimeline };
+/// The configurations, which also index the per-configuration tables.
+enum Mode { Detached, Metrics, MetricsAndTimeline, NumModes };
+constexpr int Rounds = 9;
 
-/// One full-registry pipeline pass; returns simulation-only wall-clock.
-/// Exports (registry JSON, timeline JSON) happen after the stopwatch is
-/// read and feed the checksum so they cannot be optimized away.
-double runRegistry(Mode M, std::uint64_t &Checksum) {
-  double Ms = 0;
-  for (const workloads::Workload &W : workloads::allWorkloads()) {
+/// One full-registry pipeline pass. Lowers \p BestMs[I] to workload I's
+/// simulation-only wall-clock when it is faster, and returns the pass's
+/// checksum. Exports (registry JSON, timeline JSON) happen after the
+/// stopwatch is read and feed the checksum so they cannot be optimized
+/// away.
+std::uint64_t runRegistry(Mode M, std::vector<double> &BestMs) {
+  std::uint64_t Checksum = 0;
+  const std::vector<workloads::Workload> &All = workloads::allWorkloads();
+  for (std::size_t I = 0; I < All.size(); ++I) {
     metrics::Registry Reg;
     metrics::Timeline TL;
     pipeline::PipelineConfig Cfg;
     Cfg.ExtendedPcBinning = true;
-    if (M != Mode::Detached)
+    if (M != Detached)
       Cfg.Metrics = &Reg;
-    if (M == Mode::MetricsAndTimeline)
+    if (M == MetricsAndTimeline)
       Cfg.Timeline = &TL;
-    pipeline::Jrpm J(W.Build(), Cfg);
+    pipeline::Jrpm J(All[I].Build(), Cfg);
     Stopwatch S;
     pipeline::PipelineResult R = J.runAll();
-    Ms += S.ms();
+    BestMs[I] = std::min(BestMs[I], S.ms());
     Checksum += R.PlainRun.ReturnValue + R.TlsRun.Cycles;
-    if (M != Mode::Detached)
+    if (M != Detached)
       Checksum += Reg.counters().size();
-    if (M == Mode::MetricsAndTimeline)
+    if (M == MetricsAndTimeline)
       Checksum += TL.droppedEvents();
   }
-  return Ms;
+  return Checksum;
 }
 
 } // namespace
@@ -68,53 +80,52 @@ int main() {
   printBanner("Metrics overhead - instrumented vs detached pipeline",
               "the observability layer for Table 2's overhead taxonomy");
 
+  const std::size_t Jobs = workloads::allWorkloads().size();
+  std::vector<double> BestMs[NumModes];
+  for (std::vector<double> &B : BestMs)
+    B.assign(Jobs, std::numeric_limits<double>::infinity());
   // Warm-up pass so code and workload data are resident for every timed
   // pass alike.
-  std::uint64_t Sink = 0;
-  runRegistry(Mode::Detached, Sink);
-
-  std::uint64_t C1 = 0, C2 = 0, C3 = 0, C4 = 0;
-  double DetachedMs = runRegistry(Mode::Detached, C1);
-  double MetricsMs = runRegistry(Mode::Metrics, C2);
-  double TimelineMs = runRegistry(Mode::MetricsAndTimeline, C3);
-  double DetachedAgainMs = runRegistry(Mode::Detached, C4);
-
-  if (C1 != C4 || C1 == 0) {
-    std::printf("FAIL: detached passes diverged (checksums %llu vs %llu)\n",
-                (unsigned long long)C1, (unsigned long long)C4);
-    return 1;
+  std::vector<double> Warm(Jobs, 0.0);
+  const std::uint64_t Reference = runRegistry(Detached, Warm);
+  for (int Round = 0; Round < Rounds; ++Round) {
+    for (int K = 0; K < NumModes; ++K) {
+      Mode M = static_cast<Mode>((Round + K) % NumModes);
+      std::uint64_t C = runRegistry(M, BestMs[M]);
+      if (M == Detached && C != Reference) {
+        std::printf("FAIL: detached passes diverged (checksums %llu vs "
+                    "%llu)\n",
+                    (unsigned long long)C, (unsigned long long)Reference);
+        return 1;
+      }
+    }
   }
 
-  double Base = std::min(DetachedMs, DetachedAgainMs);
-  auto Pct = [&](double Ms) { return (Ms / Base - 1.0) * 100.0; };
-  double MetricsPct = Pct(MetricsMs);
-  double JitterPct = Pct(std::max(DetachedMs, DetachedAgainMs));
+  double TotalMs[NumModes];
+  for (int M = 0; M < NumModes; ++M)
+    TotalMs[M] = std::accumulate(BestMs[M].begin(), BestMs[M].end(), 0.0);
+  auto Pct = [&](Mode M) {
+    return (TotalMs[M] / TotalMs[Detached] - 1.0) * 100.0;
+  };
+  double MetricsPct = Pct(Metrics);
 
   TextTable T;
-  T.setHeader({"Configuration", "wall ms", "vs baseline"});
-  T.addRow({"detached (pass 1)", fmt(DetachedMs, 1),
-            fmt(Pct(DetachedMs), 2) + "%"});
-  T.addRow({"detached (pass 2)", fmt(DetachedAgainMs, 1),
-            fmt(Pct(DetachedAgainMs), 2) + "%"});
-  T.addRow({"metrics registry attached", fmt(MetricsMs, 1),
+  T.setHeader({"Configuration", "best ms", "vs detached"});
+  T.addRow({"detached", fmt(TotalMs[Detached], 1), "0.00%"});
+  T.addRow({"metrics registry attached", fmt(TotalMs[Metrics], 1),
             fmt(MetricsPct, 2) + "%"});
-  T.addRow({"metrics + timeline attached", fmt(TimelineMs, 1),
-            fmt(Pct(TimelineMs), 2) + "% (informational)"});
+  T.addRow({"metrics + timeline attached",
+            fmt(TotalMs[MetricsAndTimeline], 1),
+            fmt(Pct(MetricsAndTimeline), 2) + "% (informational)"});
   T.print();
-
-  std::printf("\nmeasurement jitter between detached passes: %.2f%%\n",
-              JitterPct);
+  std::printf("\nbest ms: the sum over the %zu workloads of each one's "
+              "fastest of %d passes\n",
+              Jobs, Rounds);
 
   if (MetricsPct <= 5.0) {
     std::printf("PASS: attached metrics cost %.2f%% (<= 5%% gate)\n",
                 MetricsPct);
     return 0;
-  }
-  if (JitterPct > 5.0) {
-    std::printf("UNRESOLVED: runner jitter %.2f%% exceeds the 5%% gate; "
-                "attached metrics measured %.2f%%, inconclusive\n",
-                JitterPct, MetricsPct);
-    return 2;
   }
   std::printf("FAIL: attached metrics cost %.2f%% (> 5%% gate)\n",
               MetricsPct);

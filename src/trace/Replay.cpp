@@ -71,6 +71,6 @@ ReplayOutcome trace::selectFromTrace(const CachedTrace &T,
                              Cfg.ExtendedPcBinning);
   if (Cfg.DisableLoopAfterThreads)
     Engine.setDisableLoopAfterThreads(Cfg.DisableLoopAfterThreads);
-  T.forEach([&](const Event &E) { dispatchEvent(E, Engine); });
+  T.replay(Engine);
   return finishOutcome(Engine, Cfg, T.footer().Run, T.footer().TotalEvents);
 }

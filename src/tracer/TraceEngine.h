@@ -41,7 +41,9 @@ struct LoopTraceInfo {
   std::vector<std::uint16_t> AnnotatedLocals;
 };
 
-class TraceEngine : public interp::TraceSink {
+/// Final, so code that holds a TraceEngine by its own type (a cached
+/// trace's replay) calls the handlers directly, not through the vtable.
+class TraceEngine final : public interp::TraceSink {
 public:
   /// Arc length meaning "no arc observed for this thread yet".
   static constexpr std::uint64_t NoArc = ~std::uint64_t(0);

@@ -286,19 +286,19 @@ std::uint64_t escapedEvents(const std::vector<trace::Event> &Events) {
   return Extra / sizeof(trace::Event);
 }
 
-} // namespace
+/// A stream of events and how many of them take the escape path.
+struct EdgeCase {
+  const char *What;
+  std::vector<trace::Event> Events;
+  std::uint64_t Escaped;
+};
 
-TEST(CachedTrace, RecordWindowEdgesRoundTrip) {
-  // Each case sits on one edge of the 8-byte record: the last value that
-  // packs narrow, and the first that has to escape.
+/// Each case sits on one edge of the 8-byte record: the last value that
+/// packs narrow, and the first that has to escape.
+std::vector<EdgeCase> recordWindowEdgeCases() {
   using K = trace::EventKind;
   constexpr std::uint64_t Base = 1ull << 40; // an activation to go below
-  struct Case {
-    const char *What;
-    std::vector<trace::Event> Events;
-    std::uint64_t Escaped;
-  };
-  const Case Cases[] = {
+  return {
       {"cycle delta 4095",
        {{.Kind = K::LoopIter, .Cycle = 100},
         {.Kind = K::LoopIter, .Cycle = 100 + 4095},
@@ -376,9 +376,115 @@ TEST(CachedTrace, RecordWindowEdgesRoundTrip) {
         {.Kind = K::LoopIter, .Cycle = 8000}},
        0},
   };
-  for (const Case &C : Cases) {
+}
+
+} // namespace
+
+TEST(CachedTrace, RecordWindowEdgesRoundTrip) {
+  for (const EdgeCase &C : recordWindowEdgeCases()) {
     SCOPED_TRACE(C.What);
     EXPECT_EQ(escapedEvents(C.Events), C.Escaped);
+  }
+}
+
+namespace {
+
+/// One TraceSink call: the method, named by its event kind, and its
+/// arguments in order.
+struct SinkCall {
+  trace::EventKind Method;
+  std::uint64_t Args[4] = {};
+
+  bool operator==(const SinkCall &O) const = default;
+};
+
+/// Logs every call of all 11 TraceSink methods. Final, like the tracer, so
+/// CachedTrace::replay calls it directly.
+class CallLog final : public interp::TraceSink {
+public:
+  std::vector<SinkCall> Calls;
+
+  std::uint32_t onHeapLoad(std::uint32_t Addr, std::uint64_t Cycle,
+                           std::int32_t Pc) override {
+    return log(trace::EventKind::HeapLoad, Addr, Cycle, Pc);
+  }
+  std::uint32_t onHeapStore(std::uint32_t Addr, std::uint64_t Cycle,
+                            std::int32_t Pc) override {
+    return log(trace::EventKind::HeapStore, Addr, Cycle, Pc);
+  }
+  std::uint32_t onLocalLoad(std::uint64_t Activation, std::uint16_t Reg,
+                            std::uint64_t Cycle, std::int32_t Pc) override {
+    return log(trace::EventKind::LocalLoad, Activation, Reg, Cycle, Pc);
+  }
+  std::uint32_t onLocalStore(std::uint64_t Activation, std::uint16_t Reg,
+                             std::uint64_t Cycle, std::int32_t Pc) override {
+    return log(trace::EventKind::LocalStore, Activation, Reg, Cycle, Pc);
+  }
+  std::uint32_t onLoopStart(std::uint32_t LoopId, std::uint64_t Activation,
+                            std::uint64_t Cycle) override {
+    return log(trace::EventKind::LoopStart, LoopId, Activation, Cycle);
+  }
+  std::uint32_t onLoopIter(std::uint32_t LoopId,
+                           std::uint64_t Cycle) override {
+    return log(trace::EventKind::LoopIter, LoopId, Cycle);
+  }
+  std::uint32_t onLoopEnd(std::uint32_t LoopId, std::uint64_t Cycle) override {
+    return log(trace::EventKind::LoopEnd, LoopId, Cycle);
+  }
+  void onReturn(std::uint64_t Activation) override {
+    log(trace::EventKind::Return, Activation);
+  }
+  void onCallSite(std::int32_t CallPc, std::uint64_t Cycle) override {
+    log(trace::EventKind::CallSite, CallPc, Cycle);
+  }
+  void onCallReturn(std::uint64_t Cycle) override {
+    log(trace::EventKind::CallReturn, Cycle);
+  }
+  std::uint32_t onReadStats(std::uint32_t LoopId,
+                            std::uint64_t Cycle) override {
+    return log(trace::EventKind::ReadStats, LoopId, Cycle);
+  }
+
+private:
+  std::uint32_t log(trace::EventKind K, std::uint64_t A, std::uint64_t B = 0,
+                    std::uint64_t C = 0, std::uint64_t D = 0) {
+    Calls.push_back({K, {A, B, C, D}});
+    return 0;
+  }
+};
+
+/// Appends \p Events to a fresh CachedTrace and checks that replay()
+/// makes the calls of forEach() + dispatchEvent(), and that both make the
+/// calls of dispatching \p Events themselves. Returns how many events
+/// took the escape path.
+std::uint64_t expectReplayCallsMatch(const std::vector<trace::Event> &Events) {
+  trace::CachedTrace T{trace::TraceHeader{}};
+  CallLog Appended, Dispatched, Replayed;
+  for (const trace::Event &E : Events) {
+    T.append(E);
+    trace::dispatchEvent(E, Appended);
+  }
+  T.forEach(
+      [&](const trace::Event &E) { trace::dispatchEvent(E, Dispatched); });
+  T.replay(Replayed);
+  EXPECT_EQ(Replayed.Calls.size(), Events.size());
+  EXPECT_TRUE(Replayed.Calls == Dispatched.Calls);
+  EXPECT_TRUE(Dispatched.Calls == Appended.Calls);
+  return (T.eventBytes() - 8 * Events.size()) / sizeof(trace::Event);
+}
+
+} // namespace
+
+TEST(CachedTrace, ReplayCallsMatchForEachOnEdgeEvents) {
+  for (std::uint32_t LoopId : {4095u, UINT32_MAX}) {
+    SCOPED_TRACE(LoopId);
+    expectReplayCallsMatch(extremeEvents(LoopId));
+  }
+  // The direct path only runs on narrow records, so each edge stream must
+  // still split into narrow and escaped events as it was written to.
+  for (const EdgeCase &C : recordWindowEdgeCases()) {
+    SCOPED_TRACE(C.What);
+    EXPECT_EQ(expectReplayCallsMatch(C.Events), C.Escaped);
   }
 }
 
@@ -447,6 +553,62 @@ TEST(TraceReplay, SelectionBitIdenticalOnAllWorkloads) {
         EXPECT_EQ(Plain.ReturnValue, Row->PlainReturnValue);
       }
       ++Row;
+    }
+  }
+}
+
+namespace {
+
+/// selectFromTrace(const CachedTrace &, Cfg) rebuilt on the Event path:
+/// forEach() + dispatchEvent() into a TraceEngine seen as a TraceSink.
+trace::ReplayOutcome dispatchReplay(const trace::CachedTrace &T,
+                                    const trace::ReplayConfig &Cfg) {
+  std::vector<tracer::LoopTraceInfo> Loops;
+  for (const std::vector<std::uint16_t> &Locals : T.header().LoopLocals)
+    Loops.push_back({Locals});
+  tracer::TraceEngine Engine(Cfg.Hw, Loops, Cfg.ExtendedPcBinning);
+  Engine.setDisableLoopAfterThreads(Cfg.DisableLoopAfterThreads);
+  interp::TraceSink &Sink = Engine;
+  trace::ReplayOutcome Out;
+  T.forEach([&](const trace::Event &E) {
+    trace::dispatchEvent(E, Sink);
+    ++Out.EventsReplayed;
+  });
+  Out.Run = T.footer().Run;
+  Out.Selection = tracer::selectStls(Engine, Out.Run.Cycles, Cfg.Hw);
+  Out.PeakBanksInUse = Engine.peakBanksInUse();
+  Out.PeakLocalSlots = Engine.peakLocalSlots();
+  Out.PeakDynamicNest = Engine.peakDynamicNest();
+  if (Cfg.Metrics)
+    Engine.exportMetrics(*Cfg.Metrics);
+  return Out;
+}
+
+} // namespace
+
+TEST(TraceReplay, DirectReplayMatchesEventDispatchAtEveryGeometry) {
+  // perfbench tracer-sweep's grid over every registry capture.
+  for (const workloads::Workload &W : workloads::allWorkloads()) {
+    pipeline::PipelineConfig Cfg =
+        captureConfig(W, jit::AnnotationLevel::Optimized, "");
+    const trace::CachedTrace T =
+        pipeline::Jrpm(W.Build(), Cfg).profileInMemory().Trace;
+    for (std::uint32_t Banks : {1u, 2u, 8u}) {
+      for (std::uint32_t History : {48u, 192u, 768u}) {
+        SCOPED_TRACE(W.Name + " banks " + std::to_string(Banks) +
+                     " history " + std::to_string(History));
+        trace::ReplayConfig RC = trace::recordedConfig(T.header());
+        RC.Hw.ComparatorBanks = Banks;
+        RC.Hw.HeapTimestampFifoLines = History;
+        metrics::Registry DirectMetrics, DispatchMetrics;
+        RC.Metrics = &DirectMetrics;
+        trace::ReplayOutcome Direct = trace::selectFromTrace(T, RC);
+        RC.Metrics = &DispatchMetrics;
+        trace::ReplayOutcome Dispatched = dispatchReplay(T, RC);
+        EXPECT_TRUE(Direct == Dispatched);
+        EXPECT_EQ(testutil::dumpWithPrefix(DirectMetrics, "tracer."),
+                  testutil::dumpWithPrefix(DispatchMetrics, "tracer."));
+      }
     }
   }
 }
