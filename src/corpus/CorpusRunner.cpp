@@ -2,6 +2,7 @@
 
 #include "corpus/CorpusRunner.h"
 
+#include "support/Fnv1a.h"
 #include "support/Format.h"
 #include "sweep/ParallelFor.h"
 
@@ -18,14 +19,6 @@ struct VariantResult {
   bool HasShrunk = false;
   ShrinkResult Shrunk;
 };
-
-std::uint64_t fnv1aMix(std::uint64_t H, std::uint64_t V) {
-  for (int I = 0; I < 8; ++I) {
-    H ^= (V >> (I * 8)) & 0xFF;
-    H *= 1099511628211ull;
-  }
-  return H;
-}
 
 } // namespace
 
@@ -110,20 +103,20 @@ CorpusReport corpus::runCorpus(const std::vector<Template> &Templates,
   CorpusReport Report;
   Report.BaseSeed = Opts.BaseSeed;
   Report.VariantsPerTemplate = Vpt;
-  std::uint64_t CorpusH = 14695981039346656037ull;
+  Fnv1a CorpusH;
   std::uint32_t ShrinkSteps = 0, ShrinkEvals = 0;
   for (std::size_t TIdx = 0; TIdx < Templates.size(); ++TIdx) {
     const Template &T = Templates[TIdx];
     TemplateSummary S;
     S.Id = T.Id;
     S.Family = T.Family;
-    std::uint64_t TH = 14695981039346656037ull;
+    Fnv1a TH;
     for (std::uint32_t SIdx = 0; SIdx < Vpt; ++SIdx) {
       const VariantResult &R = Slots[TIdx * Vpt + SIdx];
       ++S.Variants;
       ++Report.TotalVariants;
-      TH = fnv1aMix(TH, R.Digest);
-      CorpusH = fnv1aMix(CorpusH, R.Digest);
+      TH.mix(R.Digest);
+      CorpusH.mix(R.Digest);
       S.Candidates += R.Outcome.Candidates;
       S.DynSelected += R.Outcome.DynSelected;
       S.StaticRejects += R.Outcome.StaticRejects;
@@ -152,10 +145,10 @@ CorpusReport corpus::runCorpus(const std::vector<Template> &Templates,
       }
       Report.Failures.push_back(std::move(F));
     }
-    S.Digest = TH;
+    S.Digest = TH.value();
     Report.Templates.push_back(std::move(S));
   }
-  Report.CorpusDigest = CorpusH;
+  Report.CorpusDigest = CorpusH.value();
 
   if (Opts.Metrics) {
     metrics::Registry &M = *Opts.Metrics;

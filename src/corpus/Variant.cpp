@@ -4,21 +4,13 @@
 
 #include "frontend/Ast.h"
 #include "frontend/Lower.h"
+#include "support/Fnv1a.h"
 #include "support/Format.h"
 
 #include <cassert>
 
 using namespace jrpm;
 using namespace jrpm::corpus;
-
-std::uint64_t corpus::fnv1a(const std::string &Text) {
-  std::uint64_t H = 14695981039346656037ull;
-  for (unsigned char C : Text) {
-    H ^= C;
-    H *= 1099511628211ull;
-  }
-  return H;
-}
 
 const HoleValue *VariantSpec::find(const std::string &Name) const {
   for (const HoleValue &H : Holes)

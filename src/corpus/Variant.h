@@ -29,9 +29,6 @@
 namespace jrpm {
 namespace corpus {
 
-/// FNV-1a over \p Text — the corpus' program-digest primitive.
-std::uint64_t fnv1a(const std::string &Text);
-
 /// One filled hole.
 struct HoleValue {
   std::string Name;

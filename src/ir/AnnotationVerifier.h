@@ -25,9 +25,12 @@
 namespace jrpm {
 namespace ir {
 
-/// What the verifier needs to know about one candidate loop: the named
-/// locals the annotator promised to watch (mirrors the tracer's
-/// LoopTraceInfo, which lives above this layer).
+/// One candidate loop's annotated locals: the named locals the annotator
+/// watches with `lwl`/`swl`, which the tracer gives timestamp slots. The
+/// one per-loop locals table, indexed by module-global loop id: the
+/// annotator builds it (jit::AnnotatedModule::LoopInfos), this verifier
+/// checks against it, tracer::TraceEngine is built from it and a .jtrace
+/// header carries it (trace::TraceHeader::LoopLocals).
 struct LoopAnnotationInfo {
   std::vector<std::uint16_t> AnnotatedLocals;
 };

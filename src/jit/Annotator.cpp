@@ -13,18 +13,6 @@
 using namespace jrpm;
 using namespace jrpm::jit;
 
-std::vector<tracer::LoopTraceInfo>
-jit::buildLoopTraceInfos(const analysis::ModuleAnalysis &MA) {
-  std::vector<tracer::LoopTraceInfo> Infos;
-  Infos.reserve(MA.candidates().size());
-  for (const analysis::CandidateStl &C : MA.candidates()) {
-    tracer::LoopTraceInfo Info;
-    Info.AnnotatedLocals = C.AnnotatedLocals;
-    Infos.push_back(std::move(Info));
-  }
-  return Infos;
-}
-
 namespace {
 
 /// Instruments the candidate loops of one function.
@@ -283,7 +271,9 @@ AnnotatedModule jit::annotateModule(const ir::Module &M,
                                     AnnotationLevel Level) {
   AnnotatedModule Out;
   Out.Module = M; // deep copy
-  Out.LoopInfos = buildLoopTraceInfos(MA);
+  Out.LoopInfos.reserve(MA.candidates().size());
+  for (const analysis::CandidateStl &C : MA.candidates())
+    Out.LoopInfos.push_back({C.AnnotatedLocals});
 
   for (std::uint32_t FI = 0; FI < Out.Module.Functions.size(); ++FI) {
     FunctionAnnotator FA(Out.Module.Functions[FI], MA, FI, Level, Out);

@@ -14,8 +14,8 @@
 #define JRPM_JIT_ANNOTATOR_H
 
 #include "analysis/Candidates.h"
+#include "ir/AnnotationVerifier.h"
 #include "ir/IR.h"
-#include "tracer/TraceEngine.h"
 
 #include <vector>
 
@@ -26,8 +26,8 @@ enum class AnnotationLevel { Base, Optimized };
 
 struct AnnotatedModule {
   ir::Module Module;
-  /// Per-loop tracking info for the TraceEngine, indexed by loop id.
-  std::vector<tracer::LoopTraceInfo> LoopInfos;
+  /// Per-loop annotated locals, indexed by loop id.
+  std::vector<ir::LoopAnnotationInfo> LoopInfos;
   /// Number of annotation instructions inserted (for reporting).
   std::uint64_t LocalAnnotations = 0;
   std::uint64_t LoopMarkers = 0;
@@ -39,11 +39,6 @@ struct AnnotatedModule {
 AnnotatedModule annotateModule(const ir::Module &M,
                                const analysis::ModuleAnalysis &MA,
                                AnnotationLevel Level);
-
-/// Builds the tracer's per-loop info (annotated locals) without cloning the
-/// module — used when only the tracer tables are needed.
-std::vector<tracer::LoopTraceInfo>
-buildLoopTraceInfos(const analysis::ModuleAnalysis &MA);
 
 } // namespace jit
 } // namespace jrpm

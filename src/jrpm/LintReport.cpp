@@ -52,11 +52,6 @@ WorkloadLint lint::lintWorkload(const std::string &Name, const ir::Module &M,
   addDiagnostics(Diags, Out.Violations, "module-verifier", ir::verifyModule(M));
 
   analysis::ModuleAnalysis MA(M, Opts);
-  std::vector<ir::LoopAnnotationInfo> Infos;
-  Infos.reserve(MA.candidates().size());
-  for (const analysis::CandidateStl &C : MA.candidates())
-    Infos.push_back({C.AnnotatedLocals});
-
   for (jit::AnnotationLevel Level :
        {jit::AnnotationLevel::Base, jit::AnnotationLevel::Optimized}) {
     const char *Pass = Level == jit::AnnotationLevel::Base
@@ -64,7 +59,7 @@ WorkloadLint lint::lintWorkload(const std::string &Name, const ir::Module &M,
                            : "annotation-verifier-optimized";
     jit::AnnotatedModule AM = jit::annotateModule(M, MA, Level);
     addDiagnostics(Diags, Out.Violations, Pass,
-                   ir::verifyAnnotations(AM.Module, Infos));
+                   ir::verifyAnnotations(AM.Module, AM.LoopInfos));
     addDiagnostics(Diags, Out.Violations, "module-verifier-annotated",
                    ir::verifyModule(AM.Module));
   }

@@ -40,9 +40,7 @@ trace::TraceHeader traceHeader(const PipelineConfig &Cfg,
   H.WorkloadName = Cfg.WorkloadName;
   H.AnnotationLevel = Cfg.Level == jit::AnnotationLevel::Base ? 0 : 1;
   trace::copyTracerConfig(Cfg, H);
-  H.LoopLocals.reserve(AM.LoopInfos.size());
-  for (const tracer::LoopTraceInfo &Info : AM.LoopInfos)
-    H.LoopLocals.push_back(Info.AnnotatedLocals);
+  H.LoopLocals = AM.LoopInfos;
   return H;
 }
 
@@ -87,12 +85,9 @@ const jit::AnnotatedModule &Jrpm::annotated() {
     Annotated = std::make_unique<jit::AnnotatedModule>(
         jit::annotateModule(M, *MA, Cfg.Level));
     // Step-1 lint: the tracer trusts marker nesting and lwl/swl coverage.
-    std::vector<ir::LoopAnnotationInfo> Infos;
-    Infos.reserve(Annotated->LoopInfos.size());
-    for (const tracer::LoopTraceInfo &Info : Annotated->LoopInfos)
-      Infos.push_back({Info.AnnotatedLocals});
     failOnErrors("annotation verifier",
-                 ir::verifyAnnotations(Annotated->Module, Infos));
+                 ir::verifyAnnotations(Annotated->Module,
+                                       Annotated->LoopInfos));
   }
   return *Annotated;
 }

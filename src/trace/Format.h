@@ -29,6 +29,7 @@
 #ifndef JRPM_TRACE_FORMAT_H
 #define JRPM_TRACE_FORMAT_H
 
+#include "ir/AnnotationVerifier.h"
 #include "sim/Config.h"
 
 #include <cstdint>
@@ -102,7 +103,7 @@ struct TraceHeader {
   std::uint64_t DisableLoopAfterThreads = 0;
   sim::HydraConfig Hw;
   /// Per-loop annotated locals, indexed by module-global loop id.
-  std::vector<std::vector<std::uint16_t>> LoopLocals;
+  std::vector<ir::LoopAnnotationInfo> LoopLocals;
 };
 
 /// Summary of the capture run, mirrored from interp::RunResult so the trace

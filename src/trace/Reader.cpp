@@ -104,34 +104,42 @@ void Reader::loadNextBlock() {
                                         std::to_string(TagOffset));
 }
 
-void Reader::finishStream(std::uint64_t FooterStart) {
-  std::uint32_t Size = readU32At(Offset);
-  std::uint32_t Crc = readU32At(Offset + 4);
-  Offset += 8;
-  if (Size > FileSize - Offset)
+TraceFooter Reader::readFooter(std::uint64_t TagOffset) {
+  std::uint8_t Tag = 0;
+  readAt(TagOffset, &Tag, 1);
+  if (Tag != FooterTag)
+    throw Error(ErrorKind::BadRecord, "footer tag missing at offset " +
+                                          std::to_string(TagOffset));
+  std::uint32_t Size = readU32At(TagOffset + 1);
+  std::uint32_t Crc = readU32At(TagOffset + 5);
+  std::uint64_t At = TagOffset + 9;
+  if (Size > FileSize - At)
     throw Error(ErrorKind::Truncated, "footer payload runs past end of file");
   std::vector<std::uint8_t> Payload(Size);
-  readAt(Offset, Payload.data(), Size);
-  Offset += Size;
+  readAt(At, Payload.data(), Size);
+  At += Size;
   if (crc32(Payload.data(), Size) != Crc)
     throw Error(ErrorKind::BadChecksum, "footer payload");
   TraceFooter F = decodeFooter(Payload.data(), Payload.data() + Size);
 
-  std::uint32_t BlockSize = readU32At(Offset);
-  if (BlockSize != Offset - FooterStart)
+  std::uint32_t BlockSize = readU32At(At);
+  if (BlockSize != At - TagOffset)
     throw Error(ErrorKind::BadRecord, "footer block size disagrees with "
                                       "footer position");
-  Offset += 4;
+  At += 4;
   char Magic[sizeof(EndMagic)];
-  readAt(Offset, Magic, sizeof(Magic));
-  Offset += sizeof(Magic);
+  readAt(At, Magic, sizeof(Magic));
+  At += sizeof(Magic);
   if (std::memcmp(Magic, EndMagic, sizeof(EndMagic)) != 0)
     throw Error(ErrorKind::BadMagic, "end magic missing");
-  if (Offset != FileSize)
+  if (At != FileSize)
     throw Error(ErrorKind::TrailingData,
-                std::to_string(FileSize - Offset) +
-                    " bytes after the end magic");
+                std::to_string(FileSize - At) + " bytes after the end magic");
+  return F;
+}
 
+void Reader::finishStream(std::uint64_t FooterStart) {
+  TraceFooter F = readFooter(FooterStart);
   for (std::uint32_t K = 0; K < NumEventKinds; ++K)
     if (F.EventCounts[K] != Tally.EventCounts[K])
       throw Error(ErrorKind::FooterMismatch,
@@ -152,7 +160,9 @@ void Reader::finishStream(std::uint64_t FooterStart) {
 const TraceFooter &Reader::footer() {
   if (FooterCached)
     return CachedFooter;
-  // O(1) path: [u32 footer block size][8-byte end magic] at the very end.
+  // O(1) path: the trailer, [u32 footer block size][8-byte end magic] at
+  // the very end, locates the record; readFooter() then checks it as the
+  // stream's end does.
   constexpr std::uint64_t TrailerSize = 4 + sizeof(EndMagic);
   if (FileSize < TrailerSize)
     throw Error(ErrorKind::Truncated, "file too small to hold a footer");
@@ -166,21 +176,12 @@ const TraceFooter &Reader::footer() {
     throw Error(ErrorKind::BadRecord, "implausible footer block size " +
                                           std::to_string(BlockSize));
   std::uint64_t TagOffset = FileSize - TrailerSize - BlockSize;
-  std::uint8_t Tag = 0;
-  readAt(TagOffset, &Tag, 1);
-  if (Tag != FooterTag)
-    throw Error(ErrorKind::BadRecord, "footer tag missing at offset " +
-                                          std::to_string(TagOffset));
-  std::uint32_t Size = readU32At(TagOffset + 1);
-  std::uint32_t Crc = readU32At(TagOffset + 5);
-  if (TagOffset + 9 + Size != FileSize - TrailerSize)
+  // Checked before readFooter(), so a payload size the trailer contradicts
+  // is a BadRecord here, not a truncated or mis-summed payload.
+  if (readU32At(TagOffset + 1) != BlockSize - 9)
     throw Error(ErrorKind::BadRecord, "footer payload size disagrees with "
                                       "footer block size");
-  std::vector<std::uint8_t> Payload(Size);
-  readAt(TagOffset + 9, Payload.data(), Size);
-  if (crc32(Payload.data(), Size) != Crc)
-    throw Error(ErrorKind::BadChecksum, "footer payload");
-  CachedFooter = decodeFooter(Payload.data(), Payload.data() + Size);
+  CachedFooter = readFooter(TagOffset);
   FooterCached = true;
   return CachedFooter;
 }
@@ -223,18 +224,8 @@ bool Reader::next(Event &E) {
 }
 
 //===----------------------------------------------------------------------===//
-// Replay & diff
+// Diff
 //===----------------------------------------------------------------------===//
-
-std::uint64_t trace::replay(Reader &R, interp::TraceSink &Sink) {
-  Event E;
-  std::uint64_t N = 0;
-  while (R.next(E)) {
-    dispatchEvent(E, Sink);
-    ++N;
-  }
-  return N;
-}
 
 DiffResult trace::diffTraces(Reader &A, Reader &B) {
   DiffResult R;

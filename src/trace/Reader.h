@@ -1,10 +1,10 @@
-//===- trace/Reader.h - Validating .jtrace reader and replay ---------------==//
+//===- trace/Reader.h - Validating .jtrace reader --------------------------==//
 //
 // Reader decodes a recorded trace with strict validation: every framing,
 // checksum, range, or ordering violation throws a typed trace::Error, so a
 // corrupt or truncated file can never crash a consumer or silently skew an
-// analysis. replay() re-drives any TraceSink from disk, which is how one
-// recorded interpretation feeds arbitrarily many analysis configurations.
+// analysis. It feeds CachedTrace(path), through which every replay of a
+// file goes, and the dump, info and diff views.
 //
 //===----------------------------------------------------------------------===//
 
@@ -42,13 +42,14 @@ public:
   /// ends exactly at the end magic.
   bool next(Event &E);
 
-  /// Events decoded by next() so far.
-  std::uint64_t eventsRead() const { return Tally.TotalEvents; }
-
 private:
   void readAt(std::uint64_t Offset, void *Out, std::size_t Size);
   std::uint32_t readU32At(std::uint64_t Offset);
   void loadNextBlock();
+  /// Reads the footer record whose tag byte is at \p TagOffset and checks
+  /// its framing: payload CRC, block-size field, end magic, and that the
+  /// file ends there. Both footer() and the stream's end read through it.
+  TraceFooter readFooter(std::uint64_t TagOffset);
   void finishStream(std::uint64_t FooterStart);
 
   std::string Path;
@@ -73,8 +74,9 @@ private:
 
 /// Delivers one decoded event to \p Sink, mapping wire kinds back onto the
 /// TraceSink interface. Cycle-charge return values are ignored: the
-/// recorded cycle stream already includes them. Shared by the streaming
-/// replay() and CachedTrace so there is exactly one kind→callback mapping.
+/// recorded cycle stream already includes them. CachedTrace::replay()
+/// sends an escaped record through it; a narrow record's kind is mapped
+/// by CachedTrace's decoder.
 inline void dispatchEvent(const Event &E, interp::TraceSink &Sink) {
   switch (E.Kind) {
   case EventKind::HeapLoad:
@@ -112,10 +114,6 @@ inline void dispatchEvent(const Event &E, interp::TraceSink &Sink) {
     break;
   }
 }
-
-/// Re-drives \p Sink with every event of \p R. Returns the number of
-/// events replayed. Throws Error on any corruption.
-std::uint64_t replay(Reader &R, interp::TraceSink &Sink);
 
 /// Event-by-event comparison of two traces for golden-trace regression.
 struct DiffResult {

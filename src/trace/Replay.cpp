@@ -7,47 +7,6 @@
 using namespace jrpm;
 using namespace jrpm::trace;
 
-namespace {
-
-/// Builds the engine's loop tables for \p Header. (The engine copies its
-/// HydraConfig, so callers may pass configs in temporaries — a sweep-job
-/// requirement; see the reentrancy note in TraceEngine.h.)
-std::vector<tracer::LoopTraceInfo> loopInfos(const TraceHeader &Header) {
-  std::vector<tracer::LoopTraceInfo> Loops;
-  Loops.reserve(Header.LoopLocals.size());
-  for (const std::vector<std::uint16_t> &Locals : Header.LoopLocals)
-    Loops.push_back({Locals});
-  return Loops;
-}
-
-ReplayOutcome finishOutcome(tracer::TraceEngine &Engine,
-                            const ReplayConfig &Cfg, const RunInfo &Run,
-                            std::uint64_t EventsReplayed) {
-  ReplayOutcome Out;
-  Out.EventsReplayed = EventsReplayed;
-  Out.Run = Run;
-  Out.Selection = tracer::selectStls(Engine, Out.Run.Cycles, Cfg.Hw);
-  Out.PeakBanksInUse = Engine.peakBanksInUse();
-  Out.PeakLocalSlots = Engine.peakLocalSlots();
-  Out.PeakDynamicNest = Engine.peakDynamicNest();
-  if (Cfg.Metrics) {
-    Engine.exportMetrics(*Cfg.Metrics);
-    Cfg.Metrics->counter("trace.events_replayed").inc(EventsReplayed);
-  }
-  return Out;
-}
-
-} // namespace
-
-ReplayOutcome trace::selectFromTrace(Reader &R, const ReplayConfig &Cfg) {
-  tracer::TraceEngine Engine(Cfg.Hw, loopInfos(R.header()),
-                             Cfg.ExtendedPcBinning);
-  if (Cfg.DisableLoopAfterThreads)
-    Engine.setDisableLoopAfterThreads(Cfg.DisableLoopAfterThreads);
-  std::uint64_t N = replay(R, Engine);
-  return finishOutcome(Engine, Cfg, R.footer().Run, N);
-}
-
 //===----------------------------------------------------------------------===//
 // CachedTrace
 //===----------------------------------------------------------------------===//
@@ -67,10 +26,25 @@ CachedTrace::CachedTrace(const std::string &Path) {
 
 ReplayOutcome trace::selectFromTrace(const CachedTrace &T,
                                      const ReplayConfig &Cfg) {
-  tracer::TraceEngine Engine(Cfg.Hw, loopInfos(T.header()),
+  // The engine copies its HydraConfig, so callers may pass configs in
+  // temporaries — a sweep-job requirement; see the reentrancy note in
+  // TraceEngine.h.
+  tracer::TraceEngine Engine(Cfg.Hw, T.header().LoopLocals,
                              Cfg.ExtendedPcBinning);
   if (Cfg.DisableLoopAfterThreads)
     Engine.setDisableLoopAfterThreads(Cfg.DisableLoopAfterThreads);
   T.replay(Engine);
-  return finishOutcome(Engine, Cfg, T.footer().Run, T.footer().TotalEvents);
+
+  ReplayOutcome Out;
+  Out.EventsReplayed = T.footer().TotalEvents;
+  Out.Run = T.footer().Run;
+  Out.Selection = tracer::selectStls(Engine, Out.Run.Cycles, Cfg.Hw);
+  Out.PeakBanksInUse = Engine.peakBanksInUse();
+  Out.PeakLocalSlots = Engine.peakLocalSlots();
+  Out.PeakDynamicNest = Engine.peakDynamicNest();
+  if (Cfg.Metrics) {
+    Engine.exportMetrics(*Cfg.Metrics);
+    Cfg.Metrics->counter("trace.events_replayed").inc(Out.EventsReplayed);
+  }
+  return Out;
 }

@@ -6,7 +6,9 @@
 // recorded program cycles anchor the selection. Replaying under the
 // recorded hardware config reproduces the live run's SelectionResult
 // bit-for-bit; replaying under an overridden config is how one recorded
-// trace feeds N ablation configurations.
+// trace feeds N ablation configurations. A capture is replayed one way:
+// loaded into a CachedTrace (from a file or recorded in memory) and run
+// through selectFromTrace().
 //
 //===----------------------------------------------------------------------===//
 
@@ -23,8 +25,8 @@ class Registry;
 
 namespace trace {
 
-/// Tracer-side knobs for a replayed analysis. Defaults are filled from the
-/// trace header by selectFromTrace(); override fields to sweep them.
+/// Tracer-side knobs for a replayed analysis. recordedConfig() fills them
+/// from the trace header; override fields to sweep them.
 struct ReplayConfig {
   sim::HydraConfig Hw;
   bool ExtendedPcBinning = false;
@@ -64,23 +66,13 @@ inline ReplayConfig recordedConfig(const TraceHeader &H) {
   return Cfg;
 }
 
-/// Replays \p R into a fresh TraceEngine under \p Cfg and runs STL
-/// selection against the recorded program cycles. Throws Error on any
-/// corruption.
-ReplayOutcome selectFromTrace(Reader &R, const ReplayConfig &Cfg);
-
-/// Replay under the exact capture-time configuration: bit-identical to the
-/// live profiled run's selection.
-inline ReplayOutcome selectFromTrace(Reader &R) {
-  return selectFromTrace(R, recordedConfig(R.header()));
-}
-
 /// A fully decoded in-memory trace for sweep-style consumers: pays the
 /// disk read, checksum, and varint decode exactly once, then feeds any
 /// number of analysis configurations straight from memory. Construction
-/// from a file performs the same strict validation as streaming the whole
-/// file. It is also RecordingSink's in-memory destination: append() and
-/// finish() keep the footer the way Writer does.
+/// from a file checks all of it (header, footer, every event, the stream
+/// against the footer) before any replay starts. It is also
+/// RecordingSink's in-memory destination: append() and finish() keep the
+/// footer the way Writer does.
 ///
 /// Events are held as one 8-byte record each, not 40-byte Events:
 /// kind:4 | cycle delta:12 | payload:48, low bits first. The cycle and the
@@ -377,8 +369,10 @@ private:
   Predictor Last;          ///< append()'s predictor
 };
 
-/// Engine construction + replay + selection from an in-memory trace: the
-/// per-configuration cost of a record-once/analyze-many sweep.
+/// Replays \p T into a fresh TraceEngine under \p Cfg and runs STL
+/// selection against the recorded program cycles: the per-configuration
+/// cost of a record-once/analyze-many sweep. Under recordedConfig() the
+/// selection is bit-identical to the live profiled run's.
 ReplayOutcome selectFromTrace(const CachedTrace &T, const ReplayConfig &Cfg);
 
 } // namespace trace

@@ -2,6 +2,8 @@
 
 #include "trace/Wire.h"
 
+#include <type_traits>
+
 using namespace jrpm;
 using namespace jrpm::trace;
 
@@ -11,48 +13,57 @@ using namespace jrpm::trace;
 
 namespace {
 
-/// Stable field order of the serialized sim::HydraConfig. Bump
-/// FormatVersion when this list changes shape incompatibly; appending
+/// Calls \p V on each serialized sim::HydraConfig field of \p Hw, in
+/// wire order: the one field list, walked by appendHw and parseHw alike.
+/// Bump FormatVersion when this list changes shape incompatibly; appending
 /// fields is compatible because the count is part of the payload.
-constexpr std::uint32_t NumHwFields = 31;
+template <typename Config, typename Visitor>
+constexpr void forEachHwField(Config &Hw, Visitor &&V) {
+  V(Hw.NumCores);
+  V(Hw.WordsPerLine);
+  V(Hw.L1Lines);
+  V(Hw.L1Assoc);
+  V(Hw.L2HitExtraCycles);
+  V(Hw.SpecLoadLines);
+  V(Hw.SpecStoreLines);
+  V(Hw.LoopStartupCycles);
+  V(Hw.LoopShutdownCycles);
+  V(Hw.EndOfIterationCycles);
+  V(Hw.ViolationRestartCycles);
+  V(Hw.StoreLoadCommCycles);
+  V(Hw.ViolationGrain);
+  V(Hw.SyncCarriedLocals);
+  V(Hw.HeapTimestampFifoLines);
+  V(Hw.LoadTimestampEntries);
+  V(Hw.StoreTimestampEntries);
+  V(Hw.OverflowTableAssoc);
+  V(Hw.LocalVarSlots);
+  V(Hw.ComparatorBanks);
+  V(Hw.SLoopCost);
+  V(Hw.ELoopCost);
+  V(Hw.EoiCost);
+  V(Hw.LocalAnnoCost);
+  V(Hw.ReadStatsCost);
+  V(Hw.SoftwareProfilerCallbackCycles);
+  V(Hw.Costs.Basic);
+  V(Hw.Costs.IntDiv);
+  V(Hw.Costs.FloatDiv);
+  V(Hw.Costs.FloatSqrt);
+  V(Hw.Costs.CallOverhead);
+}
+
+constexpr std::uint32_t NumHwFields = [] {
+  sim::HydraConfig Hw;
+  std::uint32_t N = 0;
+  forEachHwField(Hw, [&](auto &) { ++N; });
+  return N;
+}();
 
 void appendHw(std::vector<std::uint8_t> &Out, const sim::HydraConfig &Hw) {
   appendVarint(Out, NumHwFields);
-  const std::uint64_t Fields[NumHwFields] = {
-      Hw.NumCores,
-      Hw.WordsPerLine,
-      Hw.L1Lines,
-      Hw.L1Assoc,
-      Hw.L2HitExtraCycles,
-      Hw.SpecLoadLines,
-      Hw.SpecStoreLines,
-      Hw.LoopStartupCycles,
-      Hw.LoopShutdownCycles,
-      Hw.EndOfIterationCycles,
-      Hw.ViolationRestartCycles,
-      Hw.StoreLoadCommCycles,
-      static_cast<std::uint64_t>(Hw.ViolationGrain),
-      Hw.SyncCarriedLocals ? 1u : 0u,
-      Hw.HeapTimestampFifoLines,
-      Hw.LoadTimestampEntries,
-      Hw.StoreTimestampEntries,
-      Hw.OverflowTableAssoc,
-      Hw.LocalVarSlots,
-      Hw.ComparatorBanks,
-      Hw.SLoopCost,
-      Hw.ELoopCost,
-      Hw.EoiCost,
-      Hw.LocalAnnoCost,
-      Hw.ReadStatsCost,
-      Hw.SoftwareProfilerCallbackCycles,
-      Hw.Costs.Basic,
-      Hw.Costs.IntDiv,
-      Hw.Costs.FloatDiv,
-      Hw.Costs.FloatSqrt,
-      Hw.Costs.CallOverhead,
-  };
-  for (std::uint64_t F : Fields)
-    appendVarint(Out, F);
+  forEachHwField(Hw, [&](const auto &Field) {
+    appendVarint(Out, static_cast<std::uint64_t>(Field));
+  });
 }
 
 sim::HydraConfig parseHw(const std::uint8_t *&P, const std::uint8_t *End) {
@@ -67,43 +78,15 @@ sim::HydraConfig parseHw(const std::uint8_t *&P, const std::uint8_t *End) {
       Fields[I] = V; // later writers may append fields; ignore extras
   }
   sim::HydraConfig Hw;
-  std::size_t I = 0;
-  auto U32 = [&] { return static_cast<std::uint32_t>(Fields[I++]); };
-  Hw.NumCores = U32();
-  Hw.WordsPerLine = U32();
-  Hw.L1Lines = U32();
-  Hw.L1Assoc = U32();
-  Hw.L2HitExtraCycles = U32();
-  Hw.SpecLoadLines = U32();
-  Hw.SpecStoreLines = U32();
-  Hw.LoopStartupCycles = U32();
-  Hw.LoopShutdownCycles = U32();
-  Hw.EndOfIterationCycles = U32();
-  Hw.ViolationRestartCycles = U32();
-  Hw.StoreLoadCommCycles = U32();
-  std::uint64_t Grain = Fields[I++];
-  if (Grain > 1)
-    throw Error(ErrorKind::BadRecord, "violation granularity " +
-                                          std::to_string(Grain));
-  Hw.ViolationGrain = static_cast<sim::ViolationGranularity>(Grain);
-  Hw.SyncCarriedLocals = Fields[I++] != 0;
-  Hw.HeapTimestampFifoLines = U32();
-  Hw.LoadTimestampEntries = U32();
-  Hw.StoreTimestampEntries = U32();
-  Hw.OverflowTableAssoc = U32();
-  Hw.LocalVarSlots = U32();
-  Hw.ComparatorBanks = U32();
-  Hw.SLoopCost = U32();
-  Hw.ELoopCost = U32();
-  Hw.EoiCost = U32();
-  Hw.LocalAnnoCost = U32();
-  Hw.ReadStatsCost = U32();
-  Hw.SoftwareProfilerCallbackCycles = U32();
-  Hw.Costs.Basic = U32();
-  Hw.Costs.IntDiv = U32();
-  Hw.Costs.FloatDiv = U32();
-  Hw.Costs.FloatSqrt = U32();
-  Hw.Costs.CallOverhead = U32();
+  const std::uint64_t *Next = Fields;
+  forEachHwField(Hw, [&](auto &Field) {
+    using T = std::remove_reference_t<decltype(Field)>;
+    std::uint64_t V = *Next++;
+    if (std::is_same_v<T, sim::ViolationGranularity> && V > 1)
+      throw Error(ErrorKind::BadRecord,
+                  "violation granularity " + std::to_string(V));
+    Field = static_cast<T>(V);
+  });
   if (!sim::hasValidCacheGeometry(Hw))
     throw Error(ErrorKind::BadRecord,
                 "cache geometry of " + std::to_string(Hw.WordsPerLine) +
@@ -135,9 +118,9 @@ void trace::encodeHeader(std::vector<std::uint8_t> &Out,
   appendVarint(Out, H.DisableLoopAfterThreads);
   appendHw(Out, H.Hw);
   appendVarint(Out, H.LoopLocals.size());
-  for (const std::vector<std::uint16_t> &Locals : H.LoopLocals) {
-    appendVarint(Out, Locals.size());
-    for (std::uint16_t Reg : Locals)
+  for (const ir::LoopAnnotationInfo &Loop : H.LoopLocals) {
+    appendVarint(Out, Loop.AnnotatedLocals.size());
+    for (std::uint16_t Reg : Loop.AnnotatedLocals)
       appendVarint(Out, Reg);
   }
 }
@@ -169,10 +152,10 @@ TraceHeader trace::decodeHeader(const std::uint8_t *P,
     if (NumLocals > MaxLocalsPerLoop)
       throw Error(ErrorKind::BadRecord, "implausible local count " +
                                             std::to_string(NumLocals));
-    H.LoopLocals[L].reserve(NumLocals);
+    std::vector<std::uint16_t> &Locals = H.LoopLocals[L].AnnotatedLocals;
+    Locals.reserve(NumLocals);
     for (std::uint64_t I = 0; I < NumLocals; ++I)
-      H.LoopLocals[L].push_back(
-          static_cast<std::uint16_t>(parseVarint(P, End)));
+      Locals.push_back(static_cast<std::uint16_t>(parseVarint(P, End)));
   }
   if (P != End)
     throw Error(ErrorKind::TrailingData, "extra bytes in header payload");

@@ -2,8 +2,9 @@
 
 #include "tracer/Selector.h"
 
+#include "support/Fnv1a.h"
+
 #include <algorithm>
-#include <cstring>
 #include <functional>
 
 using namespace jrpm;
@@ -103,27 +104,6 @@ SelectionResult tracer::selectStls(const TraceEngine &Engine,
 // Selection digest
 //===----------------------------------------------------------------------===//
 
-namespace {
-
-struct Fnv1a {
-  std::uint64_t H = 0xCBF29CE484222325ull;
-
-  void mix(std::uint64_t V) {
-    for (int B = 0; B < 8; ++B) {
-      H ^= (V >> (B * 8)) & 0xFF;
-      H *= 0x100000001B3ull;
-    }
-  }
-  void mixDouble(double V) {
-    std::uint64_t Bits;
-    static_assert(sizeof(Bits) == sizeof(V));
-    std::memcpy(&Bits, &V, sizeof(Bits));
-    mix(Bits);
-  }
-};
-
-} // namespace
-
 std::uint64_t tracer::selectionDigest(const SelectionResult &R) {
   Fnv1a F;
   F.mix(R.ProgramCycles);
@@ -166,5 +146,5 @@ std::uint64_t tracer::selectionDigest(const SelectionResult &R) {
     F.mixDouble(Rep.Estimate.Speedup);
     F.mixDouble(Rep.Estimate.SpecCycles);
   }
-  return F.H;
+  return F.value();
 }

@@ -9,7 +9,7 @@ using namespace jrpm;
 using namespace jrpm::tracer;
 
 TraceEngine::TraceEngine(const sim::HydraConfig &Cfg,
-                         std::vector<LoopTraceInfo> LoopInfos,
+                         std::vector<ir::LoopAnnotationInfo> LoopInfos,
                          bool ExtendedPcBinning)
     : Cfg(Cfg), Loops(std::move(LoopInfos)),
       ExtendedPcBinning(ExtendedPcBinning),

@@ -19,6 +19,7 @@
 #define JRPM_TRACER_TRACEENGINE_H
 
 #include "interp/TraceSink.h"
+#include "ir/AnnotationVerifier.h"
 #include "metrics/Metrics.h"
 #include "metrics/Timeline.h"
 #include "sim/Config.h"
@@ -35,12 +36,6 @@ class EventBlock;
 
 namespace tracer {
 
-/// Static per-loop information the tracer needs: which named locals carry
-/// dependencies and therefore receive timestamp slots.
-struct LoopTraceInfo {
-  std::vector<std::uint16_t> AnnotatedLocals;
-};
-
 /// Final, so code that holds a TraceEngine by its own type (a cached
 /// trace's replay) calls the handlers directly, not through the vtable.
 class TraceEngine final : public interp::TraceSink {
@@ -48,8 +43,10 @@ public:
   /// Arc length meaning "no arc observed for this thread yet".
   static constexpr std::uint64_t NoArc = ~std::uint64_t(0);
 
-  /// \p Loops is indexed by module-global loop id.
-  TraceEngine(const sim::HydraConfig &Cfg, std::vector<LoopTraceInfo> Loops,
+  /// \p Loops is indexed by module-global loop id; a loop's annotated
+  /// locals are the ones that receive timestamp slots.
+  TraceEngine(const sim::HydraConfig &Cfg,
+              std::vector<ir::LoopAnnotationInfo> Loops,
               bool ExtendedPcBinning = false);
 
   /// Dynamically stop tracing a loop once this many threads have been
@@ -218,7 +215,7 @@ private:
   /// per-job configs on their own stacks, and a reference member would
   /// dangle the moment a job outlives the temporary it was built from.
   sim::HydraConfig Cfg;
-  std::vector<LoopTraceInfo> Loops;
+  std::vector<ir::LoopAnnotationInfo> Loops;
   bool ExtendedPcBinning;
   std::uint64_t DisableAfterThreads = 0;
 

@@ -26,7 +26,7 @@ struct NestDriver {
   std::uint64_t Now = 0;
 
   explicit NestDriver(std::uint32_t NumLoops)
-      : Engine(Cfg, std::vector<LoopTraceInfo>(NumLoops)) {}
+      : Engine(Cfg, std::vector<ir::LoopAnnotationInfo>(NumLoops)) {}
 
   std::uint64_t runNest(std::uint64_t OuterIters, std::uint64_t InnerIters,
                         std::uint64_t InnerBody, std::uint32_t CarryAddr) {
@@ -118,7 +118,7 @@ TEST(Selector, SelectedAncestorDeactivatesSubtree) {
 
 TEST(Selector, UntracedLoopStaysSerial) {
   sim::HydraConfig Cfg;
-  TraceEngine E(Cfg, std::vector<LoopTraceInfo>(1));
+  TraceEngine E(Cfg, std::vector<ir::LoopAnnotationInfo>(1));
   // Loop never ran.
   SelectionResult R = selectStls(E, 1000, Cfg);
   EXPECT_FALSE(R.Loops[0].Selected);
@@ -129,7 +129,7 @@ TEST(Selector, CyclicParentVotesAreCut) {
   // A loop observed in two contexts can produce vote patterns that would
   // form a cycle in the "parent" relation; dynamicParents must break it.
   sim::HydraConfig Cfg;
-  TraceEngine E(Cfg, std::vector<LoopTraceInfo>(2));
+  TraceEngine E(Cfg, std::vector<ir::LoopAnnotationInfo>(2));
   // Context A: 0 encloses 1 (twice: majority for parent[1] = 0).
   for (int K = 0; K < 2; ++K) {
     E.onLoopStart(0, 1, K * 100);

@@ -4,7 +4,6 @@
 #include "support/FastDivMod.h"
 #include "support/Format.h"
 #include "support/Prng.h"
-#include "support/Stats.h"
 #include "support/Table.h"
 
 #include <gtest/gtest.h>
@@ -151,21 +150,6 @@ TEST(BitVector, Equality) {
   EXPECT_FALSE(A == B);
   B.set(3);
   EXPECT_TRUE(A == B);
-}
-
-TEST(RunningStat, Accumulates) {
-  RunningStat S;
-  EXPECT_EQ(S.count(), 0u);
-  EXPECT_EQ(S.mean(), 0.0);
-  S.addSample(2.0);
-  S.addSample(4.0);
-  S.addSample(6.0);
-  EXPECT_EQ(S.count(), 3u);
-  EXPECT_DOUBLE_EQ(S.mean(), 4.0);
-  EXPECT_DOUBLE_EQ(S.min(), 2.0);
-  EXPECT_DOUBLE_EQ(S.max(), 6.0);
-  S.reset();
-  EXPECT_EQ(S.count(), 0u);
 }
 
 TEST(TextTable, AlignsColumns) {

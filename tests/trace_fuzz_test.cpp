@@ -43,47 +43,13 @@ void writeFile(const std::string &Path, const std::vector<std::uint8_t> &B) {
             static_cast<std::streamsize>(B.size()));
 }
 
-/// Null sink: replay target that ignores everything.
-class NullSink : public interp::TraceSink {
-public:
-  std::uint32_t onHeapLoad(std::uint32_t, std::uint64_t,
-                           std::int32_t) override {
-    return 0;
-  }
-  std::uint32_t onHeapStore(std::uint32_t, std::uint64_t,
-                            std::int32_t) override {
-    return 0;
-  }
-  std::uint32_t onLocalLoad(std::uint64_t, std::uint16_t, std::uint64_t,
-                            std::int32_t) override {
-    return 0;
-  }
-  std::uint32_t onLocalStore(std::uint64_t, std::uint16_t, std::uint64_t,
-                             std::int32_t) override {
-    return 0;
-  }
-  std::uint32_t onLoopStart(std::uint32_t, std::uint64_t,
-                            std::uint64_t) override {
-    return 0;
-  }
-  std::uint32_t onLoopIter(std::uint32_t, std::uint64_t) override {
-    return 0;
-  }
-  std::uint32_t onLoopEnd(std::uint32_t, std::uint64_t) override {
-    return 0;
-  }
-  void onReturn(std::uint64_t) override {}
-};
-
-/// Full strict read of a candidate file: header, O(1) footer, every event,
-/// stream-end validation. Returns the ErrorKind when the reader rejected
-/// the file, nullopt when it was accepted.
+/// Full strict read of a candidate file, as every replay of a file loads
+/// it: header, O(1) footer, every event, stream-end validation. Returns
+/// the ErrorKind when the reader rejected the file, nullopt when it was
+/// accepted.
 std::optional<trace::ErrorKind> strictRead(const std::string &Path) {
   try {
-    trace::Reader R(Path);
-    R.footer();
-    NullSink Sink;
-    trace::replay(R, Sink);
+    trace::CachedTrace T(Path);
     return std::nullopt;
   } catch (const trace::Error &E) {
     return E.kind();
@@ -256,7 +222,11 @@ TEST_F(TraceFuzz, ReplayOfCorruptTraceThrowsTypedErrorNotCrash) {
   writeFile(Mutant, B);
   trace::Reader R(Mutant); // header is intact; corruption is later
   EXPECT_THROW(
-      { trace::selectFromTrace(R); }, trace::Error);
+      {
+        trace::CachedTrace T(Mutant);
+        trace::selectFromTrace(T, trace::recordedConfig(T.header()));
+      },
+      trace::Error);
   std::remove(Mutant.c_str());
 }
 
@@ -315,8 +285,8 @@ TEST_F(TraceFuzz, ImpossibleCacheGeometryIsBadRecord) {
     W.finish(trace::RunInfo{});
   }
   try {
-    trace::Reader R(Mutant);
-    trace::selectFromTrace(R);
+    trace::CachedTrace T(Mutant);
+    trace::selectFromTrace(T, trace::recordedConfig(T.header()));
     FAIL() << "a zero-words-per-line trace replayed";
   } catch (const trace::Error &E) {
     EXPECT_EQ(E.kind(), trace::ErrorKind::BadRecord);

@@ -16,6 +16,7 @@
 #include "sweep/Conformance.h"
 #include "trace/Dump.h"
 #include "trace/Replay.h"
+#include "trace/Wire.h"
 #include "trace/Writer.h"
 #include "tracer/Selector.h"
 #include "workloads/Workload.h"
@@ -509,11 +510,11 @@ TEST(TraceReplay, SelectionBitIdenticalOnAllWorkloads) {
       pipeline::Jrpm::ProfileOutcome Live = J.profileAndSelect();
 
       metrics::Registry ReplayMetrics;
-      trace::Reader Reader(Tmp.path());
       trace::ReplayConfig RC;
       trace::copyTracerConfig(Cfg, RC);
       RC.Metrics = &ReplayMetrics;
-      trace::ReplayOutcome Replayed = trace::selectFromTrace(Reader, RC);
+      trace::ReplayOutcome Replayed =
+          trace::selectFromTrace(trace::CachedTrace(Tmp.path()), RC);
 
       // Bit-identical selection: exact equality, doubles included.
       EXPECT_TRUE(Live.Selection == Replayed.Selection);
@@ -563,10 +564,8 @@ namespace {
 /// forEach() + dispatchEvent() into a TraceEngine seen as a TraceSink.
 trace::ReplayOutcome dispatchReplay(const trace::CachedTrace &T,
                                     const trace::ReplayConfig &Cfg) {
-  std::vector<tracer::LoopTraceInfo> Loops;
-  for (const std::vector<std::uint16_t> &Locals : T.header().LoopLocals)
-    Loops.push_back({Locals});
-  tracer::TraceEngine Engine(Cfg.Hw, Loops, Cfg.ExtendedPcBinning);
+  tracer::TraceEngine Engine(Cfg.Hw, T.header().LoopLocals,
+                             Cfg.ExtendedPcBinning);
   Engine.setDisableLoopAfterThreads(Cfg.DisableLoopAfterThreads);
   interp::TraceSink &Sink = Engine;
   trace::ReplayOutcome Out;
@@ -624,10 +623,10 @@ TEST(TraceReplay, ReplayViaPipelineConfigSkipsInterpretation) {
   auto Live = Recorder.profileAndSelect();
 
   // Steps 2-3 from the trace alone: no annotation, no interpretation.
-  trace::Reader Reader(Tmp.path());
   trace::ReplayConfig RC;
   trace::copyTracerConfig(Cfg, RC);
-  trace::ReplayOutcome Replayed = trace::selectFromTrace(Reader, RC);
+  trace::ReplayOutcome Replayed =
+      trace::selectFromTrace(trace::CachedTrace(Tmp.path()), RC);
 
   EXPECT_TRUE(Live.Selection == Replayed.Selection);
 
@@ -739,7 +738,106 @@ TEST(TraceReplay, HeaderAndFooterDescribeTheCapture) {
   while (R.next(E))
     ++Streamed;
   EXPECT_EQ(Streamed, F.TotalEvents);
-  EXPECT_EQ(R.eventsRead(), F.TotalEvents);
+}
+
+TEST(TraceWire, HeaderRoundTripsEveryHardwareField) {
+  // Every serialized HydraConfig field away from its default and from
+  // every other field, so a field dropped, duplicated or reordered in the
+  // wire list changes the bytes or the decoded value.
+  trace::TraceHeader H;
+  H.WorkloadName = "wire";
+  H.AnnotationLevel = 0;
+  H.ExtendedPcBinning = true;
+  H.DisableLoopAfterThreads = 4321;
+  H.LoopLocals = {{{1, 2}}, {}, {{300}}};
+  sim::HydraConfig &Hw = H.Hw;
+  Hw.NumCores = 2;
+  Hw.WordsPerLine = 8;
+  Hw.L1Lines = 1000;
+  Hw.L1Assoc = 5;
+  Hw.L2HitExtraCycles = 7;
+  Hw.SpecLoadLines = 300;
+  Hw.SpecStoreLines = 33;
+  Hw.LoopStartupCycles = 41;
+  Hw.LoopShutdownCycles = 42;
+  Hw.EndOfIterationCycles = 9;
+  Hw.ViolationRestartCycles = 11;
+  Hw.StoreLoadCommCycles = 13;
+  Hw.ViolationGrain = sim::ViolationGranularity::Line;
+  Hw.SyncCarriedLocals = true;
+  Hw.HeapTimestampFifoLines = 777;
+  Hw.LoadTimestampEntries = 600;
+  Hw.StoreTimestampEntries = 90;
+  Hw.OverflowTableAssoc = 3;
+  Hw.LocalVarSlots = 100;
+  Hw.ComparatorBanks = 6;
+  Hw.SLoopCost = 14;
+  Hw.ELoopCost = 15;
+  Hw.EoiCost = 16;
+  Hw.LocalAnnoCost = 17;
+  Hw.ReadStatsCost = 29;
+  Hw.SoftwareProfilerCallbackCycles = 123456;
+  Hw.Costs.Basic = 18;
+  Hw.Costs.IntDiv = 19;
+  Hw.Costs.FloatDiv = 20;
+  Hw.Costs.FloatSqrt = 21;
+  Hw.Costs.CallOverhead = 22;
+
+  std::vector<std::uint8_t> Bytes;
+  trace::encodeHeader(Bytes, H);
+  // The format's bytes for this header: flags, name, level, binning,
+  // disable threshold, 31 counted hardware fields, then the loop table.
+  const std::vector<std::uint8_t> Expected = {
+      0x00, 0x04, 0x77, 0x69, 0x72, 0x65, 0x00, 0x01, 0xE1, 0x21, 0x1F, 0x02,
+      0x08, 0xE8, 0x07, 0x05, 0x07, 0xAC, 0x02, 0x21, 0x29, 0x2A, 0x09, 0x0B,
+      0x0D, 0x01, 0x01, 0x89, 0x06, 0xD8, 0x04, 0x5A, 0x03, 0x64, 0x06, 0x0E,
+      0x0F, 0x10, 0x11, 0x1D, 0xC0, 0xC4, 0x07, 0x12, 0x13, 0x14, 0x15, 0x16,
+      0x03, 0x02, 0x01, 0x02, 0x00, 0x01, 0xAC, 0x02};
+  EXPECT_TRUE(Bytes == Expected);
+
+  const trace::TraceHeader D =
+      trace::decodeHeader(Bytes.data(), Bytes.data() + Bytes.size());
+  EXPECT_EQ(D.WorkloadName, H.WorkloadName);
+  EXPECT_EQ(D.AnnotationLevel, H.AnnotationLevel);
+  EXPECT_EQ(D.ExtendedPcBinning, H.ExtendedPcBinning);
+  EXPECT_EQ(D.DisableLoopAfterThreads, H.DisableLoopAfterThreads);
+  ASSERT_EQ(D.LoopLocals.size(), H.LoopLocals.size());
+  for (std::size_t L = 0; L < H.LoopLocals.size(); ++L)
+    EXPECT_EQ(D.LoopLocals[L].AnnotatedLocals,
+              H.LoopLocals[L].AnnotatedLocals);
+  const sim::HydraConfig &Dw = D.Hw;
+  EXPECT_EQ(Dw.NumCores, Hw.NumCores);
+  EXPECT_EQ(Dw.WordsPerLine, Hw.WordsPerLine);
+  EXPECT_EQ(Dw.L1Lines, Hw.L1Lines);
+  EXPECT_EQ(Dw.L1Assoc, Hw.L1Assoc);
+  EXPECT_EQ(Dw.L2HitExtraCycles, Hw.L2HitExtraCycles);
+  EXPECT_EQ(Dw.SpecLoadLines, Hw.SpecLoadLines);
+  EXPECT_EQ(Dw.SpecStoreLines, Hw.SpecStoreLines);
+  EXPECT_EQ(Dw.LoopStartupCycles, Hw.LoopStartupCycles);
+  EXPECT_EQ(Dw.LoopShutdownCycles, Hw.LoopShutdownCycles);
+  EXPECT_EQ(Dw.EndOfIterationCycles, Hw.EndOfIterationCycles);
+  EXPECT_EQ(Dw.ViolationRestartCycles, Hw.ViolationRestartCycles);
+  EXPECT_EQ(Dw.StoreLoadCommCycles, Hw.StoreLoadCommCycles);
+  EXPECT_EQ(Dw.ViolationGrain, Hw.ViolationGrain);
+  EXPECT_EQ(Dw.SyncCarriedLocals, Hw.SyncCarriedLocals);
+  EXPECT_EQ(Dw.HeapTimestampFifoLines, Hw.HeapTimestampFifoLines);
+  EXPECT_EQ(Dw.LoadTimestampEntries, Hw.LoadTimestampEntries);
+  EXPECT_EQ(Dw.StoreTimestampEntries, Hw.StoreTimestampEntries);
+  EXPECT_EQ(Dw.OverflowTableAssoc, Hw.OverflowTableAssoc);
+  EXPECT_EQ(Dw.LocalVarSlots, Hw.LocalVarSlots);
+  EXPECT_EQ(Dw.ComparatorBanks, Hw.ComparatorBanks);
+  EXPECT_EQ(Dw.SLoopCost, Hw.SLoopCost);
+  EXPECT_EQ(Dw.ELoopCost, Hw.ELoopCost);
+  EXPECT_EQ(Dw.EoiCost, Hw.EoiCost);
+  EXPECT_EQ(Dw.LocalAnnoCost, Hw.LocalAnnoCost);
+  EXPECT_EQ(Dw.ReadStatsCost, Hw.ReadStatsCost);
+  EXPECT_EQ(Dw.SoftwareProfilerCallbackCycles,
+            Hw.SoftwareProfilerCallbackCycles);
+  EXPECT_EQ(Dw.Costs.Basic, Hw.Costs.Basic);
+  EXPECT_EQ(Dw.Costs.IntDiv, Hw.Costs.IntDiv);
+  EXPECT_EQ(Dw.Costs.FloatDiv, Hw.Costs.FloatDiv);
+  EXPECT_EQ(Dw.Costs.FloatSqrt, Hw.Costs.FloatSqrt);
+  EXPECT_EQ(Dw.Costs.CallOverhead, Hw.Costs.CallOverhead);
 }
 
 TEST(TraceReplay, ConfigOverrideReplaysUnderNewHardware) {
@@ -753,13 +851,12 @@ TEST(TraceReplay, ConfigOverrideReplaysUnderNewHardware) {
   J.profileAndSelect();
 
   // One trace, several analysis configurations.
-  trace::Reader R1(Tmp.path());
-  trace::ReplayConfig Narrow = trace::recordedConfig(R1.header());
+  const trace::CachedTrace T(Tmp.path());
+  trace::ReplayConfig Narrow = trace::recordedConfig(T.header());
   Narrow.Hw.ComparatorBanks = 1;
-  trace::ReplayOutcome NarrowOut = trace::selectFromTrace(R1, Narrow);
-
-  trace::Reader R2(Tmp.path());
-  trace::ReplayOutcome WideOut = trace::selectFromTrace(R2);
+  trace::ReplayOutcome NarrowOut = trace::selectFromTrace(T, Narrow);
+  trace::ReplayOutcome WideOut =
+      trace::selectFromTrace(T, trace::recordedConfig(T.header()));
 
   EXPECT_LE(NarrowOut.PeakBanksInUse, 1u);
   EXPECT_GE(WideOut.PeakBanksInUse, NarrowOut.PeakBanksInUse);

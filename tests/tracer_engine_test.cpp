@@ -29,9 +29,9 @@ sim::HydraConfig smallConfig() {
   return Cfg;
 }
 
-std::vector<LoopTraceInfo> loops(std::size_t N,
-                                 std::vector<std::uint16_t> Locals = {}) {
-  std::vector<LoopTraceInfo> L(N);
+std::vector<ir::LoopAnnotationInfo>
+loops(std::size_t N, std::vector<std::uint16_t> Locals = {}) {
+  std::vector<ir::LoopAnnotationInfo> L(N);
   for (auto &Info : L)
     Info.AnnotatedLocals = Locals;
   return L;
@@ -359,7 +359,7 @@ TEST(TraceEngine, SlotsReleasedInStackOrderAcrossNesting) {
   // them innermost-first and the file ends empty (reusable).
   sim::HydraConfig Cfg;
   Cfg.LocalVarSlots = 8;
-  std::vector<LoopTraceInfo> Infos(3);
+  std::vector<ir::LoopAnnotationInfo> Infos(3);
   Infos[0].AnnotatedLocals = {1, 2};
   Infos[1].AnnotatedLocals = {3};
   Infos[2].AnnotatedLocals = {4, 5, 6};
@@ -450,7 +450,7 @@ TEST(TraceEngine, OutOfOrderELoopClosesInnerBanks) {
   // unwinding) must close the inner bank too and keep slot accounting
   // consistent for later entries.
   sim::HydraConfig Cfg;
-  std::vector<LoopTraceInfo> Infos(2);
+  std::vector<ir::LoopAnnotationInfo> Infos(2);
   Infos[0].AnnotatedLocals = {1};
   Infos[1].AnnotatedLocals = {2};
   TraceEngine E(Cfg, Infos);

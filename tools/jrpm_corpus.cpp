@@ -150,10 +150,7 @@ bool extractSelected(const CliOptions &O, std::vector<corpus::Template> &Out) {
     return true;
   }
   for (const std::string &Name : O.Workloads) {
-    const workloads::Workload *W = nullptr;
-    for (const workloads::Workload &Candidate : workloads::allWorkloads())
-      if (Candidate.Name == Name)
-        W = &Candidate;
+    const workloads::Workload *W = workloads::findWorkload(Name);
     if (!W) {
       std::fprintf(stderr, "unknown workload: %s\n", Name.c_str());
       return false;

@@ -18,6 +18,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "support/AtomicFile.h"
 #include "support/Format.h"
 #include "support/Json.h"
 #include "support/Table.h"
@@ -37,27 +38,12 @@ int usage() {
   return 2;
 }
 
-bool slurp(const std::string &Path, std::string &Out) {
-  std::FILE *F = std::fopen(Path.c_str(), "rb");
-  if (!F) {
-    std::fprintf(stderr, "jrpm-metrics: cannot open %s\n", Path.c_str());
-    return false;
-  }
-  char Buf[1 << 16];
-  std::size_t N;
-  while ((N = std::fread(Buf, 1, sizeof Buf, F)) > 0)
-    Out.append(Buf, N);
-  bool Ok = !std::ferror(F);
-  std::fclose(F);
-  if (!Ok)
-    std::fprintf(stderr, "jrpm-metrics: read error on %s\n", Path.c_str());
-  return Ok;
-}
-
 bool load(const std::string &Path, Json &Out) {
   std::string Text, Err;
-  if (!slurp(Path, Text))
+  if (!readFileToString(Path, Text, &Err)) {
+    std::fprintf(stderr, "jrpm-metrics: %s\n", Err.c_str());
     return false;
+  }
   if (!Json::parse(Text, Out, &Err)) {
     std::fprintf(stderr, "jrpm-metrics: %s: %s\n", Path.c_str(),
                  Err.c_str());

@@ -201,22 +201,22 @@ int cmdReplay(int Argc, char **Argv) {
                    Knob.first.c_str());
       return usage();
     }
-  trace::Reader R(Argv[2]);
+  trace::CachedTrace T(Argv[2]);
   pipeline::PipelineConfig Cfg;
-  trace::copyTracerConfig(R.header(), Cfg);
+  trace::copyTracerConfig(T.header(), Cfg);
   if (!applyPoint(O, Cfg))
     return usage();
   trace::ReplayConfig RC;
   trace::copyTracerConfig(Cfg, RC);
 
-  trace::ReplayOutcome Out = trace::selectFromTrace(R, RC);
+  trace::ReplayOutcome Out = trace::selectFromTrace(T, RC);
   std::printf("replayed %s events of %s (%s)\n",
               withCommas(static_cast<std::int64_t>(Out.EventsReplayed))
                   .c_str(),
-              R.path().c_str(),
-              R.header().WorkloadName.empty()
+              Argv[2],
+              T.header().WorkloadName.empty()
                   ? "unnamed workload"
-                  : R.header().WorkloadName.c_str());
+                  : T.header().WorkloadName.c_str());
   std::printf("peak banks %u, peak local slots %u, peak nest %u\n\n",
               Out.PeakBanksInUse, Out.PeakLocalSlots, Out.PeakDynamicNest);
   printSelection(Out.Selection);
