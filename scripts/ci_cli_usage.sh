@@ -121,6 +121,7 @@ expect_usage "corpus: generate no tmpl" "${CORPUS_BIN}" generate
 expect_usage "corpus: generate count 0" "${CORPUS_BIN}" generate --template x --count 0
 expect_usage "corpus: threads negative" "${CORPUS_BIN}" run --threads -1
 expect_usage "corpus: variants negative" "${CORPUS_BIN}" run --variants-per-template -1
+expect_usage "corpus: variants too many" "${CORPUS_BIN}" run --variants-per-template 4294967295
 expect_usage "corpus: seed junk"        "${CORPUS_BIN}" run --seed 1e3
 expect_usage "corpus: inject-trip junk" "${CORPUS_BIN}" run --inject-trip many
 expect_usage "corpus: inject-trip negative" "${CORPUS_BIN}" run --inject-trip -3

@@ -29,42 +29,24 @@
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
+source "${ROOT}/scripts/golden_lib.sh"
 GOLDEN="${ROOT}/tests/golden/conformance_full.json"
 METRICS_GOLDEN="${ROOT}/tests/golden/conformance_metrics.json"
 
 BIN=""
-while [[ $# -gt 0 ]]; do
-  case "$1" in
-    --bin) BIN="$2"; shift 2 ;;
-    --golden) GOLDEN="$2"; shift 2 ;;
-    --metrics-golden) METRICS_GOLDEN="$2"; shift 2 ;;
-    *) break ;;
-  esac
-done
-
+golden_args --bin=BIN --golden=GOLDEN --metrics-golden=METRICS_GOLDEN \
+  -- "$@"
 if [[ -z "${BIN}" ]]; then
-  BUILD="${ROOT}/build"
-  JOBS="$(nproc 2>/dev/null || echo 4)"
-  cmake -B "${BUILD}" -S "${ROOT}" "$@"
-  cmake --build "${BUILD}" -j"${JOBS}" --target jrpm-sweep
-  BIN="${BUILD}/tools/jrpm-sweep"
+  golden_build jrpm-sweep
+  BIN="${ROOT}/build/tools/jrpm-sweep"
 fi
-
-TMP="$(mktemp -d "${TMPDIR:-/tmp}/jrpm-conformance-golden.XXXXXX")"
-trap 'rm -rf "${TMP}"' EXIT
+golden_tmpdir conformance
 
 compare() {
-  local WHAT="$1" EXPECTED="$2" ACTUAL="$3"
-  if cmp -s "${EXPECTED}" "${ACTUAL}"; then
-    echo "golden-conformance: ${WHAT} matches"
-  else
-    echo "golden-conformance: ${WHAT} DIFFERS from golden" >&2
-    diff -u "${EXPECTED}" "${ACTUAL}" | head -200 >&2 || true
-    STATUS=1
-  fi
+  golden_compare "$2" "$3" "golden-conformance: $1 matches" \
+    "golden-conformance: $1 DIFFERS from golden" 200
 }
 
-STATUS=0
 for THREADS in 1 4; do
   OUT="${TMP}/conformance.t${THREADS}.json"
   MET="${TMP}/metrics.t${THREADS}.json"

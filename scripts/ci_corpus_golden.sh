@@ -27,40 +27,24 @@
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
+source "${ROOT}/scripts/golden_lib.sh"
 GOLDEN="${ROOT}/tests/golden/corpus_small.json"
 
 BIN=""
-while [[ $# -gt 0 ]]; do
-  case "$1" in
-    --bin) BIN="$2"; shift 2 ;;
-    --golden) GOLDEN="$2"; shift 2 ;;
-    *) break ;;
-  esac
-done
-
+golden_args --bin=BIN --golden=GOLDEN -- "$@"
 if [[ -z "${BIN}" ]]; then
-  BUILD="${ROOT}/build"
-  JOBS="$(nproc 2>/dev/null || echo 4)"
-  cmake -B "${BUILD}" -S "${ROOT}" "$@"
-  cmake --build "${BUILD}" -j"${JOBS}" --target jrpm-corpus
-  BIN="${BUILD}/tools/jrpm-corpus"
+  golden_build jrpm-corpus
+  BIN="${ROOT}/build/tools/jrpm-corpus"
 fi
+golden_tmpdir corpus
 
-TMP="$(mktemp -d "${TMPDIR:-/tmp}/jrpm-corpus-golden.XXXXXX")"
-trap 'rm -rf "${TMP}"' EXIT
-
-STATUS=0
 for THREADS in 1 4; do
   OUT="${TMP}/corpus.t${THREADS}.json"
   "${BIN}" run --workloads BitOps,fft,compress --variants-per-template 4 \
     --seed 3 --threads "${THREADS}" --quiet -o "${OUT}" > /dev/null
-  if cmp -s "${GOLDEN}" "${OUT}"; then
-    echo "golden-corpus: ${THREADS}-thread report matches"
-  else
-    echo "golden-corpus: ${THREADS}-thread report DIFFERS from golden" >&2
-    diff -u "${GOLDEN}" "${OUT}" >&2 || true
-    STATUS=1
-  fi
+  golden_compare "${GOLDEN}" "${OUT}" \
+    "golden-corpus: ${THREADS}-thread report matches" \
+    "golden-corpus: ${THREADS}-thread report DIFFERS from golden"
 done
 
 if [[ "${JRPM_CORPUS_FULL:-0}" == "1" ]]; then
@@ -70,13 +54,9 @@ if [[ "${JRPM_CORPUS_FULL:-0}" == "1" ]]; then
     -o "${FULL1}" > /dev/null
   "${BIN}" run --variants-per-template 25 --seed 1 --threads 4 --quiet \
     -o "${FULL4}" > /dev/null
-  if cmp -s "${FULL1}" "${FULL4}"; then
-    echo "golden-corpus: full-scale 1-vs-4-thread reports identical"
-  else
-    echo "golden-corpus: full-scale reports DIFFER across threads" >&2
-    diff -u "${FULL1}" "${FULL4}" >&2 || true
-    STATUS=1
-  fi
+  golden_compare "${FULL1}" "${FULL4}" \
+    "golden-corpus: full-scale 1-vs-4-thread reports identical" \
+    "golden-corpus: full-scale reports DIFFER across threads"
 fi
 
 exit "${STATUS}"

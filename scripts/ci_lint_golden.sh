@@ -19,39 +19,23 @@
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
+source "${ROOT}/scripts/golden_lib.sh"
 GOLDEN="${ROOT}/tests/golden/lint_registry.json"
 
 BIN=""
-while [[ $# -gt 0 ]]; do
-  case "$1" in
-    --bin) BIN="$2"; shift 2 ;;
-    --golden) GOLDEN="$2"; shift 2 ;;
-    *) break ;;
-  esac
-done
-
+golden_args --bin=BIN --golden=GOLDEN -- "$@"
 if [[ -z "${BIN}" ]]; then
-  BUILD="${ROOT}/build"
-  JOBS="$(nproc 2>/dev/null || echo 4)"
-  cmake -B "${BUILD}" -S "${ROOT}" "$@"
-  cmake --build "${BUILD}" -j"${JOBS}" --target jrpm-lint
-  BIN="${BUILD}/tools/jrpm-lint"
+  golden_build jrpm-lint
+  BIN="${ROOT}/build/tools/jrpm-lint"
 fi
+golden_tmpdir lint
 
-TMP="$(mktemp -d "${TMPDIR:-/tmp}/jrpm-lint-golden.XXXXXX")"
-trap 'rm -rf "${TMP}"' EXIT
-
-STATUS=0
 for THREADS in 1 4; do
   OUT="${TMP}/lint.t${THREADS}.json"
   "${BIN}" all --oracle --json --jobs "${THREADS}" > "${OUT}"
-  if cmp -s "${GOLDEN}" "${OUT}"; then
-    echo "golden-lint: ${THREADS}-thread report matches"
-  else
-    echo "golden-lint: ${THREADS}-thread report DIFFERS from golden" >&2
-    diff -u "${GOLDEN}" "${OUT}" | head -80 >&2 || true
-    STATUS=1
-  fi
+  golden_compare "${GOLDEN}" "${OUT}" \
+    "golden-lint: ${THREADS}-thread report matches" \
+    "golden-lint: ${THREADS}-thread report DIFFERS from golden" 80
 done
 
 exit "${STATUS}"

@@ -26,42 +26,24 @@
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
+source "${ROOT}/scripts/golden_lib.sh"
 GOLDEN="${ROOT}/tests/golden/metrics_small.json"
 
 RUN_BIN=""
 SWEEP_BIN=""
-while [[ $# -gt 0 ]]; do
-  case "$1" in
-    --run-bin) RUN_BIN="$2"; shift 2 ;;
-    --sweep-bin) SWEEP_BIN="$2"; shift 2 ;;
-    --golden) GOLDEN="$2"; shift 2 ;;
-    *) break ;;
-  esac
-done
-
+golden_args --run-bin=RUN_BIN --sweep-bin=SWEEP_BIN --golden=GOLDEN -- "$@"
 if [[ -z "${RUN_BIN}" || -z "${SWEEP_BIN}" ]]; then
-  BUILD="${ROOT}/build"
-  JOBS="$(nproc 2>/dev/null || echo 4)"
-  cmake -B "${BUILD}" -S "${ROOT}" "$@"
-  cmake --build "${BUILD}" -j"${JOBS}" --target jrpm-run jrpm-sweep
-  RUN_BIN="${BUILD}/tools/jrpm-run"
-  SWEEP_BIN="${BUILD}/tools/jrpm-sweep"
+  golden_build jrpm-run jrpm-sweep
+  RUN_BIN="${ROOT}/build/tools/jrpm-run"
+  SWEEP_BIN="${ROOT}/build/tools/jrpm-sweep"
 fi
-
-TMP="$(mktemp -d "${TMPDIR:-/tmp}/jrpm-metrics-golden.XXXXXX")"
-trap 'rm -rf "${TMP}"' EXIT
-
-STATUS=0
+golden_tmpdir metrics
 
 # Gate 1: pipeline metrics export matches the committed golden bytes.
 "${RUN_BIN}" run BitOps --metrics "${TMP}/metrics.json" > /dev/null
-if cmp -s "${GOLDEN}" "${TMP}/metrics.json"; then
-  echo "golden-metrics: BitOps export matches"
-else
-  echo "golden-metrics: BitOps export DIFFERS from golden" >&2
-  diff -u "${GOLDEN}" "${TMP}/metrics.json" >&2 || true
-  STATUS=1
-fi
+golden_compare "${GOLDEN}" "${TMP}/metrics.json" \
+  "golden-metrics: BitOps export matches" \
+  "golden-metrics: BitOps export DIFFERS from golden"
 
 # Gate 2: merged sweep metrics are pool-width independent.
 for THREADS in 1 4; do
@@ -69,12 +51,8 @@ for THREADS in 1 4; do
     --threads "${THREADS}" --quiet \
     --metrics "${TMP}/sweep.t${THREADS}.json" > /dev/null
 done
-if cmp -s "${TMP}/sweep.t1.json" "${TMP}/sweep.t4.json"; then
-  echo "golden-metrics: 1-thread and 4-thread sweep metrics identical"
-else
-  echo "golden-metrics: sweep metrics depend on pool width" >&2
-  diff -u "${TMP}/sweep.t1.json" "${TMP}/sweep.t4.json" >&2 || true
-  STATUS=1
-fi
+golden_compare "${TMP}/sweep.t1.json" "${TMP}/sweep.t4.json" \
+  "golden-metrics: 1-thread and 4-thread sweep metrics identical" \
+  "golden-metrics: sweep metrics depend on pool width"
 
 exit "${STATUS}"

@@ -22,41 +22,25 @@
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
+source "${ROOT}/scripts/golden_lib.sh"
 GOLDEN="${ROOT}/tests/golden/sweep_small.json"
 
 BIN=""
-while [[ $# -gt 0 ]]; do
-  case "$1" in
-    --bin) BIN="$2"; shift 2 ;;
-    --golden) GOLDEN="$2"; shift 2 ;;
-    *) break ;;
-  esac
-done
-
+golden_args --bin=BIN --golden=GOLDEN -- "$@"
 if [[ -z "${BIN}" ]]; then
-  BUILD="${ROOT}/build"
-  JOBS="$(nproc 2>/dev/null || echo 4)"
-  cmake -B "${BUILD}" -S "${ROOT}" "$@"
-  cmake --build "${BUILD}" -j"${JOBS}" --target jrpm-sweep
-  BIN="${BUILD}/tools/jrpm-sweep"
+  golden_build jrpm-sweep
+  BIN="${ROOT}/build/tools/jrpm-sweep"
 fi
+golden_tmpdir sweep
 
-TMP="$(mktemp -d "${TMPDIR:-/tmp}/jrpm-sweep-golden.XXXXXX")"
-trap 'rm -rf "${TMP}"' EXIT
-
-STATUS=0
 for THREADS in 1 4; do
   OUT="${TMP}/sweep.t${THREADS}.json"
   "${BIN}" run --workloads BitOps,fft --levels base,optimized \
     --config banks=2,history=48 --seed 7 --threads "${THREADS}" \
     --no-timings --quiet -o "${OUT}" > /dev/null
-  if cmp -s "${GOLDEN}" "${OUT}"; then
-    echo "golden-sweep: ${THREADS}-thread report matches"
-  else
-    echo "golden-sweep: ${THREADS}-thread report DIFFERS from golden" >&2
-    diff -u "${GOLDEN}" "${OUT}" >&2 || true
-    STATUS=1
-  fi
+  golden_compare "${GOLDEN}" "${OUT}" \
+    "golden-sweep: ${THREADS}-thread report matches" \
+    "golden-sweep: ${THREADS}-thread report DIFFERS from golden"
 done
 
 exit "${STATUS}"

@@ -18,23 +18,17 @@
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
+source "${ROOT}/scripts/golden_lib.sh"
 WORKLOADS=(BitOps Assignment Huffman)
 
 BIN=""
-if [[ "${1:-}" == "--bin" ]]; then
-  BIN="$2"
-else
-  BUILD="${ROOT}/build"
-  JOBS="$(nproc 2>/dev/null || echo 4)"
-  cmake -B "${BUILD}" -S "${ROOT}" "$@"
-  cmake --build "${BUILD}" -j"${JOBS}" --target jrpm-trace
-  BIN="${BUILD}/tools/jrpm-trace"
+golden_args --bin=BIN -- "$@"
+if [[ -z "${BIN}" ]]; then
+  golden_build jrpm-trace
+  BIN="${ROOT}/build/tools/jrpm-trace"
 fi
+golden_tmpdir trace
 
-TMP="$(mktemp -d "${TMPDIR:-/tmp}/jrpm-trace-golden.XXXXXX")"
-trap 'rm -rf "${TMP}"' EXIT
-
-STATUS=0
 for W in "${WORKLOADS[@]}"; do
   "${BIN}" record "${W}" -o "${TMP}/${W}.a.jtrace" > /dev/null
   "${BIN}" record "${W}" -o "${TMP}/${W}.b.jtrace" > /dev/null
@@ -51,13 +45,9 @@ for W in "${WORKLOADS[@]}"; do
   # must leave the replay unchanged.
   "${BIN}" replay "${TMP}/${W}.a.jtrace" --config banks=8,history=192 \
     > "${TMP}/${W}.replay-config"
-  if cmp -s "${TMP}/${W}.replay" "${TMP}/${W}.replay-config"; then
-    echo "golden-trace: ${W} --config replay identical"
-  else
-    echo "golden-trace: ${W} --config replay DIVERGES" >&2
-    diff "${TMP}/${W}.replay" "${TMP}/${W}.replay-config" >&2 || true
-    STATUS=1
-  fi
+  golden_compare "${TMP}/${W}.replay" "${TMP}/${W}.replay-config" \
+    "golden-trace: ${W} --config replay identical" \
+    "golden-trace: ${W} --config replay DIVERGES"
 done
 
 exit "${STATUS}"

@@ -3,7 +3,6 @@
 #include "analysis/MemDep.h"
 
 #include "analysis/CycleEstimate.h"
-#include "ir/RegUse.h"
 
 #include <algorithm>
 #include <utility>
@@ -11,146 +10,17 @@
 using namespace jrpm;
 using namespace jrpm::analysis;
 
-//===----------------------------------------------------------------------===//
-// DefUseChains
-//===----------------------------------------------------------------------===//
-
-DefUseChains::DefUseChains(const ir::Function &Fn) : F(Fn) {
-  SitesOfReg.resize(F.NumRegs);
-  for (std::uint32_t B = 0; B < F.numBlocks(); ++B) {
-    const auto &Instrs = F.Blocks[B].Instructions;
-    for (std::uint32_t I = 0; I < Instrs.size(); ++I) {
-      std::uint16_t Reg = ir::definedReg(Instrs[I]);
-      if (Reg == ir::NoReg || Reg >= F.NumRegs)
-        continue;
-      std::uint32_t Id = static_cast<std::uint32_t>(Sites.size());
-      Sites.push_back({B, I, Reg});
-      SitesOfReg[Reg].push_back(Id);
-    }
-  }
-  std::uint32_t NumSites = static_cast<std::uint32_t>(Sites.size());
-  std::uint32_t NumBlocks = F.numBlocks();
-
-  // Per-register site masks for kill sets.
-  std::vector<BitVector> RegMask(F.NumRegs, BitVector(NumSites));
-  for (std::uint32_t Id = 0; Id < NumSites; ++Id)
-    RegMask[Sites[Id].Reg].set(Id);
-
-  // Block-local Gen/Kill, plus which registers the block redefines (those
-  // kill the initial parameter/zero value).
-  std::vector<BitVector> Gen(NumBlocks, BitVector(NumSites));
-  std::vector<BitVector> Kill(NumBlocks, BitVector(NumSites));
-  std::vector<std::vector<bool>> DefsReg(
-      NumBlocks, std::vector<bool>(F.NumRegs, false));
-  {
-    std::uint32_t Id = 0;
-    for (std::uint32_t B = 0; B < NumBlocks; ++B) {
-      for (const ir::Instruction &I : F.Blocks[B].Instructions) {
-        std::uint16_t Reg = ir::definedReg(I);
-        if (Reg == ir::NoReg || Reg >= F.NumRegs)
-          continue;
-        Gen[B].subtract(RegMask[Reg]);
-        Gen[B].set(Id);
-        Kill[B].unionWith(RegMask[Reg]);
-        DefsReg[B][Reg] = true;
-        ++Id;
-      }
-    }
-  }
-
-  In.assign(NumBlocks, BitVector(NumSites));
-  ParamIn.assign(std::size_t(NumBlocks) * F.NumRegs, false);
-  // The entry block sees every register's initial value.
-  for (std::uint32_t R = 0; R < F.NumRegs; ++R)
-    ParamIn[R] = true;
-
-  auto Preds = F.computePredecessors();
-  bool Changed = true;
-  while (Changed) {
-    Changed = false;
-    for (std::uint32_t B = 0; B < NumBlocks; ++B) {
-      for (std::uint32_t P : Preds[B]) {
-        BitVector Out = In[P];
-        Out.subtract(Kill[P]);
-        Out.unionWith(Gen[P]);
-        Changed |= In[B].unionWith(Out);
-        for (std::uint32_t R = 0; R < F.NumRegs; ++R) {
-          bool POut = ParamIn[std::size_t(P) * F.NumRegs + R] && !DefsReg[P][R];
-          auto Ref = std::size_t(B) * F.NumRegs + R;
-          if (POut && !ParamIn[Ref]) {
-            ParamIn[Ref] = true;
-            Changed = true;
-          }
-        }
-      }
-    }
-  }
-}
-
-BitVector DefUseChains::liveSitesAt(std::uint32_t Block, std::uint32_t Index,
-                                    bool &ParamReaches,
-                                    std::uint16_t Reg) const {
-  BitVector Live = In[Block];
-  ParamReaches = ParamIn[std::size_t(Block) * F.NumRegs + Reg];
-  // Re-number sites of this block to apply intra-block kills/gens up to the
-  // use point.
-  std::uint32_t Id = 0;
-  for (const DefSite &S : Sites) {
-    if (S.Block == Block && S.Index < Index) {
-      if (S.Reg == Reg) {
-        for (std::uint32_t Other : SitesOfReg[Reg])
-          Live.reset(Other);
-        ParamReaches = false;
-      }
-      Live.set(Id);
-    }
-    ++Id;
-  }
-  return Live;
-}
-
-std::vector<std::uint32_t> DefUseChains::reachingDefs(std::uint32_t Block,
-                                                      std::uint32_t Index,
-                                                      std::uint16_t Reg) const {
-  std::vector<std::uint32_t> Out;
-  if (Reg >= F.NumRegs)
-    return Out;
-  bool ParamReaches = false;
-  BitVector Live = liveSitesAt(Block, Index, ParamReaches, Reg);
-  for (std::uint32_t Id : SitesOfReg[Reg])
-    if (Live.test(Id))
-      Out.push_back(Id);
-  return Out;
-}
-
-bool DefUseChains::mayReadParam(std::uint32_t Block, std::uint32_t Index,
-                                std::uint16_t Reg) const {
-  if (Reg >= F.NumRegs)
-    return false;
-  bool ParamReaches = false;
-  liveSitesAt(Block, Index, ParamReaches, Reg);
-  return ParamReaches;
-}
-
-const char *analysis::depKindName(DepKind Kind) {
-  switch (Kind) {
-  case DepKind::Raw:
-    return "raw";
-  case DepKind::War:
-    return "war";
-  case DepKind::Waw:
-    return "waw";
-  case DepKind::May:
-    return "may";
-  }
-  return "may";
-}
-
-//===----------------------------------------------------------------------===//
-// MemDepAnalysis
-//===----------------------------------------------------------------------===//
-
 namespace {
+
+/// One heap access inside a loop: heap word R[BaseA] + R[BaseB] + Offset.
+struct MemAccess {
+  std::uint32_t Block = 0;
+  std::uint32_t Index = 0;
+  bool IsStore = false;
+  std::uint16_t BaseA = ir::NoReg;
+  std::uint16_t BaseB = ir::NoReg;
+  std::int64_t Offset = 0;
+};
 
 /// Normalised unordered register pair of an address.
 std::pair<std::uint16_t, std::uint16_t> regPair(std::uint16_t A,
@@ -207,9 +77,7 @@ void MemDepAnalysis::analyzeLoop(const ir::Function &F, const Loop &L,
     return L.reachesInIteration(F, Update.Block, A.Block);
   };
 
-  auto Classify = [&](const MemAccess &X, const MemAccess &Y,
-                      std::int64_t &Distance) {
-    Distance = 0;
+  auto Classify = [&](const MemAccess &X, const MemAccess &Y) {
     AliasSet AX = AC.addressSet(X.BaseA, X.BaseB);
     AliasSet AY = AC.addressSet(Y.BaseA, Y.BaseB);
     if (AX.disjointFrom(AY))
@@ -242,22 +110,16 @@ void MemDepAnalysis::analyzeLoop(const ir::Function &F, const Loop &L,
     if (Ind == ir::NoReg || !OtherInvariant)
       return PairVerdict::May;
     const BasicInductor &Update = Scalars.Inductors.at(Ind);
-    std::int64_t Step = Update.Step;
-    if (Step == 0)
+    if (Update.Step == 0)
       return PairVerdict::May;
     std::int64_t Gap = X.Offset - Y.Offset;
-    if (Gap % Step != 0)
+    if (Gap % Update.Step != 0)
       return PairVerdict::Independent; // the address lattices never meet
-    if (Gap == 0) {
-      // Same cell only within one iteration — provided neither access can
-      // land on the far side of the inductor update, where the register
-      // already holds the next iteration's value.
-      if (!MayRunAfter(Update, X) && !MayRunAfter(Update, Y))
-        return PairVerdict::Independent;
-      Distance = 1;
-      return PairVerdict::Carried;
-    }
-    Distance = Gap / Step;
+    // A zero gap is the same cell only within one iteration, provided
+    // neither access can land on the far side of the inductor update,
+    // where the register already holds the next iteration's value.
+    if (Gap == 0 && !MayRunAfter(Update, X) && !MayRunAfter(Update, Y))
+      return PairVerdict::Independent;
     return PairVerdict::Carried;
   };
 
@@ -267,46 +129,22 @@ void MemDepAnalysis::analyzeLoop(const ir::Function &F, const Loop &L,
       const MemAccess &Y = Accesses[J];
       if (!X.IsStore && !Y.IsStore)
         continue;
-      std::int64_t Distance = 0;
-      switch (Classify(X, Y, Distance)) {
+      switch (Classify(X, Y)) {
       case PairVerdict::Independent:
         ++Out.IndependentPairs;
         break;
-      case PairVerdict::Carried: {
-        CarriedDep D;
-        D.Distance = Distance < 0 ? -Distance : Distance;
-        // Orient store -> load; a fixed-cell store/load pair realises both
-        // the flow and anti direction, reported as Raw (see header).
-        const MemAccess &S = X.IsStore ? X : Y;
-        const MemAccess &O = X.IsStore ? Y : X;
-        D.Src = S;
-        D.Dst = O;
-        if (X.IsStore && Y.IsStore) {
-          D.Kind = DepKind::Waw;
-          ++Out.NumWaw;
-        } else {
-          D.Kind = DepKind::Raw;
-          ++Out.NumRaw;
-          ++Out.NumWar;
-        }
-        Out.Carried.push_back(D);
+      case PairVerdict::Carried:
+        ++(X.IsStore && Y.IsStore ? Out.NumWaw : Out.NumRaw);
         break;
-      }
-      case PairVerdict::May: {
-        CarriedDep D;
-        D.Kind = DepKind::May;
-        D.Src = X;
-        D.Dst = Y;
-        Out.Carried.push_back(D);
+      case PairVerdict::May:
         ++Out.NumMay;
         break;
-      }
       }
     }
   }
 
-  Out.ProvablyParallel = Out.NumRaw == 0 && Out.NumWar == 0 &&
-                         Out.NumWaw == 0 && Out.NumMay == 0 && !Out.HasCall &&
+  Out.ProvablyParallel = Out.NumRaw == 0 && Out.NumWaw == 0 &&
+                         Out.NumMay == 0 && !Out.HasCall &&
                          Scalars.OtherCarried.empty();
 
   if (L.Children.empty() && !Out.HasCall && !Out.HasAlloc)
@@ -410,9 +248,6 @@ void MemDepAnalysis::findSerialRecurrence(const ir::Function &F, const Loop &L,
     std::uint32_t Window = WorstTail + HeadCost;
     if (!Out.Serial.Found || Window < Out.Serial.WindowCycles) {
       Out.Serial.Found = true;
-      Out.Serial.BaseA = Cell.BaseA;
-      Out.Serial.BaseB = Cell.BaseB;
-      Out.Serial.Offset = Cell.Offset;
       Out.Serial.LoadBlock = L.Header;
       Out.Serial.LoadIndex = static_cast<std::uint32_t>(LoadIdx);
       Out.Serial.StoreBlock = RepBlock;

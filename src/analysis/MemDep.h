@@ -1,10 +1,10 @@
 //===- analysis/MemDep.h - Loop-carried memory dependence analysis ---------==//
 //
 // Static memory dependence analysis over the mini IR, the compile-time
-// counterpart of the TEST tracer's dynamic arc measurement: def-use chains
-// over registers (reaching definitions), allocation-site alias classes
-// (AliasClasses.h), and per-natural-loop classification of cross-iteration
-// RAW/WAR/WAW dependences between heap accesses.
+// counterpart of the TEST tracer's dynamic arc measurement: allocation-site
+// alias classes (AliasClasses.h) and, per natural loop, counts of the
+// cross-iteration heap access pairs that are independent, carried (RAW or
+// WAW) or possibly dependent.
 //
 // Address algebra: an access reads/writes heap word R[A] + R[B] + Imm.
 // Two accesses over the same unordered register pair compare exactly:
@@ -31,7 +31,6 @@
 #include "analysis/InductionInfo.h"
 #include "analysis/LoopInfo.h"
 #include "ir/IR.h"
-#include "support/BitVector.h"
 
 #include <cstdint>
 #include <vector>
@@ -39,78 +38,9 @@
 namespace jrpm {
 namespace analysis {
 
-/// One register definition site.
-struct DefSite {
-  std::uint32_t Block = 0;
-  std::uint32_t Index = 0; // instruction index within the block
-  std::uint16_t Reg = 0;
-};
-
-/// Reaching definitions over virtual registers: for any use, the set of
-/// definition sites whose value may still be live there.
-class DefUseChains {
-public:
-  explicit DefUseChains(const ir::Function &F);
-
-  const std::vector<DefSite> &defSites() const { return Sites; }
-
-  /// Definition sites of \p Reg that may reach the use at instruction
-  /// \p Index of \p Block. Function parameters reach as an implicit site
-  /// not listed here; `mayReadParam` reports that case.
-  std::vector<std::uint32_t> reachingDefs(std::uint32_t Block,
-                                          std::uint32_t Index,
-                                          std::uint16_t Reg) const;
-
-  /// True if the use may still observe the register's initial (parameter
-  /// or zero-initialised) value.
-  bool mayReadParam(std::uint32_t Block, std::uint32_t Index,
-                    std::uint16_t Reg) const;
-
-private:
-  BitVector liveSitesAt(std::uint32_t Block, std::uint32_t Index,
-                        bool &ParamReaches, std::uint16_t Reg) const;
-
-  const ir::Function &F;
-  std::vector<DefSite> Sites;
-  std::vector<std::vector<std::uint32_t>> SitesOfReg; // reg -> site ids
-  std::vector<BitVector> In;    // per block: sites reaching block entry
-  std::vector<bool> ParamIn;    // per block x reg flattened: initial value
-};
-
-/// One heap access inside a loop.
-struct MemAccess {
-  std::uint32_t Block = 0;
-  std::uint32_t Index = 0;
-  bool IsStore = false;
-  std::uint16_t BaseA = ir::NoReg;
-  std::uint16_t BaseB = ir::NoReg;
-  std::int64_t Offset = 0;
-};
-
-/// Kind of a cross-iteration dependence. A store/load pair over a fixed
-/// cell realises both the flow (RAW) and anti (WAR) direction depending on
-/// which iteration runs first, so such pairs are reported under Raw. `May`
-/// marks pairs the analysis cannot separate.
-enum class DepKind : std::uint8_t { Raw, War, Waw, May };
-
-/// Returns a short stable name for \p Kind (tables, JSON).
-const char *depKindName(DepKind Kind);
-
-/// One classified cross-iteration dependence between two accesses.
-struct CarriedDep {
-  DepKind Kind = DepKind::May;
-  MemAccess Src; // the store (for Raw/War); either access for May/Waw
-  MemAccess Dst;
-  /// Iteration distance when known, 0 when unknown/any.
-  std::int64_t Distance = 0;
-};
-
 /// The pre-filter's target shape: see file comment.
 struct SerialRecurrence {
   bool Found = false;
-  std::uint16_t BaseA = ir::NoReg;
-  std::uint16_t BaseB = ir::NoReg;
-  std::int64_t Offset = 0;
   std::uint32_t LoadBlock = 0, LoadIndex = 0;
   std::uint32_t StoreBlock = 0, StoreIndex = 0; // representative latch store
   /// Worst-case profiled cycles from the latch store to the next
@@ -120,8 +50,11 @@ struct SerialRecurrence {
 
 /// Memory dependence summary of one natural loop.
 struct LoopMemDep {
-  std::vector<CarriedDep> Carried;
-  std::uint32_t NumRaw = 0, NumWar = 0, NumWaw = 0, NumMay = 0;
+  /// Cross-iteration pairs by verdict. A store/load pair over one cell
+  /// realises both the flow and the anti direction depending on which
+  /// iteration runs first; it counts once, under Raw. Waw counts
+  /// store/store pairs, May the pairs the analysis cannot separate.
+  std::uint32_t NumRaw = 0, NumWaw = 0, NumMay = 0;
   /// Cross-iteration pairs proven independent (the static win).
   std::uint32_t IndependentPairs = 0;
   std::uint32_t NumLoads = 0, NumStores = 0;

@@ -17,6 +17,7 @@
 #define JRPM_SWEEP_PARALLELFOR_H
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 
 namespace jrpm {
@@ -24,6 +25,11 @@ namespace sweep {
 
 /// Largest width the command-line tools accept for --threads / --jobs.
 constexpr unsigned MaxThreads = 1024;
+
+/// Largest corpus plan (templates x variants per template) jrpm-corpus run
+/// accepts. The runner holds a result slot per variant from the start, so
+/// this bounds its memory; the full registry plan is 87 x 25 = 2175.
+constexpr std::uint64_t MaxVariants = std::uint64_t(1) << 18;
 
 /// The number of threads parallelFor(N, Threads, ...) starts:
 /// min(Threads, N), where Threads == 0 selects the hardware width.

@@ -1,17 +1,22 @@
 //===- tests/memdep_test.cpp - Memory dependence analysis unit tests -------==//
 //
 // Hand-built loops with known carried dependences exercise the static
-// layer: DefUseChains, AliasClasses, the per-loop RAW/WAW/May
-// classification, the serial-recurrence detector, and the candidate
-// pre-filter built on top of it.
+// layer: AliasClasses, the per-loop RAW/WAW/May classification, the
+// serial-recurrence detector, and the candidate pre-filter built on top of
+// it. A pinned digest freezes every per-loop value MemDep's readers see.
 //
 //===----------------------------------------------------------------------===//
 
 #include "TestUtil.h"
 #include "analysis/Candidates.h"
 #include "analysis/MemDep.h"
+#include "corpus/Generator.h"
+#include "corpus/Template.h"
+#include "corpus/Variant.h"
 #include "ir/Opcode.h"
 #include "jrpm/Pipeline.h"
+#include "support/Fnv1a.h"
+#include "workloads/Workload.h"
 
 #include <gtest/gtest.h>
 
@@ -32,17 +37,6 @@ std::uint16_t localReg(const ir::Function &F, const std::string &Name) {
       return Reg;
   ADD_FAILURE() << "no local named " << Name;
   return ir::NoReg;
-}
-
-/// Finds the first instruction with opcode \p Op; returns {block, index}.
-std::pair<std::uint32_t, std::uint32_t> findOp(const ir::Function &F,
-                                               ir::Opcode Op) {
-  for (std::uint32_t B = 0; B < F.numBlocks(); ++B)
-    for (std::uint32_t I = 0; I < F.Blocks[B].Instructions.size(); ++I)
-      if (F.Blocks[B].Instructions[I].Op == Op)
-        return {B, I};
-  ADD_FAILURE() << "opcode not found";
-  return {0, 0};
 }
 
 /// The memory dependence summary of the single loop in main().
@@ -68,58 +62,44 @@ St serialRecurrenceLoop(St ExtraAfterStore = St()) {
   });
 }
 
+/// A digest of every per-loop value a MemDep reader sees (the prefilter,
+/// jrpm-lint and the corpus template features), over every loop of every
+/// function of the modules added, plus counts that show the digest covers
+/// each verdict.
+struct MemDepPin {
+  Fnv1a Digest;
+  std::uint64_t Loops = 0, WithRaw = 0, WithMay = 0, Serial = 0,
+                Parallel = 0;
+
+  void add(const ir::Module &M) {
+    for (const ir::Function &F : M.Functions) {
+      FunctionAnalysis FA(F);
+      for (std::uint32_t L = 0; L < FA.LI.loops().size(); ++L) {
+        const LoopMemDep &D = FA.MemDep->loopDep(L);
+        for (std::uint64_t V :
+             {std::uint64_t(D.NumLoads), std::uint64_t(D.NumStores),
+              std::uint64_t(D.NumRaw), std::uint64_t(D.NumWaw),
+              std::uint64_t(D.NumMay), std::uint64_t(D.IndependentPairs),
+              std::uint64_t(D.HasCall), std::uint64_t(D.HasAlloc),
+              std::uint64_t(D.ProvablyParallel),
+              std::uint64_t(D.Serial.Found),
+              std::uint64_t(D.Serial.WindowCycles),
+              std::uint64_t(D.Serial.LoadBlock),
+              std::uint64_t(D.Serial.LoadIndex),
+              std::uint64_t(D.Serial.StoreBlock),
+              std::uint64_t(D.Serial.StoreIndex)})
+          Digest.mix(V);
+        ++Loops;
+        WithRaw += D.NumRaw > 0;
+        WithMay += D.NumMay > 0;
+        Serial += D.Serial.Found;
+        Parallel += D.ProvablyParallel;
+      }
+    }
+  }
+};
+
 } // namespace
-
-//===----------------------------------------------------------------------===//
-// DefUseChains
-//===----------------------------------------------------------------------===//
-
-TEST(DefUseChains, StraightLineRedefinitionKills) {
-  ir::Module M = makeMain(seq({
-      assign("x", c(1)),
-      assign("x", c(2)),
-      ret(v("x")),
-  }));
-  const ir::Function &F = mainFunc(M);
-  DefUseChains DU(F);
-  auto [RB, RI] = findOp(F, ir::Opcode::Ret);
-  std::uint16_t X = localReg(F, "x");
-  auto Defs = DU.reachingDefs(RB, RI, X);
-  ASSERT_EQ(Defs.size(), 1u);
-  // The surviving definition is the later one.
-  const DefSite &S = DU.defSites()[Defs[0]];
-  EXPECT_EQ(S.Reg, X);
-  EXPECT_FALSE(DU.mayReadParam(RB, RI, X));
-}
-
-TEST(DefUseChains, DiamondMergesBothDefinitions) {
-  ir::Module M = makeMain(seq({
-      assign("x", c(1)),
-      iffElse(v("x"), assign("x", c(2)), assign("x", c(3))),
-      ret(v("x")),
-  }));
-  const ir::Function &F = mainFunc(M);
-  DefUseChains DU(F);
-  auto [RB, RI] = findOp(F, ir::Opcode::Ret);
-  std::uint16_t X = localReg(F, "x");
-  // Both branch arms redefine x; the entry definition is dead at the ret.
-  EXPECT_EQ(DU.reachingDefs(RB, RI, X).size(), 2u);
-  EXPECT_FALSE(DU.mayReadParam(RB, RI, X));
-}
-
-TEST(DefUseChains, LoopCarriedDefinitionReachesHeaderUse) {
-  ir::Module M = makeMain(seq({
-      assign("s", c(0)),
-      forLoop("i", c(0), lt(v("i"), c(4)), 1,
-              assign("s", add(v("s"), v("i")))),
-      ret(v("s")),
-  }));
-  const ir::Function &F = mainFunc(M);
-  DefUseChains DU(F);
-  auto [RB, RI] = findOp(F, ir::Opcode::Ret);
-  // Both the init and the in-loop definition can flow out of the loop.
-  EXPECT_EQ(DU.reachingDefs(RB, RI, localReg(F, "s")).size(), 2u);
-}
 
 //===----------------------------------------------------------------------===//
 // AliasClasses
@@ -200,12 +180,6 @@ TEST(MemDep, OffsetGapGivesCarriedDistance) {
   const LoopMemDep &MD = singleLoopDep(MA);
   ASSERT_EQ(MD.NumRaw, 1u);
   EXPECT_FALSE(MD.ProvablyParallel);
-  ASSERT_FALSE(MD.Carried.empty());
-  const CarriedDep &D = MD.Carried.front();
-  EXPECT_EQ(D.Kind, DepKind::Raw);
-  EXPECT_EQ(D.Distance, 1);
-  EXPECT_TRUE(D.Src.IsStore);
-  EXPECT_FALSE(D.Dst.IsStore);
 }
 
 TEST(MemDep, StrideSkipsOddOffsets) {
@@ -237,6 +211,55 @@ TEST(MemDep, FixedCellStoresAreCarried) {
   const LoopMemDep &MD = singleLoopDep(MA);
   EXPECT_GE(MD.NumRaw, 1u);
   EXPECT_FALSE(MD.ProvablyParallel);
+}
+
+TEST(MemDep, CountsPinnedOnGeneratedPrograms) {
+  // The digests and loop counts were recorded by the MemDep that still
+  // kept def-use chains and per-pair dependence lists: dropping what no
+  // reader reads must leave every value a reader sees unchanged.
+  MemDepPin Gen;
+  for (std::uint64_t Seed = 1; Seed <= 200; ++Seed)
+    Gen.add(corpus::ProgramGenerator(Seed).generate());
+  MemDepPin Tpl;
+  for (const corpus::Template &T : corpus::extractRegistryTemplates())
+    for (std::uint64_t Seed = 1; Seed <= 4; ++Seed)
+      Tpl.add(corpus::instantiate(T, Seed).Module);
+  // Neither set has a carried RAW pair or a serial recurrence: the
+  // registry workloads and the heap-carried shapes below supply them.
+  MemDepPin Shapes;
+  for (const workloads::Workload &W : workloads::allWorkloads())
+    Shapes.add(W.Build());
+  Shapes.add(makeMain(serialRecurrenceLoop()));
+  Shapes.add(makeMain(serialRecurrenceLoop(
+      store(v("p"), Ex(), 1, sdiv(ld(v("p"), Ex(), 1), c(3))))));
+  Shapes.add(makeMain(seq({
+      assign("p", allocWords(c(4))),
+      store(v("p"), Ex(), c(0)),
+      forLoop("i", c(0), lt(v("i"), c(8)), 1,
+              store(v("p"), Ex(), add(ld(v("p")), v("i")))),
+      ret(ld(v("p"))),
+  })));
+  Shapes.add(makeMain(seq({
+      assign("a", allocWords(c(20))),
+      forLoop("i", c(0), lt(v("i"), c(16)), 1,
+              store(v("a"), v("i"), 1, ld(v("a"), v("i"), 0))),
+      ret(ld(v("a"), Ex(), 8)),
+  })));
+  EXPECT_EQ(Gen.Loops, 2154u);
+  EXPECT_EQ(Gen.Digest.value(), 0x12fb8063e74ba7b7ull);
+  EXPECT_EQ(Tpl.Loops, 1828u);
+  EXPECT_EQ(Tpl.Digest.value(), 0x21874c16310a1a69ull);
+  EXPECT_EQ(Shapes.Loops, 235u);
+  EXPECT_EQ(Shapes.Digest.value(), 0xddf9a351e677fd8eull);
+  // Every verdict occurs, so the digests are not pinned on zeros alone.
+  EXPECT_GE(Gen.WithMay, 400u);
+  EXPECT_GE(Gen.Parallel, 600u);
+  EXPECT_GE(Tpl.WithMay, 300u);
+  EXPECT_GE(Tpl.Parallel, 700u);
+  EXPECT_GE(Shapes.WithRaw, 5u);
+  EXPECT_GE(Shapes.WithMay, 100u);
+  EXPECT_GE(Shapes.Serial, 2u);
+  EXPECT_GE(Shapes.Parallel, 90u);
 }
 
 //===----------------------------------------------------------------------===//

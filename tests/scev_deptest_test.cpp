@@ -385,9 +385,6 @@ TEST(Names, DepAndOracleNamesAreStableAndUnique) {
   for (DepOutcome O :
        {DepOutcome::Independent, DepOutcome::Carried, DepOutcome::May})
     EXPECT_TRUE(Outcomes.insert(depOutcomeName(O)).second);
-  std::set<std::string> Kinds;
-  for (DepKind K : {DepKind::Raw, DepKind::War, DepKind::Waw, DepKind::May})
-    EXPECT_TRUE(Kinds.insert(depKindName(K)).second);
   std::set<std::string> Verdicts;
   for (OracleVerdict V :
        {OracleVerdict::Unknown, OracleVerdict::ProvablySerial,

@@ -34,6 +34,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "ToolCli.h"
 #include "corpus/CorpusRunner.h"
 #include "support/AtomicFile.h"
 #include "support/Format.h"
@@ -86,44 +87,27 @@ struct CliOptions {
 
 CliOptions parseCli(int Argc, char **Argv, int First) {
   CliOptions O;
-  for (int I = First; I < Argc; ++I) {
-    std::string A = Argv[I];
-    auto NextArg = [&]() -> const char * {
-      if (I + 1 >= Argc) {
-        std::fprintf(stderr, "missing value for %s\n", A.c_str());
-        O.Ok = false;
-        return "";
-      }
-      return Argv[++I];
-    };
-    auto NextUnsigned = [&](std::uint64_t Max) {
-      std::uint64_t V = 0;
-      bool Given = I + 1 < Argc;
-      const char *S = NextArg();
-      if (Given && !parseUnsigned(S, Max, V)) {
-        std::fprintf(stderr, "%s: expected an integer in [0, %llu], got '%s'\n",
-                     A.c_str(), (unsigned long long)Max, S);
-        O.Ok = false;
-      }
-      return V;
-    };
+  tools::OptionReader R(Argc, Argv, First);
+  while (R.next()) {
+    std::string A = R.option();
     if (A == "--workloads") {
-      O.Workloads = splitCommas(NextArg());
+      O.Workloads = splitCommas(R.value());
     } else if (A == "--template") {
-      O.TemplateId = NextArg();
+      O.TemplateId = R.value();
     } else if (A == "--repro") {
-      O.ReproPath = NextArg();
+      O.ReproPath = R.value();
     } else if (A == "--seed") {
-      O.Seed = NextUnsigned(UINT64_MAX);
+      O.Seed = R.unsignedValue(UINT64_MAX);
     } else if (A == "--count") {
-      O.Count = static_cast<std::uint32_t>(NextUnsigned(UINT32_MAX));
+      O.Count = static_cast<std::uint32_t>(R.unsignedValue(UINT32_MAX));
     } else if (A == "--variants-per-template") {
       O.VariantsPerTemplate =
-          static_cast<std::uint32_t>(NextUnsigned(UINT32_MAX));
+          static_cast<std::uint32_t>(R.unsignedValue(UINT32_MAX));
     } else if (A == "--threads") {
-      O.Threads = static_cast<std::uint32_t>(NextUnsigned(sweep::MaxThreads));
+      O.Threads =
+          static_cast<std::uint32_t>(R.unsignedValue(sweep::MaxThreads));
     } else if (A == "--inject-trip") {
-      O.InjectTrip = static_cast<std::int64_t>(NextUnsigned(INT64_MAX));
+      O.InjectTrip = static_cast<std::int64_t>(R.unsignedValue(INT64_MAX));
     } else if (A == "--quick") {
       O.Quick = true;
     } else if (A == "--no-shrink") {
@@ -131,14 +115,15 @@ CliOptions parseCli(int Argc, char **Argv, int First) {
     } else if (A == "--quiet") {
       O.Quiet = true;
     } else if (A == "-o") {
-      O.OutPath = NextArg();
+      O.OutPath = R.value();
     } else if (A == "--metrics") {
-      O.MetricsPath = NextArg();
+      O.MetricsPath = R.value();
     } else {
       std::fprintf(stderr, "unknown option: %s\n", A.c_str());
       O.Ok = false;
     }
   }
+  O.Ok = O.Ok && R.ok();
   return O;
 }
 
@@ -163,27 +148,13 @@ bool extractSelected(const CliOptions &O, std::vector<corpus::Template> &Out) {
   return true;
 }
 
-bool writeOrPrint(const std::string &Content, const std::string &Path,
-                  const char *What) {
-  if (Path.empty()) {
-    std::fputs(Content.c_str(), stdout);
-    return true;
-  }
-  std::string Err;
-  if (writeFileAtomic(Path, Content, &Err)) {
-    std::printf("%s written to %s\n", What, Path.c_str());
-    return true;
-  }
-  std::fprintf(stderr, "jrpm-corpus: %s\n", Err.c_str());
-  return false;
-}
-
 int cmdExtract(const CliOptions &O) {
   std::vector<corpus::Template> Templates;
   if (!extractSelected(O, Templates))
     return 1;
-  return writeOrPrint(corpus::templatesToJson(Templates).dump(), O.OutPath,
-                      "template manifest")
+  return tools::writeOutput("jrpm-corpus", O.OutPath,
+                            corpus::templatesToJson(Templates).dump(),
+                            "template manifest")
              ? 0
              : 1;
 }
@@ -200,8 +171,8 @@ int cmdGenerate(const CliOptions &O) {
   }
   if (O.Count == 1) {
     corpus::Variant V = corpus::instantiate(*T, O.Seed);
-    return writeOrPrint(corpus::reproDocument(V), O.OutPath,
-                        "repro document")
+    return tools::writeOutput("jrpm-corpus", O.OutPath,
+                              corpus::reproDocument(V), "repro document")
                ? 0
                : 1;
   }
@@ -244,6 +215,15 @@ int cmdRun(const CliOptions &O) {
         200 / Templates.size() ? 200 / Templates.size() : 1);
     if (Opts.VariantsPerTemplate > Cap)
       Opts.VariantsPerTemplate = Cap;
+  }
+  if (Templates.size() * std::uint64_t(Opts.VariantsPerTemplate) >
+      sweep::MaxVariants) {
+    std::fprintf(stderr,
+                 "--variants-per-template: %zu templates x %u variants is "
+                 "more than %llu\n",
+                 Templates.size(), Opts.VariantsPerTemplate,
+                 (unsigned long long)sweep::MaxVariants);
+    return usage();
   }
   metrics::Registry Metrics;
   if (!O.MetricsPath.empty())
@@ -293,22 +273,14 @@ int cmdRun(const CliOptions &O) {
                  F.Spec.TemplateId.c_str(), (unsigned long long)F.Spec.Seed,
                  F.Failures.empty() ? "?" : F.Failures.front().Detail.c_str());
 
-  if (!O.OutPath.empty()) {
-    std::string Err;
-    if (!writeFileAtomic(O.OutPath, Report.toJson().dump(), &Err)) {
-      std::fprintf(stderr, "jrpm-corpus: %s\n", Err.c_str());
-      return 1;
-    }
-    std::printf("report written to %s\n", O.OutPath.c_str());
-  }
-  if (!O.MetricsPath.empty()) {
-    std::string Err;
-    if (!writeFileAtomic(O.MetricsPath, Metrics.toJson().dump(), &Err)) {
-      std::fprintf(stderr, "jrpm-corpus: %s\n", Err.c_str());
-      return 1;
-    }
-    std::printf("metrics written to %s\n", O.MetricsPath.c_str());
-  }
+  if (!O.OutPath.empty() &&
+      !tools::writeOutput("jrpm-corpus", O.OutPath, Report.toJson().dump(),
+                          "report"))
+    return 1;
+  if (!O.MetricsPath.empty() &&
+      !tools::writeOutput("jrpm-corpus", O.MetricsPath,
+                          Metrics.toJson().dump(), "metrics"))
+    return 1;
   return Report.Failed == 0 ? 0 : 1;
 }
 
@@ -359,8 +331,8 @@ int cmdShrink(const CliOptions &O) {
   for (const corpus::OracleFailure &F : R.Outcome.Failures)
     std::printf("  %s: %s\n", corpus::oracleKindName(F.Kind),
                 F.Detail.c_str());
-  return writeOrPrint(corpus::reproDocument(Min), O.OutPath,
-                      "minimized repro")
+  return tools::writeOutput("jrpm-corpus", O.OutPath,
+                            corpus::reproDocument(Min), "minimized repro")
              ? 0
              : 1;
 }

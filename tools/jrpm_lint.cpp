@@ -22,6 +22,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "ToolCli.h"
 #include "jrpm/LintReport.h"
 #include "support/Format.h"
 #include "support/Table.h"
@@ -108,8 +109,9 @@ int main(int Argc, char **Argv) {
   bool Deps = false;
   bool JsonMode = false;
   unsigned Jobs = 1;
-  for (int I = 2; I < Argc; ++I) {
-    std::string A = Argv[I];
+  tools::OptionReader R(Argc, Argv, 2);
+  while (R.next()) {
+    std::string A = R.option();
     if (A == "--prefilter") {
       Opts.StaticPrefilter = true;
     } else if (A == "--oracle") {
@@ -119,11 +121,9 @@ int main(int Argc, char **Argv) {
     } else if (A == "--json") {
       JsonMode = true;
     } else if (A == "--jobs") {
-      std::uint64_t V = 0;
-      if (I + 1 >= Argc || !parseUnsigned(Argv[++I], sweep::MaxThreads, V) ||
-          V == 0)
+      Jobs = static_cast<unsigned>(R.unsignedValue(sweep::MaxThreads));
+      if (!R.ok() || Jobs == 0)
         return usage();
-      Jobs = static_cast<unsigned>(V);
     } else {
       return usage();
     }

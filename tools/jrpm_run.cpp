@@ -22,10 +22,10 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "ToolCli.h"
 #include "jrpm/Pipeline.h"
 #include "metrics/Metrics.h"
 #include "metrics/Timeline.h"
-#include "support/AtomicFile.h"
 #include "support/Format.h"
 #include "support/Table.h"
 #include "sweep/SweepPlan.h"
@@ -78,28 +78,19 @@ Options parseOptions(int Argc, char **Argv, int First) {
   Options O;
   O.Cfg.ExtendedPcBinning = true;
   std::string Spec; // every --config value, joined by commas
-  for (int I = First; I < Argc; ++I) {
-    std::string A = Argv[I];
-    auto NextStr = [&](std::string &Out) {
-      if (I + 1 >= Argc) {
-        std::fprintf(stderr, "missing value for %s\n", A.c_str());
-        O.Ok = false;
-        return;
-      }
-      Out = Argv[++I];
-    };
+  tools::OptionReader R(Argc, Argv, First);
+  while (R.next()) {
+    std::string A = R.option();
     if (A == "--base")
       O.Cfg.Level = jit::AnnotationLevel::Base;
-    else if (A == "--config") {
-      std::string V;
-      NextStr(V);
-      Spec += (Spec.empty() ? "" : ",") + V;
-    } else if (A == "--metrics")
-      NextStr(O.MetricsPath);
+    else if (A == "--config")
+      Spec += (Spec.empty() ? "" : ",") + std::string(R.value());
+    else if (A == "--metrics")
+      O.MetricsPath = R.value();
     else if (A.rfind("--metrics=", 0) == 0)
       O.MetricsPath = A.substr(std::strlen("--metrics="));
     else if (A == "--timeline")
-      NextStr(O.TimelinePath);
+      O.TimelinePath = R.value();
     else if (A.rfind("--timeline=", 0) == 0)
       O.TimelinePath = A.substr(std::strlen("--timeline="));
     else {
@@ -107,6 +98,7 @@ Options parseOptions(int Argc, char **Argv, int First) {
       O.Ok = false;
     }
   }
+  O.Ok = O.Ok && R.ok();
   sweep::ConfigPoint Point;
   std::string Err;
   if (O.Ok && !(sweep::parseConfigPoint(Spec, Point, &Err) &&
@@ -115,15 +107,6 @@ Options parseOptions(int Argc, char **Argv, int First) {
     O.Ok = false;
   }
   return O;
-}
-
-/// Serializes \p J to \p Path; returns false (after reporting) on failure.
-bool writeJsonFile(const Json &J, const std::string &Path) {
-  std::string Err;
-  if (writeFileAtomic(Path, J.dump(), &Err))
-    return true;
-  std::fprintf(stderr, "jrpm-run: %s\n", Err.c_str());
-  return false;
 }
 
 void printSummary(const pipeline::PipelineResult &R) {
@@ -245,10 +228,12 @@ int main(int Argc, char **Argv) {
     std::printf("\n");
     printLoopReport(J, R);
   }
-  if (!O.MetricsPath.empty() && !writeJsonFile(Reg.toJson(), O.MetricsPath))
+  if (!O.MetricsPath.empty() &&
+      !tools::writeOutput("jrpm-run", O.MetricsPath, Reg.toJson().dump()))
     return 1;
   if (!O.TimelinePath.empty() &&
-      !writeJsonFile(Timeline.toJson(), O.TimelinePath))
+      !tools::writeOutput("jrpm-run", O.TimelinePath,
+                          Timeline.toJson().dump()))
     return 1;
   return R.TlsRun.ReturnValue == R.PlainRun.ReturnValue ? 0 : 1;
 }

@@ -36,7 +36,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "support/AtomicFile.h"
+#include "ToolCli.h"
 #include "support/Format.h"
 #include "support/Table.h"
 #include "sweep/Conformance.h"
@@ -79,31 +79,13 @@ struct CliOptions {
 
 CliOptions parseCli(int Argc, char **Argv, int First) {
   CliOptions O;
-  for (int I = First; I < Argc; ++I) {
-    std::string A = Argv[I];
-    auto NextArg = [&]() -> const char * {
-      if (I + 1 >= Argc) {
-        std::fprintf(stderr, "missing value for %s\n", A.c_str());
-        O.Ok = false;
-        return "";
-      }
-      return Argv[++I];
-    };
-    auto NextUnsigned = [&](std::uint64_t Max) {
-      std::uint64_t V = 0;
-      bool Given = I + 1 < Argc;
-      const char *S = NextArg();
-      if (Given && !parseUnsigned(S, Max, V)) {
-        std::fprintf(stderr, "%s: expected an integer in [0, %llu], got '%s'\n",
-                     A.c_str(), (unsigned long long)Max, S);
-        O.Ok = false;
-      }
-      return V;
-    };
+  tools::OptionReader R(Argc, Argv, First);
+  while (R.next()) {
+    std::string A = R.option();
     if (A == "--workloads") {
-      O.Plan.Workloads = splitCommas(NextArg());
+      O.Plan.Workloads = splitCommas(R.value());
     } else if (A == "--levels") {
-      for (const std::string &L : splitCommas(NextArg())) {
+      for (const std::string &L : splitCommas(R.value())) {
         if (L == "base")
           O.Plan.Levels.push_back(jit::AnnotationLevel::Base);
         else if (L == "optimized" || L == "opt")
@@ -116,24 +98,25 @@ CliOptions parseCli(int Argc, char **Argv, int First) {
     } else if (A == "--config") {
       sweep::ConfigPoint P;
       std::string Err;
-      if (!sweep::parseConfigPoint(NextArg(), P, &Err)) {
+      if (!sweep::parseConfigPoint(R.value(), P, &Err)) {
         std::fprintf(stderr, "%s\n", Err.c_str());
         O.Ok = false;
       } else {
         O.Plan.Configs.push_back(std::move(P));
       }
     } else if (A == "--threads") {
-      O.Threads = static_cast<unsigned>(NextUnsigned(sweep::MaxThreads));
+      O.Threads = static_cast<unsigned>(R.unsignedValue(sweep::MaxThreads));
     } else if (A == "--timeout-ms") {
-      O.Plan.TimeoutMs = static_cast<std::uint32_t>(NextUnsigned(UINT32_MAX));
+      O.Plan.TimeoutMs =
+          static_cast<std::uint32_t>(R.unsignedValue(UINT32_MAX));
     } else if (A == "--seed") {
-      O.Plan.Seed = NextUnsigned(UINT64_MAX);
+      O.Plan.Seed = R.unsignedValue(UINT64_MAX);
     } else if (A == "-o") {
-      O.OutPath = NextArg();
+      O.OutPath = R.value();
     } else if (A == "--metrics") {
-      O.MetricsPath = NextArg();
+      O.MetricsPath = R.value();
     } else if (A == "--timeline") {
-      O.TimelinePath = NextArg();
+      O.TimelinePath = R.value();
     } else if (A == "--no-timings") {
       O.IncludeTimings = false;
     } else if (A == "--quiet") {
@@ -143,6 +126,7 @@ CliOptions parseCli(int Argc, char **Argv, int First) {
       O.Ok = false;
     }
   }
+  O.Ok = O.Ok && R.ok();
   return O;
 }
 
@@ -163,17 +147,6 @@ void printJobsTable(const sweep::SweepReport &Report) {
               formatString("%016llx",
                            (unsigned long long)R.SelectionDigest)});
   T.print();
-}
-
-bool writeJsonFile(const Json &J, const std::string &Path,
-                   const char *What) {
-  std::string Err;
-  if (writeFileAtomic(Path, J.dump(), &Err)) {
-    std::printf("%s written to %s\n", What, Path.c_str());
-    return true;
-  }
-  std::fprintf(stderr, "jrpm-sweep: %s\n", Err.c_str());
-  return false;
 }
 
 int finishReport(const sweep::SweepReport &Report, const CliOptions &O) {
@@ -200,8 +173,9 @@ int finishReport(const sweep::SweepReport &Report, const CliOptions &O) {
     std::printf("report written to %s\n", O.OutPath.c_str());
   }
   if (!O.MetricsPath.empty() &&
-      !writeJsonFile(sweep::mergedMetrics(Report).toJson(), O.MetricsPath,
-                     "metrics"))
+      !tools::writeOutput("jrpm-sweep", O.MetricsPath,
+                          sweep::mergedMetrics(Report).toJson().dump(),
+                          "metrics"))
     return 1;
   return Report.allOk() ? 0 : 1;
 }
@@ -264,7 +238,8 @@ int main(int Argc, char **Argv) {
                 "annotated-trace, and speculative execution\n",
                 (unsigned long long)Report.OkCount);
   if (!O.TimelinePath.empty() &&
-      !writeJsonFile(Timeline.toJson(), O.TimelinePath, "timeline"))
+      !tools::writeOutput("jrpm-sweep", O.TimelinePath,
+                          Timeline.toJson().dump(), "timeline"))
     return 1;
   return finishReport(Report, O);
 }

@@ -25,6 +25,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "ToolCli.h"
 #include "jrpm/Pipeline.h"
 #include "support/Format.h"
 #include "support/Table.h"
@@ -72,31 +73,23 @@ Options parseOptions(int Argc, char **Argv,
                      std::initializer_list<std::string_view> Allowed) {
   Options O;
   std::string Spec;
-  for (int I = 3; I < Argc && O.Ok; ++I) {
-    std::string A = Argv[I];
-    auto Next = [&]() -> std::string {
-      if (I + 1 >= Argc) {
-        std::fprintf(stderr, "missing value for %s\n", A.c_str());
-        O.Ok = false;
-        return "";
-      }
-      return Argv[++I];
-    };
+  tools::OptionReader R(Argc, Argv, 3);
+  while (O.Ok && R.ok() && R.next()) {
+    std::string A = R.option();
     if (std::find(Allowed.begin(), Allowed.end(), A) == Allowed.end()) {
       std::fprintf(stderr, "jrpm-trace %s: unsupported option %s\n",
                    Argv[1], A.c_str());
       O.Ok = false;
     } else if (A == "-o")
-      O.OutPath = Next();
+      O.OutPath = R.value();
     else if (A == "--base")
       O.Base = true;
     else if (A == "--config")
-      Spec += (Spec.empty() ? "" : ",") + Next();
-    else if (!parseUnsigned(Next(), UINT64_MAX, O.Events) && O.Ok) {
-      std::fprintf(stderr, "--events: expected an unsigned integer\n");
-      O.Ok = false;
-    }
+      Spec += (Spec.empty() ? "" : ",") + std::string(R.value());
+    else
+      O.Events = R.unsignedValue(UINT64_MAX);
   }
+  O.Ok = O.Ok && R.ok();
   std::string Err;
   if (O.Ok && !sweep::parseConfigPoint(Spec, O.Point, &Err)) {
     std::fprintf(stderr, "jrpm-trace: %s\n", Err.c_str());
