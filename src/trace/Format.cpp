@@ -69,6 +69,24 @@ const char *trace::errorKindName(ErrorKind K) {
   JRPM_UNREACHABLE("bad ErrorKind");
 }
 
+std::uint64_t trace::parseVarintSlow(const std::uint8_t *&P,
+                                     const std::uint8_t *End) {
+  std::uint64_t V = 0;
+  unsigned Shift = 0;
+  while (P != End) {
+    std::uint8_t B = *P++;
+    if (Shift == 63 && (B & 0x7E))
+      throw Error(ErrorKind::BadVarint, "varint overflows 64 bits");
+    V |= static_cast<std::uint64_t>(B & 0x7F) << Shift;
+    if (!(B & 0x80))
+      return V;
+    Shift += 7;
+    if (Shift > 63)
+      throw Error(ErrorKind::BadVarint, "varint overflows 64 bits");
+  }
+  throw Error(ErrorKind::BadVarint, "varint runs past end of payload");
+}
+
 namespace {
 
 /// Slicing-by-8 tables: Table[0] is the classic byte-at-a-time table;

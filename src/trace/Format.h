@@ -148,7 +148,8 @@ enum class ErrorKind {
   BadRecord,         ///< unknown record tag or malformed record framing
   BadVarint,         ///< varint runs past its payload or overflows
   UnknownEventKind,  ///< event kind byte outside the known range
-  EventOutOfRange,   ///< event references a loop id outside the header table
+  EventOutOfRange,   ///< loop id outside the header table, or a field value
+                     ///< wider than its Event field
   NonMonotonicCycle, ///< cycle stamps decrease (spliced/reordered chunks)
   FooterMismatch,    ///< footer totals disagree with the decoded stream
   TrailingData,      ///< bytes after the end magic
@@ -210,24 +211,17 @@ inline std::uint8_t *writeZigzag(std::uint8_t *P, std::int64_t V) {
   return writeVarint(P, zigzag(V));
 }
 
+/// parseVarint's multi-byte, overflow and past-the-end cases, out of line
+/// so that the one-byte case inlines into every caller.
+std::uint64_t parseVarintSlow(const std::uint8_t *&P, const std::uint8_t *End);
+
 /// Decodes one varint from [*P, End); throws Error::BadVarint when the
 /// encoding runs past End or exceeds 64 bits.
 inline std::uint64_t parseVarint(const std::uint8_t *&P,
                                  const std::uint8_t *End) {
-  std::uint64_t V = 0;
-  unsigned Shift = 0;
-  while (P != End) {
-    std::uint8_t B = *P++;
-    if (Shift == 63 && (B & 0x7E))
-      throw Error(ErrorKind::BadVarint, "varint overflows 64 bits");
-    V |= static_cast<std::uint64_t>(B & 0x7F) << Shift;
-    if (!(B & 0x80))
-      return V;
-    Shift += 7;
-    if (Shift > 63)
-      throw Error(ErrorKind::BadVarint, "varint overflows 64 bits");
-  }
-  throw Error(ErrorKind::BadVarint, "varint runs past end of payload");
+  if (P != End && *P < 0x80) [[likely]]
+    return *P++;
+  return parseVarintSlow(P, End);
 }
 
 inline std::int64_t parseZigzag(const std::uint8_t *&P,

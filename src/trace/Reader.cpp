@@ -186,41 +186,22 @@ const TraceFooter &Reader::footer() {
   return CachedFooter;
 }
 
-bool Reader::next(Event &E) {
-  if (Done)
-    return false;
-  while (ChunkEventsLeft == 0) {
+bool Reader::nextChunk() {
+  while (!Done) {
     if (Cur != End)
       throw Error(ErrorKind::BadRecord, "chunk payload longer than its "
                                         "declared event count");
     loadNextBlock();
-    if (Done)
-      return false;
+    if (ChunkEventsLeft != 0)
+      return true;
   }
-  E = decodeEvent(Cur, End, Deltas);
-  --ChunkEventsLeft;
+  return false;
+}
 
-  switch (E.Kind) {
-  case EventKind::LoopStart:
-  case EventKind::LoopIter:
-  case EventKind::LoopEnd:
-  case EventKind::ReadStats:
-    if (E.LoopId >= Header.LoopLocals.size())
-      throw Error(ErrorKind::EventOutOfRange,
-                  "loop id " + std::to_string(E.LoopId) + " outside the " +
-                      std::to_string(Header.LoopLocals.size()) +
-                      "-entry loop table");
-    break;
-  default:
-    break;
-  }
-  // LastCycle starts at 0, so the first cycle-bearing event always passes.
-  if (E.Kind != EventKind::Return && E.Cycle < Tally.LastCycle)
-    throw Error(ErrorKind::NonMonotonicCycle,
-                "cycle " + std::to_string(E.Cycle) + " after cycle " +
-                    std::to_string(Tally.LastCycle));
-  countEvent(Tally, E);
-  return true;
+void Reader::cycleWentBack(std::uint64_t Cycle) const {
+  throw Error(ErrorKind::NonMonotonicCycle,
+              "cycle " + std::to_string(Cycle) + " after cycle " +
+                  std::to_string(Tally.LastCycle));
 }
 
 //===----------------------------------------------------------------------===//

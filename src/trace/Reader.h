@@ -40,12 +40,29 @@ public:
   /// reached, after cross-checking it against the decoded stream (event
   /// counts per kind, total events, final cycle) and verifying the file
   /// ends exactly at the end magic.
-  bool next(Event &E);
+  /// The in-chunk path is inline; the chunk loads and the error paths
+  /// are out of line.
+  bool next(Event &E) {
+    if (ChunkEventsLeft == 0 && !nextChunk()) [[unlikely]]
+      return false;
+    E = decodeEvent(Cur, End, Deltas, Header.LoopLocals.size());
+    --ChunkEventsLeft;
+    // LastCycle starts at 0, so the first cycle-bearing event always passes.
+    if (E.Kind != EventKind::Return && E.Cycle < Tally.LastCycle) [[unlikely]]
+      cycleWentBack(E.Cycle);
+    countEvent(Tally, E);
+    return true;
+  }
 
 private:
   void readAt(std::uint64_t Offset, void *Out, std::size_t Size);
   std::uint32_t readU32At(std::uint64_t Offset);
+  /// Loads blocks until one holds an event (true) or the stream ends at a
+  /// checked footer (false).
+  bool nextChunk();
   void loadNextBlock();
+  /// Throws NonMonotonicCycle for \p Cycle after Tally.LastCycle.
+  [[noreturn]] void cycleWentBack(std::uint64_t Cycle) const;
   /// Reads the footer record whose tag byte is at \p TagOffset and checks
   /// its framing: payload CRC, block-size field, end magic, and that the
   /// file ends there. Both footer() and the stream's end read through it.

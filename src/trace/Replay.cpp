@@ -20,7 +20,7 @@ CachedTrace::CachedTrace(const std::string &Path) {
   Records.reserve(std::min(R.footer().TotalEvents, R.fileSize()));
   Event E;
   while (R.next(E))
-    append(E);
+    store(E);
   Footer = R.footer();
 }
 

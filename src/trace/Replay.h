@@ -109,15 +109,7 @@ public:
 
   /// Appends one event and counts it into the footer.
   void append(const Event &E) {
-    std::uint64_t R = pack(E, Last);
-    Predictor Check = Last;
-    if (static_cast<std::uint8_t>(E.Kind) >= NumEventKinds ||
-        !(unpackNarrow(R, Check) == E)) {
-      R = EscapeKind | static_cast<std::uint64_t>(Wide.size()) << 4;
-      Wide.push_back(E);
-    }
-    Records.push_back(R);
-    Last.advance(E);
+    store(E);
     countEvent(Footer, E);
   }
   /// Records the capture run's results in the footer.
@@ -167,6 +159,22 @@ public:
 private:
   static constexpr std::uint64_t EscapeKind = 15;
   static_assert(NumEventKinds <= EscapeKind);
+
+  /// Appends \p E's record, or escapes \p E into the side table when the
+  /// record cannot give it back exactly. append() without the footer
+  /// count: CachedTrace(path) takes the footer the Reader has checked the
+  /// stream against, so it stores each event and counts none.
+  void store(const Event &E) {
+    std::uint64_t R = pack(E, Last);
+    Predictor Check = Last;
+    if (static_cast<std::uint8_t>(E.Kind) >= NumEventKinds ||
+        !(unpackNarrow(R, Check) == E)) {
+      R = EscapeKind | static_cast<std::uint64_t>(Wide.size()) << 4;
+      Wide.push_back(E);
+    }
+    Records.push_back(R);
+    Last.advance(E);
+  }
 
   /// The last cycle and activation of the events before a record.
   /// unpackNarrow() advances it as it decodes; advance() is the rule it

@@ -8,6 +8,35 @@ using namespace jrpm;
 using namespace jrpm::trace;
 
 //===----------------------------------------------------------------------===//
+// Event decoding errors
+//===----------------------------------------------------------------------===//
+
+void trace::eventKindMissing() {
+  throw Error(ErrorKind::Truncated, "event kind byte missing");
+}
+
+void trace::unknownEventKind(std::uint8_t KindByte) {
+  throw Error(ErrorKind::UnknownEventKind,
+              "event kind " + std::to_string(KindByte));
+}
+
+void trace::loopIdOutOfRange(std::uint64_t Id, std::uint64_t NumLoops) {
+  throw Error(ErrorKind::EventOutOfRange,
+              "loop id " + std::to_string(Id) + " outside the " +
+                  std::to_string(NumLoops) + "-entry loop table");
+}
+
+void trace::fieldTooWide(const char *Field, std::uint64_t Value,
+                         unsigned Bits, bool Signed) {
+  std::string Shown = Signed ? std::to_string(static_cast<std::int64_t>(Value))
+                             : std::to_string(Value);
+  throw Error(ErrorKind::EventOutOfRange,
+              std::string(Field) + " " + Shown + " does not fit a " +
+                  (Signed ? "signed " : "") + std::to_string(Bits) +
+                  "-bit field");
+}
+
+//===----------------------------------------------------------------------===//
 // Header
 //===----------------------------------------------------------------------===//
 

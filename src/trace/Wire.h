@@ -28,16 +28,16 @@ struct DeltaState {
 };
 
 /// Upper bound on one encoded event: a kind byte plus at most four 10-byte
-/// varints. Used to size the stack staging buffer in encodeEvent.
+/// varints. Writer's chunk buffer keeps this much room past
+/// ChunkTargetBytes, so one more event always fits before a flush.
 inline constexpr std::size_t MaxEventWireBytes = 1 + 4 * 10;
 
-/// Appends the wire form of \p E to \p Out via a stack buffer, with no
-/// vector bounds check per byte. `inline` only lets the header hold the
-/// definition: GCC keeps it, decodeEvent and parseVarint out of line.
-inline void encodeEvent(std::vector<std::uint8_t> &Out, const Event &E,
-                        DeltaState &D) {
-  std::uint8_t Tmp[MaxEventWireBytes];
-  std::uint8_t *P = Tmp;
+/// Writes the wire form of \p E at \p P, which must have
+/// MaxEventWireBytes of room, and returns the end of what it wrote.
+/// Always inlined, so RecordingSink<Writer>'s handlers, whose kind is a
+/// constant, encode with no switch and no call.
+[[gnu::always_inline]] inline std::uint8_t *
+encodeEvent(std::uint8_t *P, const Event &E, DeltaState &D) {
   *P++ = static_cast<std::uint8_t>(E.Kind);
   auto Delta = [&](std::uint64_t V, std::uint64_t &Pred) {
     P = writeZigzag(P, static_cast<std::int64_t>(V - Pred));
@@ -85,28 +85,68 @@ inline void encodeEvent(std::vector<std::uint8_t> &Out, const Event &E,
     Cycle();
     break;
   }
-  Out.insert(Out.end(), Tmp, P);
+  return P;
 }
 
-/// Decodes one event from [*P, End). Throws Error on malformed input;
-/// advances \p P past the event. Out of line, like encodeEvent.
-inline Event decodeEvent(const std::uint8_t *&P, const std::uint8_t *End,
-                         DeltaState &D) {
-  if (P == End)
-    throw Error(ErrorKind::Truncated, "event kind byte missing");
+/// decodeEvent's error paths, out of line. Each throws the typed Error
+/// named in its comment and reports the value it read.
+/// Truncated: the payload ends where an event's kind byte should be.
+[[noreturn]] void eventKindMissing();
+/// UnknownEventKind.
+[[noreturn]] void unknownEventKind(std::uint8_t KindByte);
+/// EventOutOfRange: loop id \p Id in a \p NumLoops-entry loop table.
+[[noreturn]] void loopIdOutOfRange(std::uint64_t Id, std::uint64_t NumLoops);
+/// EventOutOfRange: \p Value of \p Field does not fit its \p Bits-bit
+/// Event field, signed when \p Signed.
+[[noreturn]] void fieldTooWide(const char *Field, std::uint64_t Value,
+                               unsigned Bits, bool Signed);
+
+/// Decodes one event from [*P, End) and advances \p P past it. Throws
+/// Error on malformed input, and on a field value its Event field cannot
+/// hold: a loop id outside the \p NumLoops-entry table, a register wider
+/// than 16 bits, an address wider than 32 bits, a pc outside int32.
+/// Always inlined into Reader::next, the one wire decoder.
+[[gnu::always_inline]] inline Event decodeEvent(const std::uint8_t *&P,
+                                                const std::uint8_t *End,
+                                                DeltaState &D,
+                                                std::uint64_t NumLoops) {
+  if (P == End) [[unlikely]]
+    eventKindMissing();
   std::uint8_t KindByte = *P++;
-  if (KindByte >= NumEventKinds)
-    throw Error(ErrorKind::UnknownEventKind,
-                "event kind " + std::to_string(KindByte));
+  if (KindByte >= NumEventKinds) [[unlikely]]
+    unknownEventKind(KindByte);
   Event E;
   E.Kind = static_cast<EventKind>(KindByte);
   auto Delta = [&](std::uint64_t &Pred) {
     return Pred += static_cast<std::uint64_t>(parseZigzag(P, End));
   };
   auto Cycle = [&] { E.Cycle = Delta(D.Cycle); };
-  auto Pc = [&] { E.Pc = static_cast<std::int32_t>(Delta(D.Pc)); };
-  auto Addr = [&] { E.Addr = static_cast<std::uint32_t>(Delta(D.Addr)); };
+  auto Pc = [&] {
+    std::uint64_t V = Delta(D.Pc);
+    auto S = static_cast<std::int64_t>(V);
+    if (S != static_cast<std::int32_t>(S)) [[unlikely]]
+      fieldTooWide("pc", V, 32, true);
+    E.Pc = static_cast<std::int32_t>(S);
+  };
+  auto Addr = [&] {
+    std::uint64_t V = Delta(D.Addr);
+    if (V > UINT32_MAX) [[unlikely]]
+      fieldTooWide("address", V, 32, false);
+    E.Addr = static_cast<std::uint32_t>(V);
+  };
   auto Act = [&] { E.Activation = Delta(D.Activation); };
+  auto Reg = [&] {
+    std::uint64_t V = parseVarint(P, End);
+    if (V > UINT16_MAX) [[unlikely]]
+      fieldTooWide("register", V, 16, false);
+    E.Reg = static_cast<std::uint16_t>(V);
+  };
+  auto Loop = [&] {
+    std::uint64_t V = parseVarint(P, End);
+    if (V >= NumLoops) [[unlikely]]
+      loopIdOutOfRange(V, NumLoops);
+    E.LoopId = static_cast<std::uint32_t>(V); // NumLoops <= 2^20
+  };
   switch (E.Kind) {
   case EventKind::HeapLoad:
   case EventKind::HeapStore:
@@ -118,19 +158,19 @@ inline Event decodeEvent(const std::uint8_t *&P, const std::uint8_t *End,
   case EventKind::LocalStore:
     Cycle();
     Act();
-    E.Reg = static_cast<std::uint16_t>(parseVarint(P, End));
+    Reg();
     Pc();
     return E;
   case EventKind::LoopStart:
     Cycle();
-    E.LoopId = static_cast<std::uint32_t>(parseVarint(P, End));
+    Loop();
     Act();
     return E;
   case EventKind::LoopIter:
   case EventKind::LoopEnd:
   case EventKind::ReadStats:
     Cycle();
-    E.LoopId = static_cast<std::uint32_t>(parseVarint(P, End));
+    Loop();
     return E;
   case EventKind::Return:
     Act();

@@ -10,7 +10,6 @@ Writer::Writer(const std::string &Path, const TraceHeader &Header)
   File = std::fopen(Path.c_str(), "wb");
   if (!File)
     throw Error(ErrorKind::Io, "cannot open '" + Path + "' for writing");
-  Chunk.reserve(ChunkTargetBytes + 64);
 
   std::vector<std::uint8_t> Payload;
   encodeHeader(Payload, Header);
@@ -40,26 +39,20 @@ void Writer::writeU32(std::uint32_t V) {
   write(B, 4);
 }
 
-void Writer::append(const Event &E) {
-  if (!File)
-    throw Error(ErrorKind::Io, "append after finish on '" + Path + "'");
-  encodeEvent(Chunk, E, Deltas);
-  ++ChunkEvents;
-  countEvent(Footer, E);
-  if (Chunk.size() >= ChunkTargetBytes)
-    flushChunk();
+void Writer::appendAfterFinish() const {
+  throw Error(ErrorKind::Io, "append after finish on '" + Path + "'");
 }
 
 void Writer::flushChunk() {
-  if (Chunk.empty())
+  if (ChunkBytes == 0)
     return;
   std::uint8_t Tag = ChunkTag;
   write(&Tag, 1);
-  writeU32(static_cast<std::uint32_t>(Chunk.size()));
+  writeU32(static_cast<std::uint32_t>(ChunkBytes));
   writeU32(ChunkEvents);
-  writeU32(crc32(Chunk.data(), Chunk.size()));
-  write(Chunk.data(), Chunk.size());
-  Chunk.clear();
+  writeU32(crc32(Chunk.get(), ChunkBytes));
+  write(Chunk.get(), ChunkBytes);
+  ChunkBytes = 0;
   ChunkEvents = 0;
   Deltas = DeltaState(); // chunks decode independently
 }

@@ -15,6 +15,7 @@
 #include "trace/Wire.h"
 
 #include <cstdio>
+#include <memory>
 
 namespace jrpm {
 namespace trace {
@@ -29,7 +30,18 @@ public:
   Writer &operator=(const Writer &) = delete;
 
   /// Appends one event to the current chunk (flushed automatically).
-  void append(const Event &E);
+  /// Inline, so a RecordingSink<Writer> handler encodes its event straight
+  /// into the chunk buffer.
+  void append(const Event &E) {
+    if (!File) [[unlikely]]
+      appendAfterFinish();
+    ChunkBytes = static_cast<std::size_t>(
+        encodeEvent(Chunk.get() + ChunkBytes, E, Deltas) - Chunk.get());
+    ++ChunkEvents;
+    countEvent(Footer, E);
+    if (ChunkBytes >= ChunkTargetBytes) [[unlikely]]
+      flushChunk();
+  }
 
   /// Flushes the final chunk, writes the footer and end magic, and closes
   /// the file. Must be called exactly once; a Writer destroyed without
@@ -39,13 +51,20 @@ public:
   std::uint64_t bytesWritten() const { return BytesWritten; }
 
 private:
+  [[noreturn]] void appendAfterFinish() const;
   void write(const void *Data, std::size_t Size);
   void writeU32(std::uint32_t V);
   void flushChunk();
 
   std::FILE *File = nullptr;
   std::string Path;
-  std::vector<std::uint8_t> Chunk;
+  /// The current chunk's payload: its first ChunkBytes bytes. A chunk is
+  /// flushed once it reaches ChunkTargetBytes, so it never holds more than
+  /// ChunkTargetBytes - 1 bytes before an append.
+  std::unique_ptr<std::uint8_t[]> Chunk =
+      std::make_unique_for_overwrite<std::uint8_t[]>(ChunkTargetBytes +
+                                                     MaxEventWireBytes);
+  std::size_t ChunkBytes = 0;
   std::uint32_t ChunkEvents = 0;
   DeltaState Deltas;
   TraceFooter Footer;

@@ -43,6 +43,71 @@ void writeFile(const std::string &Path, const std::vector<std::uint8_t> &B) {
             static_cast<std::streamsize>(B.size()));
 }
 
+void putU32(std::vector<std::uint8_t> &B, std::size_t V) {
+  for (unsigned Shift = 0; Shift < 32; Shift += 8)
+    B.push_back(static_cast<std::uint8_t>(V >> Shift));
+}
+
+/// Appends a footer record for \p F with its CRC, and the trailer.
+void appendFooter(std::vector<std::uint8_t> &B, const trace::TraceFooter &F) {
+  std::vector<std::uint8_t> Payload;
+  trace::encodeFooter(Payload, F);
+  std::size_t Start = B.size();
+  B.push_back(trace::FooterTag);
+  putU32(B, Payload.size());
+  putU32(B, trace::crc32(Payload.data(), Payload.size()));
+  B.insert(B.end(), Payload.begin(), Payload.end());
+  putU32(B, B.size() - Start);
+  B.insert(B.end(), std::begin(trace::EndMagic), std::end(trace::EndMagic));
+}
+
+/// One hand-built chunk: its payload and the event count it declares.
+struct ForgedChunk {
+  std::vector<std::uint8_t> Payload;
+  std::uint32_t Events = 1;
+};
+
+/// Loop-table size of every forged trace.
+constexpr std::size_t ForgedLoops = 6;
+
+/// A .jtrace with a default header and a ForgedLoops-entry loop table,
+/// \p Chunks with recomputed CRCs, and a footer that tallies \p Counted.
+/// Every framing check passes, so only the payloads are on trial.
+std::vector<std::uint8_t>
+forgeTrace(const std::vector<ForgedChunk> &Chunks,
+           const std::vector<trace::Event> &Counted) {
+  trace::TraceHeader H;
+  H.LoopLocals.resize(ForgedLoops);
+  std::vector<std::uint8_t> Header;
+  trace::encodeHeader(Header, H);
+  std::vector<std::uint8_t> B(std::begin(trace::FileMagic),
+                              std::end(trace::FileMagic));
+  putU32(B, trace::FormatVersion);
+  putU32(B, Header.size());
+  putU32(B, trace::crc32(Header.data(), Header.size()));
+  B.insert(B.end(), Header.begin(), Header.end());
+  for (const ForgedChunk &C : Chunks) {
+    B.push_back(trace::ChunkTag);
+    putU32(B, C.Payload.size());
+    putU32(B, C.Events);
+    putU32(B, trace::crc32(C.Payload.data(), C.Payload.size()));
+    B.insert(B.end(), C.Payload.begin(), C.Payload.end());
+  }
+  trace::TraceFooter F;
+  for (const trace::Event &E : Counted)
+    trace::countEvent(F, E);
+  appendFooter(B, F);
+  return B;
+}
+
+/// Payload bytes: \p Raw, then each of \p Varints LEB128-encoded.
+std::vector<std::uint8_t> bytes(std::vector<std::uint8_t> Raw,
+                                std::initializer_list<std::uint64_t> Varints) {
+  for (std::uint64_t V : Varints)
+    trace::appendVarint(Raw, V);
+  return Raw;
+}
+
 /// Full strict read of a candidate file, as every replay of a file loads
 /// it: header, O(1) footer, every event, stream-end validation. Returns
 /// the ErrorKind when the reader rejected the file, nullopt when it was
@@ -340,21 +405,10 @@ TEST_F(TraceFuzz, FooterClaimingTooManyEventsIsTypedError) {
                             static_cast<std::uint32_t>(P[At + 3]) << 24;
   std::size_t FooterStart = At - BlockSize;
   auto WithFooter = [&](const trace::TraceFooter &F) {
-    std::vector<std::uint8_t> Payload;
-    trace::encodeFooter(Payload, F);
     std::vector<std::uint8_t> B(P.begin(),
                                 P.begin() +
                                     static_cast<std::ptrdiff_t>(FooterStart));
-    auto PutU32 = [&](std::size_t V) {
-      for (unsigned Shift = 0; Shift < 32; Shift += 8)
-        B.push_back(static_cast<std::uint8_t>(V >> Shift));
-    };
-    B.push_back(trace::FooterTag);
-    PutU32(Payload.size());
-    PutU32(trace::crc32(Payload.data(), Payload.size()));
-    B.insert(B.end(), Payload.begin(), Payload.end());
-    PutU32(B.size() - FooterStart);
-    B.insert(B.end(), std::begin(trace::EndMagic), std::end(trace::EndMagic));
+    appendFooter(B, F);
     return B;
   };
   trace::TraceFooter F = trace::Reader(*Path).footer();
@@ -372,6 +426,134 @@ TEST_F(TraceFuzz, FooterClaimingTooManyEventsIsTypedError) {
     FAIL() << "a trace whose footer claims 2^44 events loaded";
   } catch (const trace::Error &E) {
     EXPECT_EQ(E.kind(), trace::ErrorKind::FooterMismatch);
+  }
+  std::remove(Mutant.c_str());
+}
+
+TEST_F(TraceFuzz, ForgedTraceOfBoundaryValuesLoadsExactly) {
+  // The forgery below is faithful: a stream of every field at the edge of
+  // its Event field, encoded by the Writer's encoder, loads unchanged.
+  std::vector<trace::Event> Events = {
+      {.Kind = trace::EventKind::HeapLoad, .Cycle = 10, .Addr = UINT32_MAX,
+       .Pc = INT32_MAX},
+      {.Kind = trace::EventKind::HeapStore, .Cycle = 10, .Addr = 0,
+       .Pc = INT32_MIN},
+      {.Kind = trace::EventKind::LocalLoad, .Cycle = 11, .Activation = 3,
+       .Reg = UINT16_MAX, .Pc = 0},
+      {.Kind = trace::EventKind::LoopIter, .Cycle = 12,
+       .LoopId = ForgedLoops - 1},
+  };
+  ForgedChunk C{{}, static_cast<std::uint32_t>(Events.size())};
+  trace::DeltaState D;
+  for (const trace::Event &E : Events) {
+    std::uint8_t Buf[trace::MaxEventWireBytes];
+    C.Payload.insert(C.Payload.end(), Buf, trace::encodeEvent(Buf, E, D));
+  }
+  std::string Mutant = tmpPath("forged-edges");
+  writeFile(Mutant, forgeTrace({C}, Events));
+  trace::CachedTrace T(Mutant);
+  std::vector<trace::Event> Loaded;
+  T.forEach([&](const trace::Event &E) { Loaded.push_back(E); });
+  EXPECT_TRUE(Loaded == Events);
+  std::remove(Mutant.c_str());
+}
+
+TEST_F(TraceFuzz, FieldWiderThanItsEventFieldIsRejected) {
+  // A wire value the Event field cannot hold must not be narrowed into a
+  // different, valid-looking event: each is an EventOutOfRange naming the
+  // value on the wire. Each footer counts the event a bare cast would
+  // give, so nothing but the field check can reject the file.
+  using trace::EventKind;
+  constexpr std::uint64_t Two32 = std::uint64_t(1) << 32;
+  struct Case {
+    const char *Name;
+    std::vector<std::uint8_t> Payload;
+    trace::Event Narrowed;
+    const char *WireValue;
+  } Cases[] = {
+      {"loop id 2^32", bytes({5}, {20, Two32}),
+       {.Kind = EventKind::LoopIter, .Cycle = 10, .LoopId = 0},
+       "4294967296"},
+      {"loop id 2^32 + table size", bytes({5}, {20, Two32 + ForgedLoops}),
+       {.Kind = EventKind::LoopIter, .Cycle = 10, .LoopId = ForgedLoops},
+       "4294967302"},
+      {"loop id 2^32 in a LoopStart", bytes({4}, {20, Two32, 2}),
+       {.Kind = EventKind::LoopStart, .Cycle = 10, .Activation = 1},
+       "4294967296"},
+      {"register 2^16", bytes({2}, {20, 2, 1u << 16, 2}),
+       {.Kind = EventKind::LocalLoad, .Cycle = 10, .Activation = 1, .Pc = 1},
+       "65536"},
+      {"address 2^32", bytes({0}, {20, trace::zigzag(Two32), 2}),
+       {.Kind = EventKind::HeapLoad, .Cycle = 10, .Pc = 1}, "4294967296"},
+      {"pc 2^31", bytes({8}, {20, trace::zigzag(Two32 / 2)}),
+       {.Kind = EventKind::CallSite, .Cycle = 10, .Pc = INT32_MIN},
+       "2147483648"},
+      {"pc -2^31 - 1",
+       bytes({8}, {20, trace::zigzag(-static_cast<std::int64_t>(Two32 / 2) -
+                                     1)}),
+       {.Kind = EventKind::CallSite, .Cycle = 10, .Pc = INT32_MAX},
+       "-2147483649"},
+  };
+  std::string Mutant = tmpPath("wide-field");
+  for (const Case &C : Cases) {
+    SCOPED_TRACE(C.Name);
+    writeFile(Mutant, forgeTrace({{C.Payload}}, {C.Narrowed}));
+    try {
+      trace::CachedTrace T(Mutant);
+      ADD_FAILURE() << "loaded without error";
+    } catch (const trace::Error &E) {
+      EXPECT_EQ(E.kind(), trace::ErrorKind::EventOutOfRange) << E.what();
+      EXPECT_NE(std::string(E.what()).find(C.WireValue), std::string::npos)
+          << E.what();
+    }
+  }
+  std::remove(Mutant.c_str());
+}
+
+TEST_F(TraceFuzz, EveryPayloadErrorHasItsKind) {
+  // Chunk payloads with recomputed CRCs, so each error reaches the event
+  // decoder instead of stopping at the checksum. Kind 5 is LoopIter: a
+  // cycle delta (zigzag 20 = +10) and a loop id. The missing varint
+  // follows a longer chunk, so the byte just past its payload is a stale
+  // loop id 0: a decoder that reads past the end sees a valid event there
+  // and fails this test, whatever the allocator left behind.
+  using trace::ErrorKind;
+  const std::vector<std::uint8_t> Nine(9, 0x80);
+  auto Overlong = [&](std::vector<std::uint8_t> Tail) {
+    std::vector<std::uint8_t> B = {5, 20};
+    B.insert(B.end(), Nine.begin(), Nine.end());
+    B.insert(B.end(), Tail.begin(), Tail.end());
+    return B;
+  };
+  struct Case {
+    const char *Name;
+    std::vector<ForgedChunk> Chunks;
+    ErrorKind Kind;
+  } Cases[] = {
+      {"varint still open at the end", {{{5, 20, 0x80}}}, ErrorKind::BadVarint},
+      {"varint missing at the end", {{{5, 20, 0, 5, 0, 0}, 2}, {{5, 20}}},
+       ErrorKind::BadVarint},
+      {"11-byte varint", {{Overlong({0x80, 0x01})}}, ErrorKind::BadVarint},
+      {"10th varint byte above 1", {{Overlong({0x02})}}, ErrorKind::BadVarint},
+      {"kind byte 11", {{{11, 20}}}, ErrorKind::UnknownEventKind},
+      {"kind byte 255", {{{255, 20}}}, ErrorKind::UnknownEventKind},
+      {"loop id equal to the table size", {{bytes({5}, {20, ForgedLoops})}},
+       ErrorKind::EventOutOfRange},
+      {"cycle delta that goes backwards",
+       {{bytes({5}, {20, 0, 5, trace::zigzag(-1), 0}), 2}},
+       ErrorKind::NonMonotonicCycle},
+      {"declared event count above the payload", {{{5, 20, 0}, 2}},
+       ErrorKind::Truncated},
+      {"declared event count below the payload", {{{5, 20, 0, 5, 2, 0}, 1}},
+       ErrorKind::BadRecord},
+  };
+  std::string Mutant = tmpPath("payload");
+  for (const Case &C : Cases) {
+    SCOPED_TRACE(C.Name);
+    writeFile(Mutant, forgeTrace(C.Chunks, {}));
+    std::optional<trace::ErrorKind> Err = strictRead(Mutant);
+    ASSERT_TRUE(Err.has_value());
+    EXPECT_EQ(*Err, C.Kind) << trace::errorKindName(*Err);
   }
   std::remove(Mutant.c_str());
 }

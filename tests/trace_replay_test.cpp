@@ -682,7 +682,9 @@ TEST(TraceReplay, MemoryAndFileCapturesAgree) {
 TEST(TraceReplay, MemoryCaptureReencodesByteIdenticalOnAllWorkloads) {
   // The in-memory capture runDifferential replays, written out through
   // Writer, must be the very file a direct RecordTracePath capture
-  // writes: the packed records lose nothing on a real event stream.
+  // writes: the packed records lose nothing on a real event stream. And
+  // loading that file must give back the in-memory capture: the loader
+  // takes the Reader's checked footer instead of counting events itself.
   for (const workloads::Workload &W : workloads::allWorkloads()) {
     SCOPED_TRACE(W.Name);
     TempTrace Direct(W.Name + "-direct"), Rewritten(W.Name + "-rewritten");
@@ -707,6 +709,26 @@ TEST(TraceReplay, MemoryCaptureReencodesByteIdenticalOnAllWorkloads) {
     ASSERT_FALSE(A.empty());
     EXPECT_TRUE(A == B) << A.size() << " direct bytes, " << B.size()
                         << " re-encoded bytes";
+
+    trace::CachedTrace Loaded(Direct.path());
+    std::vector<trace::Event> Captured;
+    Captured.reserve(T.footer().TotalEvents);
+    T.forEach([&](const trace::Event &E) { Captured.push_back(E); });
+    std::uint64_t I = 0, Mismatches = 0;
+    Loaded.forEach([&](const trace::Event &E) {
+      Mismatches += I >= Captured.size() || !(Captured[I] == E);
+      ++I;
+    });
+    EXPECT_EQ(I, Captured.size());
+    EXPECT_EQ(Mismatches, 0u);
+    // Equal record counts, so equal bytes means equal escape counts.
+    EXPECT_EQ(Loaded.eventBytes(), T.eventBytes());
+    const trace::TraceFooter &FL = Loaded.footer(), &FM = T.footer();
+    for (std::uint32_t K = 0; K < trace::NumEventKinds; ++K)
+      EXPECT_EQ(FL.EventCounts[K], FM.EventCounts[K]) << "kind " << K;
+    EXPECT_EQ(FL.TotalEvents, FM.TotalEvents);
+    EXPECT_EQ(FL.LastCycle, FM.LastCycle);
+    EXPECT_TRUE(FL.Run == FM.Run);
   }
 }
 
