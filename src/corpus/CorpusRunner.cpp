@@ -54,14 +54,7 @@ Json CorpusReport::toJson() const {
   for (const FailureRecord &F : Failures) {
     Json FJ = F.Spec.toJson();
     FJ["digest"] = formatString("%016llx", (unsigned long long)F.Digest);
-    Json Kinds = Json::array();
-    for (const OracleFailure &Fail : F.Failures) {
-      Json K = Json::object();
-      K["oracle"] = oracleKindName(Fail.Kind);
-      K["detail"] = Fail.Detail;
-      Kinds.push(std::move(K));
-    }
-    FJ["failures"] = std::move(Kinds);
+    FJ["failures"] = failuresToJson(F.Failures);
     if (F.HasShrunk) {
       Json SJ = F.ShrunkSpec.toJson();
       SJ["digest"] =

@@ -25,9 +25,7 @@ const char *corpus::oracleKindName(OracleKind K) {
   return "unknown";
 }
 
-Json OracleOutcome::toJson() const {
-  Json J = Json::object();
-  J["passed"] = Passed;
+Json corpus::failuresToJson(const std::vector<OracleFailure> &Failures) {
   Json F = Json::array();
   for (const OracleFailure &Fail : Failures) {
     Json FJ = Json::object();
@@ -35,7 +33,13 @@ Json OracleOutcome::toJson() const {
     FJ["detail"] = Fail.Detail;
     F.push(std::move(FJ));
   }
-  J["failures"] = std::move(F);
+  return F;
+}
+
+Json OracleOutcome::toJson() const {
+  Json J = Json::object();
+  J["passed"] = Passed;
+  J["failures"] = failuresToJson(Failures);
   J["seq_return"] = SeqReturn;
   J["seq_cycles"] = SeqCycles;
   J["selection_digest"] =

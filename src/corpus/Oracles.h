@@ -53,6 +53,10 @@ struct OracleFailure {
   std::string Detail;
 };
 
+/// \p Failures as the JSON array [{oracle, detail}] that a variant's
+/// outcome and a corpus report's failure record both carry.
+Json failuresToJson(const std::vector<OracleFailure> &Failures);
+
 /// Per-variant tallies plus the verdict.
 struct OracleOutcome {
   bool Passed = true;

@@ -34,18 +34,18 @@ Ex front::v(const std::string &Name) {
   return makeEx(std::move(N));
 }
 
-Ex front::bin(BinOpKind Op, Ex L, Ex R) {
+Ex front::bin(ir::Opcode Op, Ex L, Ex R) {
   ExprNode N;
   N.Kind = ExKind::Binary;
-  N.BinOp = Op;
+  N.Op = Op;
   N.Operands = {std::move(L), std::move(R)};
   return makeEx(std::move(N));
 }
 
-Ex front::un(UnOpKind Op, Ex E) {
+Ex front::un(ir::Opcode Op, Ex E) {
   ExprNode N;
   N.Kind = ExKind::Unary;
-  N.UnOp = Op;
+  N.Op = Op;
   N.Operands = {std::move(E)};
   return makeEx(std::move(N));
 }

@@ -3,11 +3,15 @@
 // Workloads are written against this small structured AST (the stand-in for
 // Java source). Expressions and statements are immutable trees with cheap
 // value-semantic handles; Lower.h translates them into the register IR.
+// An operator node holds the ir::Opcode it lowers to, so the operator set
+// is the IR's and lowering maps none of them.
 //
 //===----------------------------------------------------------------------===//
 
 #ifndef JRPM_FRONTEND_AST_H
 #define JRPM_FRONTEND_AST_H
+
+#include "ir/Opcode.h"
 
 #include <cstdint>
 #include <memory>
@@ -16,40 +20,6 @@
 
 namespace jrpm {
 namespace front {
-
-enum class BinOpKind {
-  Add,
-  Sub,
-  Mul,
-  Div,
-  Rem,
-  And,
-  Or,
-  Xor,
-  Shl,
-  Shr,
-  FAdd,
-  FSub,
-  FMul,
-  FDiv,
-  CmpEQ,
-  CmpNE,
-  CmpLT,
-  CmpLE,
-  CmpGT,
-  CmpGE,
-  FCmpEQ,
-  FCmpLT,
-  FCmpLE,
-};
-
-enum class UnOpKind {
-  FNeg,
-  FSqrt,
-  IToF,
-  FToI,
-  Not, // logical not of a 0/1 value
-};
 
 enum class ExKind {
   ConstInt,
@@ -83,9 +53,8 @@ struct ExprNode {
   double FloatValue = 0;
   // Local / Call
   std::string Name;
-  // Binary / Unary
-  BinOpKind BinOp = BinOpKind::Add;
-  UnOpKind UnOp = UnOpKind::Not;
+  // Binary / Unary: the instruction the node lowers to.
+  ir::Opcode Op = ir::Opcode::Nop;
   // Operands: Binary uses [0]=lhs [1]=rhs; Unary/Alloc use [0]; Load uses
   // [0]=base, optional [1]=index; Call uses all as arguments.
   std::vector<Ex> Operands;
@@ -139,39 +108,41 @@ struct StmtNode {
 Ex c(std::int64_t Value);
 Ex cf(double Value);
 Ex v(const std::string &Name);
-Ex bin(BinOpKind Op, Ex L, Ex R);
-Ex un(UnOpKind Op, Ex E);
+/// \p Op is a two-operand (bin) or one-operand (un) value opcode.
+Ex bin(ir::Opcode Op, Ex L, Ex R);
+Ex un(ir::Opcode Op, Ex E);
 /// heap[base + index + offset]; pass an invalid Ex for no index.
 Ex ld(Ex Base, Ex Index = Ex(), std::int64_t Offset = 0);
 Ex call(const std::string &Callee, std::vector<Ex> Args);
 Ex allocWords(Ex Size);
 
-inline Ex add(Ex L, Ex R) { return bin(BinOpKind::Add, L, R); }
-inline Ex sub(Ex L, Ex R) { return bin(BinOpKind::Sub, L, R); }
-inline Ex mul(Ex L, Ex R) { return bin(BinOpKind::Mul, L, R); }
-inline Ex sdiv(Ex L, Ex R) { return bin(BinOpKind::Div, L, R); }
-inline Ex srem(Ex L, Ex R) { return bin(BinOpKind::Rem, L, R); }
-inline Ex band(Ex L, Ex R) { return bin(BinOpKind::And, L, R); }
-inline Ex bor(Ex L, Ex R) { return bin(BinOpKind::Or, L, R); }
-inline Ex bxor(Ex L, Ex R) { return bin(BinOpKind::Xor, L, R); }
-inline Ex shl(Ex L, Ex R) { return bin(BinOpKind::Shl, L, R); }
-inline Ex shr(Ex L, Ex R) { return bin(BinOpKind::Shr, L, R); }
-inline Ex fadd(Ex L, Ex R) { return bin(BinOpKind::FAdd, L, R); }
-inline Ex fsub(Ex L, Ex R) { return bin(BinOpKind::FSub, L, R); }
-inline Ex fmul(Ex L, Ex R) { return bin(BinOpKind::FMul, L, R); }
-inline Ex fdiv(Ex L, Ex R) { return bin(BinOpKind::FDiv, L, R); }
-inline Ex eq(Ex L, Ex R) { return bin(BinOpKind::CmpEQ, L, R); }
-inline Ex ne(Ex L, Ex R) { return bin(BinOpKind::CmpNE, L, R); }
-inline Ex lt(Ex L, Ex R) { return bin(BinOpKind::CmpLT, L, R); }
-inline Ex le(Ex L, Ex R) { return bin(BinOpKind::CmpLE, L, R); }
-inline Ex gt(Ex L, Ex R) { return bin(BinOpKind::CmpGT, L, R); }
-inline Ex ge(Ex L, Ex R) { return bin(BinOpKind::CmpGE, L, R); }
-inline Ex flt(Ex L, Ex R) { return bin(BinOpKind::FCmpLT, L, R); }
-inline Ex fneg(Ex E) { return un(UnOpKind::FNeg, E); }
-inline Ex fsqrt(Ex E) { return un(UnOpKind::FSqrt, E); }
-inline Ex itof(Ex E) { return un(UnOpKind::IToF, E); }
-inline Ex ftoi(Ex E) { return un(UnOpKind::FToI, E); }
-inline Ex lnot(Ex E) { return un(UnOpKind::Not, E); }
+inline Ex add(Ex L, Ex R) { return bin(ir::Opcode::Add, L, R); }
+inline Ex sub(Ex L, Ex R) { return bin(ir::Opcode::Sub, L, R); }
+inline Ex mul(Ex L, Ex R) { return bin(ir::Opcode::Mul, L, R); }
+inline Ex sdiv(Ex L, Ex R) { return bin(ir::Opcode::Div, L, R); }
+inline Ex srem(Ex L, Ex R) { return bin(ir::Opcode::Rem, L, R); }
+inline Ex band(Ex L, Ex R) { return bin(ir::Opcode::And, L, R); }
+inline Ex bor(Ex L, Ex R) { return bin(ir::Opcode::Or, L, R); }
+inline Ex bxor(Ex L, Ex R) { return bin(ir::Opcode::Xor, L, R); }
+inline Ex shl(Ex L, Ex R) { return bin(ir::Opcode::Shl, L, R); }
+inline Ex shr(Ex L, Ex R) { return bin(ir::Opcode::Shr, L, R); }
+inline Ex fadd(Ex L, Ex R) { return bin(ir::Opcode::FAdd, L, R); }
+inline Ex fsub(Ex L, Ex R) { return bin(ir::Opcode::FSub, L, R); }
+inline Ex fmul(Ex L, Ex R) { return bin(ir::Opcode::FMul, L, R); }
+inline Ex fdiv(Ex L, Ex R) { return bin(ir::Opcode::FDiv, L, R); }
+inline Ex eq(Ex L, Ex R) { return bin(ir::Opcode::CmpEQ, L, R); }
+inline Ex ne(Ex L, Ex R) { return bin(ir::Opcode::CmpNE, L, R); }
+inline Ex lt(Ex L, Ex R) { return bin(ir::Opcode::CmpLT, L, R); }
+inline Ex le(Ex L, Ex R) { return bin(ir::Opcode::CmpLE, L, R); }
+inline Ex gt(Ex L, Ex R) { return bin(ir::Opcode::CmpGT, L, R); }
+inline Ex ge(Ex L, Ex R) { return bin(ir::Opcode::CmpGE, L, R); }
+inline Ex flt(Ex L, Ex R) { return bin(ir::Opcode::FCmpLT, L, R); }
+inline Ex fneg(Ex E) { return un(ir::Opcode::FNeg, E); }
+inline Ex fsqrt(Ex E) { return un(ir::Opcode::FSqrt, E); }
+inline Ex itof(Ex E) { return un(ir::Opcode::IToF, E); }
+inline Ex ftoi(Ex E) { return un(ir::Opcode::FToI, E); }
+/// Logical not of a 0/1 value.
+inline Ex lnot(Ex E) { return eq(E, c(0)); }
 
 // --- Statement factories ---------------------------------------------------
 

@@ -13,58 +13,6 @@ using namespace jrpm::front;
 
 namespace {
 
-ir::Opcode binOpToOpcode(BinOpKind Op) {
-  switch (Op) {
-  case BinOpKind::Add:
-    return ir::Opcode::Add;
-  case BinOpKind::Sub:
-    return ir::Opcode::Sub;
-  case BinOpKind::Mul:
-    return ir::Opcode::Mul;
-  case BinOpKind::Div:
-    return ir::Opcode::Div;
-  case BinOpKind::Rem:
-    return ir::Opcode::Rem;
-  case BinOpKind::And:
-    return ir::Opcode::And;
-  case BinOpKind::Or:
-    return ir::Opcode::Or;
-  case BinOpKind::Xor:
-    return ir::Opcode::Xor;
-  case BinOpKind::Shl:
-    return ir::Opcode::Shl;
-  case BinOpKind::Shr:
-    return ir::Opcode::Shr;
-  case BinOpKind::FAdd:
-    return ir::Opcode::FAdd;
-  case BinOpKind::FSub:
-    return ir::Opcode::FSub;
-  case BinOpKind::FMul:
-    return ir::Opcode::FMul;
-  case BinOpKind::FDiv:
-    return ir::Opcode::FDiv;
-  case BinOpKind::CmpEQ:
-    return ir::Opcode::CmpEQ;
-  case BinOpKind::CmpNE:
-    return ir::Opcode::CmpNE;
-  case BinOpKind::CmpLT:
-    return ir::Opcode::CmpLT;
-  case BinOpKind::CmpLE:
-    return ir::Opcode::CmpLE;
-  case BinOpKind::CmpGT:
-    return ir::Opcode::CmpGT;
-  case BinOpKind::CmpGE:
-    return ir::Opcode::CmpGE;
-  case BinOpKind::FCmpEQ:
-    return ir::Opcode::FCmpEQ;
-  case BinOpKind::FCmpLT:
-    return ir::Opcode::FCmpLT;
-  case BinOpKind::FCmpLE:
-    return ir::Opcode::FCmpLE;
-  }
-  JRPM_UNREACHABLE("unknown binary op");
-}
-
 class FunctionLowering {
 public:
   FunctionLowering(ir::IRBuilder &Builder,
@@ -138,52 +86,29 @@ private:
       // induction analysis sees `AddImm r, r, c` patterns.
       const ExprNode &L = N.Operands[0].node();
       const ExprNode &R = N.Operands[1].node();
-      if (N.BinOp == BinOpKind::Add && R.Kind == ExKind::ConstInt) {
+      if (N.Op == ir::Opcode::Add && R.Kind == ExKind::ConstInt) {
         std::uint16_t A = lowerExpr(N.Operands[0]);
         B.emitAddImmInto(Dst, A, R.IntValue);
         return;
       }
-      if (N.BinOp == BinOpKind::Sub && R.Kind == ExKind::ConstInt) {
+      if (N.Op == ir::Opcode::Sub && R.Kind == ExKind::ConstInt) {
         std::uint16_t A = lowerExpr(N.Operands[0]);
         B.emitAddImmInto(Dst, A, -R.IntValue);
         return;
       }
-      if (N.BinOp == BinOpKind::Add && L.Kind == ExKind::ConstInt) {
+      if (N.Op == ir::Opcode::Add && L.Kind == ExKind::ConstInt) {
         std::uint16_t A = lowerExpr(N.Operands[1]);
         B.emitAddImmInto(Dst, A, L.IntValue);
         return;
       }
       std::uint16_t A = lowerExpr(N.Operands[0]);
       std::uint16_t Rhs = lowerExpr(N.Operands[1]);
-      B.emitBinaryInto(binOpToOpcode(N.BinOp), Dst, A, Rhs);
+      B.emitBinaryInto(N.Op, Dst, A, Rhs);
       return;
     }
     case ExKind::Unary: {
-      if (N.UnOp == UnOpKind::Not) {
-        std::uint16_t A = lowerExpr(N.Operands[0]);
-        std::uint16_t Zero = B.emitConstI(0);
-        B.emitBinaryInto(ir::Opcode::CmpEQ, Dst, A, Zero);
-        return;
-      }
-      ir::Opcode Op = ir::Opcode::Nop;
-      switch (N.UnOp) {
-      case UnOpKind::FNeg:
-        Op = ir::Opcode::FNeg;
-        break;
-      case UnOpKind::FSqrt:
-        Op = ir::Opcode::FSqrt;
-        break;
-      case UnOpKind::IToF:
-        Op = ir::Opcode::IToF;
-        break;
-      case UnOpKind::FToI:
-        Op = ir::Opcode::FToI;
-        break;
-      case UnOpKind::Not:
-        JRPM_UNREACHABLE("handled above");
-      }
       ir::Instruction I;
-      I.Op = Op;
+      I.Op = N.Op;
       I.Dst = Dst;
       I.A = lowerExpr(N.Operands[0]);
       B.emit(I);

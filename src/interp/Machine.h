@@ -60,6 +60,8 @@ struct RunResult {
   std::uint64_t Loads = 0;
   std::uint64_t Stores = 0;
   std::uint64_t L1Misses = 0;
+
+  bool operator==(const RunResult &O) const = default;
 };
 
 class Machine {

@@ -5,9 +5,8 @@
 #include "ir/AnnotationVerifier.h"
 #include "support/Compiler.h"
 #include "support/Format.h"
+#include "trace/Reader.h"
 #include "trace/Writer.h"
-
-#include <optional>
 
 using namespace jrpm;
 using namespace jrpm::pipeline;
@@ -20,17 +19,6 @@ void failOnErrors(const char *Stage, const std::vector<std::string> &Errors) {
   for (const std::string &E : Errors)
     std::fprintf(stderr, "%s: %s\n", Stage, E.c_str());
   JRPM_FATAL("pipeline verification failed");
-}
-
-trace::RunInfo toRunInfo(const interp::RunResult &R) {
-  trace::RunInfo I;
-  I.Cycles = R.Cycles;
-  I.Instructions = R.Instructions;
-  I.ReturnValue = R.ReturnValue;
-  I.Loads = R.Loads;
-  I.Stores = R.Stores;
-  I.L1Misses = R.L1Misses;
-  return I;
 }
 
 /// The header a capture of \p AM's profiling run under \p Cfg carries.
@@ -101,13 +89,20 @@ Jrpm::profileInto(Dest *Capture, const std::vector<std::uint64_t> &Args) {
   if (Cfg.DisableLoopAfterThreads)
     Tracer->setDisableLoopAfterThreads(Cfg.DisableLoopAfterThreads);
 
-  std::optional<trace::RecordingSink<Dest>> Tee;
-  interp::TraceSink *Sink = Tracer.get();
-  if (Capture)
-    Sink = &Tee.emplace(*Capture, *Tracer);
-
+  // The recording tee: each event goes into the capture and on to the
+  // tracer, whose cycle charge the run sees unchanged. The function is
+  // always inlined, so in each handler the event's kind is a constant and
+  // dispatchEvent() folds to one tracer call.
+  trace::EventSink Tee([&](const trace::Event &E)
+                           __attribute__((always_inline)) {
+    Capture->append(E);
+    return trace::dispatchEvent(E, *Tracer);
+  });
   interp::Machine Machine(AM.Module, Cfg.Hw);
-  Machine.setTraceSink(Sink);
+  if (Capture)
+    Machine.setTraceSink(&Tee);
+  else
+    Machine.setTraceSink(Tracer.get());
   Machine.setObservability(Cfg.Metrics, "profiled", Cfg.Timeline,
                            ProfileTrack);
   if (Cfg.Timeline)
@@ -115,7 +110,7 @@ Jrpm::profileInto(Dest *Capture, const std::vector<std::uint64_t> &Args) {
   ProfileOutcome Out;
   Out.Run = Machine.run(Args);
   if (Capture)
-    Capture->finish(toRunInfo(Out.Run));
+    Capture->finish(Out.Run);
   Out.Selection = tracer::selectStls(*Tracer, Out.Run.Cycles, Cfg.Hw);
   Out.PeakBanksInUse = Tracer->peakBanksInUse();
   Out.PeakLocalSlots = Tracer->peakLocalSlots();
@@ -215,7 +210,7 @@ Jrpm::runDifferential(const std::vector<std::uint64_t> &Args) {
         formatString("replayed selection digest %016llx != live %016llx",
                      (unsigned long long)ReplayDigest,
                      (unsigned long long)LiveDigest));
-  if (Out.Replay.Run != toRunInfo(Live))
+  if (Out.Replay.Run != Live)
     Out.ReplayMismatches.push_back(
         "trace footer run diverged from live profiled run");
   return Out;

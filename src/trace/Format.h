@@ -29,6 +29,7 @@
 #ifndef JRPM_TRACE_FORMAT_H
 #define JRPM_TRACE_FORMAT_H
 
+#include "interp/Machine.h"
 #include "ir/AnnotationVerifier.h"
 #include "sim/Config.h"
 
@@ -106,25 +107,13 @@ struct TraceHeader {
   std::vector<ir::LoopAnnotationInfo> LoopLocals;
 };
 
-/// Summary of the capture run, mirrored from interp::RunResult so the trace
-/// library does not depend on the interpreter.
-struct RunInfo {
-  std::uint64_t Cycles = 0;
-  std::uint64_t Instructions = 0;
-  std::uint64_t ReturnValue = 0;
-  std::uint64_t Loads = 0;
-  std::uint64_t Stores = 0;
-  std::uint64_t L1Misses = 0;
-
-  bool operator==(const RunInfo &O) const = default;
-};
-
 struct TraceFooter {
   std::uint64_t EventCounts[NumEventKinds] = {};
   std::uint64_t TotalEvents = 0;
   /// Cycle stamp of the last cycle-bearing event (0 when none).
   std::uint64_t LastCycle = 0;
-  RunInfo Run;
+  /// The capture run's result, as interp::Machine::run() returned it.
+  interp::RunResult Run;
 };
 
 /// Tallies \p E into \p F: its kind's count, the total and the last cycle.

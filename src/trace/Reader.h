@@ -4,7 +4,9 @@
 // checksum, range, or ordering violation throws a typed trace::Error, so a
 // corrupt or truncated file can never crash a consumer or silently skew an
 // analysis. It feeds CachedTrace(path), through which every replay of a
-// file goes, and the dump, info and diff views.
+// file goes, and the dump, info and diff views. dispatchEvent() and
+// EventSink, the two mappings between an Event and a TraceSink call, live
+// here too.
 //
 //===----------------------------------------------------------------------===//
 
@@ -15,6 +17,7 @@
 #include "trace/Wire.h"
 
 #include <cstdio>
+#include <utility>
 
 namespace jrpm {
 namespace trace {
@@ -89,48 +92,109 @@ private:
   bool FooterCached = false;
 };
 
-/// Delivers one decoded event to \p Sink, mapping wire kinds back onto the
-/// TraceSink interface. Cycle-charge return values are ignored: the
-/// recorded cycle stream already includes them. CachedTrace::replay()
-/// sends an escaped record through it; a narrow record's kind is mapped
-/// by CachedTrace's decoder.
-inline void dispatchEvent(const Event &E, interp::TraceSink &Sink) {
+/// Calls \p Sink's TraceSink method of \p E's kind with \p E's fields and
+/// returns the method's cycle charge (0 from those that return none). The
+/// one mapping from an Event to a TraceSink call; EventSink below is its
+/// inverse. CachedTrace::replay() sends an escaped record through it and
+/// Jrpm's recording tee forwards every live event through it. Always
+/// inlined, so a caller whose event kind is a constant makes one call and
+/// no switch.
+[[gnu::always_inline]] inline std::uint32_t
+dispatchEvent(const Event &E, interp::TraceSink &Sink) {
   switch (E.Kind) {
   case EventKind::HeapLoad:
-    Sink.onHeapLoad(E.Addr, E.Cycle, E.Pc);
-    break;
+    return Sink.onHeapLoad(E.Addr, E.Cycle, E.Pc);
   case EventKind::HeapStore:
-    Sink.onHeapStore(E.Addr, E.Cycle, E.Pc);
-    break;
+    return Sink.onHeapStore(E.Addr, E.Cycle, E.Pc);
   case EventKind::LocalLoad:
-    Sink.onLocalLoad(E.Activation, E.Reg, E.Cycle, E.Pc);
-    break;
+    return Sink.onLocalLoad(E.Activation, E.Reg, E.Cycle, E.Pc);
   case EventKind::LocalStore:
-    Sink.onLocalStore(E.Activation, E.Reg, E.Cycle, E.Pc);
-    break;
+    return Sink.onLocalStore(E.Activation, E.Reg, E.Cycle, E.Pc);
   case EventKind::LoopStart:
-    Sink.onLoopStart(E.LoopId, E.Activation, E.Cycle);
-    break;
+    return Sink.onLoopStart(E.LoopId, E.Activation, E.Cycle);
   case EventKind::LoopIter:
-    Sink.onLoopIter(E.LoopId, E.Cycle);
-    break;
+    return Sink.onLoopIter(E.LoopId, E.Cycle);
   case EventKind::LoopEnd:
-    Sink.onLoopEnd(E.LoopId, E.Cycle);
-    break;
+    return Sink.onLoopEnd(E.LoopId, E.Cycle);
   case EventKind::Return:
     Sink.onReturn(E.Activation);
-    break;
+    return 0;
   case EventKind::CallSite:
     Sink.onCallSite(E.Pc, E.Cycle);
-    break;
+    return 0;
   case EventKind::CallReturn:
     Sink.onCallReturn(E.Cycle);
-    break;
+    return 0;
   case EventKind::ReadStats:
-    Sink.onReadStats(E.LoopId, E.Cycle);
-    break;
+    return Sink.onReadStats(E.LoopId, E.Cycle);
   }
+  return 0;
 }
+
+/// The one mapping from a TraceSink call to an Event: each handler builds
+/// its call's Event, with the fields its kind does not carry at their
+/// defaults, and returns \p F(E) as the call's cycle charge (a handler
+/// that returns nothing drops it). Jrpm's recording tee is an EventSink
+/// whose \p F appends the event to the capture and dispatchEvent()s it to
+/// the tracer; CachedTrace rebuilds a packed record's Event through one.
+/// Final, so a caller that holds an EventSink by its own type calls the
+/// handlers directly and can inline \p F.
+template <typename Fn> class EventSink final : public interp::TraceSink {
+public:
+  explicit EventSink(Fn F) : F(std::move(F)) {}
+
+  std::uint32_t onHeapLoad(std::uint32_t Addr, std::uint64_t Cycle,
+                           std::int32_t Pc) override {
+    return F(Event{.Kind = EventKind::HeapLoad, .Cycle = Cycle, .Addr = Addr,
+                   .Pc = Pc});
+  }
+  std::uint32_t onHeapStore(std::uint32_t Addr, std::uint64_t Cycle,
+                            std::int32_t Pc) override {
+    return F(Event{.Kind = EventKind::HeapStore, .Cycle = Cycle, .Addr = Addr,
+                   .Pc = Pc});
+  }
+  std::uint32_t onLocalLoad(std::uint64_t Activation, std::uint16_t Reg,
+                            std::uint64_t Cycle, std::int32_t Pc) override {
+    return F(Event{.Kind = EventKind::LocalLoad, .Cycle = Cycle,
+                   .Activation = Activation, .Reg = Reg, .Pc = Pc});
+  }
+  std::uint32_t onLocalStore(std::uint64_t Activation, std::uint16_t Reg,
+                             std::uint64_t Cycle, std::int32_t Pc) override {
+    return F(Event{.Kind = EventKind::LocalStore, .Cycle = Cycle,
+                   .Activation = Activation, .Reg = Reg, .Pc = Pc});
+  }
+  std::uint32_t onLoopStart(std::uint32_t LoopId, std::uint64_t Activation,
+                            std::uint64_t Cycle) override {
+    return F(Event{.Kind = EventKind::LoopStart, .Cycle = Cycle,
+                   .Activation = Activation, .LoopId = LoopId});
+  }
+  std::uint32_t onLoopIter(std::uint32_t LoopId,
+                           std::uint64_t Cycle) override {
+    return F(
+        Event{.Kind = EventKind::LoopIter, .Cycle = Cycle, .LoopId = LoopId});
+  }
+  std::uint32_t onLoopEnd(std::uint32_t LoopId, std::uint64_t Cycle) override {
+    return F(
+        Event{.Kind = EventKind::LoopEnd, .Cycle = Cycle, .LoopId = LoopId});
+  }
+  void onReturn(std::uint64_t Activation) override {
+    F(Event{.Kind = EventKind::Return, .Activation = Activation});
+  }
+  void onCallSite(std::int32_t CallPc, std::uint64_t Cycle) override {
+    F(Event{.Kind = EventKind::CallSite, .Cycle = Cycle, .Pc = CallPc});
+  }
+  void onCallReturn(std::uint64_t Cycle) override {
+    F(Event{.Kind = EventKind::CallReturn, .Cycle = Cycle});
+  }
+  std::uint32_t onReadStats(std::uint32_t LoopId,
+                            std::uint64_t Cycle) override {
+    return F(
+        Event{.Kind = EventKind::ReadStats, .Cycle = Cycle, .LoopId = LoopId});
+  }
+
+private:
+  Fn F;
+};
 
 /// Event-by-event comparison of two traces for golden-trace regression.
 struct DiffResult {

@@ -39,7 +39,7 @@ struct ReplayConfig {
 
 struct ReplayOutcome {
   tracer::SelectionResult Selection;
-  RunInfo Run; ///< the capture run's results, from the footer
+  interp::RunResult Run; ///< the capture run's results, from the footer
   std::uint32_t PeakBanksInUse = 0;
   std::uint32_t PeakLocalSlots = 0;
   std::uint32_t PeakDynamicNest = 0;
@@ -70,9 +70,9 @@ inline ReplayConfig recordedConfig(const TraceHeader &H) {
 /// disk read, checksum, and varint decode exactly once, then feeds any
 /// number of analysis configurations straight from memory. Construction
 /// from a file checks all of it (header, footer, every event, the stream
-/// against the footer) before any replay starts. It is also
-/// RecordingSink's in-memory destination: append() and finish() keep the
-/// footer the way Writer does.
+/// against the footer) before any replay starts. It is also the recording
+/// tee's in-memory destination: append() and finish() keep the footer the
+/// way Writer does.
 ///
 /// Events are held as one 8-byte record each, not 40-byte Events:
 /// kind:4 | cycle delta:12 | payload:48, low bits first. The cycle and the
@@ -98,7 +98,10 @@ inline ReplayConfig recordedConfig(const TraceHeader &H) {
 /// sink's handler of its kind: one switch and, for the final
 /// tracer::TraceEngine, one direct call per event, with no Event built.
 /// An escaped record goes through dispatchEvent(). forEach() gives whole
-/// Events, for tests and for re-encoding a capture.
+/// Events, for tests and for re-encoding a capture; it and store()'s
+/// exactness check rebuild a record's Event by decoding it into an
+/// EventSink, so the record layout and the call-to-Event mapping are each
+/// written once.
 class CachedTrace {
 public:
   /// Opens \p Path, drains it and validates the stream against its
@@ -113,7 +116,7 @@ public:
     countEvent(Footer, E);
   }
   /// Records the capture run's results in the footer.
-  void finish(const RunInfo &Run) { Footer.Run = Run; }
+  void finish(const interp::RunResult &Run) { Footer.Run = Run; }
 
   const TraceHeader &header() const { return Header; }
   const TraceFooter &footer() const { return Footer; }
@@ -314,60 +317,17 @@ private:
     }
   }
 
-  /// decode()'s visitor that rebuilds the Event; fields its kind does not
-  /// carry keep their defaults.
-  struct EventBuilder {
-    Event E;
-
-    void onHeapLoad(std::uint32_t Addr, std::uint64_t Cycle, std::int32_t Pc) {
-      E = {.Kind = EventKind::HeapLoad, .Cycle = Cycle, .Addr = Addr, .Pc = Pc};
-    }
-    void onHeapStore(std::uint32_t Addr, std::uint64_t Cycle,
-                     std::int32_t Pc) {
-      E = {.Kind = EventKind::HeapStore, .Cycle = Cycle, .Addr = Addr,
-           .Pc = Pc};
-    }
-    void onLocalLoad(std::uint64_t Activation, std::uint16_t Reg,
-                     std::uint64_t Cycle, std::int32_t Pc) {
-      E = {.Kind = EventKind::LocalLoad, .Cycle = Cycle,
-           .Activation = Activation, .Reg = Reg, .Pc = Pc};
-    }
-    void onLocalStore(std::uint64_t Activation, std::uint16_t Reg,
-                      std::uint64_t Cycle, std::int32_t Pc) {
-      E = {.Kind = EventKind::LocalStore, .Cycle = Cycle,
-           .Activation = Activation, .Reg = Reg, .Pc = Pc};
-    }
-    void onLoopStart(std::uint32_t LoopId, std::uint64_t Activation,
-                     std::uint64_t Cycle) {
-      E = {.Kind = EventKind::LoopStart, .Cycle = Cycle,
-           .Activation = Activation, .LoopId = LoopId};
-    }
-    void onLoopIter(std::uint32_t LoopId, std::uint64_t Cycle) {
-      E = {.Kind = EventKind::LoopIter, .Cycle = Cycle, .LoopId = LoopId};
-    }
-    void onLoopEnd(std::uint32_t LoopId, std::uint64_t Cycle) {
-      E = {.Kind = EventKind::LoopEnd, .Cycle = Cycle, .LoopId = LoopId};
-    }
-    void onReturn(std::uint64_t Activation) {
-      E = {.Kind = EventKind::Return, .Activation = Activation};
-    }
-    void onCallSite(std::int32_t Pc, std::uint64_t Cycle) {
-      E = {.Kind = EventKind::CallSite, .Cycle = Cycle, .Pc = Pc};
-    }
-    void onCallReturn(std::uint64_t Cycle) {
-      E = {.Kind = EventKind::CallReturn, .Cycle = Cycle};
-    }
-    void onReadStats(std::uint32_t LoopId, std::uint64_t Cycle) {
-      E = {.Kind = EventKind::ReadStats, .Cycle = Cycle, .LoopId = LoopId};
-    }
-  };
-
   /// The event a non-escape record holds against predictor \p Last,
-  /// which it advances past the event.
+  /// which it advances past the event: decode() into an EventSink that
+  /// keeps the Event it builds.
   static Event unpackNarrow(std::uint64_t R, Predictor &Last) {
-    EventBuilder B;
-    decode(R, Last, B);
-    return B.E;
+    Event Out;
+    EventSink Keep([&Out](const Event &E) {
+      Out = E;
+      return 0u;
+    });
+    decode(R, Last, Keep);
+    return Out;
   }
 
   TraceHeader Header;

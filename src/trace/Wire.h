@@ -34,8 +34,8 @@ inline constexpr std::size_t MaxEventWireBytes = 1 + 4 * 10;
 
 /// Writes the wire form of \p E at \p P, which must have
 /// MaxEventWireBytes of room, and returns the end of what it wrote.
-/// Always inlined, so RecordingSink<Writer>'s handlers, whose kind is a
-/// constant, encode with no switch and no call.
+/// Always inlined, so Writer::append, which the recording tee (an
+/// EventSink, Reader.h) calls for every live event, encodes with no call.
 [[gnu::always_inline]] inline std::uint8_t *
 encodeEvent(std::uint8_t *P, const Event &E, DeltaState &D) {
   *P++ = static_cast<std::uint8_t>(E.Kind);

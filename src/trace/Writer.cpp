@@ -57,7 +57,7 @@ void Writer::flushChunk() {
   Deltas = DeltaState(); // chunks decode independently
 }
 
-void Writer::finish(const RunInfo &Run) {
+void Writer::finish(const interp::RunResult &Run) {
   if (!File)
     throw Error(ErrorKind::Io, "finish called twice on '" + Path + "'");
   flushChunk();

@@ -6,6 +6,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "TestUtil.h"
+#include "corpus/Generator.h"
+#include "support/Fnv1a.h"
 
 #include <gtest/gtest.h>
 
@@ -188,4 +190,33 @@ TEST(Frontend, InductorLowersToAddImm) {
 
 TEST(Frontend, FallthroughReturnsZero) {
   EXPECT_EQ(evalMain(seq({assign("x", c(5))})), 0u);
+}
+
+TEST(Frontend, GeneratedProgramsLowerToPinnedBytes) {
+  // FNV-1a of Module::dump() for generator seeds 1-50: every operator the
+  // generator draws goes through lowering, so a changed opcode or register
+  // order moves a digest.
+  static constexpr std::uint64_t Digests[] = {
+      0x659b9518edcccdd0ull, 0x88ca58806c0064c2ull, 0xca370cc5c1044014ull,
+      0xada861f22beea9bdull, 0x107e2404a593994bull, 0x7167051bc7652c7bull,
+      0x7a4eb1d08ed23af7ull, 0xd0fc9a127edca71eull, 0xed84ee879ab82576ull,
+      0x6a2281138b92f36eull, 0xf68282de2249f29full, 0x4a22e6e1ad77191bull,
+      0xf2e1a8211f45de8bull, 0xb77e5765b1d93c30ull, 0xfcee56c2aab2aa1full,
+      0x61060ff99fa96083ull, 0xacc54d9a925a1c3cull, 0x2125b127aac3236dull,
+      0x8307fbc02dc67abaull, 0x531fe7343c590386ull, 0xea57556797bfaaf2ull,
+      0x1be3f2e56928b5a4ull, 0x342da68a61a70aeeull, 0xafcfc0a856aac0b2ull,
+      0x799d6e7f4fdd2ca1ull, 0x8614fcbb1b2bfe14ull, 0xe54d7aa5c8b360f2ull,
+      0xef63f027049926adull, 0x91987ec86c6a7644ull, 0x8a45b213c84dcf33ull,
+      0x19eb03a54ad72a28ull, 0x4bd8d8fd4b826e07ull, 0x9395a434b6223219ull,
+      0x9d78ce4483bf640aull, 0xa57241e4b717b4b7ull, 0xb9c7594d18a23596ull,
+      0x467e2c2ba8e73417ull, 0xbc5796657dc090c3ull, 0xafa03d96b5c440d6ull,
+      0x657119bf426cf3c8ull, 0x8dfda26e14f6c943ull, 0x15b78b83fbcc74c8ull,
+      0xe80890a93b764405ull, 0x51a520da0c02f2f6ull, 0x115621369c7e9886ull,
+      0x3cac0d842a8c44c6ull, 0x4375385a1a317473ull, 0xfa43124ac4f948dbull,
+      0x216f8587a774af4eull, 0x5f14571447cc6af3ull,
+  };
+  for (std::uint64_t Seed = 1; Seed <= std::size(Digests); ++Seed)
+    EXPECT_EQ(fnv1a(corpus::ProgramGenerator(Seed).generate().dump()),
+              Digests[Seed - 1])
+        << "seed " << Seed;
 }

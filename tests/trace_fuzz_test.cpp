@@ -347,7 +347,7 @@ TEST_F(TraceFuzz, ImpossibleCacheGeometryIsBadRecord) {
       Emit(trace::EventKind::HeapLoad, 100 + I);
     }
     Emit(trace::EventKind::LoopEnd, 0);
-    W.finish(trace::RunInfo{});
+    W.finish(interp::RunResult{});
   }
   try {
     trace::CachedTrace T(Mutant);
@@ -367,7 +367,7 @@ TEST_F(TraceFuzz, ImpossibleCacheGeometryIsBadRecord) {
       H.Hw.L1Lines = Lines;
       H.Hw.L1Assoc = Ways;
       trace::Writer W(Path, H);
-      W.finish(trace::RunInfo{});
+      W.finish(interp::RunResult{});
     }
     std::optional<trace::ErrorKind> Err = strictRead(Path);
     ASSERT_TRUE(Err.has_value()) << Lines << " lines, " << Ways << " ways";
@@ -384,7 +384,7 @@ TEST_F(TraceFuzz, ImpossibleOverflowGeometryIsBadRecord) {
     trace::TraceHeader H;
     H.Hw.OverflowTableAssoc = 0;
     trace::Writer W(Mutant, H);
-    W.finish(trace::RunInfo{});
+    W.finish(interp::RunResult{});
   }
   std::optional<trace::ErrorKind> Err = strictRead(Mutant);
   ASSERT_TRUE(Err.has_value());

@@ -256,8 +256,8 @@ TEST(CachedTrace, PackingKeepsExtremeEventsExactly) {
   trace::CachedTrace Captured(H);
   for (const trace::Event &E : Events)
     Captured.append(E);
-  trace::RunInfo Run{.Cycles = ~0ull, .Instructions = 1ull << 44,
-                     .ReturnValue = 1ull << 63};
+  interp::RunResult Run{.Cycles = ~0ull, .Instructions = 1ull << 44,
+                        .ReturnValue = 1ull << 63};
   Captured.finish(Run);
   TempTrace Tmp("extreme");
   {

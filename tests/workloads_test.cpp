@@ -7,9 +7,12 @@
 //===----------------------------------------------------------------------===//
 
 #include "jrpm/Pipeline.h"
+#include "support/Fnv1a.h"
 #include "workloads/Workload.h"
 
 #include <gtest/gtest.h>
+
+#include <map>
 
 using namespace jrpm;
 using namespace jrpm::pipeline;
@@ -54,6 +57,52 @@ TEST_P(WorkloadSuite, SelectionIsStableAcrossProfilingLevels) {
     EXPECT_GT(P.Selection.Loops[L].Stats.Threads, 0u);
     EXPECT_FALSE(J.moduleAnalysis().candidate(L).Rejected);
   }
+}
+
+namespace {
+
+/// FNV-1a of each workload's lowered Module::dump(). The goldens see the
+/// lowered code only through cycles and lint output; this pins its bytes.
+const std::map<std::string, std::uint64_t> &loweredDigests() {
+  static const std::map<std::string, std::uint64_t> Digests = {
+      {"Assignment", 0x0f8916390b0762d3ull},
+      {"BitOps", 0x2a1fcf156fcb4bf0ull},
+      {"compress", 0x97e19f9e1ae0602dull},
+      {"db", 0xfc82623b58ec758aull},
+      {"deltaBlue", 0x89973df2e87f3086ull},
+      {"EmFloatPnt", 0xe79cd0934f29f2bdull},
+      {"Huffman", 0x5ddd6d6743533f26ull},
+      {"IDEA", 0x03f85acfcf70bb6full},
+      {"jess", 0xa7af963f64db7a07ull},
+      {"jLex", 0x99fa492f6dadeb25ull},
+      {"MipsSimulator", 0x4843f095cc762e40ull},
+      {"monteCarlo", 0x63113d253fea2a82ull},
+      {"NumHeapSort", 0x31b612f6171172d8ull},
+      {"raytrace", 0x1a51ab6744440ed6ull},
+      {"euler", 0x2aeae8b512b424faull},
+      {"fft", 0x63f51fb48962d330ull},
+      {"FourierTest", 0x5f110570911b75f1ull},
+      {"LuFactor", 0x74fd545b5744deeeull},
+      {"moldyn", 0x840573e91209dd01ull},
+      {"NeuralNet", 0x659049d59a75ff64ull},
+      {"shallow", 0xa97c8496c20b7d0aull},
+      {"decJpeg", 0xf4d91240f9cd17d9ull},
+      {"encJpeg", 0x355023ca5958ff8bull},
+      {"h263dec", 0x26a150aff8880323ull},
+      {"mpegVideo", 0x765899643ff4434bull},
+      {"mp3", 0x7aa39c4c51174d76ull},
+  };
+  return Digests;
+}
+
+} // namespace
+
+TEST_P(WorkloadSuite, LoweredModuleIsPinned) {
+  const workloads::Workload *W = workloads::findWorkload(GetParam());
+  ASSERT_NE(W, nullptr);
+  auto It = loweredDigests().find(W->Name);
+  ASSERT_NE(It, loweredDigests().end()) << W->Name;
+  EXPECT_EQ(fnv1a(W->Build().dump()), It->second) << W->Name;
 }
 
 namespace {
